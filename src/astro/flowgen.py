@@ -12,7 +12,7 @@ clean, renoise at the next level, repeat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -223,38 +223,32 @@ def predict_clean_batch(params: dict[str, np.ndarray], xt_flat: np.ndarray, t,
     return out
 
 
-def predict_clean(params, x_t: np.ndarray, t: float, ctx_summary, prompt_vec,
-                  graph: tg.GradGraph | None = None):
-    """Single-clip convenience wrapper; numpy path returns (clip_len, frame_dim)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    clip_len, frame_dim = x_t.shape
-    out = predict_clean_batch(params, x_t.reshape(1, -1), t, ctx_summary, prompt_vec, graph)
-    if graph is not None:
-        return out
-    return out.reshape(clip_len, frame_dim)
+def sample_clips(params: dict[str, np.ndarray], ctx_rows, prompt_vec,
+                 schedule: TimestepSchedule, streams) -> np.ndarray:
+    """Few-step generation of N clips at once: draw noise, predict clean, renoise.
 
-
-def sample_clip(params: dict[str, np.ndarray], ctx_summary, prompt_vec,
-                schedule: TimestepSchedule, rng) -> np.ndarray:
-    """Few-step generation: draw noise, predict clean, renoise at the next level.
-
-    Consumes exactly len(schedule) noise draws (one init plus one per
-    renoising), and returns the final clean prediction.
+    Row i is conditioned on ctx_rows[i] and draws only from streams[i]:
+    exactly len(schedule) draws (one init plus one per renoising), in the
+    order a lone row would make them, so a row's clip does not depend on
+    which other rows share the batch. Every schedule step is one (N, d)
+    forward. Returns the final clean predictions, (N, clip_len, frame_dim).
     """
-    d2 = np.asarray(ctx_summary).shape[-1]
-    if d2 % 2:
-        raise ValueError("context summary width must be 2*frame_dim")
-    frame_dim = d2 // 2
-    out_dim = params["b3"].shape[1]
-    clip_len = out_dim // frame_dim
-    x = np.asarray(rng.standard_normal((clip_len, frame_dim)), dtype=np.float64)
-    pred = None
+    ctx_rows = np.asarray(ctx_rows, dtype=np.float64)
+    n = len(streams)
+    if ctx_rows.ndim != 2 or ctx_rows.shape[0] != n or ctx_rows.shape[1] % 2:
+        raise ValueError(f"ctx_rows shape {ctx_rows.shape}, expected ({n}, 2*frame_dim)")
+    frame_dim = ctx_rows.shape[1] // 2
+    clip_shape = (params["b3"].shape[1] // frame_dim, frame_dim)
+
+    def draw():
+        return np.stack([s.standard_normal(clip_shape) for s in streams]).reshape(n, -1)
+
+    x = draw()
     for k, t in enumerate(schedule.values):
-        pred = predict_clean(params, x, t, ctx_summary, prompt_vec)
+        pred = predict_clean_batch(params, x, t, ctx_rows, prompt_vec)
         if k + 1 < len(schedule.values):
-            eps = np.asarray(rng.standard_normal((clip_len, frame_dim)), dtype=np.float64)
-            x = forward_path(pred, eps, schedule.values[k + 1])
-    return pred
+            x = forward_path(pred, draw(), schedule.values[k + 1])
+    return pred.reshape(n, *clip_shape)
 
 
 # --- base-model pretraining ---
@@ -262,25 +256,41 @@ def sample_clip(params: dict[str, np.ndarray], ctx_summary, prompt_vec,
 
 @dataclass
 class TrajectoryCorpus:
-    """Clean clips with the context summary and prompt that condition them."""
+    """Clean clips with the context summary and prompt that condition them.
+
+    The (prompt, clip index) tables of target clips and context summaries
+    are built once, from target_clip and trajectory_context_summary, and
+    batches gather from them.
+    """
 
     prompts: list[Prompt]
     horizon: int
     sink: int
     clip_len: int
     frame_dim: int
+    tables: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        x0 = np.array([[target_clip(p.phase, n, self.clip_len, self.frame_dim).ravel()
+                        for n in range(self.horizon)] for p in self.prompts])
+        ctx = np.array([[trajectory_context_summary(
+            p.phase, n, self.sink, self.clip_len, self.frame_dim)
+            for n in range(self.horizon)] for p in self.prompts])
+        pv = np.stack([p.vec for p in self.prompts])
+        self.tables = (x0, ctx, pv)
 
     def sample_batch(self, rng: np.random.Generator, batch_size: int):
-        """Returns (x0_flat, ctx_rows, prompt_rows) for a random batch."""
-        x0, ctx, pv = [], [], []
-        for _ in range(batch_size):
-            prompt = self.prompts[int(rng.integers(len(self.prompts)))]
-            n = int(rng.integers(self.horizon))
-            x0.append(target_clip(prompt.phase, n, self.clip_len, self.frame_dim).ravel())
-            ctx.append(trajectory_context_summary(
-                prompt.phase, n, self.sink, self.clip_len, self.frame_dim))
-            pv.append(prompt.vec)
-        return np.stack(x0), np.stack(ctx), np.stack(pv)
+        """Returns (x0_flat, ctx_rows, prompt_rows) for a random batch.
+
+        Each example draws its prompt index, then its clip index.
+        """
+        which = np.empty(batch_size, dtype=np.intp)
+        clip = np.empty(batch_size, dtype=np.intp)
+        for b in range(batch_size):
+            which[b] = rng.integers(len(self.prompts))
+            clip[b] = rng.integers(self.horizon)
+        x0, ctx, pv = self.tables
+        return x0[which, clip], ctx[which, clip], pv[which]
 
 
 def make_corpus(seed: int, n_prompts: int = 16, horizon: int = 8, sink: int = 3,

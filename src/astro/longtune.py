@@ -64,9 +64,10 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompt: flowgen.Prompt,
     already gone, so the cost of carrying history is constant in start_clip.
     """
     ctx = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
-    stream = rngmod.substream(cfg.seed, rngmod.PREFIX_STREAM, epoch, prompt.pid)
+    streams = [rngmod.substream(cfg.seed, rngmod.PREFIX_STREAM, epoch, prompt.pid)]
     for _ in range(start_clip):
-        clip = flowgen.sample_clip(theta_old, ctx.summary(), prompt.vec, schedule, stream)
+        (clip,) = flowgen.sample_clips(theta_old, ctx.summary()[None], prompt.vec,
+                                       schedule, streams)
         ctx = streamctx.push_clip(ctx, clip)
     return streamctx.detach_history(ctx)
 
@@ -76,31 +77,31 @@ def window_rollout(theta_old: dict[str, np.ndarray], prompt: flowgen.Prompt,
                    epoch: int) -> nftcore.GroupData:
     """Branch the group at the window: each candidate extends its own context.
 
-    Rows come out candidate-major, one row per (candidate, window clip), each
-    with the context summary that conditioned it. Rewards see each
-    candidate's window as one frame stack.
+    Each window clip is decoded for all candidates at once, every row
+    conditioned on its own candidate's context summary. Rows come out
+    candidate-major, one row per (candidate, window clip), each with the
+    context summary that conditioned it. Rewards see each candidate's window
+    as one frame stack.
     """
     prefix = rollout_prefix(theta_old, prompt, spec.start_clip, cfg, schedule, epoch)
     base_key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
-    x0_rows, ctx_rows, clips = [], [], []
-    for i in range(cfg.group_size):
-        stream = rngmod.substream(*base_key, i)
-        ctx = prefix
-        window_clips = []
-        for _ in range(spec.window_clips):
-            summary = ctx.summary()
-            clip = flowgen.sample_clip(theta_old, summary, prompt.vec, schedule, stream)
-            x0_rows.append(clip.ravel())
-            ctx_rows.append(summary)
-            window_clips.append(clip)
-            ctx = streamctx.push_clip(ctx, clip)
-        clips.append(np.concatenate(window_clips, axis=0))
+    g, w = cfg.group_size, spec.window_clips
+    streams = [rngmod.substream(*base_key, i) for i in range(g)]
+    ctxs = [prefix] * g
+    summaries, window = [], []
+    for _ in range(w):
+        summary = np.stack([ctx.summary() for ctx in ctxs])
+        clips = flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
+        ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
+        summaries.append(summary)
+        window.append(clips)
+    window = np.stack(window, axis=1)  # (g, w, clip_len, frame_dim)
     return nftcore.GroupData(
         prompt=prompt,
-        x0_rows=np.stack(x0_rows),
-        ctx_rows=np.stack(ctx_rows),
-        row_candidate=np.repeat(np.arange(cfg.group_size), spec.window_clips),
-        clips=clips,
+        x0_rows=window.reshape(g * w, -1),
+        ctx_rows=np.stack(summaries, axis=1).reshape(g * w, -1),
+        row_candidate=np.repeat(np.arange(g), w),
+        clips=list(window.reshape(g, w * cfg.clip_len, cfg.frame_dim)),
     )
 
 

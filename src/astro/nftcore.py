@@ -195,10 +195,10 @@ def short_rollout(theta_old: dict[str, np.ndarray], prompt: flowgen.Prompt, epoc
     summary = ctx.summary()
     return GroupData(
         prompt=prompt,
-        x0_rows=np.stack([c.ravel() for c in clips]),
+        x0_rows=clips.reshape(cfg.group_size, -1),
         ctx_rows=np.tile(summary, (cfg.group_size, 1)),
         row_candidate=np.arange(cfg.group_size),
-        clips=clips,
+        clips=list(clips),
     )
 
 
@@ -276,7 +276,7 @@ def optimize_group(policies: PolicyTriple, scored: ScoredGroup, state: TrainStat
     graph, loss, info = build_group_loss(policies, scored, cfg, t, eps)
     grads = tg.backward(graph, loss)
     info["grad_norm"] = tg.global_norm(grads)
-    grads = tg.clip_global_norm(grads, cfg.max_grad_norm)
+    grads = tg.clip_global_norm(grads, cfg.max_grad_norm, info["grad_norm"])
     optimizer.step(policies.theta, grads)
     state.steps += 1
     if cfg.ema_mode == "step" and state.steps % cfg.ema_interval == 0:

@@ -33,44 +33,54 @@ def frame_quality(frame: np.ndarray) -> float:
     return -dist * dist
 
 
-def visual_quality(frames: np.ndarray) -> float:
+# Each judge scores one clip, (n_frames, frame_dim), or every clip of a
+# stack, (..., n_frames, frame_dim), at once: one score per clip.
+
+
+def visual_quality(frames: np.ndarray):
     """Mean frame quality over the best top-fraction frames (count by ceiling).
 
     Scoring only the strongest frames tolerates transients; it is also the
     exploitable part of this judge, which is the point of having the others.
     """
-    per_frame = np.array([frame_quality(f) for f in frames])
-    keep = math.ceil(TOP_FRAME_FRACTION * len(per_frame))
-    top = np.sort(per_frame)[::-1][:keep]
-    return float(np.mean(top))
+    frames = np.asarray(frames, dtype=np.float64)
+    # frame_quality of every frame
+    radial = np.hypot(frames[..., 0], frames[..., 1]) - flowgen.RADIUS
+    dist = np.sqrt(radial * radial + np.sum(frames[..., 2:] * frames[..., 2:], axis=-1))
+    per_frame = -dist * dist
+    keep = math.ceil(TOP_FRAME_FRACTION * per_frame.shape[-1])
+    top = np.sort(per_frame, axis=-1)[..., ::-1][..., :keep]
+    return top.mean(axis=-1)
 
 
-def motion_quality(frames: np.ndarray) -> float:
+def motion_quality(frames: np.ndarray):
     """Negative mean squared second difference of the mean-coordinate projection."""
-    if len(frames) < 3:
-        return 0.0
-    s = np.asarray(frames).mean(axis=1)
-    dd = s[2:] - 2.0 * s[1:-1] + s[:-2]
-    return float(-np.mean(dd * dd))
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.shape[-2] < 3:
+        return np.zeros(frames.shape[:-2])[()]
+    s = frames.mean(axis=-1)
+    dd = s[..., 2:] - 2.0 * s[..., 1:-1] + s[..., :-2]
+    return -np.mean(dd * dd, axis=-1)
 
 
-def text_alignment(frames: np.ndarray, prompt_vec: np.ndarray) -> float:
+def text_alignment(frames: np.ndarray, prompt_vec: np.ndarray):
     """Cosine between the mean frame (restricted to prompt width) and the prompt."""
-    mean_frame = np.asarray(frames).mean(axis=0)[: len(prompt_vec)]
-    denom = float(np.linalg.norm(mean_frame)) * float(np.linalg.norm(prompt_vec))
-    if denom < 1e-12:
-        return 0.0
-    return float(np.dot(mean_frame, prompt_vec) / denom)
+    prompt_vec = np.asarray(prompt_vec, dtype=np.float64)
+    mean_frame = np.asarray(frames, dtype=np.float64).mean(axis=-2)[..., : len(prompt_vec)]
+    denom = np.linalg.norm(mean_frame, axis=-1) * np.linalg.norm(prompt_vec)
+    degenerate = denom < 1e-12
+    cos = (mean_frame @ prompt_vec) / np.where(degenerate, 1.0, denom)
+    return np.where(degenerate, 0.0, cos)[()]
 
 
 def eval_rewards(clips: list[np.ndarray], prompt: flowgen.Prompt) -> np.ndarray:
-    """Raw (group_size, N_MODELS) score matrix; column order VQ, MQ, TA."""
-    out = np.zeros((len(clips), N_MODELS))
-    for i, frames in enumerate(clips):
-        out[i, VQ] = visual_quality(frames)
-        out[i, MQ] = motion_quality(frames)
-        out[i, TA] = text_alignment(frames, prompt.vec)
-    return out
+    """Raw (group_size, N_MODELS) score matrix; column order VQ, MQ, TA.
+
+    The group's clips share one shape and are judged as one stack.
+    """
+    frames = np.stack(clips)
+    return np.stack([visual_quality(frames), motion_quality(frames),
+                     text_alignment(frames, prompt.vec)], axis=1)
 
 
 class RewardNormalizer:

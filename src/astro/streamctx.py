@@ -94,18 +94,16 @@ def group_base_key(seed: int, epoch: int, pid: int) -> tuple[int, ...]:
 def group_rollout(params_old: dict[str, np.ndarray], ctx: ContextWindow,
                   prompt: flowgen.Prompt, group_size: int,
                   schedule: flowgen.TimestepSchedule,
-                  base_key: tuple[int, ...]) -> list[np.ndarray]:
+                  base_key: tuple[int, ...]) -> np.ndarray:
     """Decode group_size candidate clips from one shared frozen context.
 
-    The context summary is computed once; candidate i draws from its own
-    substream keyed by base_key + (i,), so candidates are independent of each
-    other and of group_size.
+    The candidates are decoded together, one batched forward per schedule
+    step; candidate i draws only from its own substream keyed by
+    base_key + (i,), so candidates are independent of each other and of
+    group_size. Returns a (group_size, clip_len, frame_dim) stack.
     """
     if group_size < 2:
         raise ValueError("group_size must be at least 2")
-    summary = ctx.summary()
-    clips = []
-    for i in range(group_size):
-        stream = rngmod.substream(*base_key, i)
-        clips.append(flowgen.sample_clip(params_old, summary, prompt.vec, schedule, stream))
-    return clips
+    summary = np.broadcast_to(ctx.summary(), (group_size, 2 * ctx.frame_dim))
+    streams = [rngmod.substream(*base_key, i) for i in range(group_size)]
+    return flowgen.sample_clips(params_old, summary, prompt.vec, schedule, streams)

@@ -13,6 +13,8 @@ gradient-norm clipping, both operating on name-keyed parameter dicts.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 PRIMITIVES = (
@@ -38,16 +40,21 @@ def _as_array(x) -> np.ndarray:
 
 
 class Node:
-    """One value on the tape. Leaf parameters carry a param_id; constants are detached."""
+    """One value on the tape. Leaf parameters carry a param_id; constants are detached.
 
-    __slots__ = ("graph", "value", "op", "parents", "ctx", "detached", "param_id", "index")
+    The back-reference to the graph is weak: the graph owns its nodes, so a
+    strong one would make every graph a reference cycle that lives, with
+    all its activations, until the cycle collector runs.
+    """
+
+    __slots__ = ("_graph", "value", "op", "parents", "ctx", "detached", "param_id", "index")
 
     # Keep numpy from consuming Node in mixed arithmetic; reflected ops run instead.
     __array_ufunc__ = None
 
     def __init__(self, graph, value, op, parents=(), ctx=None, detached=False,
                  param_id=None, index=-1):
-        self.graph = graph
+        self._graph = graph._ref
         self.value = value
         self.op = op
         self.parents = parents
@@ -55,6 +62,13 @@ class Node:
         self.detached = detached
         self.param_id = param_id
         self.index = index
+
+    @property
+    def graph(self) -> "GradGraph":
+        graph = self._graph()
+        if graph is None:
+            raise GraphError("node outlived its graph")
+        return graph
 
     @property
     def shape(self):
@@ -135,6 +149,7 @@ class GradGraph:
     def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
+        self._ref = weakref.ref(self)
 
     def constant(self, value) -> Node:
         """Detached leaf. Not recorded on the tape; nothing flows through it."""
@@ -348,18 +363,21 @@ def backward(graph: GradGraph, loss: Node) -> dict[str, np.ndarray]:
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
-    total = 0.0
-    for name in sorted(grads):
-        g = grads[name]
-        total += float(np.dot(g.ravel(), g.ravel()))
-    return float(np.sqrt(total))
+    """Joint L2 norm. Plain numpy reductions, not BLAS dot products, whose
+    per-call cost swings widely with the BLAS thread count on tiny arrays."""
+    return float(np.sqrt(sum(float(np.sum(np.square(grads[name]))) for name in sorted(grads))))
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients by max_norm/norm when the joint L2 norm exceeds max_norm."""
+def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float,
+                     norm: float | None = None) -> dict[str, np.ndarray]:
+    """Scale all gradients by max_norm/norm when the joint L2 norm exceeds max_norm.
+
+    Pass norm when global_norm(grads) is already known, to skip recomputing it.
+    """
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    norm = global_norm(grads)
+    if norm is None:
+        norm = global_norm(grads)
     if norm <= max_norm:
         return {k: g.copy() for k, g in grads.items()}
     scale = max_norm / norm

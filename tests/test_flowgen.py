@@ -139,27 +139,48 @@ def test_predict_clean_graph_path_matches_numpy_path():
     assert np.array_equal(plain, node.value)
 
 
-def test_sample_clip_noise_draw_budget():
-    rng = np.random.default_rng(5)
+def sampler_world(seed, rows=5):
+    rng = np.random.default_rng(seed)
     params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=32)
-    sched = flowgen.make_schedule()
-    counter = CountingStream(arng.substream(0, arng.CANDIDATE_STREAM, 0, 0, 0))
-    clip = flowgen.sample_clip(params, np.zeros(16), np.ones(4) / 2.0, sched, counter)
-    assert clip.shape == (4, 8)
-    # one initial noise draw plus one renoise per remaining schedule entry
-    assert counter.draws == len(sched)
+    return params, rng.standard_normal((rows, 16)), flowgen.make_schedule()
 
 
-def test_sample_clip_deterministic_per_key():
-    rng = np.random.default_rng(6)
-    params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=32)
-    sched = flowgen.make_schedule()
+def test_sample_clips_noise_draw_budget():
+    params, ctx, sched = sampler_world(5)
+    counters = [CountingStream(arng.substream(0, arng.CANDIDATE_STREAM, 0, 0, i))
+                for i in range(len(ctx))]
+    clips = flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, counters)
+    assert clips.shape == (len(ctx), 4, 8)
+    # per row: one initial noise draw plus one renoise per remaining schedule entry
+    assert [c.draws for c in counters] == [len(sched)] * len(ctx)
+
+
+def test_sample_clips_row_matches_single_row_call():
+    params, ctx, sched = sampler_world(11)
     pv = np.ones(4) / 2.0
-    a = flowgen.sample_clip(params, np.zeros(16), pv, sched, arng.substream(9, 2, 1, 3, 0))
-    b = flowgen.sample_clip(params, np.zeros(16), pv, sched, arng.substream(9, 2, 1, 3, 0))
-    c = flowgen.sample_clip(params, np.zeros(16), pv, sched, arng.substream(9, 2, 1, 3, 1))
+    batch = flowgen.sample_clips(
+        params, ctx, pv, sched, [arng.substream(4, 2, 0, 1, i) for i in range(len(ctx))])
+    for i in range(len(ctx)):
+        (alone,) = flowgen.sample_clips(params, ctx[i:i + 1], pv, sched,
+                                        [arng.substream(4, 2, 0, 1, i)])
+        assert np.max(np.abs(batch[i] - alone)) <= 1e-12
+
+
+def test_sample_clips_deterministic_per_key():
+    params, ctx, sched = sampler_world(6, rows=1)
+    pv = np.ones(4) / 2.0
+    a = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 0)])
+    b = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 0)])
+    c = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 1)])
     assert np.array_equal(a, b)
     assert np.any(a != c)
+
+
+def test_sample_clips_needs_one_context_row_per_stream():
+    params, ctx, sched = sampler_world(7, rows=3)
+    streams = [arng.substream(0, i) for i in range(2)]
+    with pytest.raises(ValueError):
+        flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, streams)
 
 
 def test_corpus_shapes_and_determinism():
@@ -173,6 +194,31 @@ def test_corpus_shapes_and_determinism():
     assert x0.shape == (8, 32)
     assert ctx.shape == (8, 16)
     assert pv.shape == (8, 4)
+
+
+def test_sample_batch_tables_match_per_example_reference():
+    # The reference builds every example from the ground-truth functions,
+    # drawing its prompt index, then its clip index, as the tables must too.
+    for seed, sink, horizon in ((3, 3, 8), (5, 1, 6), (8, 5, 10)):
+        corpus = flowgen.make_corpus(seed=seed, n_prompts=7, horizon=horizon, sink=sink)
+        for draw_seed in range(3):
+            ref_rng = np.random.default_rng(draw_seed)
+            x0_ref, ctx_ref, pv_ref = [], [], []
+            for _ in range(13):
+                prompt = corpus.prompts[int(ref_rng.integers(len(corpus.prompts)))]
+                n = int(ref_rng.integers(corpus.horizon))
+                x0_ref.append(flowgen.target_clip(
+                    prompt.phase, n, corpus.clip_len, corpus.frame_dim).ravel())
+                ctx_ref.append(flowgen.trajectory_context_summary(
+                    prompt.phase, n, corpus.sink, corpus.clip_len, corpus.frame_dim))
+                pv_ref.append(prompt.vec)
+            rng = np.random.default_rng(draw_seed)
+            x0, ctx, pv = corpus.sample_batch(rng, 13)
+            assert np.array_equal(x0, np.stack(x0_ref))
+            assert np.array_equal(ctx, np.stack(ctx_ref))
+            assert np.array_equal(pv, np.stack(pv_ref))
+            # same draws consumed: both generators continue in lockstep
+            assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
 def test_pretrain_reaches_low_error_within_budget():

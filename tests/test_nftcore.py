@@ -3,6 +3,9 @@ reference management, and the epoch loop."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -304,6 +307,57 @@ def test_optimize_group_ema_interval():
     nftcore.optimize_group(policies, scored, state, cfg, schedule, opt, epoch=0)
     assert any(not np.array_equal(policies.theta_old[k], before[k]) for k in before)
     assert state.steps == 2
+
+
+@pytest.fixture
+def graphs_without_gc(monkeypatch):
+    """Weakrefs to every GradGraph built while the cycle collector is off."""
+    refs = []
+
+    class Recorded(tg.GradGraph):
+        def __init__(self):
+            super().__init__()
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(tg, "GradGraph", Recorded)
+    gc.collect()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        gc.enable()
+
+
+def test_optimize_group_frees_its_graph_without_gc(graphs_without_gc):
+    cfg = small_config()
+    policies, schedule, _ = make_world(cfg)
+    scored = synthetic_scored_group(cfg, np.random.default_rng(14))
+    nftcore.optimize_group(policies, scored, nftcore.TrainState(), cfg, schedule,
+                           tg.AdamW(lr=cfg.lr), epoch=0)
+    assert len(graphs_without_gc) == 1
+    assert graphs_without_gc[0]() is None
+
+
+def test_pretrain_step_frees_its_graph_without_gc(graphs_without_gc):
+    corpus = flowgen.make_corpus(seed=0)
+    flowgen.pretrain_base(corpus, 3, arng.substream(0, arng.PRETRAIN_STREAM), hidden=16)
+    assert len(graphs_without_gc) == 3
+    assert all(ref() is None for ref in graphs_without_gc)
+
+
+def test_optimize_group_computes_grad_norm_once(monkeypatch):
+    cfg = small_config()
+    policies, schedule, _ = make_world(cfg)
+    scored = synthetic_scored_group(cfg, np.random.default_rng(15))
+    calls = []
+    norm = tg.global_norm
+    monkeypatch.setattr(tg, "global_norm", lambda grads: calls.append(1) or norm(grads))
+    for max_norm in (1e-9, 1e9):  # clipped and unclipped
+        info = nftcore.optimize_group(policies, scored, nftcore.TrainState(),
+                                      small_config(max_grad_norm=max_norm), schedule,
+                                      tg.AdamW(lr=cfg.lr), epoch=0)
+        assert info["grad_norm"] > 0.0
+    assert len(calls) == 2
 
 
 def test_draw_noise_level_modes():

@@ -43,6 +43,48 @@ def test_visual_quality_hand_value():
     assert rewardlab.visual_quality(clip) == pytest.approx(0.0, abs=1e-18)
 
 
+def reference_scores(clip, prompt_vec):
+    """The judges written per frame and per clip: the reference for the stacked ones."""
+    per_frame = np.array([rewardlab.frame_quality(f) for f in clip])
+    keep = int(np.ceil(rewardlab.TOP_FRAME_FRACTION * len(per_frame)))
+    vq = float(np.mean(np.sort(per_frame)[::-1][:keep]))
+    mq = 0.0
+    if len(clip) >= 3:
+        s = clip.mean(axis=1)
+        dd = s[2:] - 2.0 * s[1:-1] + s[:-2]
+        mq = float(-np.mean(dd * dd))
+    mean_frame = clip.mean(axis=0)[: len(prompt_vec)]
+    denom = float(np.linalg.norm(mean_frame)) * float(np.linalg.norm(prompt_vec))
+    ta = 0.0 if denom < 1e-12 else float(np.dot(mean_frame, prompt_vec) / denom)
+    return np.array([vq, mq, ta])
+
+
+def judge_groups(rng):
+    """Groups of same-shape clips: random, near the manifold, all transients, all zero."""
+    groups = []
+    for n in (1, 2, 4, 7, 8, 19):
+        groups.append(rng.standard_normal((6, n, 8)) * rng.uniform(0.1, 10.0))
+        phases = rng.uniform(0.0, 7.0, size=6)
+        groups.append(np.stack([on_manifold_clip(n, 8, ph) for ph in phases])
+                      + 1e-3 * rng.standard_normal((6, n, 8)))
+        # every frame far off the manifold in every coordinate
+        groups.append(rng.choice([-1.0, 1.0], size=(6, n, 8))
+                      * rng.uniform(50.0, 500.0, size=(6, n, 8)))
+        groups.append(np.zeros((6, n, 8)))  # degenerate alignment
+    return groups
+
+
+def test_stacked_judges_match_per_frame_reference():
+    rng = np.random.default_rng(13)
+    prompt = flowgen.make_prompt(0, arng.substream(0, arng.PROMPT_STREAM, 0))
+    for group in judge_groups(rng):
+        want = np.stack([reference_scores(clip, prompt.vec) for clip in group])
+        tol = 1e-12 * np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(rewardlab.eval_rewards(list(group), prompt) - want) <= tol)
+        for clip, row, row_tol in zip(group, want, tol):
+            assert abs(rewardlab.visual_quality(clip) - row[rewardlab.VQ]) <= row_tol[0]
+
+
 def test_motion_quality_constant_speed_is_zero():
     # per-frame coordinate means advancing linearly have zero second difference
     clip = np.outer(np.arange(5.0), np.ones(4))

@@ -167,6 +167,18 @@ def test_group_rollout_candidates_distinct_and_reproducible():
     assert np.any(a[0] != other_epoch[0])
 
 
+def test_group_rollout_candidate_independent_of_group_size():
+    rng = np.random.default_rng(12)
+    params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=32)
+    sched = flowgen.make_schedule()
+    prompt = flowgen.make_prompt(2, arng.substream(0, arng.PROMPT_STREAM, 2))
+    ctx = streamctx.push_clip(streamctx.empty_context(frame_dim=8), rng.standard_normal((4, 8)))
+    key = streamctx.group_base_key(1, 5, 2)
+    four = streamctx.group_rollout(params, ctx, prompt, 4, sched, key)
+    eight = streamctx.group_rollout(params, ctx, prompt, 8, sched, key)
+    assert np.max(np.abs(four - eight[:4])) <= 1e-12
+
+
 def test_group_rollout_rejects_singleton_group():
     rng = np.random.default_rng(4)
     params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=32)

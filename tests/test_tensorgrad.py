@@ -114,6 +114,12 @@ def test_foreign_graph_nodes_rejected():
         tg.apply_primitive("add", [a, b], g1)
 
 
+def test_node_that_outlived_its_graph_is_rejected():
+    node = tg.GradGraph().parameter("a", np.ones((1, 2)))
+    with pytest.raises(tg.GraphError):
+        node.tanh()
+
+
 def test_detached_inputs_fold_to_constant():
     g = tg.GradGraph()
     a = g.constant([[1.0, 2.0]])
@@ -323,6 +329,7 @@ def test_clip_global_norm():
     clipped = tg.clip_global_norm(grads, 1.0)
     assert abs(tg.global_norm(clipped) - 1.0) <= 1e-12
     assert np.allclose(clipped["a"] / clipped["b"], 3.0 / 4.0)
+    assert np.array_equal(tg.clip_global_norm(grads, 1.0, 5.0)["b"], clipped["b"])
     untouched = tg.clip_global_norm(grads, 10.0)
     assert np.array_equal(untouched["a"], grads["a"])
     assert untouched["a"] is not grads["a"]
