@@ -218,8 +218,11 @@ def predict_clean_batch(params: dict[str, np.ndarray], xt_flat: np.ndarray, t,
     h1 = np.tanh(x @ params["w1"] + params["b1"])
     h2 = np.tanh(h1 @ params["w2"] + params["b2"])
     out = h2 @ params["w3"] + params["b3"]
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("predictor produced non-finite values")
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise NonFiniteError(f"predictor produced non-finite values (first in row {row})",
+                             row=row)
     return out
 
 
@@ -232,6 +235,7 @@ def sample_clips(params: dict[str, np.ndarray], ctx_rows, prompt_vec,
     order a lone row would make them, so a row's clip does not depend on
     which other rows share the batch. Every schedule step is one (N, d)
     forward. Returns the final clean predictions, (N, clip_len, frame_dim).
+    A NonFiniteError carries the first row whose prediction is not finite.
     """
     ctx_rows = np.asarray(ctx_rows, dtype=np.float64)
     n = len(streams)

@@ -2,10 +2,10 @@
 
 Each epoch picks a clip-aligned window start uniformly at random (seeded per
 epoch, so parallel workers agree), rolls the behavior policy out to the
-window once, then runs the usual group optimization on just the window's
-clips. Everything before the window is detached history: it conditions the
-candidates through bounded context summaries but carries no gradients, so
-the live graph never grows with the prefix length.
+window once for all prompts together, then runs the usual group optimization
+on just the window's clips. Everything before the window is detached
+history: it conditions the candidates through bounded context summaries but
+carries no gradients, so the live graph never grows with the prefix length.
 """
 
 from __future__ import annotations
@@ -55,54 +55,64 @@ def epoch_window(cfg: RunConfig, epoch: int) -> WindowSpec:
                       start_clip=start)
 
 
-def rollout_prefix(theta_old: dict[str, np.ndarray], prompt: flowgen.Prompt,
+def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
                    start_clip: int, cfg: RunConfig, schedule: flowgen.TimestepSchedule,
-                   epoch: int) -> streamctx.ContextWindow:
-    """Generate the stream up to the window start once, under the behavior policy.
+                   epoch: int) -> list[streamctx.ContextWindow]:
+    """Generate every prompt's stream up to the shared window start, under the behavior policy.
 
-    Returns the detached context; frames beyond the sink+rolling bound are
-    already gone, so the cost of carrying history is constant in start_clip.
+    Each prefix clip is decoded for all prompts in one batched call; prompt
+    p draws only from its own PREFIX_STREAM key. Returns one detached
+    context per prompt, in prompt order; frames beyond the sink+rolling bound
+    are already gone, so the cost of carrying history is constant in
+    start_clip.
     """
-    ctx = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
-    streams = [rngmod.substream(cfg.seed, rngmod.PREFIX_STREAM, epoch, prompt.pid)]
-    for _ in range(start_clip):
-        (clip,) = flowgen.sample_clips(theta_old, ctx.summary()[None], prompt.vec,
-                                       schedule, streams)
-        ctx = streamctx.push_clip(ctx, clip)
-    return streamctx.detach_history(ctx)
+    empty = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
+    ctxs = [empty] * len(prompts)
+    streams = [rngmod.substream(cfg.seed, rngmod.PREFIX_STREAM, epoch, p.pid) for p in prompts]
+    vecs = np.stack([p.vec for p in prompts])
+    with nftcore.abort_on_nonfinite(epoch, prompts, 1):
+        for _ in range(start_clip):
+            summary = np.stack([ctx.summary() for ctx in ctxs])
+            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
+            ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
+    return [streamctx.detach_history(ctx) for ctx in ctxs]
 
 
-def window_rollout(theta_old: dict[str, np.ndarray], prompt: flowgen.Prompt,
+def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
                    spec: WindowSpec, cfg: RunConfig, schedule: flowgen.TimestepSchedule,
-                   epoch: int) -> nftcore.GroupData:
-    """Branch the group at the window: each candidate extends its own context.
+                   epoch: int) -> list[nftcore.GroupData]:
+    """Branch every prompt's group at the window: each candidate extends its own context.
 
-    Each window clip is decoded for all candidates at once, every row
-    conditioned on its own candidate's context summary. Rows come out
-    candidate-major, one row per (candidate, window clip), each with the
+    Each window clip is decoded for all prompts' candidates at once,
+    prompt-major, every row conditioned on its own candidate's context
+    summary. Returns one GroupData per prompt, in prompt order, whose rows
+    are candidate-major, one row per (candidate, window clip), each with the
     context summary that conditioned it. Rewards see each candidate's window
     as one frame stack.
     """
-    prefix = rollout_prefix(theta_old, prompt, spec.start_clip, cfg, schedule, epoch)
-    base_key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
-    g, w = cfg.group_size, spec.window_clips
-    streams = [rngmod.substream(*base_key, i) for i in range(g)]
-    ctxs = [prefix] * g
+    prefixes = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
+    g, w, n = cfg.group_size, spec.window_clips, len(prompts)
+    keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
+    streams = streamctx.candidate_streams(keys, g)
+    vecs = np.repeat(np.stack([p.vec for p in prompts]), g, axis=0)
+    ctxs = [prefix for prefix in prefixes for _ in range(g)]
     summaries, window = [], []
-    for _ in range(w):
-        summary = np.stack([ctx.summary() for ctx in ctxs])
-        clips = flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
-        ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
-        summaries.append(summary)
-        window.append(clips)
-    window = np.stack(window, axis=1)  # (g, w, clip_len, frame_dim)
-    return nftcore.GroupData(
+    with nftcore.abort_on_nonfinite(epoch, prompts, g):
+        for _ in range(w):
+            summary = np.stack([ctx.summary() for ctx in ctxs])
+            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
+            ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
+            summaries.append(summary)
+            window.append(clips)
+    window = np.stack(window, axis=1).reshape(n, g, w, cfg.clip_len, cfg.frame_dim)
+    summaries = np.stack(summaries, axis=1).reshape(n, g * w, -1)
+    return [nftcore.GroupData(
         prompt=prompt,
-        x0_rows=window.reshape(g * w, -1),
-        ctx_rows=np.stack(summaries, axis=1).reshape(g * w, -1),
+        x0_rows=window[k].reshape(g * w, -1),
+        ctx_rows=summaries[k],
         row_candidate=np.repeat(np.arange(g), w),
-        clips=list(window.reshape(g, w * cfg.clip_len, cfg.frame_dim)),
-    )
+        clips=list(window[k].reshape(g, w * cfg.clip_len, cfg.frame_dim)),
+    ) for k, prompt in enumerate(prompts)]
 
 
 def train_window_epoch(policies: nftcore.PolicyTriple, prompts: list[flowgen.Prompt],
@@ -113,8 +123,8 @@ def train_window_epoch(policies: nftcore.PolicyTriple, prompts: list[flowgen.Pro
     """One streaming epoch: shared window choice, prefix rollout, window optimization."""
     spec = epoch_window(cfg, state.epoch)
 
-    def rollout_fn(theta_old, prompt, epoch):
-        return window_rollout(theta_old, prompt, spec, cfg, schedule, epoch)
+    def rollout_fn(theta_old, prompts, epoch):
+        return window_rollout(theta_old, prompts, spec, cfg, schedule, epoch)
 
     metrics = nftcore.train_epoch(policies, prompts, state, cfg, schedule,
                                   normalizer, risk, optimizer, rollout_fn=rollout_fn)

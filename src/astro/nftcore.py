@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,20 +187,24 @@ class ScoredGroup:
     tau: float
 
 
-def short_rollout(theta_old: dict[str, np.ndarray], prompt: flowgen.Prompt, epoch: int,
-                  cfg: RunConfig, schedule: flowgen.TimestepSchedule) -> GroupData:
-    """Fresh-context candidate group: one clip per candidate, shared empty context."""
+def short_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
+                  epoch: int, cfg: RunConfig,
+                  schedule: flowgen.TimestepSchedule) -> list[GroupData]:
+    """Fresh-context candidate groups: one clip per candidate, shared empty context.
+
+    Every prompt's group comes out of one batched group_rollout; returns one
+    GroupData per prompt, in prompt order.
+    """
+    g = cfg.group_size
     ctx = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
-    key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
-    clips = streamctx.group_rollout(theta_old, ctx, prompt, cfg.group_size, schedule, key)
+    keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
+    with abort_on_nonfinite(epoch, prompts, g):
+        clips = streamctx.group_rollout(theta_old, ctx, prompts, g, schedule, keys)
     summary = ctx.summary()
-    return GroupData(
-        prompt=prompt,
-        x0_rows=clips.reshape(cfg.group_size, -1),
-        ctx_rows=np.tile(summary, (cfg.group_size, 1)),
-        row_candidate=np.arange(cfg.group_size),
-        clips=list(clips),
-    )
+    return [GroupData(prompt=prompt, x0_rows=group.reshape(g, -1),
+                      ctx_rows=np.tile(summary, (g, 1)), row_candidate=np.arange(g),
+                      clips=list(group))
+            for prompt, group in zip(prompts, clips)]
 
 
 def score_group(data: GroupData, cfg: RunConfig, normalizer: rewardlab.RewardNormalizer,
@@ -294,29 +299,47 @@ class EpochAborted(RuntimeError):
         self.cause = cause
 
 
+@contextmanager
+def abort_on_nonfinite(epoch: int, prompts: list[flowgen.Prompt], rows_per_prompt: int):
+    """Raise a NonFiniteError from a prompt-major batch as EpochAborted.
+
+    The batch holds rows_per_prompt rows per prompt, in prompt order; the
+    abort names the prompt owning the first non-finite row (the first prompt
+    when the error carries no row).
+    """
+    try:
+        yield
+    except tg.NonFiniteError as err:
+        owner = prompts[(err.row or 0) // rows_per_prompt]
+        raise EpochAborted(epoch, owner.pid, err) from err
+
+
 def train_epoch(policies: PolicyTriple, prompts: list[flowgen.Prompt], state: TrainState,
                 cfg: RunConfig, schedule: flowgen.TimestepSchedule,
                 normalizer: rewardlab.RewardNormalizer, risk: rewardlab.RiskState,
                 optimizer: tg.AdamW, rollout_fn=None) -> dict:
-    """One full epoch: rollout+scoring pass, then per-group optimization.
+    """One full epoch: one rollout pass over all prompts, scoring, then per-group optimization.
 
-    rollout_fn(theta_old, prompt, epoch) -> GroupData swaps in a different
-    rollout structure (the streaming long path); default is short_rollout.
+    rollout_fn(theta_old, prompts, epoch) -> list[GroupData] rolls out every
+    prompt's candidate group under theta_old at once and returns the groups in
+    prompt order; default is short_rollout, the streaming long path swaps in
+    its window rollout. The rollout raises EpochAborted naming the prompt
+    whose rows went non-finite; a bare NonFiniteError from it is charged to
+    the first prompt. Groups are then scored one by one, in prompt order, so
+    the normalizer and risk state update exactly as in a per-prompt loop.
     Returns the epoch metrics; advances state.epoch.
     """
     t_start = time.perf_counter()
     epoch = state.epoch
     if rollout_fn is None:
-        def rollout_fn(theta_old, prompt, ep):
-            return short_rollout(theta_old, prompt, ep, cfg, schedule)
+        def rollout_fn(theta_old, prompts, ep):
+            return short_rollout(theta_old, prompts, ep, cfg, schedule)
 
-    scored_groups: list[ScoredGroup] = []
-    for prompt in prompts:
-        try:
-            data = rollout_fn(policies.theta_old, prompt, epoch)
-            scored_groups.append(score_group(data, cfg, normalizer, risk))
-        except tg.NonFiniteError as err:
-            raise EpochAborted(epoch, prompt.pid, err) from err
+    try:
+        groups = rollout_fn(policies.theta_old, prompts, epoch)
+    except tg.NonFiniteError as err:
+        raise EpochAborted(epoch, prompts[0].pid, err) from err
+    scored_groups = [score_group(data, cfg, normalizer, risk) for data in groups]
 
     infos = []
     for scored in scored_groups:

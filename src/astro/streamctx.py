@@ -91,19 +91,28 @@ def group_base_key(seed: int, epoch: int, pid: int) -> tuple[int, ...]:
     return (seed, rngmod.CANDIDATE_STREAM, epoch, pid)
 
 
-def group_rollout(params_old: dict[str, np.ndarray], ctx: ContextWindow,
-                  prompt: flowgen.Prompt, group_size: int,
-                  schedule: flowgen.TimestepSchedule,
-                  base_key: tuple[int, ...]) -> np.ndarray:
-    """Decode group_size candidate clips from one shared frozen context.
+def candidate_streams(base_keys, group_size: int) -> list[np.random.Generator]:
+    """Prompt-major candidate streams; candidate i of prompt p draws from base_keys[p] + (i,)."""
+    return [rngmod.substream(*key, i) for key in base_keys for i in range(group_size)]
 
-    The candidates are decoded together, one batched forward per schedule
-    step; candidate i draws only from its own substream keyed by
-    base_key + (i,), so candidates are independent of each other and of
-    group_size. Returns a (group_size, clip_len, frame_dim) stack.
+
+def group_rollout(params_old: dict[str, np.ndarray], ctx: ContextWindow,
+                  prompts: list[flowgen.Prompt], group_size: int,
+                  schedule: flowgen.TimestepSchedule,
+                  base_keys: list[tuple[int, ...]]) -> np.ndarray:
+    """Decode group_size candidate clips per prompt from one shared frozen context.
+
+    All prompts' candidates are decoded together, prompt-major, one batched
+    forward per schedule step; candidate i of prompt p draws only from its
+    own substream keyed by base_keys[p] + (i,), so candidates are independent
+    of each other, of group_size and of the other prompts. Returns a
+    (len(prompts), group_size, clip_len, frame_dim) stack.
     """
     if group_size < 2:
         raise ValueError("group_size must be at least 2")
-    summary = np.broadcast_to(ctx.summary(), (group_size, 2 * ctx.frame_dim))
-    streams = [rngmod.substream(*base_key, i) for i in range(group_size)]
-    return flowgen.sample_clips(params_old, summary, prompt.vec, schedule, streams)
+    n = len(prompts) * group_size
+    summary = np.broadcast_to(ctx.summary(), (n, 2 * ctx.frame_dim))
+    vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)
+    clips = flowgen.sample_clips(params_old, summary, vecs, schedule,
+                                 candidate_streams(base_keys, group_size))
+    return clips.reshape(len(prompts), group_size, *clips.shape[1:])

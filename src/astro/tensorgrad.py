@@ -32,7 +32,15 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A primitive produced NaN or inf, or an optimizer update did."""
+    """A primitive produced NaN or inf, or an optimizer update did.
+
+    row, when the raiser knows it, is the first batch row holding a
+    non-finite value.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 def _as_array(x) -> np.ndarray:

@@ -27,10 +27,18 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 # --- shared training driver ---
 
 
-def run_training(cfg: RunConfig, epochs: int | None = None) -> list[dict]:
-    """Pretrain, then run train_epoch for cfg.epochs (or an override)."""
-    schedule, corpus, prompts = cli.build_world(cfg)
-    base, _ = cli.pretrain_from_config(cfg, corpus, schedule)
+def pretrained_base(cfg: RunConfig) -> dict[str, np.ndarray]:
+    schedule, corpus, _ = cli.build_world(cfg)
+    return cli.pretrain_from_config(cfg, corpus, schedule)[0]
+
+
+def run_training(cfg: RunConfig, epochs: int | None = None,
+                 base: dict[str, np.ndarray] | None = None) -> list[dict]:
+    """Pretrain (unless given the pretrained base), then run train_epoch for
+    cfg.epochs (or an override)."""
+    schedule, _, prompts = cli.build_world(cfg)
+    if base is None:
+        base = pretrained_base(cfg)
     policies = nftcore.PolicyTriple.from_base(base)
     state = nftcore.TrainState()
     norm = rewardlab.RewardNormalizer()
@@ -186,7 +194,7 @@ def test_c05_bounded_context_and_rollout_purity():
     prompt = flowgen.make_prompt(0, np.random.default_rng(7), 4)
     before_frames = ctx.frames().copy()
     before_summary = ctx.summary().copy()
-    streamctx.group_rollout(params, ctx, prompt, 4, schedule, (0, 2, 0, 0))
+    streamctx.group_rollout(params, ctx, [prompt], 4, schedule, [(0, 2, 0, 0)])
     pure = (np.array_equal(ctx.frames(), before_frames)
             and np.array_equal(ctx.summary(), before_summary)
             and ctx.frame_count() == 24)
@@ -288,7 +296,7 @@ def stream_config(**over):
 
 def window_gradients(cfg, policies, schedule, prompt, start, rebuild_constants):
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
-    data = longtune.window_rollout(policies.theta_old, prompt, spec, cfg, schedule, 0)
+    (data,) = longtune.window_rollout(policies.theta_old, [prompt], spec, cfg, schedule, 0)
     if rebuild_constants:
         data = nftcore.GroupData(
             prompt=data.prompt,
@@ -337,10 +345,13 @@ def test_c09_contrast_strength_ablation():
     lines = []
     for seed in (0, 1, 2):
         finals = {}
-        for beta in (1.0, 0.1):
-            cfg = RunConfig(seed=seed, epochs=100, pretrain_steps=2000, lr=3e-3,
-                            beta=beta, noise_mode="fixed", fixed_t=FIXED_T)
-            rows = run_training(cfg)
+        arms = {beta: RunConfig(seed=seed, epochs=100, pretrain_steps=2000, lr=3e-3,
+                                beta=beta, noise_mode="fixed", fixed_t=FIXED_T)
+                for beta in (1.0, 0.1)}
+        # beta does not enter pretraining, so both arms start from one base
+        base = pretrained_base(arms[1.0])
+        for beta, cfg in arms.items():
+            rows = run_training(cfg, base=base)
             finals[beta] = float(np.mean([r["composite"] for r in rows[-10:]]))
         win = finals[1.0] >= finals[0.1]
         wins += win
@@ -374,7 +385,7 @@ def test_c10_reference_reset_and_ema_semantics():
     schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
-    data = nftcore.short_rollout(policies.theta_old, prompt, 0, cfg, schedule)
+    (data,) = nftcore.short_rollout(policies.theta_old, [prompt], 0, cfg, schedule)
     norm, risk = rewardlab.RewardNormalizer(), rewardlab.RiskState()
     scored = nftcore.score_group(data, cfg, norm, risk)
     scored.mask[:] = True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -47,6 +48,23 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
         assert rc == 0
     assert (dirs[0] / "metrics.jsonl").read_bytes() == (dirs[1] / "metrics.jsonl").read_bytes()
     assert (dirs[0] / "checkpoint.bin").read_bytes() == (dirs[1] / "checkpoint.bin").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_abort_json_names_prompt_whose_rows_blew_up(tmp_path, monkeypatch, mode):
+    real_build_world = cli.build_world
+
+    def build_world(cfg):
+        schedule, corpus, prompts = real_build_world(cfg)
+        prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
+        return schedule, corpus, prompts
+
+    monkeypatch.setattr(cli, "build_world", build_world)
+    cfg = tiny_config(mode=mode, prompts_per_epoch=4, total_clips=4, window_clips=2)
+    diag = cli.run_training(cfg, tmp_path)
+    assert diag["status"] == "aborted"
+    assert diag["prompt"] == 2
+    assert json.loads((tmp_path / "abort.json").read_text())["prompt"] == 2
 
 
 def test_long_mode_end_to_end(tmp_path):

@@ -3,6 +3,8 @@ the short path when the stream is a single clip."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -77,8 +79,8 @@ def test_rollout_prefix_frame_budget():
     cfg = small_config(total_clips=30)
     policies, schedule, prompts = make_world(cfg, n_prompts=1)
     for start in (0, 1, 2, 12, 29):
-        ctx = longtune.rollout_prefix(
-            policies.theta_old, prompts[0], start, cfg, schedule, epoch=0)
+        (ctx,) = longtune.rollout_prefix(
+            policies.theta_old, [prompts[0]], start, cfg, schedule, epoch=0)
         total = start * cfg.clip_len
         assert ctx.total_generated == total
         assert ctx.frame_count() == min(total, cfg.sink_size + cfg.window_size)
@@ -87,10 +89,10 @@ def test_rollout_prefix_frame_budget():
 def test_rollout_prefix_deterministic():
     cfg = small_config()
     policies, schedule, prompts = make_world(cfg, n_prompts=1)
-    a = longtune.rollout_prefix(policies.theta_old, prompts[0], 3, cfg, schedule, 5)
-    b = longtune.rollout_prefix(policies.theta_old, prompts[0], 3, cfg, schedule, 5)
+    (a,) = longtune.rollout_prefix(policies.theta_old, [prompts[0]], 3, cfg, schedule, 5)
+    (b,) = longtune.rollout_prefix(policies.theta_old, [prompts[0]], 3, cfg, schedule, 5)
     assert np.array_equal(np.asarray(a.frames()), np.asarray(b.frames()))
-    c = longtune.rollout_prefix(policies.theta_old, prompts[0], 3, cfg, schedule, 6)
+    (c,) = longtune.rollout_prefix(policies.theta_old, [prompts[0]], 3, cfg, schedule, 6)
     assert not np.array_equal(np.asarray(a.frames()), np.asarray(c.frames()))
 
 
@@ -98,7 +100,7 @@ def test_window_rollout_row_layout():
     cfg = small_config()
     policies, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=2)
-    data = longtune.window_rollout(policies.theta_old, prompts[0], spec, cfg, schedule, 0)
+    (data,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
     g, w = cfg.group_size, cfg.window_clips
     width = cfg.clip_len * cfg.frame_dim
     assert data.x0_rows.shape == (g * w, width)
@@ -112,7 +114,7 @@ def test_window_rollout_candidates_branch_after_shared_prefix():
     cfg = small_config()
     policies, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=2)
-    data = longtune.window_rollout(policies.theta_old, prompts[0], spec, cfg, schedule, 0)
+    (data,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
     w = cfg.window_clips
     first_rows = data.ctx_rows[::w]
     # every candidate's first window clip is conditioned on the same prefix
@@ -126,10 +128,84 @@ def test_window_rollout_deterministic():
     cfg = small_config()
     policies, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=1)
-    a = longtune.window_rollout(policies.theta_old, prompts[0], spec, cfg, schedule, 2)
-    b = longtune.window_rollout(policies.theta_old, prompts[0], spec, cfg, schedule, 2)
+    (a,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
+    (b,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
     assert np.array_equal(a.x0_rows, b.x0_rows)
     assert np.array_equal(a.ctx_rows, b.ctx_rows)
+
+
+def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
+    """Reference: one prompt's prefix decoded one row per call, then its group's window.
+
+    Returns (prefix context, window rows, window context rows), rows
+    candidate-major.
+    """
+    prefix = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
+    stream = arng.substream(cfg.seed, arng.PREFIX_STREAM, epoch, prompt.pid)
+    for _ in range(spec.start_clip):
+        (clip,) = flowgen.sample_clips(theta_old, prefix.summary()[None], prompt.vec,
+                                       schedule, [stream])
+        prefix = streamctx.push_clip(prefix, clip)
+    g, w = cfg.group_size, spec.window_clips
+    key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
+    streams = [arng.substream(*key, i) for i in range(g)]
+    ctxs = [prefix] * g
+    rows, summaries = [], []
+    for _ in range(w):
+        summary = np.stack([ctx.summary() for ctx in ctxs])
+        clips = flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
+        ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
+        rows.append(clips.reshape(g, -1))
+        summaries.append(summary)
+    return (prefix, np.stack(rows, axis=1).reshape(g * w, -1),
+            np.stack(summaries, axis=1).reshape(g * w, -1))
+
+
+def test_window_rollout_matches_per_prompt_reference():
+    # The batched prefix runs P rows per forward where the reference runs
+    # one, so the two round differently; 1e-12 bounds that.
+    cfg = small_config(total_clips=8)
+    policies, schedule, prompts = make_world(cfg, n_prompts=5)
+    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=5)
+    prefixes = longtune.rollout_prefix(policies.theta_old, prompts, spec.start_clip, cfg,
+                                       schedule, 4)
+    groups = longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 4)
+    assert [d.prompt for d in groups] == prompts
+    for prompt, prefix, data in zip(prompts, prefixes, groups):
+        ref_prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
+            policies.theta_old, prompt, spec, cfg, schedule, 4)
+        assert prefix.total_generated == ref_prefix.total_generated
+        assert np.max(np.abs(prefix.frames() - ref_prefix.frames())) <= 1e-12
+        assert np.max(np.abs(data.x0_rows - ref_rows)) <= 1e-12
+        assert np.max(np.abs(data.ctx_rows - ref_ctx)) <= 1e-12
+
+
+def test_window_rollout_group_independent_of_other_prompts():
+    cfg = small_config()
+    policies, schedule, prompts = make_world(cfg, n_prompts=4)
+    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=3)
+    together = longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 1)
+    reversed_order = longtune.window_rollout(policies.theta_old, prompts[::-1], spec, cfg,
+                                             schedule, 1)[::-1]
+    for k, prompt in enumerate(prompts):
+        (alone,) = longtune.window_rollout(policies.theta_old, [prompt], spec, cfg,
+                                           schedule, 1)
+        for other in (alone, reversed_order[k]):
+            assert np.max(np.abs(other.x0_rows - together[k].x0_rows)) <= 1e-12
+            assert np.max(np.abs(other.ctx_rows - together[k].ctx_rows)) <= 1e-12
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_window_rollout_abort_names_prompt_whose_rows_blew_up(start):
+    # start 0 blows up in the window clips, start 3 already in the prefix
+    cfg = small_config()
+    policies, schedule, prompts = make_world(cfg, n_prompts=4)
+    prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
+    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
+    with pytest.raises(nftcore.EpochAborted) as exc:
+        longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 7)
+    assert exc.value.epoch == 7
+    assert exc.value.pid == prompts[2].pid
 
 
 def test_graph_size_independent_of_prefix_length():
@@ -141,8 +217,8 @@ def test_graph_size_independent_of_prefix_length():
     sizes, node_counts = [], []
     for start in (0, 4, 16, 38):
         spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
-        data = longtune.window_rollout(policies.theta_old, prompts[0], spec, cfg,
-                                       schedule, 0)
+        (data,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg,
+                                          schedule, 0)
         norm, risk = rewardlab.RewardNormalizer(), rewardlab.RiskState()
         scored = nftcore.score_group(data, cfg, norm, risk)
         # pin the mask: its occupancy decides whether the KL subgraph exists,

@@ -3,13 +3,14 @@ reference management, and the epoch loop."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from astro import flowgen, nftcore, rewardlab, rng as arng
+from astro import flowgen, nftcore, rewardlab, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig
 
@@ -422,11 +423,58 @@ def test_train_epoch_advances_state():
     assert state.steps == len(prompts)
 
 
+def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):
+    """Reference: one prompt's candidate group decoded on its own, G rows per call."""
+    ctx = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
+    key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
+    streams = [arng.substream(*key, i) for i in range(cfg.group_size)]
+    summary = np.tile(ctx.summary(), (cfg.group_size, 1))
+    return flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
+
+
+def test_short_rollout_matches_per_prompt_reference():
+    cfg = small_config()
+    policies, schedule, prompts = make_world(cfg, n_prompts=5)
+    g = cfg.group_size
+    groups = nftcore.short_rollout(policies.theta_old, prompts, 3, cfg, schedule)
+    assert [d.prompt for d in groups] == prompts
+    for prompt, data in zip(prompts, groups):
+        ref = per_prompt_short_group(policies.theta_old, prompt, 3, cfg, schedule)
+        assert np.array_equal(data.x0_rows, ref.reshape(g, -1))
+        assert np.array_equal(np.stack(data.clips), ref)
+        assert np.array_equal(data.ctx_rows, np.zeros((g, 2 * cfg.frame_dim)))
+        assert np.array_equal(data.row_candidate, np.arange(g))
+
+
+def test_short_rollout_group_independent_of_other_prompts():
+    cfg = small_config()
+    policies, schedule, prompts = make_world(cfg, n_prompts=4)
+    together = nftcore.short_rollout(policies.theta_old, prompts, 1, cfg, schedule)
+    reversed_order = nftcore.short_rollout(policies.theta_old, prompts[::-1], 1, cfg,
+                                           schedule)[::-1]
+    for k, prompt in enumerate(prompts):
+        (alone,) = nftcore.short_rollout(policies.theta_old, [prompt], 1, cfg, schedule)
+        assert np.array_equal(alone.x0_rows, together[k].x0_rows)
+        assert np.array_equal(reversed_order[k].x0_rows, together[k].x0_rows)
+
+
+def test_train_epoch_abort_names_prompt_whose_rows_blew_up():
+    cfg = small_config()
+    policies, schedule, prompts = make_world(cfg, n_prompts=4)
+    prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
+    with pytest.raises(nftcore.EpochAborted) as exc:
+        nftcore.train_epoch(policies, prompts, nftcore.TrainState(), cfg, schedule,
+                            rewardlab.RewardNormalizer(), rewardlab.RiskState(),
+                            tg.AdamW(lr=cfg.lr))
+    assert exc.value.pid == prompts[2].pid
+    assert isinstance(exc.value.cause, tg.NonFiniteError)
+
+
 def test_train_epoch_aborts_on_rollout_nonfinite():
     cfg = small_config()
     policies, schedule, prompts = make_world(cfg)
 
-    def bad_rollout(theta_old, prompt, ep):
+    def bad_rollout(theta_old, prompts, ep):
         raise tg.NonFiniteError("synthetic rollout blowup")
 
     with pytest.raises(nftcore.EpochAborted) as exc:
@@ -444,7 +492,7 @@ def test_train_epoch_aborts_on_optimization_overflow():
     policies, schedule, prompts = make_world(cfg)
     rng = np.random.default_rng(12)
 
-    def huge_rollout(theta_old, prompt, ep):
+    def huge_group():
         data = synthetic_scored_group(cfg, rng).data
         return nftcore.GroupData(
             prompt=data.prompt,
@@ -452,6 +500,9 @@ def test_train_epoch_aborts_on_optimization_overflow():
             ctx_rows=data.ctx_rows,
             row_candidate=data.row_candidate,
             clips=data.clips)
+
+    def huge_rollout(theta_old, prompts, ep):
+        return [huge_group() for _ in prompts]
 
     with pytest.raises(nftcore.EpochAborted):
         with np.errstate(all="ignore"):

@@ -138,9 +138,9 @@ def test_group_rollout_leaves_context_bit_unchanged():
     before_sink = [f.copy() for f in ctx.sink]
     before_roll = [f.copy() for f in ctx.rolling]
 
-    clips = streamctx.group_rollout(
-        params, ctx, prompt, group_size=4, schedule=sched,
-        base_key=streamctx.group_base_key(0, 0, 0))
+    (clips,) = streamctx.group_rollout(
+        params, ctx, [prompt], group_size=4, schedule=sched,
+        base_keys=[streamctx.group_base_key(0, 0, 0)])
     assert len(clips) == 4
     for f_before, f_after in zip(before_sink, ctx.sink):
         assert np.array_equal(f_before, f_after)
@@ -156,14 +156,14 @@ def test_group_rollout_candidates_distinct_and_reproducible():
     ctx = streamctx.empty_context(frame_dim=8)
 
     key = streamctx.group_base_key(7, 3, 1)
-    a = streamctx.group_rollout(params, ctx, prompt, 4, sched, key)
-    b = streamctx.group_rollout(params, ctx, prompt, 4, sched, key)
+    (a,) = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key])
+    (b,) = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key])
     for ca, cb in zip(a, b):
         assert np.array_equal(ca, cb)
     assert np.any(a[0] != a[1])
 
-    other_epoch = streamctx.group_rollout(
-        params, ctx, prompt, 4, sched, streamctx.group_base_key(7, 4, 1))
+    (other_epoch,) = streamctx.group_rollout(
+        params, ctx, [prompt], 4, sched, [streamctx.group_base_key(7, 4, 1)])
     assert np.any(a[0] != other_epoch[0])
 
 
@@ -174,8 +174,8 @@ def test_group_rollout_candidate_independent_of_group_size():
     prompt = flowgen.make_prompt(2, arng.substream(0, arng.PROMPT_STREAM, 2))
     ctx = streamctx.push_clip(streamctx.empty_context(frame_dim=8), rng.standard_normal((4, 8)))
     key = streamctx.group_base_key(1, 5, 2)
-    four = streamctx.group_rollout(params, ctx, prompt, 4, sched, key)
-    eight = streamctx.group_rollout(params, ctx, prompt, 8, sched, key)
+    (four,) = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key])
+    (eight,) = streamctx.group_rollout(params, ctx, [prompt], 8, sched, [key])
     assert np.max(np.abs(four - eight[:4])) <= 1e-12
 
 
@@ -185,8 +185,8 @@ def test_group_rollout_rejects_singleton_group():
     prompt = flowgen.make_prompt(0, arng.substream(0, arng.PROMPT_STREAM, 0))
     with pytest.raises(ValueError):
         streamctx.group_rollout(
-            params, streamctx.empty_context(frame_dim=8), prompt, 1,
-            flowgen.make_schedule(), streamctx.group_base_key(0, 0, 0))
+            params, streamctx.empty_context(frame_dim=8), [prompt], 1,
+            flowgen.make_schedule(), [streamctx.group_base_key(0, 0, 0)])
 
 
 def test_candidate_key_layout():
