@@ -9,6 +9,7 @@ guarantee checks. export-metrics flattens a metrics log to CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -157,11 +158,7 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
                 echo(f"aborted: {err}")
             return diag
         record = runio.MetricsRecord(
-            epoch=m["epoch"], reward_vq=m["reward_vq"], reward_mq=m["reward_mq"],
-            reward_ta=m["reward_ta"], composite=m["composite"],
-            policy_loss=m["policy_loss"], kl_loss=m["kl_loss"],
-            mask_fraction=m["mask_fraction"], tau=m["tau"], rho=m["rho"],
-            grad_norm=m["grad_norm"], reset=m["reset"], wall_time=m["wall_time"])
+            **{f.name: m[f.name] for f in dataclasses.fields(runio.MetricsRecord)})
         runio.log_metrics(metrics_path, record)
         if echo:
             echo(f"epoch {record.epoch:4d}  composite {record.composite:+.4f}  "

@@ -209,15 +209,14 @@ def predict_clean_batch(params: dict[str, np.ndarray], xt_flat: np.ndarray, t,
                         ctx_summary, prompt_vec, graph: tg.GradGraph | None = None):
     """Predicted clean clips, flattened. With a graph, the result is a trainable Node."""
     x = assemble_input(xt_flat, t, ctx_summary, prompt_vec)
+    p, tanh = params, np.tanh
     if graph is not None:
-        p = graph.parameters(params)
-        xn = graph.constant(x)
-        h1 = (xn @ p["w1"] + p["b1"]).tanh()
-        h2 = (h1 @ p["w2"] + p["b2"]).tanh()
-        return h2 @ p["w3"] + p["b3"]
-    h1 = np.tanh(x @ params["w1"] + params["b1"])
-    h2 = np.tanh(h1 @ params["w2"] + params["b2"])
-    out = h2 @ params["w3"] + params["b3"]
+        p, x, tanh = graph.parameters(params), graph.constant(x), tg.Node.tanh
+    h1 = tanh(x @ p["w1"] + p["b1"])
+    h2 = tanh(h1 @ p["w2"] + p["b2"])
+    out = h2 @ p["w3"] + p["b3"]
+    if graph is not None:
+        return out
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))

@@ -4,8 +4,9 @@ Each epoch picks a clip-aligned window start uniformly at random (seeded per
 epoch, so parallel workers agree), rolls the behavior policy out to the
 window once for all prompts together, then runs the usual group optimization
 on just the window's clips. Everything before the window is detached
-history: it conditions the candidates through bounded context summaries but
-carries no gradients, so the live graph never grows with the prefix length.
+history: plain arrays with no graph, which condition the candidates through
+bounded context summaries and carry no gradients, so the live graph never
+grows with the prefix length.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
     """Generate every prompt's stream up to the shared window start, under the behavior policy.
 
     Each prefix clip is decoded for all prompts in one batched call; prompt
-    p draws only from its own PREFIX_STREAM key. Returns one detached
-    context per prompt, in prompt order; frames beyond the sink+rolling bound
-    are already gone, so the cost of carrying history is constant in
-    start_clip.
+    p draws only from its own PREFIX_STREAM key. Returns one context per
+    prompt, in prompt order. The contexts are detached: push_clip stores
+    plain array copies, so they hold no graph. Frames beyond the
+    sink+rolling bound are already gone, so the cost of carrying history is
+    constant in start_clip.
     """
     empty = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
     ctxs = [empty] * len(prompts)
@@ -75,7 +77,7 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
             summary = np.stack([ctx.summary() for ctx in ctxs])
             clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
             ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
-    return [streamctx.detach_history(ctx) for ctx in ctxs]
+    return ctxs
 
 
 def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],

@@ -71,7 +71,7 @@ def normalize_advantage(adv, a_max: float):
     return np.clip(np.asarray(adv, dtype=np.float64) / a_max, -1.0, 1.0) / 2.0 + 0.5
 
 
-# --- implicit policies and losses (Node or ndarray operands) ---
+# --- implicit policies and losses ---
 
 
 def implicit_policies(v_theta, v_old, beta: float):
@@ -87,24 +87,22 @@ def implicit_policies(v_theta, v_old, beta: float):
     return v_plus, v_minus
 
 
-def _mse(a, b):
-    diff = a - b
-    if isinstance(diff, tg.Node):
-        return diff.square().mean()
-    return float(np.mean(diff * diff))
-
-
 def policy_loss(r_tilde: float, v_plus, v_minus, target_x0):
     """Soft-label regression: r~ toward the target on the positive branch,
-    (1 - r~) away via the negative branch. Mean-reduced over elements."""
+    (1 - r~) away via the negative branch. Mean-reduced over elements.
+
+    Per-candidate numpy reference for batch_policy_loss.
+    """
     if not 0.0 <= r_tilde <= 1.0:
         raise ValueError("r_tilde must lie in [0, 1]")
-    return r_tilde * _mse(v_plus, target_x0) + (1.0 - r_tilde) * _mse(v_minus, target_x0)
+    return (r_tilde * float(np.mean(np.square(v_plus - target_x0)))
+            + (1.0 - r_tilde) * float(np.mean(np.square(v_minus - target_x0))))
 
 
 def batch_policy_loss(r_tilde_rows: np.ndarray, v_plus, v_minus, x0_rows: np.ndarray):
     """Mean over candidates of per-candidate policy_loss, in one graph expression.
 
+    v_plus and v_minus are graph nodes; the labels and clean rows are arrays.
     Row-weighting by a constant matrix is algebraically the per-candidate
     mean: mean(W * sq) == mean_i(w_i * mean_j(sq_ij)).
     """
@@ -112,15 +110,14 @@ def batch_policy_loss(r_tilde_rows: np.ndarray, v_plus, v_minus, x0_rows: np.nda
     w = np.repeat(np.asarray(r_tilde_rows, dtype=np.float64)[:, None], width, axis=1)
     dp = v_plus - x0_rows
     dm = v_minus - x0_rows
-    if isinstance(dp, tg.Node):
-        return (dp.square() * w).mean() + (dm.square() * (1.0 - w)).mean()
-    return float(np.mean(dp * dp * w) + np.mean(dm * dm * (1.0 - w)))
+    return (dp.square() * w).mean() + (dm.square() * (1.0 - w)).mean()
 
 
 def selective_kl_loss(v_theta, v_ref: np.ndarray, mask_rows: np.ndarray):
     """Mean over masked candidates of the element-mean squared prediction gap.
 
-    Returns plain 0.0 when the mask is empty; nothing is regularized then.
+    v_theta is a graph node and v_ref an array. Returns plain 0.0 when the
+    mask is empty; nothing is regularized then.
     """
     mask_rows = np.asarray(mask_rows, dtype=bool)
     n_masked = int(mask_rows.sum())
@@ -128,10 +125,7 @@ def selective_kl_loss(v_theta, v_ref: np.ndarray, mask_rows: np.ndarray):
         return 0.0
     width = v_ref.shape[1]
     m = np.repeat(mask_rows[:, None], width, axis=1).astype(np.float64)
-    diff = v_theta - v_ref
-    if isinstance(diff, tg.Node):
-        return (diff.square() * m).sum() / float(n_masked * width)
-    return float(np.sum(diff * diff * m) / (n_masked * width))
+    return ((v_theta - v_ref).square() * m).sum() / float(n_masked * width)
 
 
 def total_loss(policy, kl, lambda_kl: float):
@@ -211,8 +205,7 @@ def score_group(data: GroupData, cfg: RunConfig, normalizer: rewardlab.RewardNor
                 risk: rewardlab.RiskState) -> ScoredGroup:
     """Judge, standardize, center into advantages, and mark rank disagreement."""
     raw = rewardlab.eval_rewards(data.clips, data.prompt)
-    normalizer.update(data.prompt.pid, raw)
-    std = normalizer.standardize(data.prompt.pid, raw)
+    std = normalizer.update_and_standardize(data.prompt.pid, raw)
     if cfg.advantage_source == "composite":
         source = rewardlab.aggregate_composite(std, cfg.reward_weights)
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,22 +40,9 @@ class MetricsRecord:
     wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
-        # wall_time is excluded: the log must be byte-identical across
-        # same-seed runs, and timing is not.
-        return {
-            "epoch": self.epoch,
-            "reward_vq": self.reward_vq,
-            "reward_mq": self.reward_mq,
-            "reward_ta": self.reward_ta,
-            "composite": self.composite,
-            "policy_loss": self.policy_loss,
-            "kl_loss": self.kl_loss,
-            "mask_fraction": self.mask_fraction,
-            "tau": self.tau,
-            "rho": self.rho,
-            "grad_norm": self.grad_norm,
-            "reset": self.reset,
-        }
+        """Every field in declaration order, except wall_time: the log must
+        be byte-identical across same-seed runs, and timing is not."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
 
 
 def log_metrics(path, record: MetricsRecord) -> None:

@@ -75,17 +75,6 @@ def push_clip(ctx: ContextWindow, clip: np.ndarray) -> ContextWindow:
                          frame_dim=ctx.frame_dim)
 
 
-def detach_history(ctx: ContextWindow) -> ContextWindow:
-    """Deep-copied plain-array context; anything graph-tracked is reduced to values."""
-    def plain(frame):
-        return np.array(getattr(frame, "value", frame), dtype=np.float64)
-    return ContextWindow(sink=tuple(plain(f) for f in ctx.sink),
-                         rolling=tuple(plain(f) for f in ctx.rolling),
-                         total_generated=ctx.total_generated,
-                         sink_size=ctx.sink_size, window_size=ctx.window_size,
-                         frame_dim=ctx.frame_dim)
-
-
 def group_base_key(seed: int, epoch: int, pid: int) -> tuple[int, ...]:
     """Base of the candidate substream keys; candidate index is appended per clip."""
     return (seed, rngmod.CANDIDATE_STREAM, epoch, pid)

@@ -1,11 +1,11 @@
 """Tape-based reverse-mode autodiff over dense float64 arrays.
 
 The primitive set is deliberately small and fixed: add, sub, mul, scalar_mul,
-matmul, tanh, relu, sum, mean, square, concat, slice. Everything the training
-losses need compiles to these. A GradGraph records nodes in creation order
-(which is already topological), backward walks the tape once, and detached
-nodes cut gradient flow structurally: they have no parents, so nothing is ever
-propagated through them.
+matmul, tanh, sum, mean, square. The predictor and the training losses
+compile to these, and no primitive is kept that they do not use. A GradGraph
+records nodes in creation order (which is already topological), backward
+walks the tape once, and detached nodes cut gradient flow structurally: they
+have no parents, so nothing is ever propagated through them.
 
 Also home to the optimizer side: AdamW with decoupled weight decay and global
 gradient-norm clipping, both operating on name-keyed parameter dicts.
@@ -18,8 +18,7 @@ import weakref
 import numpy as np
 
 PRIMITIVES = (
-    "add", "sub", "mul", "scalar_mul", "matmul",
-    "tanh", "relu", "sum", "mean", "square", "concat", "slice",
+    "add", "sub", "mul", "scalar_mul", "matmul", "tanh", "sum", "mean", "square",
 )
 
 
@@ -131,9 +130,6 @@ class Node:
     def tanh(self):
         return apply_primitive("tanh", [self], self.graph)
 
-    def relu(self):
-        return apply_primitive("relu", [self], self.graph)
-
     def square(self):
         return apply_primitive("square", [self], self.graph)
 
@@ -142,9 +138,6 @@ class Node:
 
     def mean(self):
         return apply_primitive("mean", [self], self.graph)
-
-    def slice(self, start: int, stop: int, axis: int = 0):
-        return apply_primitive("slice", [self], self.graph, start=start, stop=stop, axis=axis)
 
     def __repr__(self):
         tag = self.param_id or self.op
@@ -177,9 +170,6 @@ class GradGraph:
 
     def parameters(self, values: dict[str, np.ndarray]) -> dict[str, Node]:
         return {name: self.parameter(name, arr) for name, arr in values.items()}
-
-    def concat(self, parts: list[Node], axis: int = 1) -> Node:
-        return apply_primitive("concat", parts, self, axis=axis)
 
     def __len__(self):
         return len(self.nodes)
@@ -229,9 +219,6 @@ def _forward(op_id: str, values: list[np.ndarray], kw: dict):
     if op_id == "tanh":
         y = np.tanh(values[0])
         return y, y
-    if op_id == "relu":
-        (a,) = values
-        return np.maximum(a, 0.0), a
     if op_id == "square":
         (a,) = values
         return a * a, a
@@ -239,24 +226,6 @@ def _forward(op_id: str, values: list[np.ndarray], kw: dict):
         return np.asarray(values[0].sum()), values[0].shape
     if op_id == "mean":
         return np.asarray(values[0].mean()), values[0].shape
-    if op_id == "concat":
-        axis = kw["axis"]
-        ndim = values[0].ndim
-        if axis >= ndim or any(v.ndim != ndim for v in values):
-            raise ShapeError("concat: rank mismatch")
-        for v in values:
-            for ax in range(ndim):
-                if ax != axis and v.shape[ax] != values[0].shape[ax]:
-                    raise ShapeError("concat: non-axis dims must match")
-        return np.concatenate(values, axis=axis), (axis, [v.shape[axis] for v in values])
-    if op_id == "slice":
-        (a,) = values
-        start, stop, axis = kw["start"], kw["stop"], kw["axis"]
-        if axis >= a.ndim or not (0 <= start < stop <= a.shape[axis]):
-            raise ShapeError(f"slice: bad range [{start}:{stop}] on axis {axis} of {a.shape}")
-        idx = [np.s_[:]] * a.ndim
-        idx[axis] = np.s_[start:stop]
-        return a[tuple(idx)].copy(), (a.shape, start, stop, axis)
     raise ValueError(f"unknown primitive {op_id!r}")
 
 
@@ -280,8 +249,6 @@ def _adjoint(node: Node, g: np.ndarray) -> list[np.ndarray]:
     if op == "tanh":
         y = node.ctx
         return [g * (1.0 - y * y)]
-    if op == "relu":
-        return [g * (node.ctx > 0.0)]
     if op == "square":
         return [g * 2.0 * node.ctx]
     if op == "sum":
@@ -292,23 +259,6 @@ def _adjoint(node: Node, g: np.ndarray) -> list[np.ndarray]:
         for s in shape:
             n *= s
         return [np.broadcast_to(g / n, shape).copy()]
-    if op == "concat":
-        axis, sizes = node.ctx
-        grads = []
-        offset = 0
-        for size in sizes:
-            idx = [np.s_[:]] * g.ndim
-            idx[axis] = np.s_[offset:offset + size]
-            grads.append(g[tuple(idx)].copy())
-            offset += size
-        return grads
-    if op == "slice":
-        shape, start, stop, axis = node.ctx
-        out = np.zeros(shape)
-        idx = [np.s_[:]] * len(shape)
-        idx[axis] = np.s_[start:stop]
-        out[tuple(idx)] = g
-        return [out]
     raise ValueError(f"no adjoint for {op!r}")
 
 

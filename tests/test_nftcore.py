@@ -129,33 +129,22 @@ def test_policy_loss_rejects_bad_label():
 
 
 def test_batch_policy_loss_equals_per_candidate_mean():
+    # The graph loss, with v_theta a trainable leaf, against the per-candidate
+    # numpy reference on the same implicit branches.
     rng = np.random.default_rng(4)
     g, width = 5, 12
-    r = rng.uniform(0, 1, g)
-    v_plus = rng.standard_normal((g, width))
-    v_minus = rng.standard_normal((g, width))
-    x0 = rng.standard_normal((g, width))
-    batch = nftcore.batch_policy_loss(r, v_plus, v_minus, x0)
-    per = np.mean([nftcore.policy_loss(r[i], v_plus[i:i+1], v_minus[i:i+1], x0[i:i+1])
-                   for i in range(g)])
-    assert batch == pytest.approx(per, rel=1e-12)
-
-
-def test_batch_policy_loss_node_path_matches_numpy():
-    rng = np.random.default_rng(5)
-    g, width = 3, 6
     r = rng.uniform(0, 1, g)
     v_theta = rng.standard_normal((g, width))
     v_old = rng.standard_normal((g, width))
     x0 = rng.standard_normal((g, width))
-    vp, vm = nftcore.implicit_policies(v_theta, v_old, 1.0)
-    plain = nftcore.batch_policy_loss(r, vp, vm, x0)
-
-    graph = tg.GradGraph()
-    vt_node = graph.parameter("vt", v_theta)
-    vp_n, vm_n = nftcore.implicit_policies(vt_node, graph.constant(v_old), 1.0)
-    node = nftcore.batch_policy_loss(r, vp_n, vm_n, x0)
-    assert float(node.value) == pytest.approx(plain, rel=1e-14)
+    for beta in (1.0, 0.3):
+        graph = tg.GradGraph()
+        vp_n, vm_n = nftcore.implicit_policies(graph.parameter("vt", v_theta), v_old, beta)
+        batch = nftcore.batch_policy_loss(r, vp_n, vm_n, x0)
+        vp, vm = nftcore.implicit_policies(v_theta, v_old, beta)
+        per = np.mean([nftcore.policy_loss(r[i], vp[i:i+1], vm[i:i+1], x0[i:i+1])
+                       for i in range(g)])
+        assert float(batch.value) == pytest.approx(per, rel=1e-12), beta
 
 
 def test_selective_kl_constant_offset():
@@ -163,8 +152,9 @@ def test_selective_kl_constant_offset():
     v_ref = rng.standard_normal((4, 8))
     c = 0.25
     mask = np.array([True, True, False, True])
-    loss = nftcore.selective_kl_loss(v_ref + c, v_ref, mask)
-    assert loss == pytest.approx(c * c, abs=1e-15)
+    graph = tg.GradGraph()
+    loss = nftcore.selective_kl_loss(graph.parameter("vt", v_ref + c), v_ref, mask)
+    assert float(loss.value) == pytest.approx(c * c, abs=1e-15)
 
 
 def test_selective_kl_only_masked_rows_count():
@@ -172,13 +162,17 @@ def test_selective_kl_only_masked_rows_count():
     v_theta = np.zeros((3, 4))
     v_theta[0] = 2.0   # masked: contributes 4 per element
     v_theta[2] = 99.0  # unmasked: must be invisible
-    loss = nftcore.selective_kl_loss(v_theta, v_ref, np.array([True, False, False]))
-    assert loss == pytest.approx(4.0)
+    graph = tg.GradGraph()
+    loss = nftcore.selective_kl_loss(graph.parameter("vt", v_theta), v_ref,
+                                     np.array([True, False, False]))
+    assert float(loss.value) == pytest.approx(4.0)
 
 
 def test_selective_kl_empty_mask_is_plain_zero():
     v = np.ones((2, 3))
-    out = nftcore.selective_kl_loss(v, v + 5.0, np.array([False, False]))
+    graph = tg.GradGraph()
+    out = nftcore.selective_kl_loss(graph.parameter("vt", v), v + 5.0,
+                                    np.array([False, False]))
     assert isinstance(out, float)
     assert out == 0.0
 

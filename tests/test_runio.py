@@ -26,6 +26,21 @@ def test_record_json_excludes_wall_time():
     assert d["tau"] == 2.5
 
 
+def test_record_json_key_order():
+    assert list(sample_record().to_json_dict()) == [
+        "epoch", "reward_vq", "reward_mq", "reward_ta", "composite", "policy_loss",
+        "kl_loss", "mask_fraction", "tau", "rho", "grad_norm", "reset"]
+
+
+def test_log_metrics_line_bytes(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    runio.log_metrics(path, sample_record())
+    assert path.read_bytes() == (
+        b'{"epoch":0,"reward_vq":-0.5,"reward_mq":-0.01,"reward_ta":0.9,"composite":0.13,'
+        b'"policy_loss":0.25,"kl_loss":0.001,"mask_fraction":0.125,"tau":2.5,"rho":0.2,'
+        b'"grad_norm":0.7,"reset":false}\n')
+
+
 def test_log_and_read_roundtrip(tmp_path):
     path = tmp_path / "metrics.jsonl"
     for e in range(3):

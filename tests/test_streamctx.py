@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from astro import flowgen, streamctx, rng as arng
+from astro import tensorgrad as tg
 
 
 def frame(v: float, dim: int = 1) -> np.ndarray:
@@ -92,6 +93,11 @@ def test_push_clip_is_functional():
     assert ctx1.frame_count() == 4
     with pytest.raises(AttributeError):
         ctx1.total_generated = 99  # frozen
+    # Frames are the context's own copies: a later write to the clip is invisible.
+    clip = np.ones((2, 1))
+    ctx2 = streamctx.push_clip(ctx1, clip)
+    clip[:] = 7.0
+    assert np.array_equal(ctx2.frames()[-2:], np.ones((2, 1)))
 
 
 def test_push_clip_validates_shape():
@@ -100,6 +106,10 @@ def test_push_clip_validates_shape():
         streamctx.push_clip(ctx, np.zeros((4, 5)))
     with pytest.raises(ValueError):
         streamctx.push_clip(ctx, np.zeros(8))
+    # Only plain arrays get in, so a context never holds a graph value.
+    graph = tg.GradGraph()
+    with pytest.raises(TypeError):
+        streamctx.push_clip(ctx, graph.parameter("clip", np.zeros((4, 8))))
 
 
 def test_trajectory_summary_matches_real_window_pushes():
@@ -113,17 +123,6 @@ def test_trajectory_summary_matches_real_window_pushes():
         assert np.allclose(ctx.summary(), analytic, atol=1e-12), f"clip {k}"
         ctx = streamctx.push_clip(
             ctx, flowgen.target_clip(phase, k, clip_len, frame_dim))
-
-
-def test_detach_history_preserves_frames():
-    ctx = streamctx.empty_context(sink_size=3, window_size=4, frame_dim=2)
-    rng = np.random.default_rng(1)
-    for _ in range(3):
-        ctx = streamctx.push_clip(ctx, rng.standard_normal((4, 2)))
-    detached = streamctx.detach_history(ctx)
-    assert np.array_equal(
-        np.asarray(detached.frames()), np.asarray(ctx.frames()))
-    assert detached.total_generated == ctx.total_generated
 
 
 def test_group_rollout_leaves_context_bit_unchanged():
