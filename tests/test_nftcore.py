@@ -147,6 +147,25 @@ def test_batch_policy_loss_equals_per_candidate_mean():
         assert float(batch.value) == pytest.approx(per, rel=1e-12), beta
 
 
+def test_batch_policy_loss_node_path_matches_numpy():
+    # The graph expression against the same row-weighted mean written in numpy.
+    rng = np.random.default_rng(5)
+    g, width = 3, 6
+    r = rng.uniform(0, 1, g)
+    v_theta = rng.standard_normal((g, width))
+    v_old = rng.standard_normal((g, width))
+    x0 = rng.standard_normal((g, width))
+    vp, vm = nftcore.implicit_policies(v_theta, v_old, 1.0)
+    w = r[:, None]
+    plain = np.mean(w * np.square(vp - x0)) + np.mean((1.0 - w) * np.square(vm - x0))
+
+    graph = tg.GradGraph()
+    vt_node = graph.parameter("vt", v_theta)
+    vp_n, vm_n = nftcore.implicit_policies(vt_node, graph.constant(v_old), 1.0)
+    node = nftcore.batch_policy_loss(r, vp_n, vm_n, x0)
+    assert float(node.value) == pytest.approx(plain, rel=1e-14)
+
+
 def test_selective_kl_constant_offset():
     rng = np.random.default_rng(6)
     v_ref = rng.standard_normal((4, 8))
