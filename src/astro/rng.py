@@ -5,11 +5,27 @@ rollout, noise levels, forward-path noise, window selection, ...) draws from
 its own counter-keyed substream, so changing how much one consumer draws never
 shifts what another one sees. Keys are plain int tuples fed to numpy's seed
 sequence machinery.
+
+Two ways to draw from a key, with the same bits:
+- `substream(*key)` is a numpy Generator, for consumers that draw
+  sequentially (prompts, pretraining, window choice, noise levels, eval).
+- `normal_blocks(keys, shape)` draws one standard normal block per key for
+  many keys at once, row i equal to `substream(*keys[i]).standard_normal(shape)`.
+  It hashes many keys' seeds in one pass of array ops instead of one
+  SeedSequence per key (a handful of keys are seeded the plain way, which
+  is cheaper there). One block of shape (S, ...) holds exactly the values of S
+  successive (...)-shaped draws, so a row's block is its whole draw budget:
+  the rollouts take the block of S schedule steps (times W window clips, or
+  start_clip prefix clips) in one call per key.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Stream kind tags, second component of every key after the run seed.
 PROMPT_STREAM = 1
@@ -21,6 +37,18 @@ WINDOW_STREAM = 6
 PRETRAIN_STREAM = 7
 EVAL_STREAM = 8
 
+# numpy SeedSequence's hashing constants; its pool holds four 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_POOL_SIZE = 4
+_LANE_MASK = np.uint64(_MASK32)
+_XSHIFT = np.uint64(16)
+# Below this many keys of one word count, numpy's own seeding is cheaper
+# than the fixed cost of the vectorized pass.
+_MIN_VECTOR_KEYS = 6
+
 
 def substream(*key: int) -> np.random.Generator:
     """Independent generator for an integer key tuple. Same key, same stream."""
@@ -29,11 +57,138 @@ def substream(*key: int) -> np.random.Generator:
     return np.random.default_rng(tuple(int(k) for k in key))
 
 
+def _entropy_words(key) -> list[int]:
+    """numpy's little-endian uint32 expansion of a key: 0 -> [0], 2**40+3 -> [3, 256]."""
+    if not key:
+        raise ValueError("substream key must be non-empty")
+    key = [int(k) for k in key]
+    if min(key) < 0:
+        raise ValueError("expected non-negative integer")
+    if max(key) <= _MASK32:
+        return key
+    words = []
+    for k in key:
+        words.append(k & _MASK32)
+        while k > _MASK32:
+            k >>= 32
+            words.append(k & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count+1 values of a SeedSequence hash constant, as a read-only (count+1, 1) column.
+
+    The constant advances by the same multiply at every hashmix call,
+    whatever the data, so call k of a pass uses entries k and k+1.
+    """
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint64)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, k: int, calls: int) -> np.ndarray:
+    """hashmix calls k .. k+calls-1 as (calls, n) rows, in uint64 lanes of 32-bit words.
+
+    values is one (n,) row that every call hashes, or a (calls, n) array
+    giving each call its own row.
+    """
+    values = (values ^ consts[k:k + calls]) * consts[k + 1:k + 1 + calls] & _LANE_MASK
+    return values ^ values >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _LANE_MASK
+    return value ^ value >> _XSHIFT
+
+
+_OTHER_POOL_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != s])
+                     for s in range(_POOL_SIZE)]
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(key).generate_state(4, uint64) for each row of an (n, L) uint64 word array.
+
+    Follows numpy's pool mixing call for call, with the pool as a (4, n)
+    array: hash the first four words (zeros past the key's end) into the
+    pool, mix each pool word into the three others, then fold in every word
+    beyond four. The state's uint64 words take the low 32 bits first.
+    """
+    n, length = words.shape
+    if length < _POOL_SIZE:
+        words = np.concatenate([words, np.zeros((n, _POOL_SIZE - length), np.uint64)], axis=1)
+    # One hashmix call per pool word for each of max(length, 4) words.
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(length, _POOL_SIZE))
+    pool = _hashmix(words[:, :_POOL_SIZE].T, consts, 0, _POOL_SIZE)
+    k = _POOL_SIZE
+    for src, dst in enumerate(_OTHER_POOL_WORDS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k, len(dst)))
+        k += len(dst)
+    for src in range(_POOL_SIZE, length):
+        pool = _mix(pool, _hashmix(words[:, src], consts, k, _POOL_SIZE))
+        k += _POOL_SIZE
+    half = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE),
+                    0, 2 * _POOL_SIZE)
+    return np.ascontiguousarray((half[0::2] | half[1::2] << np.uint64(32)).T)
+
+
+class _State(ISeedSequence):
+    """A seed sequence whose PCG64 state words are already computed."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.state) or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed state serves PCG64 seeding only")
+        return self.state
+
+
+def normal_blocks(keys, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal blocks for many keys, (len(keys), *shape).
+
+    Row i is bit-equal to substream(*keys[i]).standard_normal(shape). Keys
+    may differ in length and in word count; the seeds of all keys with the
+    same word count are hashed together, unless there are fewer than
+    _MIN_VECTOR_KEYS of them. Each key still gets its own PCG64 and one
+    standard_normal call.
+    """
+    shape = tuple(shape)
+    words = [_entropy_words(key) for key in keys]
+    out = np.empty((len(keys), math.prod(shape)))
+    if out.size:
+        rows_by_length: dict[int, list[int]] = {}
+        for i, w in enumerate(words):
+            rows_by_length.setdefault(len(w), []).append(i)
+        for rows in rows_by_length.values():
+            if len(rows) < _MIN_VECTOR_KEYS:
+                gens = [substream(*keys[i]) for i in rows]
+            else:
+                states = _seed_states(np.array([words[i] for i in rows], dtype=np.uint64))
+                gens = [np.random.Generator(np.random.PCG64(_State(state))) for state in states]
+            for i, gen in zip(rows, gens):
+                gen.standard_normal(out=out[i])
+    return out.reshape(len(keys), *shape)
+
+
+def stepwise_blocks(streams, steps: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Reference for normal_blocks: row i stacks `steps` successive shape-sized draws of streams[i].
+
+    This is how a sampler drawing once per schedule step consumes a stream;
+    tests build slow reference noise with it.
+    """
+    return np.stack([np.stack([s.standard_normal(shape) for _ in range(steps)])
+                     for s in streams])
+
+
 class CountingStream:
     """Generator wrapper that counts standard_normal calls.
 
-    Tests use it to audit draw budgets (e.g. a sampler consumes exactly one
-    draw per step, a group rollout never touches the prefix stream).
+    Tests use it to audit draw budgets (e.g. a reference sampler consumes
+    exactly one draw per schedule step).
     """
 
     def __init__(self, gen: np.random.Generator):

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from astro import cli, runio
+from astro import cli, runio, rng as arng
 from astro.config import RunConfig, save_config
 
 
@@ -48,6 +48,23 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
         assert rc == 0
     assert (dirs[0] / "metrics.jsonl").read_bytes() == (dirs[1] / "metrics.jsonl").read_bytes()
     assert (dirs[0] / "checkpoint.bin").read_bytes() == (dirs[1] / "checkpoint.bin").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_block_noise_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
+    # The vectorized normal_blocks against the per-key substream draws it
+    # stands for, end to end on the installed numpy.
+    cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
+    assert cli.run_training(cfg, tmp_path / "blocks")["status"] == "ok"
+
+    def per_key_blocks(keys, shape):
+        return np.stack([arng.substream(*key).standard_normal(shape) for key in keys])
+
+    monkeypatch.setattr(arng, "normal_blocks", per_key_blocks)
+    assert cli.run_training(cfg, tmp_path / "per_key")["status"] == "ok"
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert ((tmp_path / "blocks" / name).read_bytes()
+                == (tmp_path / "per_key" / name).read_bytes()), name
 
 
 @pytest.mark.parametrize("mode", ["short", "long"])

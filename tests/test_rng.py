@@ -1,4 +1,4 @@
-"""Keyed substreams: deterministic, distinct, and countable."""
+"""Keyed substreams: deterministic, distinct, countable, and drawn in blocks bit-for-bit."""
 
 from __future__ import annotations
 
@@ -46,3 +46,65 @@ def test_counting_stream():
     plain = arng.substream(0, 1).standard_normal(5)
     again = arng.CountingStream(arng.substream(0, 1)).standard_normal(5)
     assert np.array_equal(plain, again)
+
+
+# Seeds 0, 2**32-1 (largest one-word) and 2**40+3 (two words), zero
+# components, and keys of different lengths and word counts in one call.
+BLOCK_KEYS = [
+    (seed, arng.CANDIDATE_STREAM, epoch, pid, i)
+    for seed in (0, 2**32 - 1, 2**40 + 3)
+    for epoch, pid, i in [(0, 0, 0), (3, 1, 0), (0, 5, 23), (2**33, 0, 7)]
+] + [(0,), (7, 0), (2**40 + 3,), (0, 0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6, 7, 8, 9)]
+
+
+@pytest.mark.parametrize("min_vector_keys", [1, arng._MIN_VECTOR_KEYS, 10**9])
+@pytest.mark.parametrize("shape", [(4, 4, 8), (2, 4, 2, 4), (7,), ()])
+def test_normal_blocks_match_substream_draws(shape, min_vector_keys, monkeypatch):
+    # Every key through the vectorized seeding, the shipped mix, and none.
+    monkeypatch.setattr(arng, "_MIN_VECTOR_KEYS", min_vector_keys)
+    blocks = arng.normal_blocks(BLOCK_KEYS, shape)
+    assert blocks.shape == (len(BLOCK_KEYS), *shape)
+    for key, row in zip(BLOCK_KEYS, blocks):
+        assert np.array_equal(row, arng.substream(*key).standard_normal(shape)), key
+
+
+def test_seed_states_match_seed_sequence():
+    for length in range(1, 10):
+        keys = [tuple((3 + i * 7919 + j * 104729) % 2**32 for j in range(length))
+                for i in range(5)] + [(2**32 - 1,) * length, (0,) * length]
+        words = np.array([arng._entropy_words(key) for key in keys], dtype=np.uint64)
+        for rows in (words, words[:1]):
+            expect = [np.random.SeedSequence(key).generate_state(4, np.uint64)
+                      for key in keys[:len(rows)]]
+            assert np.array_equal(arng._seed_states(rows), expect), length
+
+
+def test_entropy_words_follow_numpy():
+    assert arng._entropy_words((0,)) == [0]
+    assert arng._entropy_words((2**40 + 3,)) == [3, 256]
+    assert arng._entropy_words((1, 2**32, 5)) == [1, 0, 1, 5]
+
+
+def test_normal_block_is_stepwise_draw_budget():
+    # One (S, ...) block holds exactly the S clip-shaped draws a sampler
+    # would make in a row.
+    keys = [(0, arng.CANDIDATE_STREAM, 0, 0, i) for i in range(8)]
+    counters = [arng.CountingStream(arng.substream(*key)) for key in keys]
+    stepwise = arng.stepwise_blocks(counters, 4, (4, 8))
+    assert [c.draws for c in counters] == [4] * len(keys)
+    assert np.array_equal(stepwise, arng.normal_blocks(keys, (4, 4, 8)))
+
+
+def test_normal_blocks_zero_size():
+    assert arng.normal_blocks(BLOCK_KEYS, (0, 4, 4, 8)).shape == (len(BLOCK_KEYS), 0, 4, 4, 8)
+    assert arng.normal_blocks([], (4, 8)).shape == (0, 4, 8)
+
+
+@pytest.mark.parametrize("key", [(0, -1), (-5,), ()])
+def test_normal_blocks_reject_what_substream_rejects(key):
+    with pytest.raises(ValueError):
+        arng.substream(*key)
+    with pytest.raises(ValueError):
+        arng.normal_blocks([(0, 1), key], (2,))
+    with pytest.raises(ValueError):
+        arng.normal_blocks([key], (0,))
