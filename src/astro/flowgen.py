@@ -225,38 +225,33 @@ def predict_clean_batch(params: dict[str, np.ndarray], xt_flat: np.ndarray, t,
     return out
 
 
-def noise_shape(params: dict[str, np.ndarray], schedule: TimestepSchedule,
-                frame_dim: int) -> tuple[int, int, int]:
-    """One row's noise for sample_clips: (len(schedule), clip_len, frame_dim)."""
-    return (len(schedule), params["b3"].shape[1] // frame_dim, frame_dim)
-
-
 def sample_clips(params: dict[str, np.ndarray], ctx_rows, prompt_vec,
-                 schedule: TimestepSchedule, noise) -> np.ndarray:
-    """Few-step generation of N clips at once: start from noise, predict clean, renoise.
+                 schedule: TimestepSchedule, streams) -> np.ndarray:
+    """Few-step generation of N clips at once: draw noise, predict clean, renoise.
 
-    Row i is conditioned on ctx_rows[i] and uses only noise[i], shape
-    noise_shape(...): step 0 starts from noise[i, 0] and the renoising
-    before step k draws noise[i, k]. A row's clip therefore does not depend
-    on which other rows share the batch. Every schedule step is one (N, d)
+    Row i is conditioned on ctx_rows[i] and draws only from streams[i]:
+    exactly len(schedule) draws (one init plus one per renoising), in the
+    order a lone row would make them, so a row's clip does not depend on
+    which other rows share the batch. Every schedule step is one (N, d)
     forward. Returns the final clean predictions, (N, clip_len, frame_dim).
     A NonFiniteError carries the first row whose prediction is not finite.
     """
-    noise = np.asarray(noise, dtype=np.float64)
-    if (noise.ndim != 4 or noise.shape[1] != len(schedule)
-            or noise.shape[2] * noise.shape[3] != params["b3"].shape[1]):
-        raise ValueError(f"noise shape {noise.shape}, expected "
-                         f"(rows, {len(schedule)}, clip_len, frame_dim) matching params")
-    n = len(noise)
     ctx_rows = np.asarray(ctx_rows, dtype=np.float64)
-    if ctx_rows.shape != (n, 2 * noise.shape[-1]):
+    n = len(streams)
+    if ctx_rows.ndim != 2 or ctx_rows.shape[0] != n or ctx_rows.shape[1] % 2:
         raise ValueError(f"ctx_rows shape {ctx_rows.shape}, expected ({n}, 2*frame_dim)")
-    x = noise[:, 0].reshape(n, -1)
+    frame_dim = ctx_rows.shape[1] // 2
+    clip_shape = (params["b3"].shape[1] // frame_dim, frame_dim)
+
+    def draw():
+        return np.stack([s.standard_normal(clip_shape) for s in streams]).reshape(n, -1)
+
+    x = draw()
     for k, t in enumerate(schedule.values):
         pred = predict_clean_batch(params, x, t, ctx_rows, prompt_vec)
         if k + 1 < len(schedule.values):
-            x = forward_path(pred, noise[:, k + 1].reshape(n, -1), schedule.values[k + 1])
-    return pred.reshape(n, *noise.shape[2:])
+            x = forward_path(pred, draw(), schedule.values[k + 1])
+    return pred.reshape(n, *clip_shape)
 
 
 # --- base-model pretraining ---

@@ -62,25 +62,21 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
     """Generate every prompt's stream up to the shared window start, under the behavior policy.
 
     Each prefix clip is decoded for all prompts in one batched call; prompt
-    p draws only from its own PREFIX_STREAM key, whose one noise block of
-    start_clip clips is drawn up front. Returns one context per prompt, in
-    prompt order. The contexts are detached: push_clip stores
+    p draws only from its own PREFIX_STREAM key. Returns one context per
+    prompt, in prompt order. The contexts are detached: push_clip stores
     plain array copies, so they hold no graph. Frames beyond the
     sink+rolling bound are already gone, so the cost of carrying history is
     constant in start_clip.
     """
     empty = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
     ctxs = [empty] * len(prompts)
-    if start_clip == 0:
-        return ctxs
-    keys = [(cfg.seed, rngmod.PREFIX_STREAM, epoch, p.pid) for p in prompts]
-    noise = rngmod.normal_blocks(
-        keys, (start_clip, *flowgen.noise_shape(theta_old, schedule, cfg.frame_dim)))
+    streams = rngmod.substreams([(cfg.seed, rngmod.PREFIX_STREAM, epoch, p.pid)
+                                 for p in prompts])
     vecs = np.stack([p.vec for p in prompts])
     with nftcore.abort_on_nonfinite(epoch, prompts, 1):
-        for j in range(start_clip):
+        for _ in range(start_clip):
             summary = np.stack([ctx.summary() for ctx in ctxs])
-            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, noise[:, j])
+            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
             ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
     return ctxs
 
@@ -99,17 +95,15 @@ def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
     """
     prefixes = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
     g, w, n = cfg.group_size, spec.window_clips, len(prompts)
-    keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) + (i,)
-            for p in prompts for i in range(g)]
-    noise = rngmod.normal_blocks(
-        keys, (w, *flowgen.noise_shape(theta_old, schedule, cfg.frame_dim)))
+    keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
+    streams = streamctx.candidate_streams(keys, g)
     vecs = np.repeat(np.stack([p.vec for p in prompts]), g, axis=0)
     ctxs = [prefix for prefix in prefixes for _ in range(g)]
     summaries, window = [], []
     with nftcore.abort_on_nonfinite(epoch, prompts, g):
-        for j in range(w):
+        for _ in range(w):
             summary = np.stack([ctx.summary() for ctx in ctxs])
-            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, noise[:, j])
+            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
             ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
             summaries.append(summary)
             window.append(clips)

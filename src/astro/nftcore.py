@@ -269,8 +269,8 @@ def optimize_group(policies: PolicyTriple, scored: ScoredGroup, state: TrainStat
     """One optimizer step on one prompt group; EMA tick if configured per step."""
     pid = scored.data.prompt.pid
     t = draw_noise_level(cfg, schedule, epoch, pid)
-    eps = rngmod.normal_blocks([(cfg.seed, rngmod.EPS_STREAM, epoch, pid)],
-                               scored.data.x0_rows.shape)[0]
+    eps_stream = rngmod.substream(cfg.seed, rngmod.EPS_STREAM, epoch, pid)
+    eps = eps_stream.standard_normal(scored.data.x0_rows.shape)
     graph, loss, info = build_group_loss(policies, scored, cfg, t, eps)
     grads = tg.backward(graph, loss)
     info["grad_norm"] = tg.global_norm(grads)

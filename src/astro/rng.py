@@ -6,23 +6,15 @@ its own counter-keyed substream, so changing how much one consumer draws never
 shifts what another one sees. Keys are plain int tuples fed to numpy's seed
 sequence machinery.
 
-Two ways to draw from a key, with the same bits:
-- `substream(*key)` is a numpy Generator, for consumers that draw
-  sequentially (prompts, pretraining, window choice, noise levels, eval).
-- `normal_blocks(keys, shape)` draws one standard normal block per key for
-  many keys at once, row i equal to `substream(*keys[i]).standard_normal(shape)`.
-  It hashes many keys' seeds in one pass of array ops instead of one
-  SeedSequence per key (a handful of keys are seeded the plain way, which
-  is cheaper there). One block of shape (S, ...) holds exactly the values of S
-  successive (...)-shaped draws, so a row's block is its whole draw budget:
-  the rollouts take the block of S schedule steps (times W window clips, or
-  start_clip prefix clips) in one call per key.
+`substreams(keys)` returns `[substream(*key) for key in keys]`, the same
+generators in the same states, but hashes all keys' seeds in one pass of
+array ops instead of building one SeedSequence per key. The rollouts, which
+open one stream per candidate or prompt every epoch, use it.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -45,9 +37,6 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
 _POOL_SIZE = 4
 _LANE_MASK = np.uint64(_MASK32)
 _XSHIFT = np.uint64(16)
-# Below this many keys of one word count, numpy's own seeding is cheaper
-# than the fixed cost of the vectorized pass.
-_MIN_VECTOR_KEYS = 6
 
 
 def substream(*key: int) -> np.random.Generator:
@@ -147,48 +136,30 @@ class _State(ISeedSequence):
         return self.state
 
 
-def normal_blocks(keys, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normal blocks for many keys, (len(keys), *shape).
+def substreams(keys) -> list[np.random.Generator]:
+    """substream(*key) for every key, seeded in one vectorized pass.
 
-    Row i is bit-equal to substream(*keys[i]).standard_normal(shape). Keys
-    may differ in length and in word count; the seeds of all keys with the
-    same word count are hashed together, unless there are fewer than
-    _MIN_VECTOR_KEYS of them. Each key still gets its own PCG64 and one
-    standard_normal call.
+    Keys may differ in length and in word count; the seeds of all keys with
+    the same word count are hashed together. Each key still gets its own
+    PCG64, in the state substream would give it.
     """
-    shape = tuple(shape)
     words = [_entropy_words(key) for key in keys]
-    out = np.empty((len(keys), math.prod(shape)))
-    if out.size:
-        rows_by_length: dict[int, list[int]] = {}
-        for i, w in enumerate(words):
-            rows_by_length.setdefault(len(w), []).append(i)
-        for rows in rows_by_length.values():
-            if len(rows) < _MIN_VECTOR_KEYS:
-                gens = [substream(*keys[i]) for i in rows]
-            else:
-                states = _seed_states(np.array([words[i] for i in rows], dtype=np.uint64))
-                gens = [np.random.Generator(np.random.PCG64(_State(state))) for state in states]
-            for i, gen in zip(rows, gens):
-                gen.standard_normal(out=out[i])
-    return out.reshape(len(keys), *shape)
-
-
-def stepwise_blocks(streams, steps: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Reference for normal_blocks: row i stacks `steps` successive shape-sized draws of streams[i].
-
-    This is how a sampler drawing once per schedule step consumes a stream;
-    tests build slow reference noise with it.
-    """
-    return np.stack([np.stack([s.standard_normal(shape) for _ in range(steps)])
-                     for s in streams])
+    rows_by_length: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        rows_by_length.setdefault(len(w), []).append(i)
+    gens = [None] * len(keys)
+    for rows in rows_by_length.values():
+        states = _seed_states(np.array([words[i] for i in rows], dtype=np.uint64))
+        for i, state in zip(rows, states):
+            gens[i] = np.random.Generator(np.random.PCG64(_State(state)))
+    return gens
 
 
 class CountingStream:
     """Generator wrapper that counts standard_normal calls.
 
-    Tests use it to audit draw budgets (e.g. a reference sampler consumes
-    exactly one draw per schedule step).
+    Tests use it to audit draw budgets (e.g. a sampler consumes exactly one
+    draw per step, a group rollout never touches the prefix stream).
     """
 
     def __init__(self, gen: np.random.Generator):

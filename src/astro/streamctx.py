@@ -80,6 +80,11 @@ def group_base_key(seed: int, epoch: int, pid: int) -> tuple[int, ...]:
     return (seed, rngmod.CANDIDATE_STREAM, epoch, pid)
 
 
+def candidate_streams(base_keys, group_size: int) -> list[np.random.Generator]:
+    """Prompt-major candidate streams; candidate i of prompt p draws from base_keys[p] + (i,)."""
+    return rngmod.substreams([key + (i,) for key in base_keys for i in range(group_size)])
+
+
 def group_rollout(params_old: dict[str, np.ndarray], ctx: ContextWindow,
                   prompts: list[flowgen.Prompt], group_size: int,
                   schedule: flowgen.TimestepSchedule,
@@ -88,9 +93,8 @@ def group_rollout(params_old: dict[str, np.ndarray], ctx: ContextWindow,
 
     All prompts' candidates are decoded together, prompt-major, one batched
     forward per schedule step; candidate i of prompt p draws only from its
-    own keyed stream base_keys[p] + (i,), all rows' noise in one
-    normal_blocks call, so candidates are independent of each other, of
-    group_size and of the other prompts. Returns a
+    own substream keyed by base_keys[p] + (i,), so candidates are independent
+    of each other, of group_size and of the other prompts. Returns a
     (len(prompts), group_size, clip_len, frame_dim) stack.
     """
     if group_size < 2:
@@ -98,7 +102,6 @@ def group_rollout(params_old: dict[str, np.ndarray], ctx: ContextWindow,
     n = len(prompts) * group_size
     summary = np.broadcast_to(ctx.summary(), (n, 2 * ctx.frame_dim))
     vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)
-    keys = [key + (i,) for key in base_keys for i in range(group_size)]
-    noise = rngmod.normal_blocks(keys, flowgen.noise_shape(params_old, schedule, ctx.frame_dim))
-    clips = flowgen.sample_clips(params_old, summary, vecs, schedule, noise)
+    clips = flowgen.sample_clips(params_old, summary, vecs, schedule,
+                                 candidate_streams(base_keys, group_size))
     return clips.reshape(len(prompts), group_size, *clips.shape[1:])

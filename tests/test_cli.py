@@ -51,19 +51,15 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["short", "long"])
-def test_block_noise_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
-    # The vectorized normal_blocks against the per-key substream draws it
-    # stands for, end to end on the installed numpy.
+def test_bulk_seeding_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
+    # The vectorized substreams against one numpy SeedSequence per key, end
+    # to end on the installed numpy.
     cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
-    assert cli.run_training(cfg, tmp_path / "blocks")["status"] == "ok"
-
-    def per_key_blocks(keys, shape):
-        return np.stack([arng.substream(*key).standard_normal(shape) for key in keys])
-
-    monkeypatch.setattr(arng, "normal_blocks", per_key_blocks)
+    assert cli.run_training(cfg, tmp_path / "bulk")["status"] == "ok"
+    monkeypatch.setattr(arng, "substreams", lambda keys: [arng.substream(*k) for k in keys])
     assert cli.run_training(cfg, tmp_path / "per_key")["status"] == "ok"
     for name in ("metrics.jsonl", "checkpoint.bin"):
-        assert ((tmp_path / "blocks" / name).read_bytes()
+        assert ((tmp_path / "bulk" / name).read_bytes()
                 == (tmp_path / "per_key" / name).read_bytes()), name
 
 

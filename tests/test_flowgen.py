@@ -145,66 +145,42 @@ def sampler_world(seed, rows=5):
     return params, rng.standard_normal((rows, 16)), flowgen.make_schedule()
 
 
-def stream_noise(streams, sched):
-    """Reference noise: each row's stream drawn one (4, 8) clip per schedule step."""
-    return arng.stepwise_blocks(streams, len(sched), (4, 8))
-
-
 def test_sample_clips_noise_draw_budget():
     params, ctx, sched = sampler_world(5)
-    keys = [(0, arng.CANDIDATE_STREAM, 0, 0, i) for i in range(len(ctx))]
-    counters = [CountingStream(arng.substream(*key)) for key in keys]
-    clips = flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched,
-                                 stream_noise(counters, sched))
+    counters = [CountingStream(arng.substream(0, arng.CANDIDATE_STREAM, 0, 0, i))
+                for i in range(len(ctx))]
+    clips = flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, counters)
     assert clips.shape == (len(ctx), 4, 8)
     # per row: one initial noise draw plus one renoise per remaining schedule entry
     assert [c.draws for c in counters] == [len(sched)] * len(ctx)
-    blocks = arng.normal_blocks(keys, flowgen.noise_shape(params, sched, 8))
-    assert np.array_equal(
-        flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, blocks), clips)
 
 
 def test_sample_clips_row_matches_single_row_call():
     params, ctx, sched = sampler_world(11)
     pv = np.ones(4) / 2.0
-    noise = stream_noise([arng.substream(4, 2, 0, 1, i) for i in range(len(ctx))], sched)
-    batch = flowgen.sample_clips(params, ctx, pv, sched, noise)
+    batch = flowgen.sample_clips(
+        params, ctx, pv, sched, [arng.substream(4, 2, 0, 1, i) for i in range(len(ctx))])
     for i in range(len(ctx)):
         (alone,) = flowgen.sample_clips(params, ctx[i:i + 1], pv, sched,
-                                        stream_noise([arng.substream(4, 2, 0, 1, i)], sched))
+                                        [arng.substream(4, 2, 0, 1, i)])
         assert np.max(np.abs(batch[i] - alone)) <= 1e-12
 
 
 def test_sample_clips_deterministic_per_key():
     params, ctx, sched = sampler_world(6, rows=1)
     pv = np.ones(4) / 2.0
-    a = flowgen.sample_clips(params, ctx, pv, sched,
-                             stream_noise([arng.substream(9, 2, 1, 3, 0)], sched))
-    b = flowgen.sample_clips(params, ctx, pv, sched,
-                             stream_noise([arng.substream(9, 2, 1, 3, 0)], sched))
-    c = flowgen.sample_clips(params, ctx, pv, sched,
-                             stream_noise([arng.substream(9, 2, 1, 3, 1)], sched))
+    a = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 0)])
+    b = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 0)])
+    c = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 1)])
     assert np.array_equal(a, b)
     assert np.any(a != c)
 
 
 def test_sample_clips_needs_one_context_row_per_stream():
     params, ctx, sched = sampler_world(7, rows=3)
-    noise = stream_noise([arng.substream(0, i) for i in range(2)], sched)
+    streams = [arng.substream(0, i) for i in range(2)]
     with pytest.raises(ValueError):
-        flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, noise)
-
-
-@pytest.mark.parametrize("shape", [
-    (3, 3, 4, 8),      # one schedule step short
-    (3, 5, 4, 8),      # one schedule step too many
-    (3, 4, 3, 8),      # clip length does not match the predictor
-    (3, 4, 32),        # not (rows, steps, clip_len, frame_dim)
-])
-def test_sample_clips_rejects_misshaped_noise(shape):
-    params, ctx, sched = sampler_world(7, rows=3)
-    with pytest.raises(ValueError):
-        flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, np.zeros(shape))
+        flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, streams)
 
 
 def test_corpus_shapes_and_determinism():

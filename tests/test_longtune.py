@@ -141,12 +141,10 @@ def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
     candidate-major.
     """
     prefix = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
-    clip_shape = (cfg.clip_len, cfg.frame_dim)
     stream = arng.substream(cfg.seed, arng.PREFIX_STREAM, epoch, prompt.pid)
     for _ in range(spec.start_clip):
-        noise = arng.stepwise_blocks([stream], len(schedule), clip_shape)
         (clip,) = flowgen.sample_clips(theta_old, prefix.summary()[None], prompt.vec,
-                                       schedule, noise)
+                                       schedule, [stream])
         prefix = streamctx.push_clip(prefix, clip)
     g, w = cfg.group_size, spec.window_clips
     key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
@@ -155,8 +153,7 @@ def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
     rows, summaries = [], []
     for _ in range(w):
         summary = np.stack([ctx.summary() for ctx in ctxs])
-        noise = arng.stepwise_blocks(streams, len(schedule), clip_shape)
-        clips = flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, noise)
+        clips = flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
         ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
         rows.append(clips.reshape(g, -1))
         summaries.append(summary)

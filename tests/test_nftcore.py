@@ -441,9 +441,8 @@ def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):
     ctx = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
     key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
     streams = [arng.substream(*key, i) for i in range(cfg.group_size)]
-    noise = arng.stepwise_blocks(streams, len(schedule), (cfg.clip_len, cfg.frame_dim))
     summary = np.tile(ctx.summary(), (cfg.group_size, 1))
-    return flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, noise)
+    return flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
 
 
 def test_short_rollout_matches_per_prompt_reference():

@@ -1,4 +1,4 @@
-"""Keyed substreams: deterministic, distinct, countable, and drawn in blocks bit-for-bit."""
+"""Keyed substreams: deterministic, distinct, countable, and seeded in bulk bit-for-bit."""
 
 from __future__ import annotations
 
@@ -50,22 +50,22 @@ def test_counting_stream():
 
 # Seeds 0, 2**32-1 (largest one-word) and 2**40+3 (two words), zero
 # components, and keys of different lengths and word counts in one call.
-BLOCK_KEYS = [
+MIXED_KEYS = [
     (seed, arng.CANDIDATE_STREAM, epoch, pid, i)
     for seed in (0, 2**32 - 1, 2**40 + 3)
     for epoch, pid, i in [(0, 0, 0), (3, 1, 0), (0, 5, 23), (2**33, 0, 7)]
 ] + [(0,), (7, 0), (2**40 + 3,), (0, 0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6, 7, 8, 9)]
 
 
-@pytest.mark.parametrize("min_vector_keys", [1, arng._MIN_VECTOR_KEYS, 10**9])
-@pytest.mark.parametrize("shape", [(4, 4, 8), (2, 4, 2, 4), (7,), ()])
-def test_normal_blocks_match_substream_draws(shape, min_vector_keys, monkeypatch):
-    # Every key through the vectorized seeding, the shipped mix, and none.
-    monkeypatch.setattr(arng, "_MIN_VECTOR_KEYS", min_vector_keys)
-    blocks = arng.normal_blocks(BLOCK_KEYS, shape)
-    assert blocks.shape == (len(BLOCK_KEYS), *shape)
-    for key, row in zip(BLOCK_KEYS, blocks):
-        assert np.array_equal(row, arng.substream(*key).standard_normal(shape)), key
+def test_substreams_match_substream():
+    gens = arng.substreams(MIXED_KEYS)
+    assert len(gens) == len(MIXED_KEYS)
+    for key, gen in zip(MIXED_KEYS, gens):
+        ref = arng.substream(*key)
+        assert gen.bit_generator.state == ref.bit_generator.state, key
+        # the same draws, one clip-shaped call at a time and then a longer one
+        for shape in [(4, 8)] * 4 + [(7,)]:
+            assert np.array_equal(gen.standard_normal(shape), ref.standard_normal(shape)), key
 
 
 def test_seed_states_match_seed_sequence():
@@ -85,26 +85,13 @@ def test_entropy_words_follow_numpy():
     assert arng._entropy_words((1, 2**32, 5)) == [1, 0, 1, 5]
 
 
-def test_normal_block_is_stepwise_draw_budget():
-    # One (S, ...) block holds exactly the S clip-shaped draws a sampler
-    # would make in a row.
-    keys = [(0, arng.CANDIDATE_STREAM, 0, 0, i) for i in range(8)]
-    counters = [arng.CountingStream(arng.substream(*key)) for key in keys]
-    stepwise = arng.stepwise_blocks(counters, 4, (4, 8))
-    assert [c.draws for c in counters] == [4] * len(keys)
-    assert np.array_equal(stepwise, arng.normal_blocks(keys, (4, 4, 8)))
-
-
-def test_normal_blocks_zero_size():
-    assert arng.normal_blocks(BLOCK_KEYS, (0, 4, 4, 8)).shape == (len(BLOCK_KEYS), 0, 4, 4, 8)
-    assert arng.normal_blocks([], (4, 8)).shape == (0, 4, 8)
+def test_substreams_of_no_keys():
+    assert arng.substreams([]) == []
 
 
 @pytest.mark.parametrize("key", [(0, -1), (-5,), ()])
-def test_normal_blocks_reject_what_substream_rejects(key):
+def test_substreams_reject_what_substream_rejects(key):
     with pytest.raises(ValueError):
         arng.substream(*key)
     with pytest.raises(ValueError):
-        arng.normal_blocks([(0, 1), key], (2,))
-    with pytest.raises(ValueError):
-        arng.normal_blocks([key], (0,))
+        arng.substreams([(0, 1), key])
