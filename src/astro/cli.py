@@ -144,12 +144,8 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
 
     while state.epoch < cfg.epochs:
         try:
-            if cfg.mode == "short":
-                m = nftcore.train_epoch(policies, prompts, state, cfg, schedule,
-                                        normalizer, risk, optimizer)
-            else:
-                m = longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
-                                                normalizer, risk, optimizer)
+            m = longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
+                                            normalizer, risk, optimizer)
         except nftcore.EpochAborted as err:
             diag = {"status": "aborted", "epoch": err.epoch, "prompt": err.pid,
                     "cause": str(err.cause)}

@@ -1,12 +1,14 @@
-"""Streaming long tuning: optimize a window of the stream, not the whole thing.
+"""Streaming tuning: optimize a window of the stream, not the whole thing.
 
-Each epoch picks a clip-aligned window start uniformly at random (seeded per
-epoch, so parallel workers agree), rolls the behavior policy out to the
-window once for all prompts together, then runs the usual group optimization
-on just the window's clips. Everything before the window is detached
-history: plain arrays with no graph, which condition the candidates through
-bounded context summaries and carry no gradients, so the live graph never
-grows with the prefix length.
+This is the one rollout path of both modes. Each epoch picks a clip-aligned
+window start uniformly at random (seeded per epoch, so parallel workers
+agree), rolls the behavior policy out to the window once for all prompts
+together, then runs the usual group optimization on just the window's
+clips. Everything before the window is detached history: plain arrays with
+no graph, which condition the candidates through bounded context summaries
+and carry no gradients, so the live graph never grows with the prefix
+length. Short mode is the one-clip stream: its window is clip 0, with an
+empty context and no prefix.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ class WindowSpec:
             raise ValueError(
                 f"start_clip {self.start_clip} outside [0, {self.total_clips - self.window_clips}]")
 
-    def required_clips(self) -> int:
-        """Clips that must exist before optimization can run: prefix plus window."""
-        return self.start_clip + self.window_clips
-
 
 def select_window(total_clips: int, window_clips: int, rng: np.random.Generator) -> int:
     """Uniform clip-aligned start in [0, total_clips - window_clips]."""
@@ -49,7 +47,12 @@ def select_window(total_clips: int, window_clips: int, rng: np.random.Generator)
 
 
 def epoch_window(cfg: RunConfig, epoch: int) -> WindowSpec:
-    """The epoch's shared window; derived from (seed, epoch) so workers agree."""
+    """The epoch's shared window; derived from (seed, epoch) so workers agree.
+
+    Short mode draws nothing: its window is the single clip at clip 0.
+    """
+    if cfg.mode == "short":
+        return WindowSpec(total_clips=1, window_clips=1, start_clip=0)
     stream = rngmod.substream(cfg.seed, rngmod.WINDOW_STREAM, epoch)
     start = select_window(cfg.total_clips, cfg.window_clips, stream)
     return WindowSpec(total_clips=cfg.total_clips, window_clips=cfg.window_clips,
@@ -66,10 +69,13 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
     prompt, in prompt order. The contexts are detached: push_clip stores
     plain array copies, so they hold no graph. Frames beyond the
     sink+rolling bound are already gone, so the cost of carrying history is
-    constant in start_clip.
+    constant in start_clip. At start_clip 0 the contexts are empty and no
+    stream is opened.
     """
     empty = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
     ctxs = [empty] * len(prompts)
+    if start_clip == 0:
+        return ctxs
     streams = rngmod.substreams([(cfg.seed, rngmod.PREFIX_STREAM, epoch, p.pid)
                                  for p in prompts])
     vecs = np.stack([p.vec for p in prompts])
@@ -86,36 +92,25 @@ def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
                    epoch: int) -> list[nftcore.GroupData]:
     """Branch every prompt's group at the window: each candidate extends its own context.
 
-    Each window clip is decoded for all prompts' candidates at once,
-    prompt-major, every row conditioned on its own candidate's context
-    summary. Returns one GroupData per prompt, in prompt order, whose rows
-    are candidate-major, one row per (candidate, window clip), each with the
-    context summary that conditioned it. Rewards see each candidate's window
-    as one frame stack.
+    The prefix is decoded first; then streamctx.group_rollout decodes the
+    window for all prompts' candidates at once. Returns one GroupData per
+    prompt, in prompt order, whose rows are candidate-major, one row per
+    (candidate, window clip), each with the context summary that
+    conditioned it. Rewards see each candidate's window as one frame stack.
     """
-    prefixes = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
-    g, w, n = cfg.group_size, spec.window_clips, len(prompts)
+    g, w = cfg.group_size, spec.window_clips
+    ctxs = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
     keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
-    streams = streamctx.candidate_streams(keys, g)
-    vecs = np.repeat(np.stack([p.vec for p in prompts]), g, axis=0)
-    ctxs = [prefix for prefix in prefixes for _ in range(g)]
-    summaries, window = [], []
     with nftcore.abort_on_nonfinite(epoch, prompts, g):
-        for _ in range(w):
-            summary = np.stack([ctx.summary() for ctx in ctxs])
-            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
-            ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
-            summaries.append(summary)
-            window.append(clips)
-    window = np.stack(window, axis=1).reshape(n, g, w, cfg.clip_len, cfg.frame_dim)
-    summaries = np.stack(summaries, axis=1).reshape(n, g * w, -1)
+        clips, summaries = streamctx.group_rollout(theta_old, ctxs, prompts, g, schedule,
+                                                   keys, w)
     return [nftcore.GroupData(
         prompt=prompt,
-        x0_rows=window[k].reshape(g * w, -1),
-        ctx_rows=summaries[k],
+        x0_rows=window.reshape(g * w, -1),
+        ctx_rows=summary.reshape(g * w, -1),
         row_candidate=np.repeat(np.arange(g), w),
-        clips=list(window[k].reshape(g, w * cfg.clip_len, cfg.frame_dim)),
-    ) for k, prompt in enumerate(prompts)]
+        clips=list(window.reshape(g, w * cfg.clip_len, cfg.frame_dim)),
+    ) for prompt, window, summary in zip(prompts, clips, summaries)]
 
 
 def train_window_epoch(policies: nftcore.PolicyTriple, prompts: list[flowgen.Prompt],
@@ -123,7 +118,7 @@ def train_window_epoch(policies: nftcore.PolicyTriple, prompts: list[flowgen.Pro
                        schedule: flowgen.TimestepSchedule,
                        normalizer: rewardlab.RewardNormalizer, risk: rewardlab.RiskState,
                        optimizer: tg.AdamW) -> dict:
-    """One streaming epoch: shared window choice, prefix rollout, window optimization."""
+    """One epoch of either mode: shared window choice, prefix rollout, window optimization."""
     spec = epoch_window(cfg, state.epoch)
 
     def rollout_fn(theta_old, prompts, epoch):

@@ -8,9 +8,10 @@ from poorly-scored ones. Candidates whose judge rankings disagree are pulled
 toward a frozen reference policy instead of being trusted; the reference
 refreshes when that pull grows too large or too stale.
 
-The same optimization engine serves the short-clip path (empty context,
-one clip per candidate) and the streaming long path (prefix context, a
-window of clips per candidate); they differ only in how groups are built.
+The engine takes its groups from a rollout function. The streaming path
+in longtune supplies it for both modes (short mode is a one-clip window at
+clip 0 with an empty context), so this module never decodes candidates
+itself.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flowgen, rewardlab, streamctx
+from . import flowgen, rewardlab
 from . import rng as rngmod
 from . import tensorgrad as tg
 from .config import RunConfig
@@ -181,26 +182,6 @@ class ScoredGroup:
     tau: float
 
 
-def short_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
-                  epoch: int, cfg: RunConfig,
-                  schedule: flowgen.TimestepSchedule) -> list[GroupData]:
-    """Fresh-context candidate groups: one clip per candidate, shared empty context.
-
-    Every prompt's group comes out of one batched group_rollout; returns one
-    GroupData per prompt, in prompt order.
-    """
-    g = cfg.group_size
-    ctx = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
-    keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
-    with abort_on_nonfinite(epoch, prompts, g):
-        clips = streamctx.group_rollout(theta_old, ctx, prompts, g, schedule, keys)
-    summary = ctx.summary()
-    return [GroupData(prompt=prompt, x0_rows=group.reshape(g, -1),
-                      ctx_rows=np.tile(summary, (g, 1)), row_candidate=np.arange(g),
-                      clips=list(group))
-            for prompt, group in zip(prompts, clips)]
-
-
 def score_group(data: GroupData, cfg: RunConfig, normalizer: rewardlab.RewardNormalizer,
                 risk: rewardlab.RiskState) -> ScoredGroup:
     """Judge, standardize, center into advantages, and mark rank disagreement."""
@@ -310,13 +291,13 @@ def abort_on_nonfinite(epoch: int, prompts: list[flowgen.Prompt], rows_per_promp
 def train_epoch(policies: PolicyTriple, prompts: list[flowgen.Prompt], state: TrainState,
                 cfg: RunConfig, schedule: flowgen.TimestepSchedule,
                 normalizer: rewardlab.RewardNormalizer, risk: rewardlab.RiskState,
-                optimizer: tg.AdamW, rollout_fn=None) -> dict:
+                optimizer: tg.AdamW, rollout_fn) -> dict:
     """One full epoch: one rollout pass over all prompts, scoring, then per-group optimization.
 
     rollout_fn(theta_old, prompts, epoch) -> list[GroupData] rolls out every
     prompt's candidate group under theta_old at once and returns the groups in
-    prompt order; default is short_rollout, the streaming long path swaps in
-    its window rollout. The rollout raises EpochAborted naming the prompt
+    prompt order; longtune.train_window_epoch passes its window rollout,
+    which serves both modes. The rollout raises EpochAborted naming the prompt
     whose rows went non-finite; a bare NonFiniteError from it is charged to
     the first prompt. Groups are then scored one by one, in prompt order, so
     the normalizer and risk state update exactly as in a per-prompt loop.
@@ -324,10 +305,6 @@ def train_epoch(policies: PolicyTriple, prompts: list[flowgen.Prompt], state: Tr
     """
     t_start = time.perf_counter()
     epoch = state.epoch
-    if rollout_fn is None:
-        def rollout_fn(theta_old, prompts, ep):
-            return short_rollout(theta_old, prompts, ep, cfg, schedule)
-
     try:
         groups = rollout_fn(policies.theta_old, prompts, epoch)
     except tg.NonFiniteError as err:

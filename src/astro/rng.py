@@ -153,19 +153,3 @@ def substreams(keys) -> list[np.random.Generator]:
         for i, state in zip(rows, states):
             gens[i] = np.random.Generator(np.random.PCG64(_State(state)))
     return gens
-
-
-class CountingStream:
-    """Generator wrapper that counts standard_normal calls.
-
-    Tests use it to audit draw budgets (e.g. a sampler consumes exactly one
-    draw per step, a group rollout never touches the prefix stream).
-    """
-
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self.draws = 0
-
-    def standard_normal(self, size=None):
-        self.draws += 1
-        return self.gen.standard_normal(size)

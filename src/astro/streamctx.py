@@ -76,32 +76,40 @@ def push_clip(ctx: ContextWindow, clip: np.ndarray) -> ContextWindow:
 
 
 def group_base_key(seed: int, epoch: int, pid: int) -> tuple[int, ...]:
-    """Base of the candidate substream keys; candidate index is appended per clip."""
+    """Base of the candidate substream keys; group_rollout appends the candidate index."""
     return (seed, rngmod.CANDIDATE_STREAM, epoch, pid)
 
 
-def candidate_streams(base_keys, group_size: int) -> list[np.random.Generator]:
-    """Prompt-major candidate streams; candidate i of prompt p draws from base_keys[p] + (i,)."""
-    return rngmod.substreams([key + (i,) for key in base_keys for i in range(group_size)])
-
-
-def group_rollout(params_old: dict[str, np.ndarray], ctx: ContextWindow,
+def group_rollout(params_old: dict[str, np.ndarray], ctxs: list[ContextWindow],
                   prompts: list[flowgen.Prompt], group_size: int,
-                  schedule: flowgen.TimestepSchedule,
-                  base_keys: list[tuple[int, ...]]) -> np.ndarray:
-    """Decode group_size candidate clips per prompt from one shared frozen context.
+                  schedule: flowgen.TimestepSchedule, base_keys: list[tuple[int, ...]],
+                  n_clips: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode n_clips clips for each of group_size candidates per prompt.
 
-    All prompts' candidates are decoded together, prompt-major, one batched
-    forward per schedule step; candidate i of prompt p draws only from its
-    own substream keyed by base_keys[p] + (i,), so candidates are independent
-    of each other, of group_size and of the other prompts. Returns a
-    (len(prompts), group_size, clip_len, frame_dim) stack.
+    Every candidate of prompt p starts from the frozen context ctxs[p] and
+    extends its own copy, pushing each clip before decoding the next (never
+    after the last), so ctxs are left unchanged. Clip k of every prompt's
+    candidates is decoded together, prompt-major, one batched forward per
+    schedule step; candidate i of prompt p draws only from its own substream
+    keyed by base_keys[p] + (i,), so candidates are independent of each
+    other, of group_size and of the other prompts. Returns the clips, a
+    (len(prompts), group_size, n_clips, clip_len, frame_dim) stack, and the
+    context summaries that conditioned them, (len(prompts), group_size,
+    n_clips, 2 * frame_dim).
     """
     if group_size < 2:
         raise ValueError("group_size must be at least 2")
-    n = len(prompts) * group_size
-    summary = np.broadcast_to(ctx.summary(), (n, 2 * ctx.frame_dim))
+    streams = rngmod.substreams([key + (i,) for key in base_keys for i in range(group_size)])
     vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)
-    clips = flowgen.sample_clips(params_old, summary, vecs, schedule,
-                                 candidate_streams(base_keys, group_size))
-    return clips.reshape(len(prompts), group_size, *clips.shape[1:])
+    summary = np.repeat(np.stack([ctx.summary() for ctx in ctxs]), group_size, axis=0)
+    cand_ctxs = [ctx for ctx in ctxs for _ in range(group_size)]
+    clips, summaries = [], []
+    for k in range(n_clips):
+        if k:
+            cand_ctxs = [push_clip(ctx, clip) for ctx, clip in zip(cand_ctxs, clips[-1])]
+            summary = np.stack([ctx.summary() for ctx in cand_ctxs])
+        summaries.append(summary)
+        clips.append(flowgen.sample_clips(params_old, summary, vecs, schedule, streams))
+    shape = (len(ctxs), group_size, n_clips)
+    return (np.stack(clips, axis=1).reshape(*shape, *clips[0].shape[1:]),
+            np.stack(summaries, axis=1).reshape(*shape, -1))

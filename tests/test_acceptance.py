@@ -34,8 +34,8 @@ def pretrained_base(cfg: RunConfig) -> dict[str, np.ndarray]:
 
 def run_training(cfg: RunConfig, epochs: int | None = None,
                  base: dict[str, np.ndarray] | None = None) -> list[dict]:
-    """Pretrain (unless given the pretrained base), then run train_epoch for
-    cfg.epochs (or an override)."""
+    """Pretrain (unless given the pretrained base), then run train_window_epoch
+    for cfg.epochs (or an override)."""
     schedule, _, prompts = cli.build_world(cfg)
     if base is None:
         base = pretrained_base(cfg)
@@ -46,8 +46,8 @@ def run_training(cfg: RunConfig, epochs: int | None = None,
     opt = cli.make_optimizer(cfg)
     rows = []
     for _ in range(epochs if epochs is not None else cfg.epochs):
-        rows.append(nftcore.train_epoch(policies, prompts, state, cfg, schedule,
-                                        norm, risk, opt))
+        rows.append(longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
+                                                norm, risk, opt))
     return rows
 
 
@@ -194,7 +194,7 @@ def test_c05_bounded_context_and_rollout_purity():
     prompt = flowgen.make_prompt(0, np.random.default_rng(7), 4)
     before_frames = ctx.frames().copy()
     before_summary = ctx.summary().copy()
-    streamctx.group_rollout(params, ctx, [prompt], 4, schedule, [(0, 2, 0, 0)])
+    streamctx.group_rollout(params, [ctx], [prompt], 4, schedule, [(0, 2, 0, 0)], 1)
     pure = (np.array_equal(ctx.frames(), before_frames)
             and np.array_equal(ctx.summary(), before_summary)
             and ctx.frame_count() == 24)
@@ -385,7 +385,8 @@ def test_c10_reference_reset_and_ema_semantics():
     schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
-    (data,) = nftcore.short_rollout(policies.theta_old, [prompt], 0, cfg, schedule)
+    (data,) = longtune.window_rollout(policies.theta_old, [prompt],
+                                      longtune.epoch_window(cfg, 0), cfg, schedule, 0)
     norm, risk = rewardlab.RewardNormalizer(), rewardlab.RiskState()
     scored = nftcore.score_group(data, cfg, norm, risk)
     scored.mask[:] = True

@@ -7,7 +7,18 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from astro import flowgen, rng as arng
-from astro.rng import CountingStream
+
+
+class CountingStream:
+    """Generator wrapper that counts standard_normal calls, to audit draw budgets."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self.draws = 0
+
+    def standard_normal(self, size=None):
+        self.draws += 1
+        return self.gen.standard_normal(size)
 
 
 def test_shift_map_hand_value():
@@ -137,6 +148,18 @@ def test_predict_clean_graph_path_matches_numpy_path():
     graph = tg.GradGraph()
     node = flowgen.predict_clean_batch(params, xt, t, ctx, pv, graph=graph)
     assert np.array_equal(plain, node.value)
+
+
+def test_counting_stream():
+    counter = CountingStream(arng.substream(0, 1))
+    assert counter.draws == 0
+    counter.standard_normal(5)
+    counter.standard_normal((2, 3))
+    assert counter.draws == 2
+    # draws pass through unchanged
+    plain = arng.substream(0, 1).standard_normal(5)
+    again = CountingStream(arng.substream(0, 1)).standard_normal(5)
+    assert np.array_equal(plain, again)
 
 
 def sampler_world(seed, rows=5):

@@ -1,0 +1,53 @@
+"""Module layering: the astro modules import each other without a cycle.
+
+The epoch engine (nftcore) takes its rollout as an argument and longtune
+supplies it, so nftcore must never import longtune; a cycle anywhere would
+also make the import order of the package matter.
+"""
+
+from __future__ import annotations
+
+import ast
+import graphlib
+from pathlib import Path
+
+import astro
+
+SRC = Path(astro.__file__).parent
+
+
+def astro_imports(path: Path) -> set[str]:
+    """Names of the astro modules a source file imports, wherever the import sits."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("astro."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("astro."))
+    return found
+
+
+def import_graph() -> dict[str, set[str]]:
+    return {path.stem: astro_imports(path) for path in sorted(SRC.glob("*.py"))
+            if path.stem != "__init__"}
+
+
+def test_import_graph_is_read():
+    graph = import_graph()
+    assert "nftcore" in graph["longtune"]
+    assert "longtune" in graph["cli"]
+    assert {"config", "rng"} <= graph["nftcore"]
+
+
+def test_astro_modules_import_without_cycle():
+    graph = import_graph()
+    assert set().union(*graph.values()) <= set(graph)
+    # static_order raises CycleError naming the modules of any cycle.
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+    assert order.index("nftcore") < order.index("longtune")

@@ -35,8 +35,7 @@ def make_world(cfg, n_prompts=2):
 
 
 def test_window_spec_validation():
-    spec = longtune.WindowSpec(total_clips=8, window_clips=2, start_clip=6)
-    assert spec.required_clips() == 8
+    longtune.WindowSpec(total_clips=8, window_clips=2, start_clip=6)
     with pytest.raises(ValueError):
         longtune.WindowSpec(total_clips=8, window_clips=2, start_clip=7)
     with pytest.raises(ValueError):
@@ -180,6 +179,62 @@ def test_window_rollout_matches_per_prompt_reference():
         assert np.max(np.abs(data.ctx_rows - ref_ctx)) <= 1e-12
 
 
+def test_group_rollout_matches_per_prompt_window_reference():
+    # With no prefix both decode the same G-row batches, so the bits agree.
+    cfg = small_config()
+    policies, schedule, prompts = make_world(cfg, n_prompts=1)
+    spec = longtune.WindowSpec(cfg.total_clips, window_clips=3, start_clip=0)
+    prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
+        policies.theta_old, prompts[0], spec, cfg, schedule, 2)
+    g, w = cfg.group_size, spec.window_clips
+    clips, summaries = streamctx.group_rollout(
+        policies.theta_old, [prefix], prompts, g, schedule,
+        [streamctx.group_base_key(cfg.seed, 2, prompts[0].pid)], w)
+    assert clips.shape == (1, g, w, cfg.clip_len, cfg.frame_dim)
+    assert np.array_equal(clips.reshape(g * w, -1), ref_rows)
+    assert np.array_equal(summaries.reshape(g * w, -1), ref_ctx)
+
+
+def count_calls(monkeypatch, owner, name, log):
+    """Replace owner.name with a wrapper that appends each call's arguments to log."""
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        log.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("mode,start,window", [
+    ("short", 0, 1), ("long", 0, 2), ("long", 3, 2), ("long", 1, 3)])
+def test_rollout_work_budget(monkeypatch, mode, start, window):
+    # Each prefix clip pushes once per prompt. Window candidates push only
+    # between their clips, never after the last, and read their shared
+    # branch context once per prompt. Short mode opens no prefix or window
+    # stream.
+    cfg = small_config(mode=mode, window_clips=window)
+    policies, schedule, prompts = make_world(cfg, n_prompts=3)
+    pushes, summaries, keys, batches = [], [], [], []
+    count_calls(monkeypatch, streamctx, "push_clip", pushes)
+    count_calls(monkeypatch, streamctx.ContextWindow, "summary", summaries)
+    count_calls(monkeypatch, arng, "substream", keys)
+    count_calls(monkeypatch, arng, "substreams", batches)
+    if mode == "short":
+        spec = longtune.epoch_window(cfg, 0)
+        assert spec == longtune.WindowSpec(total_clips=1, window_clips=1, start_clip=0)
+    else:
+        spec = longtune.WindowSpec(cfg.total_clips, window, start)
+    longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 0)
+    p, g = len(prompts), cfg.group_size
+    assert len(pushes) == p * start + p * g * (window - 1)
+    assert len(summaries) == p * start + p + p * g * (window - 1)
+    tags = [key[1] for key in keys + [key for (batch,) in batches for key in batch]]
+    assert tags.count(arng.PREFIX_STREAM) == p * (start > 0)
+    assert tags.count(arng.WINDOW_STREAM) == 0
+    assert tags.count(arng.CANDIDATE_STREAM) == p * g
+
+
 def test_window_rollout_group_independent_of_other_prompts():
     cfg = small_config()
     policies, schedule, prompts = make_world(cfg, n_prompts=4)
@@ -233,24 +288,19 @@ def test_graph_size_independent_of_prefix_length():
 
 
 def test_single_clip_stream_equals_short_path():
-    # total_clips=1, window_clips=1 puts the window at clip 0 with no prefix;
-    # the streaming path must then reproduce the short path bit for bit.
+    # total_clips=1, window_clips=1 puts the long-mode window at clip 0 with
+    # no prefix; it must then reproduce short mode bit for bit.
     runs = []
-    for use_long in (False, True):
-        cfg = small_config(total_clips=1, window_clips=1,
-                           mode="long" if use_long else "short")
+    for mode in ("short", "long"):
+        cfg = small_config(total_clips=1, window_clips=1, mode=mode)
         policies, schedule, prompts = make_world(cfg)
         state = nftcore.TrainState()
         opt = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                        eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
         norm = rewardlab.RewardNormalizer()
         risk = rewardlab.RiskState(rho0=cfg.rho0, rho=cfg.rho0)
-        if use_long:
-            metrics = longtune.train_window_epoch(
-                policies, prompts, state, cfg, schedule, norm, risk, opt)
-        else:
-            metrics = nftcore.train_epoch(
-                policies, prompts, state, cfg, schedule, norm, risk, opt)
+        metrics = longtune.train_window_epoch(
+            policies, prompts, state, cfg, schedule, norm, risk, opt)
         runs.append((metrics, policies.theta))
     short_m, long_m = runs[0][0], runs[1][0]
     assert long_m["window_start"] == 0

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from astro import flowgen, nftcore, rewardlab, streamctx, rng as arng
+from astro import flowgen, longtune, nftcore, rewardlab, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig
 
@@ -409,7 +409,7 @@ def test_train_epoch_runs_and_is_deterministic():
         state = nftcore.TrainState()
         opt = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                        eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-        metrics = nftcore.train_epoch(
+        metrics = longtune.train_window_epoch(
             policies, prompts, state, cfg, schedule,
             rewardlab.RewardNormalizer(), rewardlab.RiskState(rho0=cfg.rho0, rho=cfg.rho0),
             opt)
@@ -430,8 +430,8 @@ def test_train_epoch_advances_state():
     policies, schedule, prompts = make_world(cfg)
     state = nftcore.TrainState()
     opt = tg.AdamW(lr=cfg.lr)
-    nftcore.train_epoch(policies, prompts, state, cfg, schedule,
-                        rewardlab.RewardNormalizer(), rewardlab.RiskState(), opt)
+    longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
+                                rewardlab.RewardNormalizer(), rewardlab.RiskState(), opt)
     assert state.epoch == 1
     assert state.steps == len(prompts)
 
@@ -445,11 +445,17 @@ def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):
     return flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
 
 
+def short_mode_rollout(theta_old, prompts, epoch, cfg, schedule):
+    """Short mode's rollout: the streaming window of one clip at clip 0."""
+    spec = longtune.epoch_window(cfg, epoch)
+    return longtune.window_rollout(theta_old, prompts, spec, cfg, schedule, epoch)
+
+
 def test_short_rollout_matches_per_prompt_reference():
     cfg = small_config()
     policies, schedule, prompts = make_world(cfg, n_prompts=5)
     g = cfg.group_size
-    groups = nftcore.short_rollout(policies.theta_old, prompts, 3, cfg, schedule)
+    groups = short_mode_rollout(policies.theta_old, prompts, 3, cfg, schedule)
     assert [d.prompt for d in groups] == prompts
     for prompt, data in zip(prompts, groups):
         ref = per_prompt_short_group(policies.theta_old, prompt, 3, cfg, schedule)
@@ -462,11 +468,11 @@ def test_short_rollout_matches_per_prompt_reference():
 def test_short_rollout_group_independent_of_other_prompts():
     cfg = small_config()
     policies, schedule, prompts = make_world(cfg, n_prompts=4)
-    together = nftcore.short_rollout(policies.theta_old, prompts, 1, cfg, schedule)
-    reversed_order = nftcore.short_rollout(policies.theta_old, prompts[::-1], 1, cfg,
-                                           schedule)[::-1]
+    together = short_mode_rollout(policies.theta_old, prompts, 1, cfg, schedule)
+    reversed_order = short_mode_rollout(policies.theta_old, prompts[::-1], 1, cfg,
+                                        schedule)[::-1]
     for k, prompt in enumerate(prompts):
-        (alone,) = nftcore.short_rollout(policies.theta_old, [prompt], 1, cfg, schedule)
+        (alone,) = short_mode_rollout(policies.theta_old, [prompt], 1, cfg, schedule)
         assert np.array_equal(alone.x0_rows, together[k].x0_rows)
         assert np.array_equal(reversed_order[k].x0_rows, together[k].x0_rows)
 
@@ -476,9 +482,9 @@ def test_train_epoch_abort_names_prompt_whose_rows_blew_up():
     policies, schedule, prompts = make_world(cfg, n_prompts=4)
     prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
     with pytest.raises(nftcore.EpochAborted) as exc:
-        nftcore.train_epoch(policies, prompts, nftcore.TrainState(), cfg, schedule,
-                            rewardlab.RewardNormalizer(), rewardlab.RiskState(),
-                            tg.AdamW(lr=cfg.lr))
+        longtune.train_window_epoch(policies, prompts, nftcore.TrainState(), cfg, schedule,
+                                    rewardlab.RewardNormalizer(), rewardlab.RiskState(),
+                                    tg.AdamW(lr=cfg.lr))
     assert exc.value.pid == prompts[2].pid
     assert isinstance(exc.value.cause, tg.NonFiniteError)
 
@@ -529,9 +535,9 @@ def test_epoch_mode_ema_ticks_once_per_epoch():
     policies, schedule, prompts = make_world(cfg)
     before = nftcore.copy_params(policies.theta_old)
     state = nftcore.TrainState()
-    nftcore.train_epoch(policies, prompts, state, cfg, schedule,
-                        rewardlab.RewardNormalizer(), rewardlab.RiskState(),
-                        tg.AdamW(lr=cfg.lr))
+    longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
+                                rewardlab.RewardNormalizer(), rewardlab.RiskState(),
+                                tg.AdamW(lr=cfg.lr))
     # exactly one EMA application: old' = gamma*old + (1-gamma)*theta_final
     # cannot reconstruct theta_final cheaply here, but old must have moved
     assert any(not np.array_equal(policies.theta_old[k], before[k]) for k in before)

@@ -1,4 +1,4 @@
-"""Keyed substreams: deterministic, distinct, countable, and seeded in bulk bit-for-bit."""
+"""Keyed substreams: deterministic, distinct, and seeded in bulk bit-for-bit."""
 
 from __future__ import annotations
 
@@ -34,18 +34,6 @@ def test_stream_tags_distinct():
 def test_substream_rejects_empty_key():
     with pytest.raises(ValueError):
         arng.substream()
-
-
-def test_counting_stream():
-    counter = arng.CountingStream(arng.substream(0, 1))
-    assert counter.draws == 0
-    counter.standard_normal(5)
-    counter.standard_normal((2, 3))
-    assert counter.draws == 2
-    # draws pass through unchanged
-    plain = arng.substream(0, 1).standard_normal(5)
-    again = arng.CountingStream(arng.substream(0, 1)).standard_normal(5)
-    assert np.array_equal(plain, again)
 
 
 # Seeds 0, 2**32-1 (largest one-word) and 2**40+3 (two words), zero

@@ -125,7 +125,8 @@ def test_trajectory_summary_matches_real_window_pushes():
             ctx, flowgen.target_clip(phase, k, clip_len, frame_dim))
 
 
-def test_group_rollout_leaves_context_bit_unchanged():
+@pytest.mark.parametrize("n_clips", [1, 2])
+def test_group_rollout_leaves_context_bit_unchanged(n_clips):
     rng = np.random.default_rng(2)
     params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=32)
     sched = flowgen.make_schedule()
@@ -137,10 +138,11 @@ def test_group_rollout_leaves_context_bit_unchanged():
     before_sink = [f.copy() for f in ctx.sink]
     before_roll = [f.copy() for f in ctx.rolling]
 
-    (clips,) = streamctx.group_rollout(
-        params, ctx, [prompt], group_size=4, schedule=sched,
-        base_keys=[streamctx.group_base_key(0, 0, 0)])
-    assert len(clips) == 4
+    (clips,), _ = streamctx.group_rollout(
+        params, [ctx], [prompt], group_size=4, schedule=sched,
+        base_keys=[streamctx.group_base_key(0, 0, 0)], n_clips=n_clips)
+    assert clips.shape == (4, n_clips, 4, 8)
+    assert ctx.total_generated == 8
     for f_before, f_after in zip(before_sink, ctx.sink):
         assert np.array_equal(f_before, f_after)
     for f_before, f_after in zip(before_roll, ctx.rolling):
@@ -155,14 +157,14 @@ def test_group_rollout_candidates_distinct_and_reproducible():
     ctx = streamctx.empty_context(frame_dim=8)
 
     key = streamctx.group_base_key(7, 3, 1)
-    (a,) = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key])
-    (b,) = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key])
+    (a,), _ = streamctx.group_rollout(params, [ctx], [prompt], 4, sched, [key], 1)
+    (b,), _ = streamctx.group_rollout(params, [ctx], [prompt], 4, sched, [key], 1)
     for ca, cb in zip(a, b):
         assert np.array_equal(ca, cb)
     assert np.any(a[0] != a[1])
 
-    (other_epoch,) = streamctx.group_rollout(
-        params, ctx, [prompt], 4, sched, [streamctx.group_base_key(7, 4, 1)])
+    (other_epoch,), _ = streamctx.group_rollout(
+        params, [ctx], [prompt], 4, sched, [streamctx.group_base_key(7, 4, 1)], 1)
     assert np.any(a[0] != other_epoch[0])
 
 
@@ -173,8 +175,8 @@ def test_group_rollout_candidate_independent_of_group_size():
     prompt = flowgen.make_prompt(2, arng.substream(0, arng.PROMPT_STREAM, 2))
     ctx = streamctx.push_clip(streamctx.empty_context(frame_dim=8), rng.standard_normal((4, 8)))
     key = streamctx.group_base_key(1, 5, 2)
-    (four,) = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key])
-    (eight,) = streamctx.group_rollout(params, ctx, [prompt], 8, sched, [key])
+    (four,), _ = streamctx.group_rollout(params, [ctx], [prompt], 4, sched, [key], 1)
+    (eight,), _ = streamctx.group_rollout(params, [ctx], [prompt], 8, sched, [key], 1)
     assert np.max(np.abs(four - eight[:4])) <= 1e-12
 
 
@@ -184,8 +186,8 @@ def test_group_rollout_rejects_singleton_group():
     prompt = flowgen.make_prompt(0, arng.substream(0, arng.PROMPT_STREAM, 0))
     with pytest.raises(ValueError):
         streamctx.group_rollout(
-            params, streamctx.empty_context(frame_dim=8), [prompt], 1,
-            flowgen.make_schedule(), [streamctx.group_base_key(0, 0, 0)])
+            params, [streamctx.empty_context(frame_dim=8)], [prompt], 1,
+            flowgen.make_schedule(), [streamctx.group_base_key(0, 0, 0)], 1)
 
 
 def test_candidate_key_layout():
