@@ -88,10 +88,13 @@ def pack_checkpoint(policies: nftcore.PolicyTriple, optimizer: tg.AdamW,
 
 
 def unpack_checkpoint(arrays: dict, meta: dict, cfg: RunConfig):
-    """Rebuild training state from checkpoint arrays; inverse of pack_checkpoint."""
-    def collect(prefix: str) -> dict[str, np.ndarray]:
+    """Rebuild training state from checkpoint arrays; inverse of pack_checkpoint.
+
+    Each policy and each optimizer moment comes back as one flat buffer.
+    """
+    def collect(prefix: str) -> tg.FlatParams:
         plen = len(prefix)
-        return {k[plen:]: v.copy() for k, v in arrays.items() if k.startswith(prefix)}
+        return tg.flatten({k[plen:]: v for k, v in arrays.items() if k.startswith(prefix)})
 
     policies = nftcore.PolicyTriple(theta=collect("theta/"),
                                     theta_old=collect("theta_old/"),

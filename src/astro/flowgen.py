@@ -163,17 +163,17 @@ def net_input_dim(frame_dim: int, clip_len: int, prompt_dim: int) -> int:
 
 
 def init_net(rng: np.random.Generator, frame_dim: int, clip_len: int,
-             prompt_dim: int, hidden: int = 128) -> dict[str, np.ndarray]:
-    """Two tanh hidden layers, linear head back to a flattened clip."""
+             prompt_dim: int, hidden: int = 128) -> tg.FlatParams:
+    """Two tanh hidden layers, linear head back to a flattened clip; flat parameters."""
     d_in = net_input_dim(frame_dim, clip_len, prompt_dim)
     d_out = clip_len * frame_dim
     def layer(fan_in, fan_out):
         return rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
-    return {
+    return tg.flatten({
         "w1": layer(d_in, hidden), "b1": np.zeros((1, hidden)),
         "w2": layer(hidden, hidden), "b2": np.zeros((1, hidden)),
         "w3": layer(hidden, d_out), "b3": np.zeros((1, d_out)),
-    }
+    })
 
 
 def time_features(t) -> np.ndarray:
@@ -208,7 +208,16 @@ def assemble_input(xt_flat: np.ndarray, t, ctx_summary, prompt_vec) -> np.ndarra
 def predict_clean_batch(params: dict[str, np.ndarray], xt_flat: np.ndarray, t,
                         ctx_summary, prompt_vec, graph: tg.GradGraph | None = None):
     """Predicted clean clips, flattened. With a graph, the result is a trainable Node."""
-    x = assemble_input(xt_flat, t, ctx_summary, prompt_vec)
+    return mlp_forward(params, assemble_input(xt_flat, t, ctx_summary, prompt_vec), graph)
+
+
+def mlp_forward(params: dict[str, np.ndarray], x: np.ndarray,
+                graph: tg.GradGraph | None = None):
+    """The predictor on assembled input rows (see assemble_input).
+
+    With a graph, the result is a trainable Node; without one, a
+    NonFiniteError carries the first row whose prediction is not finite.
+    """
     p, tanh = params, np.tanh
     if graph is not None:
         p, x, tanh = graph.parameters(params), graph.constant(x), tg.Node.tanh
@@ -309,11 +318,12 @@ def make_corpus(seed: int, n_prompts: int = 16, horizon: int = 8, sink: int = 3,
 def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator, *,
                   schedule: TimestepSchedule | None = None, hidden: int = 128,
                   lr: float = 3e-3, batch_size: int = 16,
-                  init: dict[str, np.ndarray] | None = None):
+                  init: tg.FlatParams | None = None):
     """Regress the predictor onto clean clips under schedule-sampled noising.
 
-    Returns (params, per-step losses). steps=0 returns the initialization
-    untouched. A non-finite loss aborts with PretrainDivergence.
+    Returns (flat params, per-step losses); init, when given, is updated in
+    place. steps=0 returns the initialization untouched. A non-finite loss
+    aborts with PretrainDivergence.
     """
     schedule = schedule or make_schedule()
     prompt_dim = corpus.prompts[0].vec.shape[0]

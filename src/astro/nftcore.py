@@ -29,17 +29,18 @@ from . import tensorgrad as tg
 from .config import RunConfig
 
 
-def copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
+def copy_params(params: dict[str, np.ndarray]) -> tg.FlatParams:
+    """An independent flat copy; plain name-keyed dicts are accepted too."""
+    return tg.flatten(params)
 
 
 @dataclass
 class PolicyTriple:
-    """Trainable policy, EMA behavior policy, and frozen reference."""
+    """Trainable policy, EMA behavior policy, and frozen reference, each flat."""
 
-    theta: dict[str, np.ndarray]
-    theta_old: dict[str, np.ndarray]
-    theta_ref: dict[str, np.ndarray]
+    theta: tg.FlatParams
+    theta_old: tg.FlatParams
+    theta_ref: tg.FlatParams
 
     @classmethod
     def from_base(cls, base: dict[str, np.ndarray]) -> "PolicyTriple":
@@ -138,12 +139,22 @@ def total_loss(policy, kl, lambda_kl: float):
 # --- reference / EMA management ---
 
 
-def ema_update(theta_old: dict[str, np.ndarray], theta: dict[str, np.ndarray],
-               gamma: float) -> dict[str, np.ndarray]:
-    """Soft update: gamma of the old policy, (1 - gamma) of the trainable one."""
+def ema_update(theta_old: tg.FlatParams, theta: tg.FlatParams, gamma: float) -> None:
+    """Soft update in place: theta_old becomes gamma * theta_old + (1 - gamma) * theta.
+
+    Both policies must share one flat layout; the update is three
+    whole-vector ops into theta_old's scratch vector, with the rounding of
+    the per-element expression above.
+    """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    return {k: gamma * theta_old[k] + (1.0 - gamma) * theta[k] for k in theta_old}
+    if theta_old.keys() != theta.keys() or theta_old.flat.shape != theta.flat.shape:
+        raise ValueError("EMA needs two policies with the same parameter layout")
+    old = theta_old.flat
+    pull = theta_old.scratch()
+    old *= gamma
+    np.multiply(theta.flat, 1.0 - gamma, out=pull)
+    old += pull
 
 
 def maybe_reset_reference(state: TrainState, l_kl: float, tau_kl: float, k_max: int) -> bool:
@@ -215,19 +226,18 @@ def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig
                      t: float, eps: np.ndarray):
     """Assemble one mini-batch loss graph. Returns (graph, loss node, info).
 
-    Only theta lives on the graph; the behavior and reference predictions are
+    The network input is assembled once and fed to all three policies. Only
+    theta lives on the graph; the behavior and reference predictions are
     computed off-graph and enter as constants, as does everything downstream
     of the rollout (clean rows, context rows, prompt).
     """
     data = scored.data
     x_t = flowgen.forward_path(data.x0_rows, eps, t)
+    x = flowgen.assemble_input(x_t, t, data.ctx_rows, data.prompt.vec)
     graph = tg.GradGraph()
-    v_theta = flowgen.predict_clean_batch(
-        policies.theta, x_t, t, data.ctx_rows, data.prompt.vec, graph)
-    v_old = flowgen.predict_clean_batch(
-        policies.theta_old, x_t, t, data.ctx_rows, data.prompt.vec)
-    v_ref = flowgen.predict_clean_batch(
-        policies.theta_ref, x_t, t, data.ctx_rows, data.prompt.vec)
+    v_theta = flowgen.mlp_forward(policies.theta, x, graph)
+    v_old = flowgen.mlp_forward(policies.theta_old, x)
+    v_ref = flowgen.mlp_forward(policies.theta_ref, x)
     r_tilde = normalize_advantage(scored.advantages, cfg.a_max)
     r_rows = r_tilde[data.row_candidate]
     mask_rows = scored.mask[data.row_candidate]
@@ -259,7 +269,7 @@ def optimize_group(policies: PolicyTriple, scored: ScoredGroup, state: TrainStat
     optimizer.step(policies.theta, grads)
     state.steps += 1
     if cfg.ema_mode == "step" and state.steps % cfg.ema_interval == 0:
-        policies.theta_old = ema_update(policies.theta_old, policies.theta, cfg.gamma)
+        ema_update(policies.theta_old, policies.theta, cfg.gamma)
     return info
 
 
@@ -324,7 +334,7 @@ def train_epoch(policies: PolicyTriple, prompts: list[flowgen.Prompt], state: Tr
     if reset:
         policies.theta_ref = copy_params(policies.theta)
     if cfg.ema_mode == "epoch":
-        policies.theta_old = ema_update(policies.theta_old, policies.theta, cfg.gamma)
+        ema_update(policies.theta_old, policies.theta, cfg.gamma)
 
     raw_all = np.concatenate([g.raw_scores for g in scored_groups])
     raw_means = raw_all.mean(axis=0)

@@ -7,8 +7,11 @@ records nodes in creation order (which is already topological), backward
 walks the tape once, and detached nodes cut gradient flow structurally: they
 have no parents, so nothing is ever propagated through them.
 
-Also home to the optimizer side: AdamW with decoupled weight decay and global
-gradient-norm clipping, both operating on name-keyed parameter dicts.
+Also home to the optimizer side. Parameters live in FlatParams: name-keyed
+views into one contiguous float64 vector per policy, laid out in sorted-name
+order (build one with flatten). AdamW keeps its moments in the same layout
+and updates the whole vector with in-place array ops. Gradients stay
+name-keyed dicts, which global-norm clipping reads and returns.
 """
 
 from __future__ import annotations
@@ -281,7 +284,7 @@ def apply_primitive(op_id: str, inputs: list, graph: GradGraph, **kw) -> Node:
             nodes.append(graph.constant(x))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         value, ctx = _forward(op_id, [n.value for n in nodes], kw)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteError(f"primitive {op_id!r} produced non-finite values")
     if all(n.detached for n in nodes):
         return graph.constant(value)
@@ -342,12 +345,60 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float,
     return {k: g * scale for k, g in grads.items()}
 
 
-class AdamW:
-    """AdamW with bias correction and decoupled weight decay.
+def _empty_vector(size: int) -> np.ndarray:
+    """Uninitialized float64 vector starting on a 64-byte boundary.
 
-    step() mutates the parameter arrays in place; moment buffers live on the
-    optimizer keyed by parameter name and serialize via state_dict for
-    checkpointing.
+    numpy runs its fastest elementwise loops when every operand shares this
+    alignment; with mixed alignments, a two-operand op on the generator's
+    28k-parameter vector measured about twice as slow (x86-64, numpy 2.4).
+    """
+    buf = np.empty(size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    return buf[start:start + size]
+
+
+class FlatParams(dict):
+    """Name -> array view into one contiguous float64 vector, `flat`.
+
+    Names are laid out in sorted order, so an elementwise op on `flat` does
+    the work of a sorted per-name loop in one call, and with the same bits.
+    The entries are views: update them in place, never rebind a name.
+    Build one with flatten().
+    """
+
+    __slots__ = ("flat", "_scratch")
+
+    def scratch(self) -> np.ndarray:
+        """A vector shaped like flat for in-place updates; made once, then reused."""
+        buf = getattr(self, "_scratch", None)
+        if buf is None:
+            buf = self._scratch = _empty_vector(self.flat.size)
+        return buf
+
+
+def flatten(params: dict[str, np.ndarray]) -> FlatParams:
+    """Copy name-keyed arrays into a fresh FlatParams, in sorted-name order."""
+    names = sorted(params)
+    arrays = [np.asarray(params[k], dtype=np.float64) for k in names]
+    out = FlatParams()
+    out.flat = _empty_vector(sum(a.size for a in arrays))
+    if arrays:
+        np.concatenate([a.ravel() for a in arrays], out=out.flat)
+    offset = 0
+    for name, a in zip(names, arrays):
+        out[name] = out.flat[offset:offset + a.size].reshape(a.shape)
+        offset += a.size
+    return out
+
+
+class AdamW:
+    """AdamW with bias correction and decoupled weight decay over FlatParams.
+
+    step() updates the parameter vector in place with whole-vector ops into
+    the moments' two scratch vectors; each op is one step of the per-element
+    expression of a per-name loop, in its order, so the bits are that loop's.
+    The moments m and v are FlatParams in the parameters' layout; state_dict
+    hands them out by name for checkpointing.
     """
 
     def __init__(self, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4):
@@ -361,28 +412,53 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: FlatParams = flatten({})
+        self.v: FlatParams = flatten({})
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: FlatParams, grads: dict[str, np.ndarray]) -> None:
+        if not isinstance(params, FlatParams):
+            raise TypeError("AdamW.step needs FlatParams; build them with tensorgrad.flatten")
         missing = set(params) - set(grads)
         if missing:
             raise KeyError(f"gradients missing for {sorted(missing)}")
+        names = sorted(params)
+        for name in names:
+            if params[name].shape != grads[name].shape:
+                raise ShapeError(f"gradient shape {grads[name].shape} != parameter shape "
+                                 f"{params[name].shape} for {name!r}")
+        if not self.m:
+            zeros = {k: np.zeros_like(v) for k, v in params.items()}
+            self.m, self.v = flatten(zeros), flatten(zeros)
+        if self.m.keys() != params.keys():
+            raise KeyError(f"moments held for {sorted(self.m)}, parameters are {names}")
+        p, m, v = params.flat, self.m.flat, self.v.flat
+        g, a = self.m.scratch(), self.v.scratch()
+        np.concatenate([grads[name].ravel() for name in names], out=g)
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for name in sorted(params):
-            p, g = params[name], grads[name]
-            if p.shape != g.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            update = (m / b1t) / (np.sqrt(v / b2t) + self.eps) + self.weight_decay * p
-            p -= self.lr * update
-            if not np.all(np.isfinite(p)):
-                raise NonFiniteError(f"parameter {name!r} became non-finite after update")
+        # m += (1 - beta1) * (g - m)
+        np.subtract(g, m, out=a)
+        a *= 1.0 - self.beta1
+        m += a
+        # v += (1 - beta2) * (g * g - v)
+        np.square(g, out=a)
+        a -= v
+        a *= 1.0 - self.beta2
+        v += a
+        # p -= lr * ((m / b1t) / (sqrt(v / b2t) + eps) + weight_decay * p)
+        np.divide(v, b2t, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, b1t, out=g)
+        g /= a
+        np.multiply(p, self.weight_decay, out=a)
+        g += a
+        g *= self.lr
+        p -= g
+        if not np.isfinite(p).all():
+            bad = next(name for name in names if not np.isfinite(params[name]).all())
+            raise NonFiniteError(f"parameter {bad!r} became non-finite after update")
 
     def state_dict(self) -> dict:
         return {
@@ -393,5 +469,5 @@ class AdamW:
 
     def load_state_dict(self, state: dict) -> None:
         self.t = int(state["t"])
-        self.m = {k: np.array(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.array(v, dtype=np.float64) for k, v in state["v"].items()}
+        self.m = flatten(state["m"])
+        self.v = flatten(state["v"])

@@ -402,10 +402,10 @@ def test_c10_reference_reset_and_ema_semantics():
 
     # EMA gap contracts geometrically: after n steps exactly gamma^n of start.
     gamma, n = 0.9, 24
-    theta = {"w": np.full((3, 2), 2.0)}
-    old = {"w": np.full((3, 2), 5.0)}
+    theta = tg.flatten({"w": np.full((3, 2), 2.0)})
+    old = tg.flatten({"w": np.full((3, 2), 5.0)})
     for _ in range(n):
-        old = nftcore.ema_update(old, theta, gamma)
+        nftcore.ema_update(old, theta, gamma)
     gap = float(np.max(np.abs(old["w"] - theta["w"])))
     ema_err = abs(gap - (gamma ** n) * 3.0)
     ema_ok = ema_err <= 1e-12

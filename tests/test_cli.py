@@ -175,6 +175,7 @@ def test_checkpoint_state_roundtrip(tmp_path):
     # float32 precision: policy triple, optimizer moments, normalizer, risk.
     from astro import flowgen, nftcore, rewardlab
     from astro import rng as arng
+    from astro import tensorgrad as tg
 
     cfg = tiny_config()
     rng = np.random.default_rng(0)
@@ -202,3 +203,16 @@ def test_checkpoint_state_roundtrip(tmp_path):
     for k in policies.theta:
         assert np.allclose(p2.theta[k], policies.theta[k], atol=1e-6)
     assert norm2.count[0] == 8
+    # Every policy and moment comes back as one flat buffer, and training
+    # can take its next step from them.
+    for params in (p2.theta, p2.theta_old, p2.theta_ref, opt2.m, opt2.v):
+        assert isinstance(params, tg.FlatParams)
+        assert all(np.shares_memory(params[k], params.flat) for k in params)
+    assert list(opt2.m) == sorted(policies.theta)
+    repacked, _ = cli.pack_checkpoint(p2, opt2, state2, norm2, risk2)
+    assert list(repacked) == list(arrays)
+    opt2.step(p2.theta, {k: np.full(v.shape, 1e-3) for k, v in p2.theta.items()})
+    assert opt2.t == optimizer.t + 1
+    assert all(np.isfinite(p2.theta[k]).all() for k in p2.theta)
+    nftcore.ema_update(p2.theta_old, p2.theta, cfg.gamma)
+    assert not np.array_equal(p2.theta_old.flat, p2.theta_ref.flat)

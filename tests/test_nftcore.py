@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -207,19 +208,54 @@ def test_total_loss_combination():
 
 def test_ema_gap_shrinks_geometrically():
     rng = np.random.default_rng(7)
-    theta = {"w": rng.standard_normal((4, 4))}
-    theta_old = {"w": theta["w"] + rng.standard_normal((4, 4))}
+    theta = tg.flatten({"w": rng.standard_normal((4, 4))})
+    theta_old = tg.flatten({"w": theta["w"] + rng.standard_normal((4, 4))})
     gap0 = theta_old["w"] - theta["w"]
     gamma = 0.9
     old = theta_old
     for n in range(1, 25):
-        old = nftcore.ema_update(old, theta, gamma)
+        nftcore.ema_update(old, theta, gamma)
         expected = gamma ** n * gap0
         assert np.max(np.abs((old["w"] - theta["w"]) - expected)) <= 1e-12
 
 
+def test_ema_in_place_is_bit_exact_against_expression():
+    cfg = small_config(hidden=128, frame_dim=8, clip_len=4)
+    policies, _, _ = make_world(cfg)
+    rng = np.random.default_rng(8)
+    for k in policies.theta:
+        policies.theta[k] += rng.standard_normal(policies.theta[k].shape)
+    old = policies.theta_old
+    buffer = old.flat
+    for gamma in (0.9, 0.99, 0.3):
+        expected = {k: gamma * old[k] + (1.0 - gamma) * policies.theta[k] for k in old}
+        nftcore.ema_update(old, policies.theta, gamma)
+        assert old.flat is buffer
+        for k in expected:
+            assert np.array_equal(old[k], expected[k])
+            assert np.shares_memory(old[k], buffer)
+
+
+def test_ema_allocates_no_vector_sized_temporaries():
+    cfg = small_config(hidden=128, frame_dim=8, clip_len=4)
+    policies, _, _ = make_world(cfg)
+
+    def tick():
+        nftcore.ema_update(policies.theta_old, policies.theta, 0.9)
+
+    for _ in range(2):
+        tick()
+    tracemalloc.start()
+    try:
+        tick()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < policies.theta_old.flat.nbytes / 4, peak
+
+
 def test_ema_validates_gamma():
-    p = {"w": np.zeros(2)}
+    p = tg.flatten({"w": np.zeros(2)})
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             nftcore.ema_update(p, p, bad)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from astro import flowgen
 from astro import tensorgrad as tg
 
 
@@ -210,7 +213,7 @@ def test_detached_branch_equals_rebuilt_constant_graph():
     # Gradient with node.detach() must equal the gradient of a graph rebuilt
     # from scratch with that branch entered as a plain constant.
     rng = np.random.default_rng(13)
-    params = {"w": rng.standard_normal((3, 3))}
+    params = tg.flatten({"w": rng.standard_normal((3, 3))})
     x = rng.standard_normal((2, 3))
 
     graph = tg.GradGraph()
@@ -260,7 +263,7 @@ def test_adamw_first_step_matches_hand_derivation():
     # Unit gradient from zero state: mhat = vhat = 1/bias corrections cancel,
     # so the step is -lr * mhat/(sqrt(vhat) + eps) with wd off.
     lr, b1, b2, eps = 1e-5, 0.9, 0.999, 1e-8
-    params = {"p": np.array([[1.0]])}
+    params = tg.flatten({"p": np.array([[1.0]])})
     opt = tg.AdamW(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
     opt.step(params, {"p": np.array([[1.0]])})
     mhat = (0.1) / (1.0 - b1)
@@ -272,7 +275,7 @@ def test_adamw_first_step_matches_hand_derivation():
 
 def test_adamw_weight_decay_is_decoupled():
     # Zero gradient: the only movement is the decay term p *= (1 - lr*wd).
-    params = {"p": np.array([2.0])}
+    params = tg.flatten({"p": np.array([2.0])})
     opt = tg.AdamW(lr=0.1, weight_decay=0.5)
     opt.step(params, {"p": np.array([0.0])})
     assert abs(float(params["p"][0]) - 2.0 * (1.0 - 0.1 * 0.5)) <= 1e-15
@@ -284,7 +287,7 @@ def test_adamw_two_runs_identical():
     grads = [{"w": rng.standard_normal((4, 4))} for _ in range(10)]
     results = []
     for _ in range(2):
-        params = {"w": init["w"].copy()}
+        params = tg.flatten(init)
         opt = tg.AdamW(lr=1e-3)
         for g in grads:
             opt.step(params, g)
@@ -294,14 +297,14 @@ def test_adamw_two_runs_identical():
 
 def test_adamw_state_roundtrip():
     rng = np.random.default_rng(23)
-    params = {"w": rng.standard_normal((3, 3))}
+    params = tg.flatten({"w": rng.standard_normal((3, 3))})
     opt = tg.AdamW(lr=1e-3)
     opt.step(params, {"w": rng.standard_normal((3, 3))})
     twin = tg.AdamW(lr=1e-3)
     twin.load_state_dict(opt.state_dict())
     g = {"w": rng.standard_normal((3, 3))}
-    p1 = {"w": params["w"].copy()}
-    p2 = {"w": params["w"].copy()}
+    p1 = tg.flatten(params)
+    p2 = tg.flatten(params)
     opt.step(p1, g)
     twin.step(p2, g)
     assert np.array_equal(p1["w"], p2["w"])
@@ -317,3 +320,128 @@ def test_clip_global_norm():
     untouched = tg.clip_global_norm(grads, 10.0)
     assert np.array_equal(untouched["a"], grads["a"])
     assert untouched["a"] is not grads["a"]
+
+
+# --- flat parameters and the flat AdamW step ---
+
+
+def reference_adamw_step(params, grads, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """The per-name AdamW loop, on plain dicts: the bit-exact reference for AdamW.step.
+
+    m and v are name-keyed moment dicts, filled on first use; t is the step
+    count after this step.
+    """
+    b1t = 1.0 - beta1 ** t
+    b2t = 1.0 - beta2 ** t
+    for name in sorted(params):
+        p, g = params[name], grads[name]
+        mk = m.setdefault(name, np.zeros_like(p))
+        vk = v.setdefault(name, np.zeros_like(p))
+        mk += (1.0 - beta1) * (g - mk)
+        vk += (1.0 - beta2) * (g * g - vk)
+        update = (mk / b1t) / (np.sqrt(vk / b2t) + eps) + weight_decay * p
+        p -= lr * update
+        if not np.all(np.isfinite(p)):
+            raise tg.NonFiniteError(f"parameter {name!r} became non-finite after update")
+
+
+def generator_net(seed=0):
+    return flowgen.init_net(np.random.default_rng(seed), frame_dim=8, clip_len=4,
+                            prompt_dim=4, hidden=128)
+
+
+def test_flatten_lays_out_sorted_views_of_one_copy():
+    rng = np.random.default_rng(3)
+    plain = {"w": rng.standard_normal((2, 3)), "b": rng.standard_normal((1, 3)),
+             "a": rng.standard_normal(())}
+    flat = tg.flatten(plain)
+    assert list(flat) == ["a", "b", "w"]
+    assert flat.flat.shape == (1 + 3 + 6,) and flat.flat.flags.c_contiguous
+    assert flat.flat.ctypes.data % 64 == 0 and flat.scratch().ctypes.data % 64 == 0
+    assert np.array_equal(flat.flat, np.concatenate([plain[k].ravel() for k in ("a", "b", "w")]))
+    for k in plain:
+        assert flat[k].shape == plain[k].shape and np.shares_memory(flat[k], flat.flat)
+        assert not np.shares_memory(flat[k], plain[k])
+    flat["w"][0, 0] = 42.0
+    assert flat.flat[4] == 42.0 and plain["w"][0, 0] != 42.0
+
+
+def test_flat_adamw_is_bit_exact_against_per_name_loop():
+    # 24 steps on the generator's six shapes, weight decay on, and every
+    # third step's gradients scaled down the way clipping scales them.
+    lr, b1, b2, eps, wd = 3e-3, 0.9, 0.999, 1e-8, 1e-2
+    params = generator_net()
+    ref = {k: v.copy() for k, v in params.items()}
+    m_ref, v_ref = {}, {}
+    opt = tg.AdamW(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+    rng = np.random.default_rng(5)
+    for step in range(1, 25):
+        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        if step % 3 == 0:
+            grads = tg.clip_global_norm(grads, 0.5 * tg.global_norm(grads))
+        opt.step(params, grads)
+        reference_adamw_step(ref, grads, m_ref, v_ref, step, lr, b1, b2, eps, wd)
+        assert opt.t == step
+        for k in ref:
+            assert np.array_equal(params[k], ref[k])
+            assert np.array_equal(opt.m[k], m_ref[k])
+            assert np.array_equal(opt.v[k], v_ref[k])
+
+
+def test_flat_adamw_names_first_nonfinite_parameter_in_sorted_order():
+    params = generator_net()
+    opt = tg.AdamW(lr=1e-3)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    opt.step(params, grads)
+    # A huge learning rate times a decayed weight overflows only the weights;
+    # the biases are zero, so w1 is the first non-finite name, not b1.
+    opt.lr, opt.weight_decay = 1e308, 1e308
+    with pytest.raises(tg.NonFiniteError, match="parameter 'w1'"):
+        with np.errstate(all="ignore"):
+            opt.step(params, grads)
+
+
+def test_flat_adamw_rejects_plain_dicts_and_foreign_layouts():
+    opt = tg.AdamW(lr=1e-3)
+    with pytest.raises(TypeError):
+        opt.step({"w": np.zeros(2)}, {"w": np.zeros(2)})
+    opt.step(tg.flatten({"w": np.zeros(2)}), {"w": np.ones(2)})
+    with pytest.raises(KeyError):
+        opt.step(tg.flatten({"u": np.zeros(2)}), {"u": np.ones(2)})
+    with pytest.raises(tg.ShapeError):
+        opt.step(tg.flatten({"w": np.zeros(2)}), {"w": np.ones(3)})
+
+
+def test_load_state_dict_rebuilds_flat_moments():
+    params = generator_net()
+    opt = tg.AdamW(lr=1e-3)
+    rng = np.random.default_rng(9)
+    opt.step(params, {k: rng.standard_normal(v.shape) for k, v in params.items()})
+    twin = tg.AdamW(lr=1e-3)
+    twin.load_state_dict(opt.state_dict())
+    for moments, source in ((twin.m, opt.m), (twin.v, opt.v)):
+        assert isinstance(moments, tg.FlatParams)
+        assert np.array_equal(moments.flat, source.flat)
+        assert not np.shares_memory(moments.flat, source.flat)
+
+
+def peak_bytes(fn, warmup=2):
+    for _ in range(warmup):
+        fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adamw_step_allocates_no_vector_sized_temporaries():
+    # Whole-vector expressions would allocate a parameter-sized temporary per
+    # operation; the in-place step must stay far below one vector.
+    params = generator_net()
+    rng = np.random.default_rng(11)
+    grads = {k: rng.standard_normal(v.shape) * 1e-3 for k, v in params.items()}
+    opt = tg.AdamW(lr=1e-5)
+    peak = peak_bytes(lambda: opt.step(params, grads))
+    assert peak < params.flat.nbytes / 4, (peak, params.flat.nbytes)
