@@ -9,7 +9,6 @@ guarantee checks. export-metrics flattens a metrics log to CSV.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -147,8 +146,8 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
 
     while state.epoch < cfg.epochs:
         try:
-            m = longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
-                                            normalizer, risk, optimizer)
+            record = longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
+                                                 normalizer, risk, optimizer)
         except nftcore.EpochAborted as err:
             diag = {"status": "aborted", "epoch": err.epoch, "prompt": err.pid,
                     "cause": str(err.cause)}
@@ -156,8 +155,6 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
             if echo:
                 echo(f"aborted: {err}")
             return diag
-        record = runio.MetricsRecord(
-            **{f.name: m[f.name] for f in dataclasses.fields(runio.MetricsRecord)})
         runio.log_metrics(metrics_path, record)
         if echo:
             echo(f"epoch {record.epoch:4d}  composite {record.composite:+.4f}  "

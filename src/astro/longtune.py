@@ -13,11 +13,12 @@ empty context and no prefix.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import flowgen, nftcore, rewardlab, streamctx
+from . import flowgen, nftcore, rewardlab, runio, streamctx
 from . import rng as rngmod
 from . import tensorgrad as tg
 from .config import RunConfig
@@ -117,14 +118,14 @@ def train_window_epoch(policies: nftcore.PolicyTriple, prompts: list[flowgen.Pro
                        state: nftcore.TrainState, cfg: RunConfig,
                        schedule: flowgen.TimestepSchedule,
                        normalizer: rewardlab.RewardNormalizer, risk: rewardlab.RiskState,
-                       optimizer: tg.AdamW) -> dict:
-    """One epoch of either mode: shared window choice, prefix rollout, window optimization."""
+                       optimizer: tg.AdamW) -> runio.MetricsRecord:
+    """One epoch of either mode: shared window choice, prefix and window
+    rollout under theta_old, then optimization on the window's groups."""
+    t_start = time.perf_counter()
     spec = epoch_window(cfg, state.epoch)
-
-    def rollout_fn(theta_old, prompts, epoch):
-        return window_rollout(theta_old, prompts, spec, cfg, schedule, epoch)
-
-    metrics = nftcore.train_epoch(policies, prompts, state, cfg, schedule,
-                                  normalizer, risk, optimizer, rollout_fn=rollout_fn)
-    metrics["window_start"] = spec.start_clip
-    return metrics
+    groups = window_rollout(policies.theta_old, prompts, spec, cfg, schedule, state.epoch)
+    record = nftcore.train_epoch(policies, groups, state, cfg, schedule,
+                                 normalizer, risk, optimizer)
+    record.window_start = spec.start_clip
+    record.wall_time = time.perf_counter() - t_start
+    return record

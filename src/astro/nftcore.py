@@ -8,22 +8,21 @@ from poorly-scored ones. Candidates whose judge rankings disagree are pulled
 toward a frozen reference policy instead of being trusted; the reference
 refreshes when that pull grows too large or too stale.
 
-The engine takes its groups from a rollout function. The streaming path
-in longtune supplies it for both modes (short mode is a one-clip window at
-clip 0 with an empty context), so this module never decodes candidates
-itself.
+The engine takes its groups as data, already rolled out: the streaming
+path in longtune decodes them for both modes (short mode is a one-clip
+window at clip 0 with an empty context), so this module never decodes
+candidates itself. An epoch returns its runio.MetricsRecord.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import flowgen, rewardlab
+from . import flowgen, rewardlab, runio
 from . import rng as rngmod
 from . import tensorgrad as tg
 from .config import RunConfig
@@ -264,8 +263,7 @@ def optimize_group(policies: PolicyTriple, scored: ScoredGroup, state: TrainStat
     eps = eps_stream.standard_normal(scored.data.x0_rows.shape)
     graph, loss, info = build_group_loss(policies, scored, cfg, t, eps)
     grads = tg.backward(graph, loss)
-    info["grad_norm"] = tg.global_norm(grads)
-    grads = tg.clip_global_norm(grads, cfg.max_grad_norm, info["grad_norm"])
+    info["grad_norm"] = tg.clip_global_norm(grads, cfg.max_grad_norm)
     optimizer.step(policies.theta, grads)
     state.steps += 1
     if cfg.ema_mode == "step" and state.steps % cfg.ema_interval == 0:
@@ -298,27 +296,20 @@ def abort_on_nonfinite(epoch: int, prompts: list[flowgen.Prompt], rows_per_promp
         raise EpochAborted(epoch, owner.pid, err) from err
 
 
-def train_epoch(policies: PolicyTriple, prompts: list[flowgen.Prompt], state: TrainState,
+def train_epoch(policies: PolicyTriple, groups: list[GroupData], state: TrainState,
                 cfg: RunConfig, schedule: flowgen.TimestepSchedule,
                 normalizer: rewardlab.RewardNormalizer, risk: rewardlab.RiskState,
-                optimizer: tg.AdamW, rollout_fn) -> dict:
-    """One full epoch: one rollout pass over all prompts, scoring, then per-group optimization.
+                optimizer: tg.AdamW) -> runio.MetricsRecord:
+    """One epoch on rolled-out groups: scoring, then per-group optimization.
 
-    rollout_fn(theta_old, prompts, epoch) -> list[GroupData] rolls out every
-    prompt's candidate group under theta_old at once and returns the groups in
-    prompt order; longtune.train_window_epoch passes its window rollout,
-    which serves both modes. The rollout raises EpochAborted naming the prompt
-    whose rows went non-finite; a bare NonFiniteError from it is charged to
-    the first prompt. Groups are then scored one by one, in prompt order, so
-    the normalizer and risk state update exactly as in a per-prompt loop.
-    Returns the epoch metrics; advances state.epoch.
+    groups holds every prompt's candidate group, rolled out under
+    policies.theta_old, in prompt order (longtune.window_rollout makes them
+    for both modes). They are scored one by one, in that order, so the
+    normalizer and risk state update exactly as in a per-prompt loop.
+    Returns the epoch's record, with window_start and wall_time left for
+    the caller; advances state.epoch.
     """
-    t_start = time.perf_counter()
     epoch = state.epoch
-    try:
-        groups = rollout_fn(policies.theta_old, prompts, epoch)
-    except tg.NonFiniteError as err:
-        raise EpochAborted(epoch, prompts[0].pid, err) from err
     scored_groups = [score_group(data, cfg, normalizer, risk) for data in groups]
 
     infos = []
@@ -340,20 +331,18 @@ def train_epoch(policies: PolicyTriple, prompts: list[flowgen.Prompt], state: Tr
     raw_means = raw_all.mean(axis=0)
     finite_taus = [g.tau for g in scored_groups if math.isfinite(g.tau)]
     n_candidates = sum(len(g.mask) for g in scored_groups)
-    metrics = {
-        "epoch": epoch,
-        "reward_vq": float(raw_means[rewardlab.VQ]),
-        "reward_mq": float(raw_means[rewardlab.MQ]),
-        "reward_ta": float(raw_means[rewardlab.TA]),
-        "composite": float(raw_means @ np.asarray(cfg.reward_weights)),
-        "policy_loss": float(np.mean([i["policy_loss"] for i in infos])),
-        "kl_loss": kl_epoch,
-        "mask_fraction": float(sum(int(g.mask.sum()) for g in scored_groups) / n_candidates),
-        "tau": float(np.mean(finite_taus)) if finite_taus else None,
-        "rho": risk.rho,
-        "grad_norm": float(np.mean([i["grad_norm"] for i in infos])),
-        "reset": reset,
-        "wall_time": time.perf_counter() - t_start,
-    }
     state.epoch += 1
-    return metrics
+    return runio.MetricsRecord(
+        epoch=epoch,
+        reward_vq=float(raw_means[rewardlab.VQ]),
+        reward_mq=float(raw_means[rewardlab.MQ]),
+        reward_ta=float(raw_means[rewardlab.TA]),
+        composite=float(raw_means @ np.asarray(cfg.reward_weights)),
+        policy_loss=float(np.mean([i["policy_loss"] for i in infos])),
+        kl_loss=kl_epoch,
+        mask_fraction=float(sum(int(g.mask.sum()) for g in scored_groups) / n_candidates),
+        tau=float(np.mean(finite_taus)) if finite_taus else None,
+        rho=risk.rho,
+        grad_norm=float(np.mean([i["grad_norm"] for i in infos])),
+        reset=reset,
+    )

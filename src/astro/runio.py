@@ -37,6 +37,7 @@ class MetricsRecord:
     rho: float
     grad_norm: float
     reset: bool
+    window_start: int = 0
     wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:

@@ -10,8 +10,9 @@ have no parents, so nothing is ever propagated through them.
 Also home to the optimizer side. Parameters live in FlatParams: name-keyed
 views into one contiguous float64 vector per policy, laid out in sorted-name
 order (build one with flatten). AdamW keeps its moments in the same layout
-and updates the whole vector with in-place array ops. Gradients stay
-name-keyed dicts, which global-norm clipping reads and returns.
+and updates the whole vector with in-place array ops. backward returns
+gradients in the same layout, so clipping scales them in place and AdamW
+reads their vector directly.
 """
 
 from __future__ import annotations
@@ -293,8 +294,9 @@ def apply_primitive(op_id: str, inputs: list, graph: GradGraph, **kw) -> Node:
     return node
 
 
-def backward(graph: GradGraph, loss: Node) -> dict[str, np.ndarray]:
-    """Reverse pass from a scalar loss. One gradient array per registered parameter.
+def backward(graph: GradGraph, loss: Node) -> FlatParams:
+    """Reverse pass from a scalar loss. One gradient array per registered parameter,
+    as FlatParams in sorted-name order.
 
     Parameters the loss never touched (or that were detached away) map to
     zero arrays of the right shape.
@@ -317,10 +319,10 @@ def backward(graph: GradGraph, loss: Node) -> dict[str, np.ndarray]:
                     continue
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
-    return {
+    return flatten({
         name: grads.get(id(p), np.zeros(p.shape))
         for name, p in graph.params.items()
-    }
+    })
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -329,20 +331,15 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.sum(np.square(grads[name]))) for name in sorted(grads))))
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float,
-                     norm: float | None = None) -> dict[str, np.ndarray]:
-    """Scale all gradients by max_norm/norm when the joint L2 norm exceeds max_norm.
-
-    Pass norm when global_norm(grads) is already known, to skip recomputing it.
-    """
+def clip_global_norm(grads: FlatParams, max_norm: float) -> float:
+    """Scale grads in place by max_norm/norm when their joint L2 norm exceeds
+    max_norm; below it they are left untouched. Returns the pre-clip norm."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    if norm is None:
-        norm = global_norm(grads)
-    if norm <= max_norm:
-        return {k: g.copy() for k, g in grads.items()}
-    scale = max_norm / norm
-    return {k: g * scale for k, g in grads.items()}
+    norm = global_norm(grads)
+    if norm > max_norm:
+        grads.flat *= max_norm / norm
+    return norm
 
 
 def _empty_vector(size: int) -> np.ndarray:
@@ -394,8 +391,9 @@ def flatten(params: dict[str, np.ndarray]) -> FlatParams:
 class AdamW:
     """AdamW with bias correction and decoupled weight decay over FlatParams.
 
-    step() updates the parameter vector in place with whole-vector ops into
-    the moments' two scratch vectors; each op is one step of the per-element
+    step() reads the gradients' vector as given and updates the parameter
+    vector in place with whole-vector ops into the moments' two scratch
+    vectors, never into the gradients; each op is one step of the per-element
     expression of a per-name loop, in its order, so the bits are that loop's.
     The moments m and v are FlatParams in the parameters' layout; state_dict
     hands them out by name for checkpointing.
@@ -415,25 +413,21 @@ class AdamW:
         self.m: FlatParams = flatten({})
         self.v: FlatParams = flatten({})
 
-    def step(self, params: FlatParams, grads: dict[str, np.ndarray]) -> None:
-        if not isinstance(params, FlatParams):
+    def step(self, params: FlatParams, grads: FlatParams) -> None:
+        if not isinstance(params, FlatParams) or not isinstance(grads, FlatParams):
             raise TypeError("AdamW.step needs FlatParams; build them with tensorgrad.flatten")
-        missing = set(params) - set(grads)
-        if missing:
-            raise KeyError(f"gradients missing for {sorted(missing)}")
-        names = sorted(params)
-        for name in names:
-            if params[name].shape != grads[name].shape:
-                raise ShapeError(f"gradient shape {grads[name].shape} != parameter shape "
-                                 f"{params[name].shape} for {name!r}")
+        if grads.keys() != params.keys():
+            raise KeyError(f"gradients for {sorted(grads)}, parameters are {sorted(params)}")
+        if grads.flat.shape != params.flat.shape:
+            raise ShapeError(f"gradient vector {grads.flat.shape} != parameter vector "
+                             f"{params.flat.shape}")
         if not self.m:
             zeros = {k: np.zeros_like(v) for k, v in params.items()}
             self.m, self.v = flatten(zeros), flatten(zeros)
         if self.m.keys() != params.keys():
-            raise KeyError(f"moments held for {sorted(self.m)}, parameters are {names}")
-        p, m, v = params.flat, self.m.flat, self.v.flat
-        g, a = self.m.scratch(), self.v.scratch()
-        np.concatenate([grads[name].ravel() for name in names], out=g)
+            raise KeyError(f"moments held for {sorted(self.m)}, parameters are {sorted(params)}")
+        p, m, v, g = params.flat, self.m.flat, self.v.flat, grads.flat
+        a, b = self.m.scratch(), self.v.scratch()
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
@@ -450,14 +444,14 @@ class AdamW:
         np.divide(v, b2t, out=a)
         np.sqrt(a, out=a)
         a += self.eps
-        np.divide(m, b1t, out=g)
-        g /= a
+        np.divide(m, b1t, out=b)
+        b /= a
         np.multiply(p, self.weight_decay, out=a)
-        g += a
-        g *= self.lr
-        p -= g
+        b += a
+        b *= self.lr
+        p -= b
         if not np.isfinite(p).all():
-            bad = next(name for name in names if not np.isfinite(params[name]).all())
+            bad = next(name for name in sorted(params) if not np.isfinite(params[name]).all())
             raise NonFiniteError(f"parameter {bad!r} became non-finite after update")
 
     def state_dict(self) -> dict:

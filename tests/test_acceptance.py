@@ -47,7 +47,7 @@ def run_training(cfg: RunConfig, epochs: int | None = None,
     rows = []
     for _ in range(epochs if epochs is not None else cfg.epochs):
         rows.append(longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
-                                                norm, risk, opt))
+                                                norm, risk, opt).to_json_dict())
     return rows
 
 

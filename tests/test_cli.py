@@ -182,8 +182,8 @@ def test_checkpoint_state_roundtrip(tmp_path):
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
     policies = nftcore.PolicyTriple.from_base(base)
     optimizer = cli.make_optimizer(cfg)
-    optimizer.step(policies.theta, {k: rng.standard_normal(v.shape) * 1e-3
-                                    for k, v in policies.theta.items()})
+    optimizer.step(policies.theta, tg.flatten({k: rng.standard_normal(v.shape) * 1e-3
+                                               for k, v in policies.theta.items()}))
     state = nftcore.TrainState(epoch=5, last_reset_epoch=2, steps=17)
     normalizer = rewardlab.RewardNormalizer()
     normalizer.update(0, rng.standard_normal((8, 3)))
@@ -211,7 +211,7 @@ def test_checkpoint_state_roundtrip(tmp_path):
     assert list(opt2.m) == sorted(policies.theta)
     repacked, _ = cli.pack_checkpoint(p2, opt2, state2, norm2, risk2)
     assert list(repacked) == list(arrays)
-    opt2.step(p2.theta, {k: np.full(v.shape, 1e-3) for k, v in p2.theta.items()})
+    opt2.step(p2.theta, tg.flatten({k: np.full(v.shape, 1e-3) for k, v in p2.theta.items()}))
     assert opt2.t == optimizer.t + 1
     assert all(np.isfinite(p2.theta[k]).all() for k in p2.theta)
     nftcore.ema_update(p2.theta_old, p2.theta, cfg.gamma)

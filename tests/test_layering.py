@@ -1,8 +1,8 @@
 """Module layering: the astro modules import each other without a cycle.
 
-The epoch engine (nftcore) takes its rollout as an argument and longtune
-supplies it, so nftcore must never import longtune; a cycle anywhere would
-also make the import order of the package matter.
+The epoch engine (nftcore) takes already rolled-out groups, which longtune
+decodes and passes in, so nftcore must never import longtune; a cycle
+anywhere would also make the import order of the package matter.
 """
 
 from __future__ import annotations

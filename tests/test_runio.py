@@ -29,7 +29,7 @@ def test_record_json_excludes_wall_time():
 def test_record_json_key_order():
     assert list(sample_record().to_json_dict()) == [
         "epoch", "reward_vq", "reward_mq", "reward_ta", "composite", "policy_loss",
-        "kl_loss", "mask_fraction", "tau", "rho", "grad_norm", "reset"]
+        "kl_loss", "mask_fraction", "tau", "rho", "grad_norm", "reset", "window_start"]
 
 
 def test_log_metrics_line_bytes(tmp_path):
@@ -38,7 +38,7 @@ def test_log_metrics_line_bytes(tmp_path):
     assert path.read_bytes() == (
         b'{"epoch":0,"reward_vq":-0.5,"reward_mq":-0.01,"reward_ta":0.9,"composite":0.13,'
         b'"policy_loss":0.25,"kl_loss":0.001,"mask_fraction":0.125,"tau":2.5,"rho":0.2,'
-        b'"grad_norm":0.7,"reset":false}\n')
+        b'"grad_norm":0.7,"reset":false,"window_start":0}\n')
 
 
 def test_log_and_read_roundtrip(tmp_path):

@@ -209,6 +209,20 @@ def test_unreachable_parameter_gets_zero_gradient():
     assert np.any(grads["used"] != 0.0)
 
 
+def test_backward_returns_flat_grads_in_sorted_order():
+    # Registered out of sorted order; the gradients come back laid out like
+    # flatten lays out parameters, untouched parameters as zeros.
+    graph = tg.GradGraph()
+    w = graph.parameter("w", np.full((2, 2), 3.0))
+    graph.parameter("c", np.ones(3))
+    b = graph.parameter("b", np.ones((1, 2)))
+    grads = tg.backward(graph, (w + b).sum())
+    assert isinstance(grads, tg.FlatParams)
+    assert list(grads) == ["b", "c", "w"]
+    assert np.array_equal(grads.flat, np.array([2.0, 2.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]))
+    assert grads["w"].shape == (2, 2) and np.shares_memory(grads["w"], grads.flat)
+
+
 def test_detached_branch_equals_rebuilt_constant_graph():
     # Gradient with node.detach() must equal the gradient of a graph rebuilt
     # from scratch with that branch entered as a plain constant.
@@ -265,7 +279,7 @@ def test_adamw_first_step_matches_hand_derivation():
     lr, b1, b2, eps = 1e-5, 0.9, 0.999, 1e-8
     params = tg.flatten({"p": np.array([[1.0]])})
     opt = tg.AdamW(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=0.0)
-    opt.step(params, {"p": np.array([[1.0]])})
+    opt.step(params, tg.flatten({"p": np.array([[1.0]])}))
     mhat = (0.1) / (1.0 - b1)
     vhat = (0.001) / (1.0 - b2)
     expected = 1.0 - lr * mhat / (np.sqrt(vhat) + eps)
@@ -277,14 +291,14 @@ def test_adamw_weight_decay_is_decoupled():
     # Zero gradient: the only movement is the decay term p *= (1 - lr*wd).
     params = tg.flatten({"p": np.array([2.0])})
     opt = tg.AdamW(lr=0.1, weight_decay=0.5)
-    opt.step(params, {"p": np.array([0.0])})
+    opt.step(params, tg.flatten({"p": np.array([0.0])}))
     assert abs(float(params["p"][0]) - 2.0 * (1.0 - 0.1 * 0.5)) <= 1e-15
 
 
 def test_adamw_two_runs_identical():
     rng = np.random.default_rng(17)
     init = {"w": rng.standard_normal((4, 4))}
-    grads = [{"w": rng.standard_normal((4, 4))} for _ in range(10)]
+    grads = [tg.flatten({"w": rng.standard_normal((4, 4))}) for _ in range(10)]
     results = []
     for _ in range(2):
         params = tg.flatten(init)
@@ -299,10 +313,10 @@ def test_adamw_state_roundtrip():
     rng = np.random.default_rng(23)
     params = tg.flatten({"w": rng.standard_normal((3, 3))})
     opt = tg.AdamW(lr=1e-3)
-    opt.step(params, {"w": rng.standard_normal((3, 3))})
+    opt.step(params, tg.flatten({"w": rng.standard_normal((3, 3))}))
     twin = tg.AdamW(lr=1e-3)
     twin.load_state_dict(opt.state_dict())
-    g = {"w": rng.standard_normal((3, 3))}
+    g = tg.flatten({"w": rng.standard_normal((3, 3))})
     p1 = tg.flatten(params)
     p2 = tg.flatten(params)
     opt.step(p1, g)
@@ -311,15 +325,18 @@ def test_adamw_state_roundtrip():
 
 
 def test_clip_global_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    assert abs(tg.global_norm(grads) - 5.0) <= 1e-12
-    clipped = tg.clip_global_norm(grads, 1.0)
-    assert abs(tg.global_norm(clipped) - 1.0) <= 1e-12
-    assert np.allclose(clipped["a"] / clipped["b"], 3.0 / 4.0)
-    assert np.array_equal(tg.clip_global_norm(grads, 1.0, 5.0)["b"], clipped["b"])
-    untouched = tg.clip_global_norm(grads, 10.0)
-    assert np.array_equal(untouched["a"], grads["a"])
-    assert untouched["a"] is not grads["a"]
+    grads = tg.flatten({"a": np.array([3.0]), "b": np.array([4.0])})
+    flat = grads.flat
+    assert tg.clip_global_norm(grads, 1.0) == 5.0  # the norm before clipping
+    assert grads.flat is flat and np.shares_memory(grads["a"], flat)
+    assert np.array_equal(flat, np.array([3.0, 4.0]) * (1.0 / 5.0))
+    assert abs(tg.global_norm(grads) - 1.0) <= 1e-12
+    # Below max_norm nothing is written: same object, same bits.
+    before = flat.copy()
+    assert tg.clip_global_norm(grads, 10.0) == tg.global_norm(grads)
+    assert grads.flat is flat and np.array_equal(flat, before)
+    with pytest.raises(ValueError):
+        tg.clip_global_norm(grads, 0.0)
 
 
 # --- flat parameters and the flat AdamW step ---
@@ -376,10 +393,12 @@ def test_flat_adamw_is_bit_exact_against_per_name_loop():
     opt = tg.AdamW(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
     rng = np.random.default_rng(5)
     for step in range(1, 25):
-        grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        grads = tg.flatten({k: rng.standard_normal(v.shape) for k, v in params.items()})
         if step % 3 == 0:
-            grads = tg.clip_global_norm(grads, 0.5 * tg.global_norm(grads))
+            tg.clip_global_norm(grads, 0.5 * tg.global_norm(grads))
+        given = grads.flat.copy()
         opt.step(params, grads)
+        assert np.array_equal(grads.flat, given)  # the step never writes the gradients
         reference_adamw_step(ref, grads, m_ref, v_ref, step, lr, b1, b2, eps, wd)
         assert opt.t == step
         for k in ref:
@@ -391,7 +410,7 @@ def test_flat_adamw_is_bit_exact_against_per_name_loop():
 def test_flat_adamw_names_first_nonfinite_parameter_in_sorted_order():
     params = generator_net()
     opt = tg.AdamW(lr=1e-3)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = tg.flatten({k: np.zeros_like(v) for k, v in params.items()})
     opt.step(params, grads)
     # A huge learning rate times a decayed weight overflows only the weights;
     # the biases are zero, so w1 is the first non-finite name, not b1.
@@ -404,19 +423,23 @@ def test_flat_adamw_names_first_nonfinite_parameter_in_sorted_order():
 def test_flat_adamw_rejects_plain_dicts_and_foreign_layouts():
     opt = tg.AdamW(lr=1e-3)
     with pytest.raises(TypeError):
-        opt.step({"w": np.zeros(2)}, {"w": np.zeros(2)})
-    opt.step(tg.flatten({"w": np.zeros(2)}), {"w": np.ones(2)})
+        opt.step({"w": np.zeros(2)}, tg.flatten({"w": np.zeros(2)}))
+    with pytest.raises(TypeError):
+        opt.step(tg.flatten({"w": np.zeros(2)}), {"w": np.zeros(2)})
+    opt.step(tg.flatten({"w": np.zeros(2)}), tg.flatten({"w": np.ones(2)}))
     with pytest.raises(KeyError):
-        opt.step(tg.flatten({"u": np.zeros(2)}), {"u": np.ones(2)})
+        opt.step(tg.flatten({"w": np.zeros(2)}), tg.flatten({"u": np.ones(2)}))
+    with pytest.raises(KeyError):
+        opt.step(tg.flatten({"u": np.zeros(2)}), tg.flatten({"u": np.ones(2)}))
     with pytest.raises(tg.ShapeError):
-        opt.step(tg.flatten({"w": np.zeros(2)}), {"w": np.ones(3)})
+        opt.step(tg.flatten({"w": np.zeros(2)}), tg.flatten({"w": np.ones(3)}))
 
 
 def test_load_state_dict_rebuilds_flat_moments():
     params = generator_net()
     opt = tg.AdamW(lr=1e-3)
     rng = np.random.default_rng(9)
-    opt.step(params, {k: rng.standard_normal(v.shape) for k, v in params.items()})
+    opt.step(params, tg.flatten({k: rng.standard_normal(v.shape) for k, v in params.items()}))
     twin = tg.AdamW(lr=1e-3)
     twin.load_state_dict(opt.state_dict())
     for moments, source in ((twin.m, opt.m), (twin.v, opt.v)):
@@ -441,7 +464,7 @@ def test_adamw_step_allocates_no_vector_sized_temporaries():
     # operation; the in-place step must stay far below one vector.
     params = generator_net()
     rng = np.random.default_rng(11)
-    grads = {k: rng.standard_normal(v.shape) * 1e-3 for k, v in params.items()}
+    grads = tg.flatten({k: rng.standard_normal(v.shape) * 1e-3 for k, v in params.items()})
     opt = tg.AdamW(lr=1e-5)
     peak = peak_bytes(lambda: opt.step(params, grads))
     assert peak < params.flat.nbytes / 4, (peak, params.flat.nbytes)
