@@ -7,8 +7,10 @@ longtune (streaming window tuning), theoryx (numerical guarantee checks),
 config/runio/cli (run surface).
 """
 
-from . import (cli, config, flowgen, longtune, nftcore, rewardlab, rng, runio,
-               streamctx, tensorgrad, theoryx)
+import importlib
+
+from . import (config, flowgen, longtune, nftcore, rewardlab, rng, runio, streamctx,
+               tensorgrad, theoryx)
 
 __version__ = "0.1.0"
 
@@ -16,3 +18,11 @@ __all__ = [
     "cli", "config", "flowgen", "longtune", "nftcore", "rewardlab", "rng",
     "runio", "streamctx", "tensorgrad", "theoryx", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # cli is imported on first use, so `python -m astro.cli` does not find
+    # it already imported by the package and warn.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

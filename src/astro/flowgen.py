@@ -294,13 +294,11 @@ class TrajectoryCorpus:
     def sample_batch(self, rng: np.random.Generator, batch_size: int):
         """Returns (x0_flat, ctx_rows, prompt_rows) for a random batch.
 
-        Each example draws its prompt index, then its clip index.
+        Each example draws its prompt index, then its clip index, all in one
+        call that makes the draws a loop of scalar rng.integers calls would.
         """
-        which = np.empty(batch_size, dtype=np.intp)
-        clip = np.empty(batch_size, dtype=np.intp)
-        for b in range(batch_size):
-            which[b] = rng.integers(len(self.prompts))
-            clip[b] = rng.integers(self.horizon)
+        bounds = np.tile([len(self.prompts), self.horizon], batch_size)
+        which, clip = rng.integers(0, bounds).reshape(batch_size, 2).T
         x0, ctx, pv = self.tables
         return x0[which, clip], ctx[which, clip], pv[which]
 

@@ -62,30 +62,29 @@ def epoch_window(cfg: RunConfig, epoch: int) -> WindowSpec:
 
 def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
                    start_clip: int, cfg: RunConfig, schedule: flowgen.TimestepSchedule,
-                   epoch: int) -> list[streamctx.ContextWindow]:
+                   epoch: int) -> streamctx.ContextBatch:
     """Generate every prompt's stream up to the shared window start, under the behavior policy.
 
-    Each prefix clip is decoded for all prompts in one batched call; prompt
-    p draws only from its own PREFIX_STREAM key. Returns one context per
-    prompt, in prompt order. The contexts are detached: push_clip stores
-    plain array copies, so they hold no graph. Frames beyond the
-    sink+rolling bound are already gone, so the cost of carrying history is
-    constant in start_clip. At start_clip 0 the contexts are empty and no
-    stream is opened.
+    Each prefix clip is decoded for all prompts in one batched call and
+    pushed for all of them in one ContextBatch.push; prompt p draws only from
+    its own PREFIX_STREAM key. Returns the prompts' contexts as one batch,
+    row p for prompt p. The batch is detached: it holds plain array copies
+    and no graph. It keeps only what a summary reads, the sink and the
+    newest frame, so the cost of carrying history is constant in
+    start_clip. At start_clip 0 the contexts are empty and no stream is
+    opened.
     """
     empty = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
-    ctxs = [empty] * len(prompts)
+    ctx = streamctx.ContextBatch.from_windows([empty] * len(prompts))
     if start_clip == 0:
-        return ctxs
+        return ctx
     streams = rngmod.substreams([(cfg.seed, rngmod.PREFIX_STREAM, epoch, p.pid)
                                  for p in prompts])
     vecs = np.stack([p.vec for p in prompts])
     with nftcore.abort_on_nonfinite(epoch, prompts, 1):
         for _ in range(start_clip):
-            summary = np.stack([ctx.summary() for ctx in ctxs])
-            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
-            ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
-    return ctxs
+            ctx = ctx.push(flowgen.sample_clips(theta_old, ctx.summary(), vecs, schedule, streams))
+    return ctx
 
 
 def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
@@ -100,10 +99,10 @@ def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
     conditioned it. Rewards see each candidate's window as one frame stack.
     """
     g, w = cfg.group_size, spec.window_clips
-    ctxs = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
+    prefix = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
     keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
     with nftcore.abort_on_nonfinite(epoch, prompts, g):
-        clips, summaries = streamctx.group_rollout(theta_old, ctxs, prompts, g, schedule,
+        clips, summaries = streamctx.group_rollout(theta_old, prefix, prompts, g, schedule,
                                                    keys, w)
     return [nftcore.GroupData(
         prompt=prompt,

@@ -101,15 +101,18 @@ class RewardNormalizer:
         scores = np.atleast_2d(scores)
         if scores.shape[1] != self.n_models:
             raise ValueError(f"expected {self.n_models} score columns, got {scores.shape[1]}")
+        # Python floats are IEEE doubles, so this loop makes the bits a
+        # numpy loop over the rows would, without its per-row overhead.
         count = self.count.get(pid, 0)
-        mean = self.mean.get(pid, np.zeros(self.n_models))
-        m2 = self.m2.get(pid, np.zeros(self.n_models))
-        for row in scores:
+        mean = self.mean.get(pid, np.zeros(self.n_models)).tolist()
+        m2 = self.m2.get(pid, np.zeros(self.n_models)).tolist()
+        for row in np.asarray(scores, dtype=np.float64).tolist():
             count += 1
-            delta = row - mean
-            mean = mean + delta / count
-            m2 = m2 + delta * (row - mean)
-        self.count[pid], self.mean[pid], self.m2[pid] = count, mean, m2
+            for j, x in enumerate(row):
+                delta = x - mean[j]
+                mean[j] += delta / count
+                m2[j] += delta * (x - mean[j])
+        self.count[pid], self.mean[pid], self.m2[pid] = count, np.array(mean), np.array(m2)
 
     def standardize(self, pid: int, scores: np.ndarray) -> np.ndarray:
         if self.count.get(pid, 0) == 0:

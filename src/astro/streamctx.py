@@ -3,6 +3,9 @@
 The first `sink` frames ever generated are kept for good; after that only the
 most recent `window` frames survive. Pushing returns a new ContextWindow, so
 group rollouts can share one frozen context without copy discipline bugs.
+ContextWindow and push_clip are the reference semantics. The rollout runs
+on ContextBatch instead: a fixed-size state for many rows at once, holding
+only what a summary reads, pushed one clip per row in a single call.
 """
 
 from __future__ import annotations
@@ -75,41 +78,104 @@ def push_clip(ctx: ContextWindow, clip: np.ndarray) -> ContextWindow:
                          frame_dim=ctx.frame_dim)
 
 
+@dataclass(frozen=True)
+class ContextBatch:
+    """The contexts of many rows, reduced to what a summary reads.
+
+    Every row has generated the same number of frames. sink is (rows,
+    sink_size, frame_dim), of which the first `filled` slots hold each
+    row's sink frames; newest is each row's last generated frame, zeros
+    before the first. Row r's summary equals that of the ContextWindow it
+    stands for, bit for bit: the sink mean reduces over the frames in
+    order, as np.mean over the window's tuple does. Pushing returns a new
+    batch and never writes into an array another batch may share.
+    """
+
+    sink: np.ndarray
+    filled: int
+    newest: np.ndarray
+    total_generated: int
+
+    @classmethod
+    def from_windows(cls, ctxs: list[ContextWindow]) -> ContextBatch:
+        """One row per context; all must have generated the same frames."""
+        first = ctxs[0]
+        if any((c.total_generated, c.sink_size, c.frame_dim)
+               != (first.total_generated, first.sink_size, first.frame_dim) for c in ctxs):
+            raise ValueError("contexts differ in frames generated, sink size or frame_dim")
+        sink = np.zeros((len(ctxs), first.sink_size, first.frame_dim))
+        newest = np.zeros((len(ctxs), first.frame_dim))
+        for row, ctx in enumerate(ctxs):
+            frames = ctx.frames()
+            sink[row, :len(ctx.sink)] = frames[:len(ctx.sink)]
+            if len(frames):
+                newest[row] = frames[-1]
+        return cls(sink, len(first.sink), newest, first.total_generated)
+
+    def summary(self) -> np.ndarray:
+        """(rows, 2 * frame_dim): each row's mean sink frame, then its newest frame."""
+        sink = self.sink[:, :self.filled]
+        mean = sink.mean(axis=1) if self.filled else np.zeros_like(self.newest)
+        return np.concatenate([mean, self.newest], axis=1)
+
+    def push(self, clips: np.ndarray) -> ContextBatch:
+        """New batch with clips[r], a (clip_len, frame_dim) clip, appended to row r."""
+        clips = np.asarray(clips, dtype=np.float64)
+        rows, sink_size, frame_dim = self.sink.shape
+        if clips.ndim != 3 or clips.shape[0] != rows or clips.shape[2] != frame_dim:
+            raise ValueError(f"clips shape {clips.shape} does not match ({rows}, *, {frame_dim})")
+        take = min(sink_size - self.filled, clips.shape[1])
+        sink = self.sink
+        if take:
+            sink = sink.copy()
+            sink[:, self.filled:self.filled + take] = clips[:, :take]
+        newest = clips[:, -1].copy() if clips.shape[1] else self.newest
+        return ContextBatch(sink, self.filled + take, newest,
+                            self.total_generated + clips.shape[1])
+
+    def repeat(self, n: int) -> ContextBatch:
+        """Each row n times in a row: row r becomes rows r*n .. r*n + n - 1."""
+        return ContextBatch(np.repeat(self.sink, n, axis=0), self.filled,
+                            np.repeat(self.newest, n, axis=0), self.total_generated)
+
+
 def group_base_key(seed: int, epoch: int, pid: int) -> tuple[int, ...]:
     """Base of the candidate substream keys; group_rollout appends the candidate index."""
     return (seed, rngmod.CANDIDATE_STREAM, epoch, pid)
 
 
-def group_rollout(params_old: dict[str, np.ndarray], ctxs: list[ContextWindow],
+def group_rollout(params_old: dict[str, np.ndarray], ctxs: ContextBatch | list[ContextWindow],
                   prompts: list[flowgen.Prompt], group_size: int,
                   schedule: flowgen.TimestepSchedule, base_keys: list[tuple[int, ...]],
                   n_clips: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode n_clips clips for each of group_size candidates per prompt.
 
-    Every candidate of prompt p starts from the frozen context ctxs[p] and
-    extends its own copy, pushing each clip before decoding the next (never
-    after the last), so ctxs are left unchanged. Clip k of every prompt's
-    candidates is decoded together, prompt-major, one batched forward per
-    schedule step; candidate i of prompt p draws only from its own substream
-    keyed by base_keys[p] + (i,), so candidates are independent of each
-    other, of group_size and of the other prompts. Returns the clips, a
-    (len(prompts), group_size, n_clips, clip_len, frame_dim) stack, and the
-    context summaries that conditioned them, (len(prompts), group_size,
-    n_clips, 2 * frame_dim).
+    ctxs holds prompt p's context in row p, as a ContextBatch or a list of
+    ContextWindows. It is repeated group_size times, prompt-major, so every
+    candidate of prompt p starts from p's context; the repeated batch is
+    pushed once per clip before decoding the next (never after the last),
+    each candidate extending its own row, and ctxs is left unchanged. Clip k
+    of every prompt's candidates is decoded together, one batched forward
+    per schedule step; candidate i of prompt p draws only from its own
+    substream keyed by base_keys[p] + (i,), so candidates are independent
+    of each other, of group_size and of the other prompts. Returns the
+    clips, a (len(prompts), group_size, n_clips, clip_len, frame_dim) stack,
+    and the context summaries that conditioned them, (len(prompts),
+    group_size, n_clips, 2 * frame_dim).
     """
     if group_size < 2:
         raise ValueError("group_size must be at least 2")
+    if not isinstance(ctxs, ContextBatch):
+        ctxs = ContextBatch.from_windows(ctxs)
     streams = rngmod.substreams([key + (i,) for key in base_keys for i in range(group_size)])
     vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)
-    summary = np.repeat(np.stack([ctx.summary() for ctx in ctxs]), group_size, axis=0)
-    cand_ctxs = [ctx for ctx in ctxs for _ in range(group_size)]
+    ctx = ctxs.repeat(group_size)
     clips, summaries = [], []
     for k in range(n_clips):
         if k:
-            cand_ctxs = [push_clip(ctx, clip) for ctx, clip in zip(cand_ctxs, clips[-1])]
-            summary = np.stack([ctx.summary() for ctx in cand_ctxs])
-        summaries.append(summary)
-        clips.append(flowgen.sample_clips(params_old, summary, vecs, schedule, streams))
-    shape = (len(ctxs), group_size, n_clips)
+            ctx = ctx.push(clips[-1])
+        summaries.append(ctx.summary())
+        clips.append(flowgen.sample_clips(params_old, summaries[-1], vecs, schedule, streams))
+    shape = (len(prompts), group_size, n_clips)
     return (np.stack(clips, axis=1).reshape(*shape, *clips[0].shape[1:]),
             np.stack(summaries, axis=1).reshape(*shape, -1))

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from astro import cli, runio, rng as arng
+import astro
+from astro import cli, flowgen, longtune, nftcore, runio, streamctx, rng as arng
 from astro.config import RunConfig, save_config
 
 
@@ -61,6 +66,69 @@ def test_bulk_seeding_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
     for name in ("metrics.jsonl", "checkpoint.bin"):
         assert ((tmp_path / "bulk" / name).read_bytes()
                 == (tmp_path / "per_key" / name).read_bytes()), name
+
+
+def window_list_rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, epoch):
+    """Reference prefix: one ContextWindow per prompt, each pushed on its own."""
+    empty = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
+    ctxs = [empty] * len(prompts)
+    if start_clip == 0:
+        return ctxs
+    streams = arng.substreams([(cfg.seed, arng.PREFIX_STREAM, epoch, p.pid) for p in prompts])
+    vecs = np.stack([p.vec for p in prompts])
+    with nftcore.abort_on_nonfinite(epoch, prompts, 1):
+        for _ in range(start_clip):
+            summary = np.stack([ctx.summary() for ctx in ctxs])
+            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
+            ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
+    return ctxs
+
+
+def window_list_group_rollout(params_old, ctxs, prompts, group_size, schedule, base_keys,
+                              n_clips):
+    """Reference window: one ContextWindow per candidate, each pushed on its own."""
+    streams = arng.substreams([key + (i,) for key in base_keys for i in range(group_size)])
+    vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)
+    summary = np.repeat(np.stack([ctx.summary() for ctx in ctxs]), group_size, axis=0)
+    cand_ctxs = [ctx for ctx in ctxs for _ in range(group_size)]
+    clips, summaries = [], []
+    for k in range(n_clips):
+        if k:
+            cand_ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(cand_ctxs, clips[-1])]
+            summary = np.stack([ctx.summary() for ctx in cand_ctxs])
+        summaries.append(summary)
+        clips.append(flowgen.sample_clips(params_old, summary, vecs, schedule, streams))
+    shape = (len(ctxs), group_size, n_clips)
+    return (np.stack(clips, axis=1).reshape(*shape, *clips[0].shape[1:]),
+            np.stack(summaries, axis=1).reshape(*shape, -1))
+
+
+def test_batched_context_leaves_run_bytes_unchanged(tmp_path, monkeypatch):
+    # The ContextBatch rollout against one ContextWindow per prompt and per
+    # candidate, end to end. Clips of 2 frames fill the 3-frame sink over two
+    # pushes, and a 2-frame rolling window evicts from the third frame on.
+    cfg = tiny_config(mode="long", epochs=4, total_clips=6, window_clips=3, window_size=2)
+    assert cli.run_training(cfg, tmp_path / "batch")["status"] == "ok"
+    starts = [r["window_start"] for r in runio.read_metrics(tmp_path / "batch" / "metrics.jsonl")]
+    assert max(starts) >= 2, starts
+    monkeypatch.setattr(longtune, "rollout_prefix", window_list_rollout_prefix)
+    monkeypatch.setattr(streamctx, "group_rollout", window_list_group_rollout)
+    assert cli.run_training(cfg, tmp_path / "windows")["status"] == "ok"
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert ((tmp_path / "batch" / name).read_bytes()
+                == (tmp_path / "windows" / name).read_bytes()), name
+
+
+def test_module_entry_point_runs_without_warning():
+    # The package resolves cli on first use, so running it as a module does
+    # not find it imported already.
+    env = dict(os.environ, PYTHONPATH=str(Path(astro.__file__).resolve().parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "astro.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr
+    assert callable(astro.cli.run_training)
 
 
 @pytest.mark.parametrize("mode", ["short", "long"])

@@ -244,6 +244,28 @@ def test_sample_batch_tables_match_per_example_reference():
             assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
 
+@pytest.mark.parametrize("n_prompts,horizon", [(10, 8), (17, 9), (7, 6)])
+def test_sample_batch_draws_like_scalar_loop(n_prompts, horizon):
+    # One bounded draw for the whole batch picks the indices, and leaves the
+    # generator where, one scalar rng.integers call per index would.
+    corpus = flowgen.make_corpus(seed=1, n_prompts=n_prompts, horizon=horizon)
+    x0_table, ctx_table, pv_table = corpus.tables
+    for batch in (1, 16, 33):
+        for draw_seed in range(4):
+            ref_rng = np.random.default_rng(draw_seed)
+            which, clip = [], []
+            for _ in range(batch):
+                which.append(ref_rng.integers(n_prompts))
+                clip.append(ref_rng.integers(horizon))
+            rng = np.random.default_rng(draw_seed)
+            x0, ctx, pv = corpus.sample_batch(rng, batch)
+            assert np.array_equal(x0, x0_table[which, clip])
+            assert np.array_equal(ctx, ctx_table[which, clip])
+            assert np.array_equal(pv, pv_table[which])
+            assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
+
 def test_pretrain_reaches_low_error_within_budget():
     corpus = flowgen.make_corpus(seed=0)
     params, losses = flowgen.pretrain_base(

@@ -76,23 +76,27 @@ def test_epoch_window_deterministic_and_varying():
 
 def test_rollout_prefix_frame_budget():
     cfg = small_config(total_clips=30)
-    policies, schedule, prompts = make_world(cfg, n_prompts=1)
+    policies, schedule, prompts = make_world(cfg, n_prompts=2)
     for start in (0, 1, 2, 12, 29):
-        (ctx,) = longtune.rollout_prefix(
-            policies.theta_old, [prompts[0]], start, cfg, schedule, epoch=0)
+        ctx = longtune.rollout_prefix(policies.theta_old, prompts, start, cfg, schedule, epoch=0)
         total = start * cfg.clip_len
         assert ctx.total_generated == total
-        assert ctx.frame_count() == min(total, cfg.sink_size + cfg.window_size)
+        # the state is fixed-size: the sink, filled up to sink_size, and one newest frame
+        assert ctx.sink.shape == (2, cfg.sink_size, cfg.frame_dim)
+        assert ctx.filled == min(total, cfg.sink_size)
+        assert ctx.newest.shape == (2, cfg.frame_dim)
+        assert ctx.summary().shape == (2, 2 * cfg.frame_dim)
 
 
 def test_rollout_prefix_deterministic():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=1)
-    (a,) = longtune.rollout_prefix(policies.theta_old, [prompts[0]], 3, cfg, schedule, 5)
-    (b,) = longtune.rollout_prefix(policies.theta_old, [prompts[0]], 3, cfg, schedule, 5)
-    assert np.array_equal(np.asarray(a.frames()), np.asarray(b.frames()))
-    (c,) = longtune.rollout_prefix(policies.theta_old, [prompts[0]], 3, cfg, schedule, 6)
-    assert not np.array_equal(np.asarray(a.frames()), np.asarray(c.frames()))
+    policies, schedule, prompts = make_world(cfg, n_prompts=2)
+    a = longtune.rollout_prefix(policies.theta_old, prompts, 3, cfg, schedule, 5)
+    b = longtune.rollout_prefix(policies.theta_old, prompts, 3, cfg, schedule, 5)
+    assert np.array_equal(a.summary(), b.summary())
+    assert np.array_equal(a.sink, b.sink)
+    c = longtune.rollout_prefix(policies.theta_old, prompts, 3, cfg, schedule, 6)
+    assert not np.array_equal(a.summary(), c.summary())
 
 
 def test_window_rollout_row_layout():
@@ -170,11 +174,12 @@ def test_window_rollout_matches_per_prompt_reference():
                                        schedule, 4)
     groups = longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 4)
     assert [d.prompt for d in groups] == prompts
-    for prompt, prefix, data in zip(prompts, prefixes, groups):
+    assert prefixes.total_generated == spec.start_clip * cfg.clip_len
+    for prompt, prefix, data in zip(prompts, prefixes.summary(), groups):
         ref_prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
             policies.theta_old, prompt, spec, cfg, schedule, 4)
-        assert prefix.total_generated == ref_prefix.total_generated
-        assert np.max(np.abs(prefix.frames() - ref_prefix.frames())) <= 1e-12
+        assert ref_prefix.total_generated == prefixes.total_generated
+        assert np.max(np.abs(prefix - ref_prefix.summary())) <= 1e-12
         assert np.max(np.abs(data.x0_rows - ref_rows)) <= 1e-12
         assert np.max(np.abs(data.ctx_rows - ref_ctx)) <= 1e-12
 
@@ -209,15 +214,19 @@ def count_calls(monkeypatch, owner, name, log):
 @pytest.mark.parametrize("mode,start,window", [
     ("short", 0, 1), ("long", 0, 2), ("long", 3, 2), ("long", 1, 3)])
 def test_rollout_work_budget(monkeypatch, mode, start, window):
-    # Each prefix clip pushes once per prompt. Window candidates push only
-    # between their clips, never after the last, and read their shared
-    # branch context once per prompt. Short mode opens no prefix or window
-    # stream.
+    # All prompts' contexts form one batch: each prefix clip is one push and
+    # one summary for every prompt at once. The window repeats the batch per
+    # candidate, reads its summary once, and pushes only between clips,
+    # never after the last. The per-context reference path is never taken.
+    # Short mode opens no prefix or window stream.
     cfg = small_config(mode=mode, window_clips=window)
     policies, schedule, prompts = make_world(cfg, n_prompts=3)
-    pushes, summaries, keys, batches = [], [], [], []
-    count_calls(monkeypatch, streamctx, "push_clip", pushes)
-    count_calls(monkeypatch, streamctx.ContextWindow, "summary", summaries)
+    pushes, summaries, repeats, window_calls, keys, batches = [], [], [], [], [], []
+    count_calls(monkeypatch, streamctx.ContextBatch, "push", pushes)
+    count_calls(monkeypatch, streamctx.ContextBatch, "summary", summaries)
+    count_calls(monkeypatch, streamctx.ContextBatch, "repeat", repeats)
+    count_calls(monkeypatch, streamctx, "push_clip", window_calls)
+    count_calls(monkeypatch, streamctx.ContextWindow, "summary", window_calls)
     count_calls(monkeypatch, arng, "substream", keys)
     count_calls(monkeypatch, arng, "substreams", batches)
     if mode == "short":
@@ -227,8 +236,12 @@ def test_rollout_work_budget(monkeypatch, mode, start, window):
         spec = longtune.WindowSpec(cfg.total_clips, window, start)
     longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 0)
     p, g = len(prompts), cfg.group_size
-    assert len(pushes) == p * start + p * g * (window - 1)
-    assert len(summaries) == p * start + p + p * g * (window - 1)
+    assert len(pushes) == start + window - 1
+    assert len(summaries) == start + window
+    assert [n for _, n in repeats] == [g]
+    assert window_calls == []
+    rows = [len(args[1]) for args in pushes]
+    assert rows == [p] * start + [p * g] * (window - 1)
     tags = [key[1] for key in keys + [key for (batch,) in batches for key in batch]]
     assert tags.count(arng.PREFIX_STREAM) == p * (start > 0)
     assert tags.count(arng.WINDOW_STREAM) == 0

@@ -165,6 +165,34 @@ def test_normalizer_state_roundtrip():
         clone.update_and_standardize(0, batch.copy()))
 
 
+def numpy_row_welford(count, mean, m2, scores):
+    """Reference: the Welford update as numpy ops on one row at a time."""
+    for row in np.atleast_2d(scores):
+        count += 1
+        delta = row - mean
+        mean = mean + delta / count
+        m2 = m2 + delta * (row - mean)
+    return count, mean, m2
+
+
+def test_normalizer_update_is_bit_exact_against_numpy_row_loop():
+    rng = np.random.default_rng(11)
+    norm = rewardlab.RewardNormalizer()
+    ref = {}
+    for _ in range(3000):
+        pid = int(rng.integers(4))
+        rows = int(rng.integers(1, 25))
+        scale = 10.0 ** rng.uniform(-8, 8, size=(1, rewardlab.N_MODELS))
+        scores = rng.standard_normal((rows, rewardlab.N_MODELS)) * scale + rng.uniform(-1, 1)
+        zero = np.zeros(rewardlab.N_MODELS)
+        ref[pid] = numpy_row_welford(*ref.get(pid, (0, zero, zero)), scores)
+        norm.update(pid, scores)
+        count, mean, m2 = ref[pid]
+        assert norm.count[pid] == count
+        assert np.array_equal(norm.mean[pid].view(np.uint64), mean.view(np.uint64))
+        assert np.array_equal(norm.m2[pid].view(np.uint64), m2.view(np.uint64))
+
+
 # --- composite and ranks ---
 
 

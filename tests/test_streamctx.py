@@ -192,3 +192,82 @@ def test_group_rollout_rejects_singleton_group():
 
 def test_candidate_key_layout():
     assert streamctx.group_base_key(5, 2, 9) == (5, arng.CANDIDATE_STREAM, 2, 9)
+
+
+# --- ContextBatch: the rows-batched state the rollout runs on ---
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("sink,window,clip_len,dim", [
+    (3, 4, 2, 8),   # sink warm-up spans two clips, then eviction
+    (5, 3, 2, 1),   # one-wide frames
+    (4, 21, 3, 2),  # a clip split across the sink boundary
+    (0, 4, 2, 8),   # no sink at all
+    (3, 1, 2, 8),   # a one-frame rolling window
+    (2, 1, 1, 3),
+])
+def test_batch_summaries_equal_context_window_path_bit_for_bit(sink, window, clip_len, dim):
+    rng = np.random.default_rng(sink * 100 + window)
+    rows = 5
+    ctxs = [streamctx.empty_context(sink, window, dim)] * rows
+    batch = streamctx.ContextBatch.from_windows(ctxs)
+    for step in range(12):
+        assert batch.total_generated == ctxs[0].total_generated == step * clip_len
+        assert batch.filled == len(ctxs[0].sink)
+        ref = np.stack([ctx.summary() for ctx in ctxs])
+        assert np.array_equal(bits(batch.summary()), bits(ref)), f"push {step}"
+        # a batch built from the windows mid-stream reads the same summaries
+        assert np.array_equal(bits(streamctx.ContextBatch.from_windows(ctxs).summary()),
+                              bits(ref))
+        clips = rng.standard_normal((rows, clip_len, dim)) * 10.0 ** rng.integers(
+            -8, 9, (rows, clip_len, dim))
+        ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
+        batch = batch.push(clips)
+
+
+def test_batch_push_is_functional():
+    rng = np.random.default_rng(5)
+    ctxs = [streamctx.push_clip(streamctx.empty_context(3, 4, 2), rng.standard_normal((2, 2)))
+            for _ in range(3)]
+    b0 = streamctx.ContextBatch.from_windows(ctxs)
+    s0, sink0, newest0 = b0.summary(), b0.sink.copy(), b0.newest.copy()
+    clips = rng.standard_normal((3, 2, 2))
+    expect = np.stack([streamctx.push_clip(c, clip).summary() for c, clip in zip(ctxs, clips)])
+    b1 = b0.push(clips)
+    b2 = b1.push(rng.standard_normal((3, 2, 2)))  # sink full: b2 shares b1's sink
+    clips[:] = 7.0  # the batch holds its own copies
+    assert np.array_equal(b0.sink, sink0) and np.array_equal(b0.newest, newest0)
+    assert np.array_equal(b0.summary(), s0)
+    assert np.array_equal(b1.summary(), expect)
+    assert b1.sink is not b0.sink and b2.sink is b1.sink
+    with pytest.raises(AttributeError):
+        b1.filled = 0  # frozen
+
+
+def test_batch_repeat_is_prompt_major():
+    rng = np.random.default_rng(6)
+    ctxs = [streamctx.push_clip(streamctx.empty_context(3, 4, 2), rng.standard_normal((4, 2)))
+            for _ in range(3)]
+    repeated = streamctx.ContextBatch.from_windows(ctxs).repeat(4)
+    expect = streamctx.ContextBatch.from_windows([c for c in ctxs for _ in range(4)])
+    assert np.array_equal(repeated.summary(), expect.summary())
+    assert (repeated.filled, repeated.total_generated) == (expect.filled, 4)
+
+
+def test_batch_validates_rows_and_shapes():
+    batch = streamctx.ContextBatch.from_windows([streamctx.empty_context(frame_dim=8)] * 2)
+    for bad in (np.zeros((2, 4, 5)), np.zeros((3, 4, 8)), np.zeros((2, 8))):
+        with pytest.raises(ValueError):
+            batch.push(bad)
+    graph = tg.GradGraph()
+    with pytest.raises(TypeError):
+        batch.push(graph.parameter("clips", np.zeros((2, 4, 8))))
+    ctx = streamctx.empty_context(frame_dim=8)
+    with pytest.raises(ValueError):  # rows must have generated the same frames
+        streamctx.ContextBatch.from_windows([ctx, streamctx.push_clip(ctx, np.zeros((4, 8)))])
+    with pytest.raises(ValueError):
+        streamctx.ContextBatch.from_windows([ctx, streamctx.empty_context(frame_dim=4)])
+
