@@ -183,10 +183,23 @@ def uncertainty_mask(delta: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
     delta = np.asarray(delta, dtype=np.float64)
-    nonneg = delta[delta >= 0.0]
-    if nonneg.size == 0:
+    nonneg = sorted(delta[delta >= 0.0].tolist())
+    if not nonneg:
         return math.inf, np.zeros(delta.shape, dtype=bool)
-    tau = float(np.percentile(nonneg, 100.0 * (1.0 - rho), method="linear"))
+    # np.percentile(nonneg, 100 * (1 - rho), method="linear") in numpy's own
+    # arithmetic, without its per-call overhead: the virtual index between
+    # two sorted neighbours, then numpy's two-sided lerp. Past the last
+    # index numpy takes the last value twice, with gamma = index + 1.
+    last = len(nonneg) - 1
+    index = last * ((100.0 * (1.0 - rho)) / 100)
+    if index >= last:
+        lo, hi, gamma = last, last, index + 1
+    else:
+        lo = math.floor(index)
+        hi, gamma = lo + 1, index - lo
+    a, b = nonneg[lo], nonneg[hi]
+    diff = b - a
+    tau = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
     return tau, delta > tau
 
 

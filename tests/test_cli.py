@@ -14,7 +14,9 @@ import pytest
 
 import astro
 from astro import cli, flowgen, longtune, nftcore, runio, streamctx, rng as arng
+from astro import tensorgrad as tg
 from astro.config import RunConfig, save_config
+from test_tensorgrad import reference_backward
 
 
 def tiny_config(**over):
@@ -66,6 +68,18 @@ def test_bulk_seeding_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
     for name in ("metrics.jsonl", "checkpoint.bin"):
         assert ((tmp_path / "bulk" / name).read_bytes()
                 == (tmp_path / "per_key" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_lean_backward_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
+    # backward against the whole-tape walk, for pretraining and every epoch.
+    cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
+    assert cli.run_training(cfg, tmp_path / "lean")["status"] == "ok"
+    monkeypatch.setattr(tg, "backward", reference_backward)
+    assert cli.run_training(cfg, tmp_path / "whole_tape")["status"] == "ok"
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert ((tmp_path / "lean" / name).read_bytes()
+                == (tmp_path / "whole_tape" / name).read_bytes()), name
 
 
 def window_list_rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, epoch):

@@ -577,6 +577,25 @@ def test_train_epoch_aborts_on_optimization_overflow():
                                 rewardlab.RiskState(), tg.AdamW(lr=cfg.lr))
 
 
+def test_first_layer_overflow_aborts_at_its_matmul():
+    # theta's first layer at the float64 maximum overflows x @ w1; tanh would
+    # saturate it to 1, so the per-primitive check is what catches it.
+    cfg = small_config()
+    policies, schedule, _ = make_world(cfg)
+    policies.theta["w1"][...] = np.finfo(np.float64).max
+    rng = np.random.default_rng(17)
+    with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
+        nftcore.optimize_group(policies, synthetic_scored_group(cfg, rng), nftcore.TrainState(),
+                               cfg, schedule, tg.AdamW(lr=cfg.lr), epoch=0)
+    groups = [synthetic_scored_group(cfg, rng).data for _ in range(2)]
+    with pytest.raises(nftcore.EpochAborted) as exc:
+        nftcore.train_epoch(policies, groups, nftcore.TrainState(), cfg, schedule,
+                            rewardlab.RewardNormalizer(), rewardlab.RiskState(),
+                            tg.AdamW(lr=cfg.lr))
+    assert exc.value.pid == groups[0].prompt.pid
+    assert "primitive 'matmul'" in str(exc.value.cause)
+
+
 def test_epoch_mode_ema_ticks_once_per_epoch():
     cfg = small_config(ema_mode="epoch")
     policies, schedule, prompts = make_world(cfg)

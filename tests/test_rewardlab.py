@@ -265,6 +265,29 @@ def test_uncertainty_mask_rho_validation():
         rewardlab.uncertainty_mask(np.array([1.0]), 1.5)
 
 
+def test_uncertainty_mask_tau_is_numpy_percentile_bit_for_bit():
+    # The closed form against np.percentile(method="linear") on 20k draws:
+    # half-integer deltas with ties as rank_disagreement makes them from
+    # three judges' ranks, continuous deltas, n = 1, rho = 1 and random rho.
+    rng = np.random.default_rng(4)
+    for draw in range(20_000):
+        n = int(rng.integers(1, 25))
+        if draw % 2:
+            ranks = [rng.permutation(n) + 1 for _ in range(3)]
+            delta = rewardlab.rank_disagreement(ranks[0], ranks[1:])
+        else:
+            delta = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        rho = 1.0 if draw % 7 == 0 else float(rng.uniform(1e-3, 1.0))
+        tau, mask = rewardlab.uncertainty_mask(delta, rho)
+        nonneg = delta[delta >= 0.0]
+        if nonneg.size == 0:
+            assert tau == np.inf and not mask.any()
+            continue
+        expected = float(np.percentile(nonneg, 100.0 * (1.0 - rho), method="linear"))
+        assert np.float64(tau).tobytes() == np.float64(expected).tobytes(), (delta, rho)
+        assert np.array_equal(mask, delta > expected)
+
+
 def test_masked_fraction_tracks_rho():
     # Over many random draws the masked share of nonnegative deltas stays
     # close to rho (linear-interpolation percentile, strict threshold).

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from astro import flowgen
+from astro import flowgen, nftcore
 from astro import tensorgrad as tg
+from astro.config import RunConfig
 
 
 def numeric_grad(build_loss, params: dict[str, np.ndarray], name: str, h: float = 1e-5):
@@ -94,6 +96,41 @@ def test_nonfinite_output_raises():
         tg.apply_primitive("add", [big, g.constant(np.full((1, 1), 1e308))], g)
 
 
+def test_finite_values_whose_sum_overflows_pass_the_check():
+    g = tg.GradGraph()
+    big = g.parameter("p", np.full((1, 2), 1e308))
+    out = tg.apply_primitive("add", [big, g.constant(np.zeros((1, 2)))], g)
+    assert np.array_equal(out.value, np.full((1, 2), 1e308))
+
+
+def overflowing_generator():
+    """Generator weights at the float64 maximum in the first layer: any input
+    above 1 in magnitude makes its product with them overflow."""
+    params = generator_net()
+    params["w1"][...] = np.finfo(np.float64).max
+    return params, np.full((3, params["w1"].shape[0]), 2.0)
+
+
+def test_overflow_raises_at_the_primitive_that_made_it():
+    params, x = overflowing_generator()
+    # tanh saturates the overflow to 1, so every later value is finite: a
+    # check on the prediction alone would pass this network.
+    with np.errstate(over="ignore"):
+        assert np.isfinite(flowgen.mlp_forward(params, x)).all()
+    with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
+        flowgen.mlp_forward(params, x, tg.GradGraph())
+
+
+def test_overflow_in_pretraining_raises_pretrain_divergence():
+    params, _ = overflowing_generator()
+    corpus = flowgen.make_corpus(seed=0)
+    with pytest.raises(flowgen.PretrainDivergence) as info:
+        flowgen.pretrain_base(corpus, 3, np.random.default_rng(0), init=params)
+    assert info.value.step == 0
+    assert isinstance(info.value.__cause__, tg.NonFiniteError)
+    assert "primitive 'matmul'" in str(info.value.__cause__)
+
+
 def test_foreign_graph_nodes_rejected():
     g1, g2 = tg.GradGraph(), tg.GradGraph()
     a = g1.parameter("a", np.ones((1, 2)))
@@ -137,29 +174,31 @@ def test_gradient_matches_finite_differences_small_nets():
             assert rel_err(grads[name], fd) <= 1e-7, f"trial {trial} param {name}"
 
 
+def every_primitive_loss(params, x, graph=None):
+    """One expression whose tape records every primitive; numpy fallback mirrors it."""
+    if graph is None:
+        h = np.tanh(x @ params["w"])
+        piece = (h + params["c"] * h - 0.25) * 0.5
+        return float(np.sum(piece ** 2)) + float(np.mean(h))
+    p = graph.parameters(params)
+    h = (graph.constant(x) @ p["w"]).tanh()
+    piece = (h + p["c"] * h - graph.constant(0.25)) * 0.5
+    return piece.square().sum() + h.mean()
+
+
 def test_gradients_through_every_primitive():
-    # One expression whose tape records every primitive, pinned to finite
-    # differences. A primitive added without coverage here fails the test.
+    # Pinned to finite differences. A primitive added without coverage here
+    # fails the test.
     rng = np.random.default_rng(11)
     params = {"w": rng.standard_normal((4, 3)), "c": rng.standard_normal((2, 3))}
     x = rng.standard_normal((2, 4))
 
-    def build(graph=None):
-        if graph is None:
-            h = np.tanh(x @ params["w"])
-            piece = (h + params["c"] * h - 0.25) * 0.5
-            return float(np.sum(piece ** 2)) + float(np.mean(h))
-        p = graph.parameters(params)
-        h = (graph.constant(x) @ p["w"]).tanh()
-        piece = (h + p["c"] * h - graph.constant(0.25)) * 0.5
-        return piece.square().sum() + h.mean()
-
     graph = tg.GradGraph()
-    loss = build(graph)
+    loss = every_primitive_loss(params, x, graph)
     assert {node.op for node in graph.nodes} - {"param"} == set(tg.PRIMITIVES)
     grads = tg.backward(graph, loss)
     for name in params:
-        fd = numeric_grad(build, params, name)
+        fd = numeric_grad(lambda: every_primitive_loss(params, x), params, name)
         assert rel_err(grads[name], fd) <= 1e-7, name
 
 
@@ -253,6 +292,155 @@ def test_detached_branch_equals_rebuilt_constant_graph():
     out3 = (graph3.constant(x) @ r["w"]) * h3.mean()
     grads_attached = tg.backward(graph3, out3.square().mean())
     assert np.max(np.abs(grads_attached["w"] - grads_detached["w"])) > 1e-8
+
+
+# --- backward against the whole-tape walk ---
+
+
+def reference_reduce_to(shape, g):
+    if g.shape == shape:
+        return g
+    if shape == ():
+        return np.asarray(g.sum())
+    return g.sum(axis=0, keepdims=True)
+
+
+def reference_adjoint(node, g):
+    """Every parent's adjoint, detached or not, by the rules backward uses."""
+    op, parents = node.op, node.parents
+    values = [p.value for p in parents]
+    if op == "add":
+        return [reference_reduce_to(p.shape, g) for p in parents]
+    if op == "sub":
+        return [reference_reduce_to(parents[0].shape, g),
+                reference_reduce_to(parents[1].shape, -g)]
+    if op == "mul":
+        return [reference_reduce_to(parents[0].shape, g * values[1]),
+                reference_reduce_to(parents[1].shape, g * values[0])]
+    if op == "scalar_mul":
+        return [g * node.ctx["scalar"]]
+    if op == "matmul":
+        return [g @ values[1].T, values[0].T @ g]
+    if op == "tanh":
+        return [g * (1.0 - node.value * node.value)]
+    if op == "square":
+        return [g * 2.0 * values[0]]
+    if op == "sum":
+        return [np.broadcast_to(g, values[0].shape).copy()]
+    if op == "mean":
+        return [np.broadcast_to(g / math.prod(values[0].shape), values[0].shape).copy()]
+    raise ValueError(op)
+
+
+def reference_backward(graph, loss):
+    """The whole-tape walk: every adjoint formed, detached operands' too, leaf
+    gradients gathered in a dict by node, then flattened."""
+    grads = {}
+    if not loss.detached:
+        grads[id(loss)] = np.ones(())
+        for node in reversed(graph.nodes[: loss.index + 1]):
+            g = grads.pop(id(node), None)
+            if g is None or node.op == "param":
+                if g is not None:
+                    grads[id(node)] = g
+                continue
+            for parent, pg in zip(node.parents, reference_adjoint(node, g)):
+                if parent.detached:
+                    continue
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
+    return tg.flatten({name: grads.get(id(p), np.zeros(p.shape))
+                       for name, p in graph.params.items()})
+
+
+def group_loss(masked: bool):
+    """build_group_loss at generator scale on a synthetic G=8 group; with
+    masked=False the KL term is plain 0.0 and stays off the graph."""
+    cfg = RunConfig(lambda_kl=0.05)
+    rng = np.random.default_rng(21)
+    policies = nftcore.PolicyTriple.from_base(generator_net())
+    policies.theta.flat += 0.01 * rng.standard_normal(policies.theta.flat.shape)
+    policies.theta_ref.flat -= 0.01 * rng.standard_normal(policies.theta.flat.shape)
+    g, width = cfg.group_size, cfg.clip_len * cfg.frame_dim
+    data = nftcore.GroupData(
+        prompt=flowgen.make_prompt(0, rng, cfg.prompt_dim),
+        x0_rows=rng.standard_normal((g, width)),
+        ctx_rows=rng.standard_normal((g, 2 * cfg.frame_dim)),
+        row_candidate=np.arange(g), clips=[])
+    mask = np.arange(g) % 3 == 0 if masked else np.zeros(g, dtype=bool)
+    scored = nftcore.ScoredGroup(data=data, raw_scores=np.zeros((g, 3)),
+                                 advantages=nftcore.compute_advantages(rng.standard_normal(g)),
+                                 mask=mask, tau=1.0)
+    graph, loss, info = nftcore.build_group_loss(
+        policies, scored, cfg, 5.0 / 6.0, rng.standard_normal((g, width)))
+    assert (info["kl_loss"] == 0.0) != masked
+    assert info["graph_nodes"] == (34 if masked else 28)
+    return graph, loss
+
+
+def pretrain_loss():
+    """One pretraining step's loss, as pretrain_base builds it."""
+    rng = np.random.default_rng(22)
+    corpus = flowgen.make_corpus(seed=0)
+    x0, ctx, pv = corpus.sample_batch(rng, 16)
+    t = np.array(flowgen.make_schedule().values)[rng.integers(3, size=16)]
+    xt = flowgen.forward_path(x0, rng.standard_normal(x0.shape), t)
+    graph = tg.GradGraph()
+    pred = flowgen.predict_clean_batch(generator_net(1), xt, t, ctx, pv, graph)
+    return graph, (pred - graph.constant(x0)).square().mean()
+
+
+def every_primitive_graph():
+    rng = np.random.default_rng(11)
+    params = {"w": rng.standard_normal((4, 3)), "c": rng.standard_normal((2, 3))}
+    graph = tg.GradGraph()
+    return graph, every_primitive_loss(params, rng.standard_normal((2, 4)), graph)
+
+
+def shared_weight_graph():
+    # w feeds two matmuls, so its gradient is accumulated in its view.
+    rng = np.random.default_rng(12)
+    graph = tg.GradGraph()
+    w = graph.parameter("w", rng.standard_normal((3, 3)))
+    x = graph.constant(rng.standard_normal((4, 3)))
+    return graph, (x @ w).tanh().square().mean() + (x @ w).sum() * 0.5
+
+
+LOSSES = {"group_masked": lambda: group_loss(True), "group_unmasked": lambda: group_loss(False),
+          "pretrain": pretrain_loss, "every_primitive": every_primitive_graph,
+          "shared_weight": shared_weight_graph}
+
+
+@pytest.mark.parametrize("case", sorted(LOSSES))
+def test_backward_is_bit_identical_to_whole_tape_walk(case):
+    graph, loss = LOSSES[case]()
+    grads = tg.backward(graph, loss)
+    expected = reference_backward(graph, loss)
+    assert list(grads) == list(expected)
+    assert np.array_equal(grads.flat, expected.flat)
+    assert np.any(grads.flat != 0.0)
+
+
+def test_no_adjoint_is_formed_for_a_detached_operand(monkeypatch):
+    calls = []
+    for op, (forward, adjoint) in list(tg.PRIMITIVES.items()):
+        def recorded(node, g, adjoint=adjoint):
+            out = adjoint(node, g)
+            calls.append((node, out))
+            return out
+        monkeypatch.setitem(tg.PRIMITIVES, op, (forward, recorded))
+    graph, loss = group_loss(True)
+    tg.backward(graph, loss)
+    skipped = set()
+    for node, out in calls:
+        assert len(out) == len(node.parents)
+        for parent, pg in zip(node.parents, out):
+            assert (pg is None) == parent.detached, (node.op, parent)
+            if pg is None:
+                skipped.add(node.op)
+    # x @ w1 with constant x, the behavior prediction in both branches, the
+    # label and mask weights, the constant targets.
+    assert skipped == {"matmul", "add", "mul", "sub"}
 
 
 def test_loss_must_be_scalar():
