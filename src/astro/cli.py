@@ -14,11 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import flowgen, longtune, nftcore, rewardlab, runio, theoryx
+from . import flowgen, longtune, nftcore, runio, theoryx
 from . import rng as rngmod
-from . import tensorgrad as tg
 from .config import RunConfig, load_config, save_config
 
 LOG_DIR_ENV = "ASTRO_LOG_DIR"
@@ -51,69 +48,6 @@ def pretrain_from_config(cfg: RunConfig, corpus, schedule):
         lr=cfg.pretrain_lr, batch_size=cfg.pretrain_batch)
 
 
-def make_optimizer(cfg: RunConfig) -> tg.AdamW:
-    return tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                    eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-
-
-def pack_checkpoint(policies: nftcore.PolicyTriple, optimizer: tg.AdamW,
-                    state: nftcore.TrainState, normalizer: rewardlab.RewardNormalizer,
-                    risk: rewardlab.RiskState):
-    """(arrays, extra) for save_checkpoint; names are slash-scoped by component."""
-    arrays: dict[str, np.ndarray] = {}
-    for tag, params in (("theta", policies.theta), ("theta_old", policies.theta_old),
-                        ("theta_ref", policies.theta_ref)):
-        for k, v in params.items():
-            arrays[f"{tag}/{k}"] = v
-    opt = optimizer.state_dict()
-    for k, v in opt["m"].items():
-        arrays[f"opt/m/{k}"] = v
-    for k, v in opt["v"].items():
-        arrays[f"opt/v/{k}"] = v
-    norm = normalizer.state_dict()
-    arrays["norm/count"] = norm["count"]
-    arrays["norm/mean"] = norm["mean"]
-    arrays["norm/m2"] = norm["m2"]
-    if risk.buffer:
-        arrays["risk/buffer"] = np.stack(list(risk.buffer))
-    extra = {
-        "opt_t": optimizer.t,
-        "steps": state.steps,
-        "last_reset_epoch": state.last_reset_epoch,
-        "rho": risk.rho,
-        "norm_pids": [int(p) for p in norm["pids"]],
-    }
-    return arrays, extra
-
-
-def unpack_checkpoint(arrays: dict, meta: dict, cfg: RunConfig):
-    """Rebuild training state from checkpoint arrays; inverse of pack_checkpoint.
-
-    Each policy and each optimizer moment comes back as one flat buffer.
-    """
-    def collect(prefix: str) -> tg.FlatParams:
-        plen = len(prefix)
-        return tg.flatten({k[plen:]: v for k, v in arrays.items() if k.startswith(prefix)})
-
-    policies = nftcore.PolicyTriple(theta=collect("theta/"),
-                                    theta_old=collect("theta_old/"),
-                                    theta_ref=collect("theta_ref/"))
-    optimizer = make_optimizer(cfg)
-    extra = meta["extra"]
-    optimizer.load_state_dict({"t": extra["opt_t"], "m": collect("opt/m/"),
-                               "v": collect("opt/v/")})
-    state = nftcore.TrainState(epoch=int(meta["epoch"]), steps=int(extra["steps"]),
-                               last_reset_epoch=int(extra["last_reset_epoch"]))
-    normalizer = rewardlab.RewardNormalizer()
-    normalizer.load_state_dict({"pids": extra["norm_pids"], "count": arrays["norm/count"],
-                                "mean": arrays["norm/mean"], "m2": arrays["norm/m2"]})
-    risk = rewardlab.RiskState(rho0=cfg.rho0, rho=float(extra["rho"]))
-    if "risk/buffer" in arrays:
-        for row in arrays["risk/buffer"]:
-            risk.buffer.append(np.array(row))
-    return policies, optimizer, state, normalizer, risk
-
-
 def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
                  echo=None) -> dict:
     """Full training run rooted at out_dir. Returns a status summary.
@@ -123,31 +57,25 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
     the checkpoint.
     """
     out_dir = Path(out_dir)
+    # A checkpoint is checked against cfg before anything under out_dir is written.
+    run = nftcore.RunState.from_arrays(*runio.load_checkpoint(resume), cfg) if resume else None
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.json")
     schedule, corpus, prompts = build_world(cfg)
     metrics_path = out_dir / "metrics.jsonl"
 
-    if resume:
-        arrays, meta = runio.load_checkpoint(resume)
-        policies, optimizer, state, normalizer, risk = unpack_checkpoint(arrays, meta, cfg)
-        if echo:
-            echo(f"resumed from {resume} at epoch {state.epoch}")
-    else:
+    if run is None:
         base, _ = pretrain_from_config(cfg, corpus, schedule)
-        policies = nftcore.PolicyTriple.from_base(base)
-        optimizer = make_optimizer(cfg)
-        state = nftcore.TrainState()
-        normalizer = rewardlab.RewardNormalizer()
-        risk = rewardlab.RiskState(rho0=cfg.rho0, rho=cfg.rho0)
+        run = nftcore.RunState.fresh(cfg, base)
         metrics_path.unlink(missing_ok=True)
         if echo:
             echo(f"pretrained base for {cfg.pretrain_steps} steps")
+    elif echo:
+        echo(f"resumed from {resume} at epoch {run.state.epoch}")
 
-    while state.epoch < cfg.epochs:
+    while run.state.epoch < cfg.epochs:
         try:
-            record = longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
-                                                 normalizer, risk, optimizer)
+            record = longtune.train_window_epoch(run, prompts, cfg, schedule)
         except nftcore.EpochAborted as err:
             diag = {"status": "aborted", "epoch": err.epoch, "prompt": err.pid,
                     "cause": str(err.cause)}
@@ -161,12 +89,13 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
                  f"policy {record.policy_loss:.4f}  kl {record.kl_loss:.6f}  "
                  f"mask {record.mask_fraction:.2f}  {record.wall_time:.2f}s")
 
-    arrays, extra = pack_checkpoint(policies, optimizer, state, normalizer, risk)
+    arrays, extra = run.to_arrays()
     ckpt_path = out_dir / "checkpoint.bin"
-    runio.save_checkpoint(ckpt_path, arrays, seed=cfg.seed, epoch=state.epoch, extra=extra)
+    runio.save_checkpoint(ckpt_path, arrays, seed=cfg.seed, epoch=run.state.epoch,
+                          extra=extra)
     if echo:
         echo(f"checkpoint written to {ckpt_path}")
-    return {"status": "ok", "epochs_run": state.epoch, "out_dir": str(out_dir),
+    return {"status": "ok", "epochs_run": run.state.epoch, "out_dir": str(out_dir),
             "checkpoint": str(ckpt_path), "metrics": str(metrics_path)}
 
 

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flowgen, nftcore, rewardlab, runio, streamctx
+from . import flowgen, nftcore, runio, streamctx
 from . import rng as rngmod
-from . import tensorgrad as tg
 from .config import RunConfig
 
 
@@ -74,8 +73,7 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
     start_clip. At start_clip 0 the contexts are empty and no stream is
     opened.
     """
-    empty = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
-    ctx = streamctx.ContextBatch.from_windows([empty] * len(prompts))
+    ctx = streamctx.ContextBatch.empty(len(prompts), cfg.sink_size, cfg.frame_dim)
     if start_clip == 0:
         return ctx
     streams = rngmod.substreams([(cfg.seed, rngmod.PREFIX_STREAM, epoch, p.pid)
@@ -113,18 +111,15 @@ def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
     ) for prompt, window, summary in zip(prompts, clips, summaries)]
 
 
-def train_window_epoch(policies: nftcore.PolicyTriple, prompts: list[flowgen.Prompt],
-                       state: nftcore.TrainState, cfg: RunConfig,
-                       schedule: flowgen.TimestepSchedule,
-                       normalizer: rewardlab.RewardNormalizer, risk: rewardlab.RiskState,
-                       optimizer: tg.AdamW) -> runio.MetricsRecord:
+def train_window_epoch(run: nftcore.RunState, prompts: list[flowgen.Prompt], cfg: RunConfig,
+                       schedule: flowgen.TimestepSchedule) -> runio.MetricsRecord:
     """One epoch of either mode: shared window choice, prefix and window
     rollout under theta_old, then optimization on the window's groups."""
     t_start = time.perf_counter()
-    spec = epoch_window(cfg, state.epoch)
-    groups = window_rollout(policies.theta_old, prompts, spec, cfg, schedule, state.epoch)
-    record = nftcore.train_epoch(policies, groups, state, cfg, schedule,
-                                 normalizer, risk, optimizer)
+    epoch = run.state.epoch
+    spec = epoch_window(cfg, epoch)
+    groups = window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, epoch)
+    record = nftcore.train_epoch(run, groups, cfg, schedule)
     record.window_start = spec.start_clip
     record.wall_time = time.perf_counter() - t_start
     return record

@@ -11,7 +11,9 @@ refreshes when that pull grows too large or too stale.
 The engine takes its groups as data, already rolled out: the streaming
 path in longtune decodes them for both modes (short mode is a one-clip
 window at clip 0 with an empty context), so this module never decodes
-candidates itself. An epoch returns its runio.MetricsRecord.
+candidates itself. Everything a run carries from one epoch to the next is
+one RunState (policies, optimizer, counters, reward statistics); an epoch
+takes it, advances it in place, and returns its runio.MetricsRecord.
 """
 
 from __future__ import annotations
@@ -52,6 +54,71 @@ class TrainState:
     epoch: int = 0
     last_reset_epoch: int = 0
     steps: int = 0
+
+
+# Checkpoint name prefixes of a run's five flat buffers, in file order.
+BUFFER_PREFIXES = ("theta/", "theta_old/", "theta_ref/", "opt/m/", "opt/v/")
+
+
+@dataclass
+class RunState:
+    """Everything a run carries across epochs. fresh() starts one from a
+    pretrained base; to_arrays()/from_arrays() are its checkpoint round-trip,
+    with array names slash-scoped by component."""
+
+    policies: PolicyTriple
+    optimizer: tg.AdamW
+    state: TrainState
+    normalizer: rewardlab.RewardNormalizer
+    risk: rewardlab.RiskState
+
+    @classmethod
+    def fresh(cls, cfg: RunConfig, base: dict[str, np.ndarray]) -> "RunState":
+        """Epoch 0: every policy a copy of base, no moments, no reward statistics."""
+        optimizer = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
+                             eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+        return cls(policies=PolicyTriple.from_base(base), optimizer=optimizer,
+                   state=TrainState(), normalizer=rewardlab.RewardNormalizer(),
+                   risk=rewardlab.RiskState(rho0=cfg.rho0, rho=cfg.rho0))
+
+    def to_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
+        """(arrays, extra) for runio.save_checkpoint; the arrays are views of this state."""
+        p, opt, norm = self.policies, self.optimizer, self.normalizer.state_dict()
+        buffers = (p.theta, p.theta_old, p.theta_ref, opt.m, opt.v)
+        arrays = {prefix + k: v for prefix, params in zip(BUFFER_PREFIXES, buffers)
+                  for k, v in params.items()}
+        arrays.update({f"norm/{k}": norm[k] for k in ("count", "mean", "m2")})
+        if self.risk.buffer:
+            arrays["risk/buffer"] = np.stack(list(self.risk.buffer))
+        extra = {"opt_t": opt.t, "steps": self.state.steps,
+                 "last_reset_epoch": self.state.last_reset_epoch, "rho": self.risk.rho,
+                 "norm_pids": [int(pid) for pid in norm["pids"]]}
+        return arrays, extra
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], meta: dict,
+                    cfg: RunConfig) -> "RunState":
+        """Inverse of to_arrays, each policy and moment one flat buffer again.
+
+        A checkpoint of another seed is refused: its random streams would mix
+        with cfg's."""
+        if int(meta["seed"]) != cfg.seed:
+            raise ValueError(f"checkpoint was written with seed {meta['seed']}; "
+                             f"cannot resume it with seed {cfg.seed}")
+        theta, theta_old, theta_ref, m, v = (
+            tg.flatten({k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)})
+            for prefix in BUFFER_PREFIXES)
+        extra = meta["extra"]
+        run = cls.fresh(cfg, {})
+        run.policies = PolicyTriple(theta=theta, theta_old=theta_old, theta_ref=theta_ref)
+        run.optimizer.load_state_dict({"t": extra["opt_t"], "m": m, "v": v})
+        run.state = TrainState(epoch=int(meta["epoch"]), steps=int(extra["steps"]),
+                               last_reset_epoch=int(extra["last_reset_epoch"]))
+        norm = {k: arrays[f"norm/{k}"] for k in ("count", "mean", "m2")}
+        run.normalizer.load_state_dict({"pids": extra["norm_pids"], **norm})
+        run.risk.rho = float(extra["rho"])
+        run.risk.buffer.extend(np.array(row) for row in arrays.get("risk/buffer", ()))
+        return run
 
 
 # --- advantage shaping ---
@@ -253,18 +320,19 @@ def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig
     return graph, loss, info
 
 
-def optimize_group(policies: PolicyTriple, scored: ScoredGroup, state: TrainState,
-                   cfg: RunConfig, schedule: flowgen.TimestepSchedule,
-                   optimizer: tg.AdamW, epoch: int) -> dict:
-    """One optimizer step on one prompt group; EMA tick if configured per step."""
+def optimize_group(run: RunState, scored: ScoredGroup, cfg: RunConfig,
+                   schedule: flowgen.TimestepSchedule) -> dict:
+    """One optimizer step on one prompt group, at epoch run.state.epoch; EMA
+    tick if configured per step."""
+    policies, state = run.policies, run.state
     pid = scored.data.prompt.pid
-    t = draw_noise_level(cfg, schedule, epoch, pid)
-    eps_stream = rngmod.substream(cfg.seed, rngmod.EPS_STREAM, epoch, pid)
+    t = draw_noise_level(cfg, schedule, state.epoch, pid)
+    eps_stream = rngmod.substream(cfg.seed, rngmod.EPS_STREAM, state.epoch, pid)
     eps = eps_stream.standard_normal(scored.data.x0_rows.shape)
     graph, loss, info = build_group_loss(policies, scored, cfg, t, eps)
     grads = tg.backward(graph, loss)
     info["grad_norm"] = tg.clip_global_norm(grads, cfg.max_grad_norm)
-    optimizer.step(policies.theta, grads)
+    run.optimizer.step(policies.theta, grads)
     state.steps += 1
     if cfg.ema_mode == "step" and state.steps % cfg.ema_interval == 0:
         ema_update(policies.theta_old, policies.theta, cfg.gamma)
@@ -296,27 +364,25 @@ def abort_on_nonfinite(epoch: int, prompts: list[flowgen.Prompt], rows_per_promp
         raise EpochAborted(epoch, owner.pid, err) from err
 
 
-def train_epoch(policies: PolicyTriple, groups: list[GroupData], state: TrainState,
-                cfg: RunConfig, schedule: flowgen.TimestepSchedule,
-                normalizer: rewardlab.RewardNormalizer, risk: rewardlab.RiskState,
-                optimizer: tg.AdamW) -> runio.MetricsRecord:
+def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
+                schedule: flowgen.TimestepSchedule) -> runio.MetricsRecord:
     """One epoch on rolled-out groups: scoring, then per-group optimization.
 
     groups holds every prompt's candidate group, rolled out under
-    policies.theta_old, in prompt order (longtune.window_rollout makes them
-    for both modes). They are scored one by one, in that order, so the
+    run.policies.theta_old, in prompt order (longtune.window_rollout makes
+    them for both modes). They are scored one by one, in that order, so the
     normalizer and risk state update exactly as in a per-prompt loop.
     Returns the epoch's record, with window_start and wall_time left for
-    the caller; advances state.epoch.
+    the caller; advances run.state.epoch once every group is optimized.
     """
+    policies, state = run.policies, run.state
     epoch = state.epoch
-    scored_groups = [score_group(data, cfg, normalizer, risk) for data in groups]
+    scored_groups = [score_group(data, cfg, run.normalizer, run.risk) for data in groups]
 
     infos = []
     for scored in scored_groups:
         try:
-            infos.append(optimize_group(policies, scored, state, cfg, schedule,
-                                        optimizer, epoch))
+            infos.append(optimize_group(run, scored, cfg, schedule))
         except tg.NonFiniteError as err:
             raise EpochAborted(epoch, scored.data.prompt.pid, err) from err
 
@@ -342,7 +408,7 @@ def train_epoch(policies: PolicyTriple, groups: list[GroupData], state: TrainSta
         kl_loss=kl_epoch,
         mask_fraction=float(sum(int(g.mask.sum()) for g in scored_groups) / n_candidates),
         tau=float(np.mean(finite_taus)) if finite_taus else None,
-        rho=risk.rho,
+        rho=run.risk.rho,
         grad_norm=float(np.mean([i["grad_norm"] for i in infos])),
         reset=reset,
     )

@@ -97,6 +97,11 @@ class ContextBatch:
     total_generated: int
 
     @classmethod
+    def empty(cls, rows: int, sink_size: int, frame_dim: int) -> ContextBatch:
+        """rows contexts that have generated nothing yet."""
+        return cls(np.zeros((rows, sink_size, frame_dim)), 0, np.zeros((rows, frame_dim)), 0)
+
+    @classmethod
     def from_windows(cls, ctxs: list[ContextWindow]) -> ContextBatch:
         """One row per context; all must have generated the same frames."""
         first = ctxs[0]

@@ -92,10 +92,6 @@ class Node:
     def size(self):
         return self.value.size
 
-    def detach(self) -> "Node":
-        """Same value, no history. Gradient flow stops here."""
-        return self.graph.constant(self.value)
-
     # Operator sugar; everything routes through apply_primitive, which wraps
     # non-Node operands as constants.
 

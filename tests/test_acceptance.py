@@ -39,16 +39,9 @@ def run_training(cfg: RunConfig, epochs: int | None = None,
     schedule, _, prompts = cli.build_world(cfg)
     if base is None:
         base = pretrained_base(cfg)
-    policies = nftcore.PolicyTriple.from_base(base)
-    state = nftcore.TrainState()
-    norm = rewardlab.RewardNormalizer()
-    risk = rewardlab.RiskState(rho0=cfg.rho0, rho=cfg.rho0)
-    opt = cli.make_optimizer(cfg)
-    rows = []
-    for _ in range(epochs if epochs is not None else cfg.epochs):
-        rows.append(longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
-                                                norm, risk, opt).to_json_dict())
-    return rows
+    run = nftcore.RunState.fresh(cfg, base)
+    return [longtune.train_window_epoch(run, prompts, cfg, schedule).to_json_dict()
+            for _ in range(epochs if epochs is not None else cfg.epochs)]
 
 
 FIXED_T = 5.0 / 6.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import astro
-from astro import cli, flowgen, longtune, nftcore, runio, streamctx, rng as arng
+from astro import cli, flowgen, longtune, nftcore, rewardlab, runio, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig, save_config
 from test_tensorgrad import reference_backward
@@ -253,48 +254,106 @@ def test_parser_requires_subcommand():
 
 
 def test_checkpoint_state_roundtrip(tmp_path):
-    # pack -> save -> load -> unpack preserves every stateful component at
-    # float32 precision: policy triple, optimizer moments, normalizer, risk.
-    from astro import flowgen, nftcore, rewardlab
-    from astro import rng as arng
-    from astro import tensorgrad as tg
-
+    # to_arrays -> save -> load -> from_arrays preserves every stateful
+    # component at float32 precision: policy triple, optimizer moments,
+    # normalizer, risk.
     cfg = tiny_config()
     rng = np.random.default_rng(0)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
-    policies = nftcore.PolicyTriple.from_base(base)
-    optimizer = cli.make_optimizer(cfg)
+    run = nftcore.RunState.fresh(cfg, base)
+    policies, optimizer = run.policies, run.optimizer
     optimizer.step(policies.theta, tg.flatten({k: rng.standard_normal(v.shape) * 1e-3
                                                for k, v in policies.theta.items()}))
-    state = nftcore.TrainState(epoch=5, last_reset_epoch=2, steps=17)
-    normalizer = rewardlab.RewardNormalizer()
-    normalizer.update(0, rng.standard_normal((8, 3)))
-    risk = rewardlab.RiskState(rho0=cfg.rho0, rho=0.15)
-    rewardlab.update_risk_ratio(risk, rng.standard_normal(4))
+    run.state = nftcore.TrainState(epoch=5, last_reset_epoch=2, steps=17)
+    run.normalizer.update(0, rng.standard_normal((8, 3)))
+    run.risk.rho = 0.15
+    rewardlab.update_risk_ratio(run.risk, rng.standard_normal(4))
 
-    arrays, extra = cli.pack_checkpoint(policies, optimizer, state, normalizer, risk)
+    arrays, extra = run.to_arrays()
     path = tmp_path / "ck.bin"
-    runio.save_checkpoint(path, arrays, seed=cfg.seed, epoch=state.epoch, extra=extra)
+    runio.save_checkpoint(path, arrays, seed=cfg.seed, epoch=run.state.epoch, extra=extra)
     loaded, meta = runio.load_checkpoint(path)
-    p2, opt2, state2, norm2, risk2 = cli.unpack_checkpoint(loaded, meta, cfg)
+    run2 = nftcore.RunState.from_arrays(loaded, meta, cfg)
+    p2, opt2, state2 = run2.policies, run2.optimizer, run2.state
 
     assert state2.epoch == 5 and state2.last_reset_epoch == 2 and state2.steps == 17
     assert opt2.t == optimizer.t
-    assert risk2.rho == pytest.approx(0.15)
-    assert len(risk2.buffer) == 1
+    assert run2.risk.rho == pytest.approx(0.15)
+    assert len(run2.risk.buffer) == 1
     for k in policies.theta:
         assert np.allclose(p2.theta[k], policies.theta[k], atol=1e-6)
-    assert norm2.count[0] == 8
+    assert run2.normalizer.count[0] == 8
     # Every policy and moment comes back as one flat buffer, and training
     # can take its next step from them.
     for params in (p2.theta, p2.theta_old, p2.theta_ref, opt2.m, opt2.v):
         assert isinstance(params, tg.FlatParams)
         assert all(np.shares_memory(params[k], params.flat) for k in params)
     assert list(opt2.m) == sorted(policies.theta)
-    repacked, _ = cli.pack_checkpoint(p2, opt2, state2, norm2, risk2)
+    repacked, _ = run2.to_arrays()
     assert list(repacked) == list(arrays)
     opt2.step(p2.theta, tg.flatten({k: np.full(v.shape, 1e-3) for k, v in p2.theta.items()}))
     assert opt2.t == optimizer.t + 1
     assert all(np.isfinite(p2.theta[k]).all() for k in p2.theta)
     nftcore.ema_update(p2.theta_old, p2.theta, cfg.gamma)
     assert not np.array_equal(p2.theta_old.flat, p2.theta_ref.flat)
+
+
+def test_resume_under_another_seed_is_refused(tmp_path):
+    cfg_path = write_config(tmp_path, tiny_config(seed=0))
+    out_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    config_before = (out_dir / "config.json").read_bytes()
+    with pytest.raises(ValueError, match="seed 0.*seed 5"):
+        cli.main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "5",
+                  "--resume", str(out_dir / "checkpoint.bin")])
+    # Nothing of the first run was overwritten.
+    assert (out_dir / "config.json").read_bytes() == config_before
+    _, meta = runio.load_checkpoint(out_dir / "checkpoint.bin")
+    assert meta["seed"] == 0
+
+
+# sha256 of (metrics.jsonl, checkpoint.bin) from run_training at seed 0 with
+# the benchmark's tuning. A change that means to move bits updates these and
+# says why; any other change must leave them alone.
+PINNED_TUNING = dict(seed=0, prompts_per_epoch=8, lr=3e-3, noise_mode="fixed",
+                     fixed_t=5.0 / 6.0, group_size=8, pretrain_steps=200)
+PINNED_RUNS = {
+    "short": (dict(mode="short", epochs=6),
+              "d2e4596d4e83f936c4a14abb18c8308bc1539ecbe46e84e3b54842f7f124c1c2",
+              "5ef56d90479b4174d784e368e67acfff66b3275a8348664dc6f67daadc4736cc"),
+    "long": (dict(mode="long", total_clips=8, window_clips=2, epochs=6),
+             "aa398daa791095ce98e2ca4d49d974f13f5bb03b75c5c2120f065db8854acd9a",
+             "8e597a99850250c0afb668deb5808c1442a5e125029dee40ad2c0d107a0d03a5"),
+    "clip": (dict(mode="short", max_grad_norm=1e-3, epochs=4),
+             "30bfada3ada77dab70a4c0d2a93d8628a8fdba2c2325a8130058c02b6b728002",
+             "e0cb13055b634417e992303dac81e763dfd89f526c86f7f0cbce21b7deb83af4"),
+    "ema_epoch": (dict(mode="short", ema_mode="epoch", epochs=4),
+                  "6c755bc345f4fd15498413c333ea4ba1cdabaeeb7728956d9200991d10361083",
+                  "f2e59a4d6577b05d5d6311f948ea68374a12f5587780c8a8e9ebb3e94d4b0520"),
+}
+
+
+def numeric_environment() -> str:
+    """numpy version, BLAS vendor and thread setting: what a digest depends on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        vendor = f"{blas.get('name')} {blas.get('version')}"
+    except Exception:  # noqa: BLE001 - older numpy has no dict form
+        vendor = "unknown"
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"numpy {np.__version__}, BLAS {vendor}, OPENBLAS_NUM_THREADS={threads}"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_bytes_match_pinned_digests(tmp_path, name):
+    over, metrics_digest, checkpoint_digest = PINNED_RUNS[name]
+    summary = cli.run_training(RunConfig(**PINNED_TUNING, **over), tmp_path)
+    assert summary["status"] == "ok"
+    if name == "long":
+        starts = [r["window_start"] for r in runio.read_metrics(tmp_path / "metrics.jsonl")]
+        assert starts == [3, 6, 5, 3, 2, 0]
+    for fname, expected in (("metrics.jsonl", metrics_digest),
+                            ("checkpoint.bin", checkpoint_digest)):
+        got = hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+        assert got == expected, (f"{name} {fname}: sha256 {got}, pinned {expected} "
+                                 f"({numeric_environment()})")

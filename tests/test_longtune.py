@@ -10,7 +10,6 @@ import pytest
 from scipy.stats import chi2
 
 from astro import flowgen, longtune, nftcore, rewardlab, streamctx, rng as arng
-from astro import tensorgrad as tg
 from astro.config import RunConfig
 
 
@@ -24,14 +23,15 @@ def small_config(**over):
 
 
 def make_world(cfg, n_prompts=2):
+    """A fresh run on an untrained base, the schedule and n_prompts prompts."""
     rng = np.random.default_rng(cfg.seed + 100)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
-    policies = nftcore.PolicyTriple.from_base(base)
+    run = nftcore.RunState.fresh(cfg, base)
     schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
     prompts = [flowgen.make_prompt(i, arng.substream(cfg.seed, arng.PROMPT_STREAM, i),
                                    cfg.prompt_dim)
                for i in range(n_prompts)]
-    return policies, schedule, prompts
+    return run, schedule, prompts
 
 
 def test_window_spec_validation():
@@ -76,9 +76,10 @@ def test_epoch_window_deterministic_and_varying():
 
 def test_rollout_prefix_frame_budget():
     cfg = small_config(total_clips=30)
-    policies, schedule, prompts = make_world(cfg, n_prompts=2)
+    run, schedule, prompts = make_world(cfg, n_prompts=2)
     for start in (0, 1, 2, 12, 29):
-        ctx = longtune.rollout_prefix(policies.theta_old, prompts, start, cfg, schedule, epoch=0)
+        ctx = longtune.rollout_prefix(run.policies.theta_old, prompts, start, cfg, schedule,
+                                      epoch=0)
         total = start * cfg.clip_len
         assert ctx.total_generated == total
         # the state is fixed-size: the sink, filled up to sink_size, and one newest frame
@@ -90,20 +91,20 @@ def test_rollout_prefix_frame_budget():
 
 def test_rollout_prefix_deterministic():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=2)
-    a = longtune.rollout_prefix(policies.theta_old, prompts, 3, cfg, schedule, 5)
-    b = longtune.rollout_prefix(policies.theta_old, prompts, 3, cfg, schedule, 5)
+    run, schedule, prompts = make_world(cfg, n_prompts=2)
+    a = longtune.rollout_prefix(run.policies.theta_old, prompts, 3, cfg, schedule, 5)
+    b = longtune.rollout_prefix(run.policies.theta_old, prompts, 3, cfg, schedule, 5)
     assert np.array_equal(a.summary(), b.summary())
     assert np.array_equal(a.sink, b.sink)
-    c = longtune.rollout_prefix(policies.theta_old, prompts, 3, cfg, schedule, 6)
+    c = longtune.rollout_prefix(run.policies.theta_old, prompts, 3, cfg, schedule, 6)
     assert not np.array_equal(a.summary(), c.summary())
 
 
 def test_window_rollout_row_layout():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=1)
+    run, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=2)
-    (data,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
+    (data,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
     g, w = cfg.group_size, cfg.window_clips
     width = cfg.clip_len * cfg.frame_dim
     assert data.x0_rows.shape == (g * w, width)
@@ -115,9 +116,9 @@ def test_window_rollout_row_layout():
 
 def test_window_rollout_candidates_branch_after_shared_prefix():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=1)
+    run, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=2)
-    (data,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
+    (data,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
     w = cfg.window_clips
     first_rows = data.ctx_rows[::w]
     # every candidate's first window clip is conditioned on the same prefix
@@ -129,10 +130,10 @@ def test_window_rollout_candidates_branch_after_shared_prefix():
 
 def test_window_rollout_deterministic():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=1)
+    run, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=1)
-    (a,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
-    (b,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
+    (a,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
+    (b,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
     assert np.array_equal(a.x0_rows, b.x0_rows)
     assert np.array_equal(a.ctx_rows, b.ctx_rows)
 
@@ -168,16 +169,16 @@ def test_window_rollout_matches_per_prompt_reference():
     # The batched prefix runs P rows per forward where the reference runs
     # one, so the two round differently; 1e-12 bounds that.
     cfg = small_config(total_clips=8)
-    policies, schedule, prompts = make_world(cfg, n_prompts=5)
+    run, schedule, prompts = make_world(cfg, n_prompts=5)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=5)
-    prefixes = longtune.rollout_prefix(policies.theta_old, prompts, spec.start_clip, cfg,
+    prefixes = longtune.rollout_prefix(run.policies.theta_old, prompts, spec.start_clip, cfg,
                                        schedule, 4)
-    groups = longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 4)
+    groups = longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 4)
     assert [d.prompt for d in groups] == prompts
     assert prefixes.total_generated == spec.start_clip * cfg.clip_len
     for prompt, prefix, data in zip(prompts, prefixes.summary(), groups):
         ref_prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
-            policies.theta_old, prompt, spec, cfg, schedule, 4)
+            run.policies.theta_old, prompt, spec, cfg, schedule, 4)
         assert ref_prefix.total_generated == prefixes.total_generated
         assert np.max(np.abs(prefix - ref_prefix.summary())) <= 1e-12
         assert np.max(np.abs(data.x0_rows - ref_rows)) <= 1e-12
@@ -187,13 +188,13 @@ def test_window_rollout_matches_per_prompt_reference():
 def test_group_rollout_matches_per_prompt_window_reference():
     # With no prefix both decode the same G-row batches, so the bits agree.
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=1)
+    run, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, window_clips=3, start_clip=0)
     prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
-        policies.theta_old, prompts[0], spec, cfg, schedule, 2)
+        run.policies.theta_old, prompts[0], spec, cfg, schedule, 2)
     g, w = cfg.group_size, spec.window_clips
     clips, summaries = streamctx.group_rollout(
-        policies.theta_old, [prefix], prompts, g, schedule,
+        run.policies.theta_old, [prefix], prompts, g, schedule,
         [streamctx.group_base_key(cfg.seed, 2, prompts[0].pid)], w)
     assert clips.shape == (1, g, w, cfg.clip_len, cfg.frame_dim)
     assert np.array_equal(clips.reshape(g * w, -1), ref_rows)
@@ -220,7 +221,7 @@ def test_rollout_work_budget(monkeypatch, mode, start, window):
     # never after the last. The per-context reference path is never taken.
     # Short mode opens no prefix or window stream.
     cfg = small_config(mode=mode, window_clips=window)
-    policies, schedule, prompts = make_world(cfg, n_prompts=3)
+    run, schedule, prompts = make_world(cfg, n_prompts=3)
     pushes, summaries, repeats, window_calls, keys, batches = [], [], [], [], [], []
     count_calls(monkeypatch, streamctx.ContextBatch, "push", pushes)
     count_calls(monkeypatch, streamctx.ContextBatch, "summary", summaries)
@@ -234,7 +235,7 @@ def test_rollout_work_budget(monkeypatch, mode, start, window):
         assert spec == longtune.WindowSpec(total_clips=1, window_clips=1, start_clip=0)
     else:
         spec = longtune.WindowSpec(cfg.total_clips, window, start)
-    longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 0)
+    longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 0)
     p, g = len(prompts), cfg.group_size
     assert len(pushes) == start + window - 1
     assert len(summaries) == start + window
@@ -250,13 +251,13 @@ def test_rollout_work_budget(monkeypatch, mode, start, window):
 
 def test_window_rollout_group_independent_of_other_prompts():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=4)
+    run, schedule, prompts = make_world(cfg, n_prompts=4)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=3)
-    together = longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 1)
-    reversed_order = longtune.window_rollout(policies.theta_old, prompts[::-1], spec, cfg,
+    together = longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 1)
+    reversed_order = longtune.window_rollout(run.policies.theta_old, prompts[::-1], spec, cfg,
                                              schedule, 1)[::-1]
     for k, prompt in enumerate(prompts):
-        (alone,) = longtune.window_rollout(policies.theta_old, [prompt], spec, cfg,
+        (alone,) = longtune.window_rollout(run.policies.theta_old, [prompt], spec, cfg,
                                            schedule, 1)
         for other in (alone, reversed_order[k]):
             assert np.max(np.abs(other.x0_rows - together[k].x0_rows)) <= 1e-12
@@ -267,11 +268,11 @@ def test_window_rollout_group_independent_of_other_prompts():
 def test_window_rollout_abort_names_prompt_whose_rows_blew_up(start):
     # start 0 blows up in the window clips, start 3 already in the prefix
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=4)
+    run, schedule, prompts = make_world(cfg, n_prompts=4)
     prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
     with pytest.raises(nftcore.EpochAborted) as exc:
-        longtune.window_rollout(policies.theta_old, prompts, spec, cfg, schedule, 7)
+        longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 7)
     assert exc.value.epoch == 7
     assert exc.value.pid == prompts[2].pid
 
@@ -280,12 +281,12 @@ def test_graph_size_independent_of_prefix_length():
     # The point of detached history: optimization cost depends on the window,
     # never on how much stream came before it.
     cfg = small_config(total_clips=40)
-    policies, schedule, prompts = make_world(cfg, n_prompts=1)
+    run, schedule, prompts = make_world(cfg, n_prompts=1)
     rng = np.random.default_rng(2)
     sizes, node_counts = [], []
     for start in (0, 4, 16, 38):
         spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
-        (data,) = longtune.window_rollout(policies.theta_old, [prompts[0]], spec, cfg,
+        (data,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg,
                                           schedule, 0)
         norm, risk = rewardlab.RewardNormalizer(), rewardlab.RiskState()
         scored = nftcore.score_group(data, cfg, norm, risk)
@@ -293,7 +294,7 @@ def test_graph_size_independent_of_prefix_length():
         # which is orthogonal to what this test measures
         scored.mask[:] = True
         eps = rng.standard_normal(data.x0_rows.shape)
-        graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
+        graph, loss, info = nftcore.build_group_loss(run.policies, scored, cfg, 0.8, eps)
         sizes.append(data.x0_rows.shape)
         node_counts.append(info["graph_nodes"])
     assert len(set(sizes)) == 1
@@ -306,15 +307,9 @@ def test_single_clip_stream_equals_short_path():
     runs = []
     for mode in ("short", "long"):
         cfg = small_config(total_clips=1, window_clips=1, mode=mode)
-        policies, schedule, prompts = make_world(cfg)
-        state = nftcore.TrainState()
-        opt = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                       eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-        norm = rewardlab.RewardNormalizer()
-        risk = rewardlab.RiskState(rho0=cfg.rho0, rho=cfg.rho0)
-        metrics = longtune.train_window_epoch(
-            policies, prompts, state, cfg, schedule, norm, risk, opt)
-        runs.append((metrics, policies.theta))
+        run, schedule, prompts = make_world(cfg)
+        metrics = longtune.train_window_epoch(run, prompts, cfg, schedule)
+        runs.append((metrics, run.policies.theta))
     short_m, long_m = runs[0][0].to_json_dict(), runs[1][0].to_json_dict()
     assert long_m["window_start"] == 0
     for key in short_m:
@@ -325,11 +320,8 @@ def test_single_clip_stream_equals_short_path():
 
 def test_train_window_epoch_reports_window_start():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg)
-    state = nftcore.TrainState()
-    metrics = longtune.train_window_epoch(
-        policies, prompts, state, cfg, schedule,
-        rewardlab.RewardNormalizer(), rewardlab.RiskState(), tg.AdamW(lr=cfg.lr))
+    run, schedule, prompts = make_world(cfg)
+    metrics = longtune.train_window_epoch(run, prompts, cfg, schedule)
     spec = longtune.epoch_window(cfg, 0)
     assert metrics.window_start == spec.start_clip
-    assert state.epoch == 1
+    assert run.state.epoch == 1

@@ -26,14 +26,15 @@ def small_config(**over):
 
 
 def make_world(cfg, n_prompts=2):
+    """A fresh run on an untrained base, the schedule and n_prompts prompts."""
     rng = np.random.default_rng(cfg.seed + 100)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
-    policies = nftcore.PolicyTriple.from_base(base)
+    run = nftcore.RunState.fresh(cfg, base)
     schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
     prompts = [flowgen.make_prompt(i, arng.substream(cfg.seed, arng.PROMPT_STREAM, i),
                                    cfg.prompt_dim)
                for i in range(n_prompts)]
-    return policies, schedule, prompts
+    return run, schedule, prompts
 
 
 # --- advantages and soft labels ---
@@ -222,7 +223,7 @@ def test_ema_gap_shrinks_geometrically():
 
 def test_ema_in_place_is_bit_exact_against_expression():
     cfg = small_config(hidden=128, frame_dim=8, clip_len=4)
-    policies, _, _ = make_world(cfg)
+    policies = make_world(cfg)[0].policies
     rng = np.random.default_rng(8)
     for k in policies.theta:
         policies.theta[k] += rng.standard_normal(policies.theta[k].shape)
@@ -239,7 +240,7 @@ def test_ema_in_place_is_bit_exact_against_expression():
 
 def test_ema_allocates_no_vector_sized_temporaries():
     cfg = small_config(hidden=128, frame_dim=8, clip_len=4)
-    policies, _, _ = make_world(cfg)
+    policies = make_world(cfg)[0].policies
 
     def tick():
         nftcore.ema_update(policies.theta_old, policies.theta, 0.9)
@@ -301,7 +302,7 @@ def synthetic_scored_group(cfg, rng):
 def test_group_loss_gradient_matches_finite_differences():
     cfg = small_config(lambda_kl=0.05)
     rng = np.random.default_rng(8)
-    policies, schedule, _ = make_world(cfg)
+    policies = make_world(cfg)[0].policies
     scored = synthetic_scored_group(cfg, rng)
     if not scored.mask.any():
         scored.mask[0] = True  # exercise the KL term too
@@ -333,7 +334,7 @@ def test_group_loss_gradient_matches_finite_differences():
 def test_group_loss_keeps_old_and_ref_off_graph():
     cfg = small_config()
     rng = np.random.default_rng(9)
-    policies, schedule, _ = make_world(cfg)
+    policies = make_world(cfg)[0].policies
     scored = synthetic_scored_group(cfg, rng)
     graph, loss, _ = nftcore.build_group_loss(
         policies, scored, cfg, 0.9, rng.standard_normal(scored.data.x0_rows.shape))
@@ -346,18 +347,17 @@ def test_group_loss_keeps_old_and_ref_off_graph():
 def test_optimize_group_ema_interval():
     cfg = small_config(ema_interval=2)
     rng = np.random.default_rng(10)
-    policies, schedule, prompts = make_world(cfg)
-    state = nftcore.TrainState()
-    opt = tg.AdamW(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    run, schedule, _ = make_world(cfg)
+    policies = run.policies
     scored = synthetic_scored_group(cfg, rng)
 
     before = nftcore.copy_params(policies.theta_old)
-    nftcore.optimize_group(policies, scored, state, cfg, schedule, opt, epoch=0)
+    nftcore.optimize_group(run, scored, cfg, schedule)
     for k in before:  # steps=1, interval 2: no EMA tick yet
         assert np.array_equal(policies.theta_old[k], before[k])
-    nftcore.optimize_group(policies, scored, state, cfg, schedule, opt, epoch=0)
+    nftcore.optimize_group(run, scored, cfg, schedule)
     assert any(not np.array_equal(policies.theta_old[k], before[k]) for k in before)
-    assert state.steps == 2
+    assert run.state.steps == 2
 
 
 @pytest.fixture
@@ -381,10 +381,9 @@ def graphs_without_gc(monkeypatch):
 
 def test_optimize_group_frees_its_graph_without_gc(graphs_without_gc):
     cfg = small_config()
-    policies, schedule, _ = make_world(cfg)
+    run, schedule, _ = make_world(cfg)
     scored = synthetic_scored_group(cfg, np.random.default_rng(14))
-    nftcore.optimize_group(policies, scored, nftcore.TrainState(), cfg, schedule,
-                           tg.AdamW(lr=cfg.lr), epoch=0)
+    nftcore.optimize_group(run, scored, cfg, schedule)
     assert len(graphs_without_gc) == 1
     assert graphs_without_gc[0]() is None
 
@@ -398,15 +397,14 @@ def test_pretrain_step_frees_its_graph_without_gc(graphs_without_gc):
 
 def test_optimize_group_computes_grad_norm_once(monkeypatch):
     cfg = small_config()
-    policies, schedule, _ = make_world(cfg)
+    run, schedule, _ = make_world(cfg)
     scored = synthetic_scored_group(cfg, np.random.default_rng(15))
     calls = []
     norm = tg.global_norm
     monkeypatch.setattr(tg, "global_norm", lambda grads: calls.append(1) or norm(grads))
     for max_norm in (1e-9, 1e9):  # clipped and unclipped
-        info = nftcore.optimize_group(policies, scored, nftcore.TrainState(),
-                                      small_config(max_grad_norm=max_norm), schedule,
-                                      tg.AdamW(lr=cfg.lr), epoch=0)
+        info = nftcore.optimize_group(run, scored, small_config(max_grad_norm=max_norm),
+                                      schedule)
         assert info["grad_norm"] > 0.0
     assert len(calls) == 2
 
@@ -415,7 +413,8 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
     # No benchmark workload clips, so pin the clipping branch here: backward's
     # arrays copied, scaled by max_norm / norm, then the per-name AdamW loop.
     cfg = small_config(max_grad_norm=1e-6)
-    policies, schedule, _ = make_world(cfg)
+    run, schedule, _ = make_world(cfg)
+    policies, opt = run.policies, run.optimizer
     scored = synthetic_scored_group(cfg, np.random.default_rng(16))
     t = nftcore.draw_noise_level(cfg, schedule, 0, scored.data.prompt.pid)
     eps = arng.substream(cfg.seed, arng.EPS_STREAM, 0, scored.data.prompt.pid) \
@@ -430,10 +429,7 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
     reference_adamw_step(theta_ref, scaled, m_ref, v_ref, 1, cfg.lr, cfg.adam_beta1,
                          cfg.adam_beta2, cfg.adam_eps, cfg.weight_decay)
 
-    opt = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                   eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-    info = nftcore.optimize_group(policies, scored, nftcore.TrainState(), cfg, schedule,
-                                  opt, epoch=0)
+    info = nftcore.optimize_group(run, scored, cfg, schedule)
     assert info["grad_norm"] == norm
     for k in theta_ref:
         assert np.array_equal(policies.theta[k], theta_ref[k]), k
@@ -472,15 +468,9 @@ def test_train_epoch_runs_and_is_deterministic():
     results = []
     for _ in range(2):
         cfg = small_config()
-        policies, schedule, prompts = make_world(cfg)
-        state = nftcore.TrainState()
-        opt = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                       eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-        metrics = longtune.train_window_epoch(
-            policies, prompts, state, cfg, schedule,
-            rewardlab.RewardNormalizer(), rewardlab.RiskState(rho0=cfg.rho0, rho=cfg.rho0),
-            opt)
-        results.append((metrics, policies.theta))
+        run, schedule, prompts = make_world(cfg)
+        metrics = longtune.train_window_epoch(run, prompts, cfg, schedule)
+        results.append((metrics, run.policies.theta))
     m1, m2 = results[0][0].to_json_dict(), results[1][0].to_json_dict()
     for key in m1:
         assert m1[key] == m2[key], key
@@ -492,13 +482,10 @@ def test_train_epoch_runs_and_is_deterministic():
 
 def test_train_epoch_advances_state():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg)
-    state = nftcore.TrainState()
-    opt = tg.AdamW(lr=cfg.lr)
-    longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
-                                rewardlab.RewardNormalizer(), rewardlab.RiskState(), opt)
-    assert state.epoch == 1
-    assert state.steps == len(prompts)
+    run, schedule, prompts = make_world(cfg)
+    longtune.train_window_epoch(run, prompts, cfg, schedule)
+    assert run.state.epoch == 1
+    assert run.state.steps == len(prompts)
 
 
 def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):
@@ -518,7 +505,8 @@ def short_mode_rollout(theta_old, prompts, epoch, cfg, schedule):
 
 def test_short_rollout_matches_per_prompt_reference():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=5)
+    run, schedule, prompts = make_world(cfg, n_prompts=5)
+    policies = run.policies
     g = cfg.group_size
     groups = short_mode_rollout(policies.theta_old, prompts, 3, cfg, schedule)
     assert [d.prompt for d in groups] == prompts
@@ -532,7 +520,8 @@ def test_short_rollout_matches_per_prompt_reference():
 
 def test_short_rollout_group_independent_of_other_prompts():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=4)
+    run, schedule, prompts = make_world(cfg, n_prompts=4)
+    policies = run.policies
     together = short_mode_rollout(policies.theta_old, prompts, 1, cfg, schedule)
     reversed_order = short_mode_rollout(policies.theta_old, prompts[::-1], 1, cfg,
                                         schedule)[::-1]
@@ -544,12 +533,10 @@ def test_short_rollout_group_independent_of_other_prompts():
 
 def test_train_epoch_abort_names_prompt_whose_rows_blew_up():
     cfg = small_config()
-    policies, schedule, prompts = make_world(cfg, n_prompts=4)
+    run, schedule, prompts = make_world(cfg, n_prompts=4)
     prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
     with pytest.raises(nftcore.EpochAborted) as exc:
-        longtune.train_window_epoch(policies, prompts, nftcore.TrainState(), cfg, schedule,
-                                    rewardlab.RewardNormalizer(), rewardlab.RiskState(),
-                                    tg.AdamW(lr=cfg.lr))
+        longtune.train_window_epoch(run, prompts, cfg, schedule)
     assert exc.value.pid == prompts[2].pid
     assert isinstance(exc.value.cause, tg.NonFiniteError)
 
@@ -558,7 +545,7 @@ def test_train_epoch_aborts_on_optimization_overflow():
     # Clean rows far outside float range once squared: the loss graph must
     # refuse and the epoch must abort with a diagnostic, not emit NaN params.
     cfg = small_config()
-    policies, schedule, _ = make_world(cfg)
+    run, schedule, _ = make_world(cfg)
     rng = np.random.default_rng(12)
 
     def huge_group():
@@ -572,38 +559,31 @@ def test_train_epoch_aborts_on_optimization_overflow():
 
     with pytest.raises(nftcore.EpochAborted):
         with np.errstate(all="ignore"):
-            nftcore.train_epoch(policies, [huge_group(), huge_group()], nftcore.TrainState(),
-                                cfg, schedule, rewardlab.RewardNormalizer(),
-                                rewardlab.RiskState(), tg.AdamW(lr=cfg.lr))
+            nftcore.train_epoch(run, [huge_group(), huge_group()], cfg, schedule)
 
 
 def test_first_layer_overflow_aborts_at_its_matmul():
     # theta's first layer at the float64 maximum overflows x @ w1; tanh would
     # saturate it to 1, so the per-primitive check is what catches it.
     cfg = small_config()
-    policies, schedule, _ = make_world(cfg)
-    policies.theta["w1"][...] = np.finfo(np.float64).max
+    run, schedule, _ = make_world(cfg)
+    run.policies.theta["w1"][...] = np.finfo(np.float64).max
     rng = np.random.default_rng(17)
     with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
-        nftcore.optimize_group(policies, synthetic_scored_group(cfg, rng), nftcore.TrainState(),
-                               cfg, schedule, tg.AdamW(lr=cfg.lr), epoch=0)
+        nftcore.optimize_group(run, synthetic_scored_group(cfg, rng), cfg, schedule)
     groups = [synthetic_scored_group(cfg, rng).data for _ in range(2)]
     with pytest.raises(nftcore.EpochAborted) as exc:
-        nftcore.train_epoch(policies, groups, nftcore.TrainState(), cfg, schedule,
-                            rewardlab.RewardNormalizer(), rewardlab.RiskState(),
-                            tg.AdamW(lr=cfg.lr))
+        nftcore.train_epoch(run, groups, cfg, schedule)
     assert exc.value.pid == groups[0].prompt.pid
     assert "primitive 'matmul'" in str(exc.value.cause)
 
 
 def test_epoch_mode_ema_ticks_once_per_epoch():
     cfg = small_config(ema_mode="epoch")
-    policies, schedule, prompts = make_world(cfg)
+    run, schedule, prompts = make_world(cfg)
+    policies = run.policies
     before = nftcore.copy_params(policies.theta_old)
-    state = nftcore.TrainState()
-    longtune.train_window_epoch(policies, prompts, state, cfg, schedule,
-                                rewardlab.RewardNormalizer(), rewardlab.RiskState(),
-                                tg.AdamW(lr=cfg.lr))
+    longtune.train_window_epoch(run, prompts, cfg, schedule)
     # exactly one EMA application: old' = gamma*old + (1-gamma)*theta_final
     # cannot reconstruct theta_final cheaply here, but old must have moved
     assert any(not np.array_equal(policies.theta_old[k], before[k]) for k in before)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,20 @@ def test_batch_summaries_equal_context_window_path_bit_for_bit(sink, window, cli
             -8, 9, (rows, clip_len, dim))
         ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
         batch = batch.push(clips)
+
+
+def test_empty_batch_equals_batch_of_empty_windows():
+    rows, sink_size, dim = 3, 4, 5
+    empty = streamctx.ContextBatch.empty(rows, sink_size, dim)
+    ref = streamctx.ContextBatch.from_windows(
+        [streamctx.empty_context(sink_size, 21, dim)] * rows)
+    for field in dataclasses.fields(streamctx.ContextBatch):
+        got, want = getattr(empty, field.name), getattr(ref, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and got.dtype == want.dtype, field.name
+            assert np.array_equal(got, want), field.name
+        else:
+            assert got == want, field.name
 
 
 def test_batch_push_is_functional():
