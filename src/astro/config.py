@@ -27,9 +27,8 @@ class RunConfig:
     prompt_dim: int = 4
     hidden: int = 128
 
-    # streaming context bounds
+    # streaming context
     sink_size: int = 3
-    window_size: int = 21
 
     # rollout structure
     group_size: int = 8
@@ -90,7 +89,6 @@ class RunConfig:
                 "prompt_dim must lie in [2, frame_dim]")
         require(self.hidden >= 1, "hidden must be positive")
         require(self.sink_size >= 0, "sink_size must be nonnegative")
-        require(self.window_size >= 1, "window_size must be positive")
         require(self.group_size >= 2, "group_size must be at least 2")
         require(self.prompts_per_epoch >= 1, "prompts_per_epoch must be positive")
         require(self.epochs >= 0, "epochs must be nonnegative")

@@ -162,18 +162,25 @@ def net_input_dim(frame_dim: int, clip_len: int, prompt_dim: int) -> int:
     return clip_len * frame_dim + TIME_FEATURES + 2 * frame_dim + prompt_dim
 
 
-def init_net(rng: np.random.Generator, frame_dim: int, clip_len: int,
-             prompt_dim: int, hidden: int = 128) -> tg.FlatParams:
-    """Two tanh hidden layers, linear head back to a flattened clip; flat parameters."""
+def net_shapes(frame_dim: int, clip_len: int, prompt_dim: int,
+               hidden: int) -> dict[str, tuple[int, int]]:
+    """Each parameter's shape by name, in layer order: w1, b1, w2, b2, w3, b3."""
     d_in = net_input_dim(frame_dim, clip_len, prompt_dim)
     d_out = clip_len * frame_dim
-    def layer(fan_in, fan_out):
-        return rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
+    return {"w1": (d_in, hidden), "b1": (1, hidden), "w2": (hidden, hidden),
+            "b2": (1, hidden), "w3": (hidden, d_out), "b3": (1, d_out)}
+
+
+def init_net(rng: np.random.Generator, frame_dim: int, clip_len: int,
+             prompt_dim: int, hidden: int = 128) -> tg.FlatParams:
+    """Two tanh hidden layers, linear head back to a flattened clip; flat parameters.
+
+    Weights are drawn in layer order, scaled by 1/sqrt(fan_in); biases start at zero.
+    """
     return tg.flatten({
-        "w1": layer(d_in, hidden), "b1": np.zeros((1, hidden)),
-        "w2": layer(hidden, hidden), "b2": np.zeros((1, hidden)),
-        "w3": layer(hidden, d_out), "b3": np.zeros((1, d_out)),
-    })
+        name: (rng.standard_normal(shape) / math.sqrt(shape[0]) if name[0] == "w"
+               else np.zeros(shape))
+        for name, shape in net_shapes(frame_dim, clip_len, prompt_dim, hidden).items()})
 
 
 def time_features(t) -> np.ndarray:

@@ -30,11 +30,6 @@ from . import tensorgrad as tg
 from .config import RunConfig
 
 
-def copy_params(params: dict[str, np.ndarray]) -> tg.FlatParams:
-    """An independent flat copy; plain name-keyed dicts are accepted too."""
-    return tg.flatten(params)
-
-
 @dataclass
 class PolicyTriple:
     """Trainable policy, EMA behavior policy, and frozen reference, each flat."""
@@ -45,8 +40,8 @@ class PolicyTriple:
 
     @classmethod
     def from_base(cls, base: dict[str, np.ndarray]) -> "PolicyTriple":
-        return cls(theta=copy_params(base), theta_old=copy_params(base),
-                   theta_ref=copy_params(base))
+        return cls(theta=tg.flatten(base), theta_old=tg.flatten(base),
+                   theta_ref=tg.flatten(base))
 
 
 @dataclass
@@ -70,7 +65,6 @@ class RunState:
     optimizer: tg.AdamW
     state: TrainState
     normalizer: rewardlab.RewardNormalizer
-    risk: rewardlab.RiskState
 
     @classmethod
     def fresh(cls, cfg: RunConfig, base: dict[str, np.ndarray]) -> "RunState":
@@ -78,8 +72,7 @@ class RunState:
         optimizer = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                              eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
         return cls(policies=PolicyTriple.from_base(base), optimizer=optimizer,
-                   state=TrainState(), normalizer=rewardlab.RewardNormalizer(),
-                   risk=rewardlab.RiskState(rho0=cfg.rho0, rho=cfg.rho0))
+                   state=TrainState(), normalizer=rewardlab.RewardNormalizer())
 
     def to_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
         """(arrays, extra) for runio.save_checkpoint; the arrays are views of this state."""
@@ -88,10 +81,8 @@ class RunState:
         arrays = {prefix + k: v for prefix, params in zip(BUFFER_PREFIXES, buffers)
                   for k, v in params.items()}
         arrays.update({f"norm/{k}": norm[k] for k in ("count", "mean", "m2")})
-        if self.risk.buffer:
-            arrays["risk/buffer"] = np.stack(list(self.risk.buffer))
         extra = {"opt_t": opt.t, "steps": self.state.steps,
-                 "last_reset_epoch": self.state.last_reset_epoch, "rho": self.risk.rho,
+                 "last_reset_epoch": self.state.last_reset_epoch,
                  "norm_pids": [int(pid) for pid in norm["pids"]]}
         return arrays, extra
 
@@ -101,23 +92,29 @@ class RunState:
         """Inverse of to_arrays, each policy and moment one flat buffer again.
 
         A checkpoint of another seed is refused: its random streams would mix
-        with cfg's."""
+        with cfg's. So is one whose network has another shape than cfg's.
+        Entries it does not read (older checkpoints carry a risk buffer and
+        a rho) are ignored."""
         if int(meta["seed"]) != cfg.seed:
             raise ValueError(f"checkpoint was written with seed {meta['seed']}; "
                              f"cannot resume it with seed {cfg.seed}")
         theta, theta_old, theta_ref, m, v = (
             tg.flatten({k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)})
             for prefix in BUFFER_PREFIXES)
+        shapes = flowgen.net_shapes(cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
+        for name in (*shapes, *sorted(theta.keys() - shapes.keys())):
+            got = theta[name].shape if name in theta else None
+            if got != shapes.get(name):
+                raise ValueError(f"checkpoint parameter {name!r} has shape {got}; "
+                                 f"the config implies {shapes.get(name)}")
         extra = meta["extra"]
         run = cls.fresh(cfg, {})
         run.policies = PolicyTriple(theta=theta, theta_old=theta_old, theta_ref=theta_ref)
-        run.optimizer.load_state_dict({"t": extra["opt_t"], "m": m, "v": v})
+        run.optimizer.t, run.optimizer.m, run.optimizer.v = int(extra["opt_t"]), m, v
         run.state = TrainState(epoch=int(meta["epoch"]), steps=int(extra["steps"]),
                                last_reset_epoch=int(extra["last_reset_epoch"]))
         norm = {k: arrays[f"norm/{k}"] for k in ("count", "mean", "m2")}
         run.normalizer.load_state_dict({"pids": extra["norm_pids"], **norm})
-        run.risk.rho = float(extra["rho"])
-        run.risk.buffer.extend(np.array(row) for row in arrays.get("risk/buffer", ()))
         return run
 
 
@@ -259,8 +256,8 @@ class ScoredGroup:
     tau: float
 
 
-def score_group(data: GroupData, cfg: RunConfig, normalizer: rewardlab.RewardNormalizer,
-                risk: rewardlab.RiskState) -> ScoredGroup:
+def score_group(data: GroupData, cfg: RunConfig,
+                normalizer: rewardlab.RewardNormalizer) -> ScoredGroup:
     """Judge, standardize, center into advantages, and mark rank disagreement."""
     raw = rewardlab.eval_rewards(data.clips, data.prompt)
     std = normalizer.update_and_standardize(data.prompt.pid, raw)
@@ -272,8 +269,7 @@ def score_group(data: GroupData, cfg: RunConfig, normalizer: rewardlab.RewardNor
     ranks = [rewardlab.rank_samples(raw[:, m]) for m in range(rewardlab.N_MODELS)]
     delta = rewardlab.rank_disagreement(
         ranks[rewardlab.VQ], [r for m, r in enumerate(ranks) if m != rewardlab.VQ])
-    rewardlab.update_risk_ratio(risk, delta)
-    tau, mask = rewardlab.uncertainty_mask(delta, risk.rho)
+    tau, mask = rewardlab.uncertainty_mask(delta, cfg.rho0)
     return ScoredGroup(data=data, raw_scores=raw, advantages=advantages, mask=mask, tau=tau)
 
 
@@ -371,13 +367,14 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
     groups holds every prompt's candidate group, rolled out under
     run.policies.theta_old, in prompt order (longtune.window_rollout makes
     them for both modes). They are scored one by one, in that order, so the
-    normalizer and risk state update exactly as in a per-prompt loop.
+    normalizer updates exactly as in a per-prompt loop; every group is
+    masked at the fixed risk ratio cfg.rho0.
     Returns the epoch's record, with window_start and wall_time left for
     the caller; advances run.state.epoch once every group is optimized.
     """
     policies, state = run.policies, run.state
     epoch = state.epoch
-    scored_groups = [score_group(data, cfg, run.normalizer, run.risk) for data in groups]
+    scored_groups = [score_group(data, cfg, run.normalizer) for data in groups]
 
     infos = []
     for scored in scored_groups:
@@ -389,7 +386,7 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
     kl_epoch = float(np.mean([i["kl_loss"] for i in infos]))
     reset = maybe_reset_reference(state, kl_epoch, cfg.tau_kl, cfg.k_max)
     if reset:
-        policies.theta_ref = copy_params(policies.theta)
+        policies.theta_ref = tg.flatten(policies.theta)
     if cfg.ema_mode == "epoch":
         ema_update(policies.theta_old, policies.theta, cfg.gamma)
 
@@ -408,7 +405,7 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
         kl_loss=kl_epoch,
         mask_fraction=float(sum(int(g.mask.sum()) for g in scored_groups) / n_candidates),
         tau=float(np.mean(finite_taus)) if finite_taus else None,
-        rho=run.risk.rho,
+        rho=cfg.rho0,
         grad_norm=float(np.mean([i["grad_norm"] for i in infos])),
         reset=reset,
     )

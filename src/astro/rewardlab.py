@@ -12,9 +12,6 @@ selective regularizer pins to the reference policy.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -24,7 +21,6 @@ VQ, MQ, TA = 0, 1, 2
 N_MODELS = 3
 TOP_FRAME_FRACTION = 0.3
 STD_FLOOR = 1e-6
-RISK_BUFFER_CAP = 32
 
 
 def frame_quality(frame: np.ndarray) -> float:
@@ -90,22 +86,20 @@ class RewardNormalizer:
     batch, with the std floored so early constant batches stay finite.
     """
 
-    def __init__(self, n_models: int = N_MODELS, std_floor: float = STD_FLOOR):
-        self.n_models = n_models
-        self.std_floor = std_floor
+    def __init__(self):
         self.count: dict[int, int] = {}
         self.mean: dict[int, np.ndarray] = {}
         self.m2: dict[int, np.ndarray] = {}
 
     def update(self, pid: int, scores: np.ndarray) -> None:
         scores = np.atleast_2d(scores)
-        if scores.shape[1] != self.n_models:
-            raise ValueError(f"expected {self.n_models} score columns, got {scores.shape[1]}")
+        if scores.shape[1] != N_MODELS:
+            raise ValueError(f"expected {N_MODELS} score columns, got {scores.shape[1]}")
         # Python floats are IEEE doubles, so this loop makes the bits a
         # numpy loop over the rows would, without its per-row overhead.
         count = self.count.get(pid, 0)
-        mean = self.mean.get(pid, np.zeros(self.n_models)).tolist()
-        m2 = self.m2.get(pid, np.zeros(self.n_models)).tolist()
+        mean = self.mean.get(pid, np.zeros(N_MODELS)).tolist()
+        m2 = self.m2.get(pid, np.zeros(N_MODELS)).tolist()
         for row in np.asarray(scores, dtype=np.float64).tolist():
             count += 1
             for j, x in enumerate(row):
@@ -118,7 +112,7 @@ class RewardNormalizer:
         if self.count.get(pid, 0) == 0:
             raise ValueError(f"no running statistics for prompt {pid}")
         std = np.sqrt(self.m2[pid] / self.count[pid])
-        return (np.atleast_2d(scores) - self.mean[pid]) / np.maximum(std, self.std_floor)
+        return (np.atleast_2d(scores) - self.mean[pid]) / np.maximum(std, STD_FLOOR)
 
     def update_and_standardize(self, pid: int, scores: np.ndarray) -> np.ndarray:
         self.update(pid, scores)
@@ -130,9 +124,9 @@ class RewardNormalizer:
             "pids": list(pids),
             "count": np.array([self.count[p] for p in pids], dtype=np.float64),
             "mean": (np.stack([self.mean[p] for p in pids])
-                     if pids else np.zeros((0, self.n_models))),
+                     if pids else np.zeros((0, N_MODELS))),
             "m2": (np.stack([self.m2[p] for p in pids])
-                   if pids else np.zeros((0, self.n_models))),
+                   if pids else np.zeros((0, N_MODELS))),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -201,28 +195,3 @@ def uncertainty_mask(delta: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
     diff = b - a
     tau = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
     return tau, delta > tau
-
-
-@dataclass
-class RiskState:
-    """Risk ratio plus a bounded buffer of recent disagreement batches.
-
-    rho stays at rho0 under the default constant policy; an adaptive policy
-    can be plugged in as `strategy(state) -> new rho` and sees the buffer.
-    """
-
-    rho0: float = 0.2
-    rho: float = 0.2
-    buffer: deque = field(default_factory=lambda: deque(maxlen=RISK_BUFFER_CAP))
-    strategy: Callable[["RiskState"], float] | None = None
-
-
-def update_risk_ratio(state: RiskState, delta_batch: np.ndarray) -> RiskState:
-    """Push one disagreement batch; oldest falls out past capacity."""
-    state.buffer.append(np.array(delta_batch, dtype=np.float64))
-    if state.strategy is not None:
-        new_rho = float(state.strategy(state))
-        if not 0.0 < new_rho <= 1.0:
-            raise ValueError("risk strategy returned rho outside (0, 1]")
-        state.rho = new_rho
-    return state

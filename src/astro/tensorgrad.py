@@ -412,8 +412,9 @@ class AdamW:
     vector in place with whole-vector ops into the moments' two scratch
     vectors, never into the gradients; each op is one step of the per-element
     expression of a per-name loop, in its order, so the bits are that loop's.
-    The moments m and v are FlatParams in the parameters' layout; state_dict
-    hands them out by name for checkpointing.
+    The step count t and the moments m and v, FlatParams in the parameters'
+    layout (empty before the first step), are the whole optimizer state: a
+    checkpoint reads and restores them as attributes.
     """
 
     def __init__(self, lr=1e-5, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-4):
@@ -470,15 +471,3 @@ class AdamW:
         if not np.isfinite(p).all():
             bad = next(name for name in sorted(params) if not np.isfinite(params[name]).all())
             raise NonFiniteError(f"parameter {bad!r} became non-finite after update")
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = flatten(state["m"])
-        self.v = flatten(state["v"])

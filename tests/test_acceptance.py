@@ -298,8 +298,7 @@ def window_gradients(cfg, policies, schedule, prompt, start, rebuild_constants):
             row_candidate=np.array(data.row_candidate, copy=True),
             clips=[np.array(c, copy=True) for c in data.clips],
         )
-    norm, risk = rewardlab.RewardNormalizer(), rewardlab.RiskState()
-    scored = nftcore.score_group(data, cfg, norm, risk)
+    scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
     scored.mask[:] = True  # pin KL subgraph presence; occupancy is not under test
     eps = np.random.default_rng(88).standard_normal(data.x0_rows.shape)
     graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
@@ -380,15 +379,14 @@ def test_c10_reference_reset_and_ema_semantics():
                                  cfg.prompt_dim)
     (data,) = longtune.window_rollout(policies.theta_old, [prompt],
                                       longtune.epoch_window(cfg, 0), cfg, schedule, 0)
-    norm, risk = rewardlab.RewardNormalizer(), rewardlab.RiskState()
-    scored = nftcore.score_group(data, cfg, norm, risk)
+    scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
     scored.mask[:] = True
     eps = np.random.default_rng(99).standard_normal(data.x0_rows.shape)
     _, _, before = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
     state = nftcore.TrainState(epoch=3, last_reset_epoch=3)
     tripped = nftcore.maybe_reset_reference(state, before["kl_loss"], cfg.tau_kl,
                                             cfg.k_max)
-    policies.theta_ref = nftcore.copy_params(policies.theta)
+    policies.theta_ref = tg.flatten(policies.theta)
     _, _, after = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
     reset_ok = (before["kl_loss"] > cfg.tau_kl and tripped
                 and state.last_reset_epoch == 3 and after["kl_loss"] == 0.0)

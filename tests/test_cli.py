@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import astro
-from astro import cli, flowgen, longtune, nftcore, rewardlab, runio, streamctx, rng as arng
+from astro import cli, flowgen, longtune, nftcore, runio, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig, save_config
 from test_tensorgrad import reference_backward
@@ -84,8 +84,9 @@ def test_lean_backward_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
 
 
 def window_list_rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, epoch):
-    """Reference prefix: one ContextWindow per prompt, each pushed on its own."""
-    empty = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
+    """Reference prefix: one ContextWindow per prompt, each pushed on its own,
+    with a 2-frame rolling window."""
+    empty = streamctx.empty_context(cfg.sink_size, 2, cfg.frame_dim)
     ctxs = [empty] * len(prompts)
     if start_clip == 0:
         return ctxs
@@ -121,8 +122,9 @@ def window_list_group_rollout(params_old, ctxs, prompts, group_size, schedule, b
 def test_batched_context_leaves_run_bytes_unchanged(tmp_path, monkeypatch):
     # The ContextBatch rollout against one ContextWindow per prompt and per
     # candidate, end to end. Clips of 2 frames fill the 3-frame sink over two
-    # pushes, and a 2-frame rolling window evicts from the third frame on.
-    cfg = tiny_config(mode="long", epochs=4, total_clips=6, window_clips=3, window_size=2)
+    # pushes, and the reference's 2-frame rolling window evicts from the
+    # third frame on.
+    cfg = tiny_config(mode="long", epochs=4, total_clips=6, window_clips=3)
     assert cli.run_training(cfg, tmp_path / "batch")["status"] == "ok"
     starts = [r["window_start"] for r in runio.read_metrics(tmp_path / "batch" / "metrics.jsonl")]
     assert max(starts) >= 2, starts
@@ -256,7 +258,7 @@ def test_parser_requires_subcommand():
 def test_checkpoint_state_roundtrip(tmp_path):
     # to_arrays -> save -> load -> from_arrays preserves every stateful
     # component at float32 precision: policy triple, optimizer moments,
-    # normalizer, risk.
+    # counters, normalizer.
     cfg = tiny_config()
     rng = np.random.default_rng(0)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
@@ -266,8 +268,6 @@ def test_checkpoint_state_roundtrip(tmp_path):
                                                for k, v in policies.theta.items()}))
     run.state = nftcore.TrainState(epoch=5, last_reset_epoch=2, steps=17)
     run.normalizer.update(0, rng.standard_normal((8, 3)))
-    run.risk.rho = 0.15
-    rewardlab.update_risk_ratio(run.risk, rng.standard_normal(4))
 
     arrays, extra = run.to_arrays()
     path = tmp_path / "ck.bin"
@@ -278,8 +278,6 @@ def test_checkpoint_state_roundtrip(tmp_path):
 
     assert state2.epoch == 5 and state2.last_reset_epoch == 2 and state2.steps == 17
     assert opt2.t == optimizer.t
-    assert run2.risk.rho == pytest.approx(0.15)
-    assert len(run2.risk.buffer) == 1
     for k in policies.theta:
         assert np.allclose(p2.theta[k], policies.theta[k], atol=1e-6)
     assert run2.normalizer.count[0] == 8
@@ -312,6 +310,51 @@ def test_resume_under_another_seed_is_refused(tmp_path):
     assert meta["seed"] == 0
 
 
+def test_resume_under_another_network_shape_is_refused(tmp_path):
+    cfg_path = write_config(tmp_path, tiny_config(hidden=16))
+    out_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+    before = {p: p.read_bytes() for p in out_dir.iterdir()}
+    wider_path = write_config(tmp_path, tiny_config(hidden=32, epochs=4), name="wider.json")
+    with pytest.raises(ValueError, match=r"'w1' has shape \(24, 16\).*\(24, 32\)"):
+        cli.main(["train", "--config", str(wider_path), "--out", str(out_dir),
+                  "--resume", str(out_dir / "checkpoint.bin")])
+    # Nothing under out_dir was written.
+    assert {p: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def test_resume_under_another_group_size_completes(tmp_path):
+    # Nothing a run carries across epochs has the group size in its shape.
+    assert cli.run_training(tiny_config(group_size=4), tmp_path)["status"] == "ok"
+    summary = cli.run_training(tiny_config(group_size=6, epochs=4), tmp_path,
+                               resume=str(tmp_path / "checkpoint.bin"))
+    assert summary["status"] == "ok"
+    assert [r["epoch"] for r in runio.read_metrics(tmp_path / "metrics.jsonl")] == [0, 1, 2, 3]
+    _, meta = runio.load_checkpoint(tmp_path / "checkpoint.bin")
+    assert meta["epoch"] == 4
+
+
+def test_resume_ignores_risk_entries_of_older_checkpoints(tmp_path):
+    # Older checkpoints also carry a "risk/buffer" array, the last batches
+    # of rank disagreements, and a "rho" extra. Resuming one trains exactly
+    # as resuming the same state without them.
+    first = tmp_path / "first"
+    assert cli.run_training(tiny_config(), first)["status"] == "ok"
+    arrays, meta = runio.load_checkpoint(first / "checkpoint.bin")
+    arrays["risk/buffer"] = np.random.default_rng(0).standard_normal((4, 4))
+    older = tmp_path / "older.bin"
+    runio.save_checkpoint(older, arrays, seed=meta["seed"], epoch=meta["epoch"],
+                          extra=dict(meta["extra"], rho=0.2))
+    for name, ckpt in (("plain", first / "checkpoint.bin"), ("older", older)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "metrics.jsonl").write_bytes((first / "metrics.jsonl").read_bytes())
+        summary = cli.run_training(tiny_config(epochs=4), tmp_path / name, resume=str(ckpt))
+        assert summary["status"] == "ok"
+    for fname in ("metrics.jsonl", "checkpoint.bin"):
+        assert ((tmp_path / "plain" / fname).read_bytes()
+                == (tmp_path / "older" / fname).read_bytes()), fname
+
+
 # sha256 of (metrics.jsonl, checkpoint.bin) from run_training at seed 0 with
 # the benchmark's tuning. A change that means to move bits updates these and
 # says why; any other change must leave them alone.
@@ -320,17 +363,20 @@ PINNED_TUNING = dict(seed=0, prompts_per_epoch=8, lr=3e-3, noise_mode="fixed",
 PINNED_RUNS = {
     "short": (dict(mode="short", epochs=6),
               "d2e4596d4e83f936c4a14abb18c8308bc1539ecbe46e84e3b54842f7f124c1c2",
-              "5ef56d90479b4174d784e368e67acfff66b3275a8348664dc6f67daadc4736cc"),
+              "0beaa29aba6e79f2594ac368e5e7f93421a0fa0b2bd4a007b0bc7f128ba04e0f"),
     "long": (dict(mode="long", total_clips=8, window_clips=2, epochs=6),
              "aa398daa791095ce98e2ca4d49d974f13f5bb03b75c5c2120f065db8854acd9a",
-             "8e597a99850250c0afb668deb5808c1442a5e125029dee40ad2c0d107a0d03a5"),
+             "d35337fa9d9a1ad28fb898d0b33fa1a68adddd60050ff9e6d75dd30eadd34d9e"),
     "clip": (dict(mode="short", max_grad_norm=1e-3, epochs=4),
              "30bfada3ada77dab70a4c0d2a93d8628a8fdba2c2325a8130058c02b6b728002",
-             "e0cb13055b634417e992303dac81e763dfd89f526c86f7f0cbce21b7deb83af4"),
+             "2aa3b14df79a0c0e27a455d8133be843a4338307ce0ac07af73a531cfe3256c4"),
     "ema_epoch": (dict(mode="short", ema_mode="epoch", epochs=4),
                   "6c755bc345f4fd15498413c333ea4ba1cdabaeeb7728956d9200991d10361083",
-                  "f2e59a4d6577b05d5d6311f948ea68374a12f5587780c8a8e9ebb3e94d4b0520"),
+                  "803360cead2ac5d187ebb41d648cbea8a3f594b92f5b720c0984db44930f687c"),
 }
+# sha256 of the pretrained base's flat vector under PINNED_TUNING: the bits
+# every pinned run starts from.
+PINNED_BASE = "e03bdca5fb049fea67f75113190d979b6a5805d518b54e10b58c68b04121fcb5"
 
 
 def numeric_environment() -> str:
@@ -342,6 +388,15 @@ def numeric_environment() -> str:
         vendor = "unknown"
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     return f"numpy {np.__version__}, BLAS {vendor}, OPENBLAS_NUM_THREADS={threads}"
+
+
+def test_pretrained_base_matches_pinned_digest():
+    cfg = RunConfig(**PINNED_TUNING)
+    schedule, corpus, _ = cli.build_world(cfg)
+    base, _ = cli.pretrain_from_config(cfg, corpus, schedule)
+    got = hashlib.sha256(base.flat.tobytes()).hexdigest()
+    assert got == PINNED_BASE, (f"pretrained base: sha256 {got}, pinned {PINNED_BASE} "
+                                f"({numeric_environment()})")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))

@@ -13,7 +13,7 @@ def test_defaults_are_valid():
     cfg = RunConfig()
     assert cfg.mode == "short"
     assert cfg.group_size == 8
-    assert cfg.sink_size + cfg.window_size == 24
+    assert cfg.sink_size == 3
     assert sum(cfg.reward_weights) == pytest.approx(1.0)
 
 

@@ -1,17 +1,21 @@
-"""Module layering: the astro modules import each other without a cycle.
+"""Module layering: the astro modules import each other without a cycle,
+and every config field is read by the program.
 
 The epoch engine (nftcore) takes already rolled-out groups, which longtune
 decodes and passes in, so nftcore must never import longtune; a cycle
-anywhere would also make the import order of the package matter.
+anywhere would also make the import order of the package matter. A config
+field that no module reads is a knob that changes nothing a run writes.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import graphlib
 from pathlib import Path
 
 import astro
+from astro.config import RunConfig
 
 SRC = Path(astro.__file__).parent
 
@@ -51,3 +55,16 @@ def test_astro_modules_import_without_cycle():
     # static_order raises CycleError naming the modules of any cycle.
     order = list(graphlib.TopologicalSorter(graph).static_order())
     assert order.index("nftcore") < order.index("longtune")
+
+
+def test_every_config_field_is_read_outside_config():
+    read = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == "config":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "cfg")
+    unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
+    assert not unread, f"RunConfig fields no module reads as cfg.<field>: {unread}"

@@ -144,7 +144,7 @@ def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
     Returns (prefix context, window rows, window context rows), rows
     candidate-major.
     """
-    prefix = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
+    prefix = streamctx.empty_context(cfg.sink_size, 21, cfg.frame_dim)
     stream = arng.substream(cfg.seed, arng.PREFIX_STREAM, epoch, prompt.pid)
     for _ in range(spec.start_clip):
         (clip,) = flowgen.sample_clips(theta_old, prefix.summary()[None], prompt.vec,
@@ -288,8 +288,7 @@ def test_graph_size_independent_of_prefix_length():
         spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
         (data,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg,
                                           schedule, 0)
-        norm, risk = rewardlab.RewardNormalizer(), rewardlab.RiskState()
-        scored = nftcore.score_group(data, cfg, norm, risk)
+        scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
         # pin the mask: its occupancy decides whether the KL subgraph exists,
         # which is orthogonal to what this test measures
         scored.mask[:] = True

@@ -351,7 +351,7 @@ def test_optimize_group_ema_interval():
     policies = run.policies
     scored = synthetic_scored_group(cfg, rng)
 
-    before = nftcore.copy_params(policies.theta_old)
+    before = tg.flatten(policies.theta_old)
     nftcore.optimize_group(run, scored, cfg, schedule)
     for k in before:  # steps=1, interval 2: no EMA tick yet
         assert np.array_equal(policies.theta_old[k], before[k])
@@ -455,10 +455,9 @@ def test_score_group_advantage_source():
     rng = np.random.default_rng(11)
     scored_data = synthetic_scored_group(cfg, rng).data
     norm_a, norm_b = rewardlab.RewardNormalizer(), rewardlab.RewardNormalizer()
-    risk_a, risk_b = rewardlab.RiskState(), rewardlab.RiskState()
-    composite = nftcore.score_group(scored_data, cfg, norm_a, risk_a)
+    composite = nftcore.score_group(scored_data, cfg, norm_a)
     primary_cfg = small_config(advantage_source="primary")
-    primary = nftcore.score_group(scored_data, primary_cfg, norm_b, risk_b)
+    primary = nftcore.score_group(scored_data, primary_cfg, norm_b)
     assert not np.allclose(composite.advantages, primary.advantages)
     assert abs(composite.advantages.sum()) <= 1e-12
     assert abs(primary.advantages.sum()) <= 1e-12
@@ -490,7 +489,7 @@ def test_train_epoch_advances_state():
 
 def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):
     """Reference: one prompt's candidate group decoded on its own, G rows per call."""
-    ctx = streamctx.empty_context(cfg.sink_size, cfg.window_size, cfg.frame_dim)
+    ctx = streamctx.empty_context(cfg.sink_size, 21, cfg.frame_dim)
     key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
     streams = [arng.substream(*key, i) for i in range(cfg.group_size)]
     summary = np.tile(ctx.summary(), (cfg.group_size, 1))
@@ -582,7 +581,7 @@ def test_epoch_mode_ema_ticks_once_per_epoch():
     cfg = small_config(ema_mode="epoch")
     run, schedule, prompts = make_world(cfg)
     policies = run.policies
-    before = nftcore.copy_params(policies.theta_old)
+    before = tg.flatten(policies.theta_old)
     longtune.train_window_epoch(run, prompts, cfg, schedule)
     # exactly one EMA application: old' = gamma*old + (1-gamma)*theta_final
     # cannot reconstruct theta_final cheaply here, but old must have moved

@@ -302,37 +302,3 @@ def test_masked_fraction_tracks_rho():
             fractions.append(mask.sum() / nonneg)
         assert mask.sum() <= int(np.ceil(rho * nonneg)) + 1
     assert abs(np.mean(fractions) - rho) <= 0.05
-
-
-# --- risk state ---
-
-
-def test_risk_buffer_bounded_and_fifo():
-    state = rewardlab.RiskState()
-    for i in range(40):
-        rewardlab.update_risk_ratio(state, np.array([float(i)]))
-    assert len(state.buffer) == rewardlab.RISK_BUFFER_CAP
-    assert state.buffer[0][0] == 8.0   # batches 0..7 evicted
-    assert state.buffer[-1][0] == 39.0
-    assert state.rho == state.rho0 == 0.2
-
-
-def test_risk_strategy_hook():
-    calls = []
-
-    def shrink(state):
-        calls.append(len(state.buffer))
-        return max(0.05, state.rho * 0.5)
-
-    state = rewardlab.RiskState(strategy=shrink)
-    rewardlab.update_risk_ratio(state, np.array([1.0]))
-    rewardlab.update_risk_ratio(state, np.array([2.0]))
-    assert calls == [1, 2]
-    assert state.rho == pytest.approx(0.05)
-    assert state.rho0 == 0.2
-
-
-def test_risk_strategy_must_return_valid_ratio():
-    state = rewardlab.RiskState(strategy=lambda s: 0.0)
-    with pytest.raises(ValueError):
-        rewardlab.update_risk_ratio(state, np.array([1.0]))

@@ -498,18 +498,31 @@ def test_adamw_two_runs_identical():
 
 
 def test_adamw_state_roundtrip():
+    # The optimizer state a checkpoint carries (t, m, v) restores exactly
+    # through RunState's in-memory round-trip, which stays float64: the
+    # next step is bit-identical, from moments that are flat copies.
+    cfg = RunConfig()
     rng = np.random.default_rng(23)
-    params = tg.flatten({"w": rng.standard_normal((3, 3))})
-    opt = tg.AdamW(lr=1e-3)
-    opt.step(params, tg.flatten({"w": rng.standard_normal((3, 3))}))
-    twin = tg.AdamW(lr=1e-3)
-    twin.load_state_dict(opt.state_dict())
-    g = tg.flatten({"w": rng.standard_normal((3, 3))})
-    p1 = tg.flatten(params)
-    p2 = tg.flatten(params)
-    opt.step(p1, g)
-    twin.step(p2, g)
-    assert np.array_equal(p1["w"], p2["w"])
+    run = nftcore.RunState.fresh(cfg, generator_net())
+
+    def grads():
+        return tg.flatten({k: rng.standard_normal(v.shape)
+                           for k, v in run.policies.theta.items()})
+
+    run.optimizer.step(run.policies.theta, grads())
+    arrays, extra = run.to_arrays()
+    twin = nftcore.RunState.from_arrays(arrays, {"seed": cfg.seed, "epoch": 0, "extra": extra},
+                                        cfg)
+    g = grads()
+    run.optimizer.step(run.policies.theta, g)
+    twin.optimizer.step(twin.policies.theta, g)
+    assert twin.optimizer.t == run.optimizer.t == 2
+    assert np.array_equal(twin.policies.theta.flat, run.policies.theta.flat)
+    for moments, source in ((twin.optimizer.m, run.optimizer.m),
+                            (twin.optimizer.v, run.optimizer.v)):
+        assert isinstance(moments, tg.FlatParams)
+        assert np.array_equal(moments.flat, source.flat)
+        assert not np.shares_memory(moments.flat, source.flat)
 
 
 def test_clip_global_norm():
@@ -621,19 +634,6 @@ def test_flat_adamw_rejects_plain_dicts_and_foreign_layouts():
         opt.step(tg.flatten({"u": np.zeros(2)}), tg.flatten({"u": np.ones(2)}))
     with pytest.raises(tg.ShapeError):
         opt.step(tg.flatten({"w": np.zeros(2)}), tg.flatten({"w": np.ones(3)}))
-
-
-def test_load_state_dict_rebuilds_flat_moments():
-    params = generator_net()
-    opt = tg.AdamW(lr=1e-3)
-    rng = np.random.default_rng(9)
-    opt.step(params, tg.flatten({k: rng.standard_normal(v.shape) for k, v in params.items()}))
-    twin = tg.AdamW(lr=1e-3)
-    twin.load_state_dict(opt.state_dict())
-    for moments, source in ((twin.m, opt.m), (twin.v, opt.v)):
-        assert isinstance(moments, tg.FlatParams)
-        assert np.array_equal(moments.flat, source.flat)
-        assert not np.shares_memory(moments.flat, source.flat)
 
 
 def peak_bytes(fn, warmup=2):
