@@ -54,7 +54,8 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
 
     A fresh run truncates any previous metrics log so identical seeds produce
     identical files; resuming appends and continues the epoch numbering from
-    the checkpoint.
+    the checkpoint. Each epoch's wall seconds per phase go to timings.jsonl,
+    never to the metrics log.
     """
     out_dir = Path(out_dir)
     # A checkpoint is checked against cfg before anything under out_dir is written.
@@ -62,12 +63,13 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.json")
     schedule, corpus, prompts = build_world(cfg)
-    metrics_path = out_dir / "metrics.jsonl"
+    metrics_path, timings_path = out_dir / "metrics.jsonl", out_dir / "timings.jsonl"
 
     if run is None:
         base, _ = pretrain_from_config(cfg, corpus, schedule)
         run = nftcore.RunState.fresh(cfg, base)
         metrics_path.unlink(missing_ok=True)
+        timings_path.unlink(missing_ok=True)
         if echo:
             echo(f"pretrained base for {cfg.pretrain_steps} steps")
     elif echo:
@@ -84,6 +86,7 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
                 echo(f"aborted: {err}")
             return diag
         runio.log_metrics(metrics_path, record)
+        runio.append_line(timings_path, {"epoch": record.epoch, **run.timings})
         if echo:
             echo(f"epoch {record.epoch:4d}  composite {record.composite:+.4f}  "
                  f"policy {record.policy_loss:.4f}  kl {record.kl_loss:.6f}  "

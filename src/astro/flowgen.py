@@ -222,12 +222,13 @@ def mlp_forward(params: dict[str, np.ndarray], x: np.ndarray,
                 graph: tg.GradGraph | None = None):
     """The predictor on assembled input rows (see assemble_input).
 
-    With a graph, the result is a trainable Node; without one, a
-    NonFiniteError carries the first row whose prediction is not finite.
+    With a graph, the result is a trainable Node and x is the graph's
+    declared input "x"; without one, a NonFiniteError carries the first
+    row whose prediction is not finite.
     """
     p, tanh = params, np.tanh
     if graph is not None:
-        p, x, tanh = graph.parameters(params), graph.constant(x), tg.Node.tanh
+        p, x, tanh = graph.parameters(params), graph.input("x", x), tg.Node.tanh
     h1 = tanh(x @ p["w1"] + p["b1"])
     h2 = tanh(h1 @ p["w2"] + p["b2"])
     out = h2 @ p["w3"] + p["b3"]
@@ -328,7 +329,8 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
 
     Returns (flat params, per-step losses); init, when given, is updated in
     place. steps=0 returns the initialization untouched. A non-finite loss
-    aborts with PretrainDivergence.
+    aborts with PretrainDivergence. The first step records the loss's tape
+    and every later step replays it.
     """
     schedule = schedule or make_schedule()
     prompt_dim = corpus.prompts[0].vec.shape[0]
@@ -337,21 +339,27 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
     opt = tg.AdamW(lr=lr, weight_decay=0.0)
     levels = np.array(schedule.values)
     losses: list[float] = []
+    tapes: dict = {}
     for step in range(steps):
         x0, ctx, pv = corpus.sample_batch(rng, batch_size)
         t = levels[rng.integers(len(levels), size=batch_size)]
         eps = rng.standard_normal(x0.shape)
-        xt = forward_path(x0, eps, t)
-        graph = tg.GradGraph()
+        inputs = {"x": assemble_input(forward_path(x0, eps, t), t, ctx, pv), "x0": x0}
         try:
-            pred = predict_clean_batch(params, xt, t, ctx, pv, graph)
-            loss = (pred - graph.constant(x0)).square().mean()
-            grads = tg.backward(graph, loss)
-            opt.step(params, grads)
+            (loss,), finish = tg.loss_pass(tapes, (), params, inputs, regression_loss)
+            opt.step(params, finish())
         except NonFiniteError as err:
             raise PretrainDivergence(step, losses[-1] if losses else math.nan) from err
-        losses.append(float(loss.value))
+        losses.append(loss)
     return params, losses
+
+
+def regression_loss(graph: tg.GradGraph, params: dict[str, np.ndarray],
+                    inputs: dict[str, np.ndarray]):
+    """Pretraining's loss: element-mean squared error of the prediction from
+    the assembled input x against the clean rows x0."""
+    pred = mlp_forward(params, inputs["x"], graph)
+    return ((pred - graph.input("x0", inputs["x0"])).square().mean(),)
 
 
 def evaluate_base(params: dict[str, np.ndarray], corpus: TrajectoryCorpus,

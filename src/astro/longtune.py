@@ -87,17 +87,20 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
 
 def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
                    spec: WindowSpec, cfg: RunConfig, schedule: flowgen.TimestepSchedule,
-                   epoch: int) -> list[nftcore.GroupData]:
+                   epoch: int, prefix: streamctx.ContextBatch | None = None
+                   ) -> list[nftcore.GroupData]:
     """Branch every prompt's group at the window: each candidate extends its own context.
 
-    The prefix is decoded first; then streamctx.group_rollout decodes the
-    window for all prompts' candidates at once. Returns one GroupData per
-    prompt, in prompt order, whose rows are candidate-major, one row per
-    (candidate, window clip), each with the context summary that
-    conditioned it. Rewards see each candidate's window as one frame stack.
+    The prefix is decoded first, unless given as rollout_prefix made it;
+    then streamctx.group_rollout decodes the window for all prompts'
+    candidates at once. Returns one GroupData per prompt, in prompt order,
+    whose rows are candidate-major, one row per (candidate, window clip),
+    each with the context summary that conditioned it. Rewards see each
+    candidate's window as one frame stack.
     """
     g, w = cfg.group_size, spec.window_clips
-    prefix = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
+    if prefix is None:
+        prefix = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
     keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
     with nftcore.abort_on_nonfinite(epoch, prompts, g):
         clips, summaries = streamctx.group_rollout(theta_old, prefix, prompts, g, schedule,
@@ -114,12 +117,20 @@ def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
 def train_window_epoch(run: nftcore.RunState, prompts: list[flowgen.Prompt], cfg: RunConfig,
                        schedule: flowgen.TimestepSchedule) -> runio.MetricsRecord:
     """One epoch of either mode: shared window choice, prefix and window
-    rollout under theta_old, then optimization on the window's groups."""
+    rollout under theta_old, then optimization on the window's groups.
+    run.timings then holds this epoch's wall seconds per phase: prefix,
+    rollout (the window alone), judges, loss_forward, backward, clip,
+    adamw, ema, and total."""
     t_start = time.perf_counter()
+    run.timings.clear()
     epoch = run.state.epoch
     spec = epoch_window(cfg, epoch)
-    groups = window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, epoch)
+    theta_old = run.policies.theta_old
+    prefix = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
+    since = run.timings.lap("prefix", t_start)
+    groups = window_rollout(theta_old, prompts, spec, cfg, schedule, epoch, prefix)
+    run.timings.lap("rollout", since)
     record = nftcore.train_epoch(run, groups, cfg, schedule)
     record.window_start = spec.start_clip
-    record.wall_time = time.perf_counter() - t_start
+    record.wall_time = run.timings["total"] = time.perf_counter() - t_start
     return record

@@ -19,8 +19,9 @@ takes it, advances it in place, and returns its runio.MetricsRecord.
 from __future__ import annotations
 
 import math
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,12 +60,16 @@ BUFFER_PREFIXES = ("theta/", "theta_old/", "theta_ref/", "opt/m/", "opt/v/")
 class RunState:
     """Everything a run carries across epochs. fresh() starts one from a
     pretrained base; to_arrays()/from_arrays() are its checkpoint round-trip,
-    with array names slash-scoped by component."""
+    with array names slash-scoped by component. tapes (the recorded loss
+    tapes by structure key) and timings (the current epoch's wall seconds
+    per phase) are working state, never checkpointed."""
 
     policies: PolicyTriple
     optimizer: tg.AdamW
     state: TrainState
     normalizer: rewardlab.RewardNormalizer
+    tapes: dict = field(default_factory=dict, repr=False)
+    timings: runio.PhaseTimes = field(default_factory=runio.PhaseTimes, repr=False)
 
     @classmethod
     def fresh(cls, cfg: RunConfig, base: dict[str, np.ndarray]) -> "RunState":
@@ -164,33 +169,22 @@ def policy_loss(r_tilde: float, v_plus, v_minus, target_x0):
             + (1.0 - r_tilde) * float(np.mean(np.square(v_minus - target_x0))))
 
 
-def batch_policy_loss(r_tilde_rows: np.ndarray, v_plus, v_minus, x0_rows: np.ndarray):
+def batch_policy_loss(v_plus, v_minus, x0_rows, w, w_neg):
     """Mean over candidates of per-candidate policy_loss, in one graph expression.
 
-    v_plus and v_minus are graph nodes; the labels and clean rows are arrays.
-    Row-weighting by a constant matrix is algebraically the per-candidate
-    mean: mean(W * sq) == mean_i(w_i * mean_j(sq_ij)).
+    w holds each row's soft label across its width and w_neg is 1 - w.
+    Row-weighting is algebraically the per-candidate mean:
+    mean(W * sq) == mean_i(w_i * mean_j(sq_ij)).
     """
-    width = x0_rows.shape[1]
-    w = np.repeat(np.asarray(r_tilde_rows, dtype=np.float64)[:, None], width, axis=1)
     dp = v_plus - x0_rows
     dm = v_minus - x0_rows
-    return (dp.square() * w).mean() + (dm.square() * (1.0 - w)).mean()
+    return (dp.square() * w).mean() + (dm.square() * w_neg).mean()
 
 
-def selective_kl_loss(v_theta, v_ref: np.ndarray, mask_rows: np.ndarray):
-    """Mean over masked candidates of the element-mean squared prediction gap.
-
-    v_theta is a graph node and v_ref an array. Returns plain 0.0 when the
-    mask is empty; nothing is regularized then.
-    """
-    mask_rows = np.asarray(mask_rows, dtype=bool)
-    n_masked = int(mask_rows.sum())
-    if n_masked == 0:
-        return 0.0
-    width = v_ref.shape[1]
-    m = np.repeat(mask_rows[:, None], width, axis=1).astype(np.float64)
-    return ((v_theta - v_ref).square() * m).sum() / float(n_masked * width)
+def selective_kl_loss(v_theta, v_ref, m, scale):
+    """Mean over masked candidates of the element-mean squared prediction gap:
+    m is the row mask across the width and scale is 1 / (n_masked * width)."""
+    return ((v_theta - v_ref).square() * m).sum() * scale
 
 
 def total_loss(policy, kl, lambda_kl: float):
@@ -284,54 +278,92 @@ def draw_noise_level(cfg: RunConfig, schedule: flowgen.TimestepSchedule, epoch: 
     return float(schedule.values[int(stream.integers(len(schedule.values)))])
 
 
+def group_loss_inputs(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig,
+                      t: float, eps: np.ndarray) -> dict[str, np.ndarray]:
+    """Every array one group's loss reads, in numpy: the network input x, fed
+    to all three policies, the clean rows, (1 -/+ beta) * v_old, the label
+    weights w and 1 - w and, only when a row is masked, v_ref, the mask
+    weights m and their scale 1 / (n_masked * width)."""
+    data = scored.data
+    x = flowgen.assemble_input(flowgen.forward_path(data.x0_rows, eps, t), t, data.ctx_rows,
+                               data.prompt.vec)
+    v_old = flowgen.mlp_forward(policies.theta_old, x)
+    v_ref = flowgen.mlp_forward(policies.theta_ref, x)
+    width = data.x0_rows.shape[1]
+    r_rows = normalize_advantage(scored.advantages, cfg.a_max)[data.row_candidate]
+    w = np.repeat(r_rows[:, None], width, axis=1)
+    inputs = {"x": x, "x0": data.x0_rows, "old_plus": (1.0 - cfg.beta) * v_old,
+              "old_minus": (1.0 + cfg.beta) * v_old, "w": w, "w_neg": 1.0 - w}
+    mask_rows = scored.mask[data.row_candidate]
+    if mask_rows.any():
+        m = np.repeat(mask_rows[:, None], width, axis=1).astype(np.float64)
+        scale = np.asarray(1.0 / float(mask_rows.sum() * width))
+        inputs.update(v_ref=v_ref, m=m, kl_scale=scale)
+    return inputs
+
+
+def group_loss_graph(graph: tg.GradGraph, theta: tg.FlatParams, inputs: dict[str, np.ndarray],
+                     cfg: RunConfig):
+    """One group's loss on graph over theta and group_loss_inputs' arrays,
+    each a declared input; the branches are implicit_policies' with their
+    behavior terms as inputs. Returns (loss, policy term, KL term), or with
+    no row masked (policy term, policy term): the KL term is then 0."""
+    c = {name: graph.input(name, value) for name, value in inputs.items() if name != "x"}
+    v_theta = flowgen.mlp_forward(theta, inputs["x"], graph)
+    v_plus = c["old_plus"] + cfg.beta * v_theta
+    v_minus = c["old_minus"] - cfg.beta * v_theta
+    pol = batch_policy_loss(v_plus, v_minus, c["x0"], c["w"], c["w_neg"])
+    if "m" not in c:
+        return pol, pol
+    kl = selective_kl_loss(v_theta, c["v_ref"], c["m"], c["kl_scale"])
+    return total_loss(pol, kl, cfg.lambda_kl), pol, kl
+
+
 def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig,
                      t: float, eps: np.ndarray):
     """Assemble one mini-batch loss graph. Returns (graph, loss node, info).
 
-    The network input is assembled once and fed to all three policies. Only
-    theta lives on the graph; the behavior and reference predictions are
-    computed off-graph and enter as constants, as does everything downstream
-    of the rollout (clean rows, context rows, prompt).
+    Only theta lives on the graph; everything else enters as a declared
+    input from group_loss_inputs.
     """
-    data = scored.data
-    x_t = flowgen.forward_path(data.x0_rows, eps, t)
-    x = flowgen.assemble_input(x_t, t, data.ctx_rows, data.prompt.vec)
     graph = tg.GradGraph()
-    v_theta = flowgen.mlp_forward(policies.theta, x, graph)
-    v_old = flowgen.mlp_forward(policies.theta_old, x)
-    v_ref = flowgen.mlp_forward(policies.theta_ref, x)
-    r_tilde = normalize_advantage(scored.advantages, cfg.a_max)
-    r_rows = r_tilde[data.row_candidate]
-    mask_rows = scored.mask[data.row_candidate]
-    v_plus, v_minus = implicit_policies(v_theta, v_old, cfg.beta)
-    pol = batch_policy_loss(r_rows, v_plus, v_minus, data.x0_rows)
-    kl = selective_kl_loss(v_theta, v_ref, mask_rows)
-    loss = total_loss(pol, kl, cfg.lambda_kl)
-    info = {
-        "policy_loss": float(pol.value),
-        "kl_loss": float(kl.value) if isinstance(kl, tg.Node) else float(kl),
-        "masked": int(mask_rows.sum()),
-        "graph_nodes": len(graph),
-    }
-    return graph, loss, info
+    outputs = group_loss_graph(graph, policies.theta,
+                               group_loss_inputs(policies, scored, cfg, t, eps), cfg)
+    values = [float(node.value) for node in outputs]
+    info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0,
+            "masked": int(scored.mask[scored.data.row_candidate].sum()),
+            "graph_nodes": len(graph)}
+    return graph, outputs[0], info
 
 
 def optimize_group(run: RunState, scored: ScoredGroup, cfg: RunConfig,
                    schedule: flowgen.TimestepSchedule) -> dict:
     """One optimizer step on one prompt group, at epoch run.state.epoch; EMA
-    tick if configured per step."""
-    policies, state = run.policies, run.state
+    tick if configured per step. The loss replays the run's tape for its
+    structure, recorded from group_loss_graph when first seen; each phase's
+    wall time is added to run.timings."""
+    policies, state, lap = run.policies, run.state, run.timings.lap
+    since = time.perf_counter()
     pid = scored.data.prompt.pid
     t = draw_noise_level(cfg, schedule, state.epoch, pid)
     eps_stream = rngmod.substream(cfg.seed, rngmod.EPS_STREAM, state.epoch, pid)
     eps = eps_stream.standard_normal(scored.data.x0_rows.shape)
-    graph, loss, info = build_group_loss(policies, scored, cfg, t, eps)
-    grads = tg.backward(graph, loss)
+    values, finish = tg.loss_pass(
+        run.tapes, (cfg.beta, cfg.lambda_kl), policies.theta,
+        group_loss_inputs(policies, scored, cfg, t, eps),
+        lambda graph, theta, inputs: group_loss_graph(graph, theta, inputs, cfg))
+    since = lap("loss_forward", since)
+    grads = finish()
+    since = lap("backward", since)
+    info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0}
     info["grad_norm"] = tg.clip_global_norm(grads, cfg.max_grad_norm)
+    since = lap("clip", since)
     run.optimizer.step(policies.theta, grads)
+    since = lap("adamw", since)
     state.steps += 1
     if cfg.ema_mode == "step" and state.steps % cfg.ema_interval == 0:
         ema_update(policies.theta_old, policies.theta, cfg.gamma)
+    lap("ema", since)
     return info
 
 
@@ -374,7 +406,9 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
     """
     policies, state = run.policies, run.state
     epoch = state.epoch
+    since = time.perf_counter()
     scored_groups = [score_group(data, cfg, run.normalizer) for data in groups]
+    run.timings.lap("judges", since)
 
     infos = []
     for scored in scored_groups:
@@ -383,12 +417,14 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
         except tg.NonFiniteError as err:
             raise EpochAborted(epoch, scored.data.prompt.pid, err) from err
 
+    since = time.perf_counter()
     kl_epoch = float(np.mean([i["kl_loss"] for i in infos]))
     reset = maybe_reset_reference(state, kl_epoch, cfg.tau_kl, cfg.k_max)
     if reset:
         policies.theta_ref = tg.flatten(policies.theta)
     if cfg.ema_mode == "epoch":
         ema_update(policies.theta_old, policies.theta, cfg.gamma)
+    run.timings.lap("ema", since)
 
     raw_all = np.concatenate([g.raw_scores for g in scored_groups])
     raw_means = raw_all.mean(axis=0)

@@ -1,9 +1,9 @@
 """Run artifacts: JSONL metrics logs, binary checkpoints, CSV plot export.
 
-Metrics files are deterministic for a fixed seed, so wall time stays on the
-in-memory record only. Checkpoints are a JSON manifest (names, shapes, byte
+Metrics files are deterministic for a fixed seed, so wall time stays out of
+them, in timings.jsonl. Checkpoints are a JSON manifest (names, shapes, byte
 offsets, seed, epoch) followed by raw little-endian float32 payload in one
-file; save -> load -> save is byte-identical.
+file, and nothing after it; save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -48,9 +49,23 @@ class MetricsRecord:
 
 def log_metrics(path, record: MetricsRecord) -> None:
     """Append one JSON line; one line per epoch."""
-    line = json.dumps(record.to_json_dict(), separators=(",", ":"), allow_nan=False)
+    append_line(path, record.to_json_dict())
+
+
+def append_line(path, obj: dict) -> None:
+    """Append obj as one compact JSON line."""
+    line = json.dumps(obj, separators=(",", ":"), allow_nan=False)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
+
+
+class PhaseTimes(dict):
+    """Wall seconds per phase; lap(phase, since) adds now - since and returns now."""
+
+    def lap(self, phase: str, since: float) -> float:
+        now = time.perf_counter()
+        self[phase] = self.get(phase, 0.0) + (now - since)
+        return now
 
 
 def read_metrics(path) -> list[dict]:
@@ -124,5 +139,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if flat.size != entry["count"]:
             raise ValueError(f"checkpoint payload truncated at array {entry['name']!r}")
         arrays[entry["name"]] = flat.astype(np.float64).reshape(entry["shape"])
+    end = max((e["offset"] + 4 * e["count"] for e in manifest["arrays"]), default=0)
+    if len(payload) > end:
+        raise ValueError(f"checkpoint has {len(payload) - end} bytes past its last array")
     meta = {k: manifest[k] for k in ("seed", "epoch", "extra")}
     return arrays, meta

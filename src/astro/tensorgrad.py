@@ -9,7 +9,9 @@ topological), backward walks the tape once, and detached nodes cut gradient
 flow structurally: they have no parents, so nothing is ever propagated
 through them. Adjoints are formed only where gradient flows: an adjoint
 rule returns None in place of the gradient of a detached operand (a
-constant input, label or target) instead of computing it.
+constant input, label or target) instead of computing it. A loss whose
+graph keeps one structure from step to step is built on Nodes once;
+loss_pass records it as a Tape and replays that with the same rules.
 
 Also home to the optimizer side. Parameters live in FlatParams: name-keyed
 views into one contiguous float64 vector per policy, laid out in sorted-name
@@ -113,14 +115,6 @@ class Node:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise ShapeError("division only by python scalars")
-        return apply_primitive("scalar_mul", [self], self.graph, scalar=1.0 / float(other))
-
-    def __neg__(self):
-        return apply_primitive("scalar_mul", [self], self.graph, scalar=-1.0)
-
     def __matmul__(self, other):
         return apply_primitive("matmul", [self, other], self.graph)
 
@@ -147,11 +141,18 @@ class GradGraph:
     def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
+        self.inputs: dict[str, Node] = {}
         self._ref = weakref.ref(self)
 
     def constant(self, value) -> Node:
         """Detached leaf. Not recorded on the tape; nothing flows through it."""
         return Node(self, _as_array(value), op="const", detached=True)
+
+    def input(self, name: str, value) -> Node:
+        """Constant declared as a per-call input: a Tape recorded from this
+        graph reads it by name on every replay."""
+        node = self.inputs[name] = self.constant(value)
+        return node
 
     def parameter(self, name: str, value: np.ndarray) -> Node:
         """Trainable leaf keyed by name. Re-registering the same array is a no-op."""
@@ -175,10 +176,11 @@ class GradGraph:
 # --- the primitives: forward functions and adjoint rules ---
 #
 # A forward function takes the operand values (and the primitive's keyword
-# arguments) and returns the result. An adjoint rule takes the recorded node
-# and the gradient g at it and returns one entry per parent: that parent's
-# gradient, or None when the parent is detached. A unary node is recorded
-# only when its one parent is not detached.
+# arguments) and returns the result. An adjoint rule takes the gradient g at
+# the result, the result, the operand values, which operands need a gradient
+# and the keyword arguments; it returns each operand's gradient, or None for
+# one that needs none (a detached one). A unary node is recorded only when
+# its one operand is not detached.
 
 
 def _broadcast_ok(sa: tuple, sb: tuple) -> bool:
@@ -217,32 +219,31 @@ def _matmul(a, b):
     return a @ b
 
 
-def _add_adjoint(node, g):
-    a, b = node.parents
-    return (None if a.detached else _reduce_to(a.shape, g),
-            None if b.detached else _reduce_to(b.shape, g))
+def _add_adjoint(g, out, args, needs, kw):
+    a, b = args
+    return (_reduce_to(a.shape, g) if needs[0] else None,
+            _reduce_to(b.shape, g) if needs[1] else None)
 
 
-def _sub_adjoint(node, g):
-    a, b = node.parents
-    return (None if a.detached else _reduce_to(a.shape, g),
-            None if b.detached else _reduce_to(b.shape, -g))
+def _sub_adjoint(g, out, args, needs, kw):
+    a, b = args
+    return (_reduce_to(a.shape, g) if needs[0] else None,
+            _reduce_to(b.shape, -g) if needs[1] else None)
 
 
-def _mul_adjoint(node, g):
-    a, b = node.parents
-    return (None if a.detached else _reduce_to(a.shape, g * b.value),
-            None if b.detached else _reduce_to(b.shape, g * a.value))
+def _mul_adjoint(g, out, args, needs, kw):
+    a, b = args
+    return (_reduce_to(a.shape, g * b) if needs[0] else None,
+            _reduce_to(b.shape, g * a) if needs[1] else None)
 
 
-def _matmul_adjoint(node, g):
-    a, b = node.parents
-    return (None if a.detached else g @ b.value.T,
-            None if b.detached else a.value.T @ g)
+def _matmul_adjoint(g, out, args, needs, kw):
+    a, b = args
+    return (g @ b.T if needs[0] else None, a.T @ g if needs[1] else None)
 
 
-def _mean_adjoint(node, g):
-    (a,) = node.parents
+def _mean_adjoint(g, out, args, needs, kw):
+    (a,) = args
     return (np.full(a.shape, g / a.size),)
 
 
@@ -250,25 +251,32 @@ PRIMITIVES = {
     "add": (_elementwise("add", np.add), _add_adjoint),
     "sub": (_elementwise("sub", np.subtract), _sub_adjoint),
     "mul": (_elementwise("mul", np.multiply), _mul_adjoint),
-    "scalar_mul": (lambda a, scalar: a * scalar, lambda node, g: (g * node.ctx["scalar"],)),
+    "scalar_mul": (lambda a, scalar: a * scalar,
+                   lambda g, out, args, needs, kw: (g * kw["scalar"],)),
     "matmul": (_matmul, _matmul_adjoint),
-    "tanh": (np.tanh, lambda node, g: (g * (1.0 - node.value * node.value),)),
-    "sum": (lambda a: np.asarray(a.sum()), lambda node, g: (np.full(node.parents[0].shape, g),)),
-    "mean": (lambda a: np.asarray(a.mean()), _mean_adjoint),
-    "square": (lambda a: a * a, lambda node, g: (g * 2.0 * node.parents[0].value,)),
+    "tanh": (np.tanh, lambda g, out, args, needs, kw: (g * (1.0 - out * out),)),
+    "sum": (lambda a: np.asarray(a.sum()),
+            lambda g, out, args, needs, kw: (np.full(args[0].shape, g),)),
+    # ndarray.mean's own sum and division, without its Python-level wrapper.
+    "mean": (lambda a: np.asarray(np.add.reduce(a, axis=None) / a.size), _mean_adjoint),
+    "square": (lambda a: a * a, lambda g, out, args, needs, kw: (g * 2.0 * args[0],)),
 }
+
+
+def _checked(op_id: str, value):
+    # A finite sum proves every element finite, since a NaN or inf element
+    # makes any sum non-finite. A non-finite sum can also come from finite
+    # elements whose sum overflows, so only then is each element checked.
+    total = value if value.ndim == 0 else np.add.reduce(value, axis=None)
+    if not math.isfinite(total) and not np.isfinite(value).all():
+        raise NonFiniteError(f"primitive {op_id!r} produced non-finite values")
+    return value
 
 
 # As a decorator, errstate costs about 1 us less per call than a with-block.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _evaluate(op_id: str, values: list, kw: dict):
-    value = PRIMITIVES[op_id][0](*values, **kw)
-    # A finite sum proves every element finite, since a NaN or inf element
-    # makes any sum non-finite. A non-finite sum can also come from finite
-    # elements whose sum overflows, so only then is each element checked.
-    if not math.isfinite(np.add.reduce(value, axis=None)) and not np.isfinite(value).all():
-        raise NonFiniteError(f"primitive {op_id!r} produced non-finite values")
-    return value
+    return _checked(op_id, PRIMITIVES[op_id][0](*values, **kw))
 
 
 def apply_primitive(op_id: str, inputs: list, graph: GradGraph, **kw) -> Node:
@@ -319,7 +327,10 @@ def backward(graph: GradGraph, loss: Node) -> FlatParams:
             g = grads.pop(id(node), None)
             if g is None:  # a parameter, or off the loss's path
                 continue
-            for parent, pg in zip(node.parents, PRIMITIVES[node.op][1](node, g)):
+            parents = node.parents
+            adjoints = PRIMITIVES[node.op][1](g, node.value, [p.value for p in parents],
+                                              [not p.detached for p in parents], node.ctx)
+            for parent, pg in zip(parents, adjoints):
                 if pg is None:
                     continue
                 name = parent.param_id
@@ -334,6 +345,103 @@ def backward(graph: GradGraph, loss: Node) -> FlatParams:
     for name in unwritten:
         out[name][...] = 0.0
     return out
+
+
+class Tape:
+    """A recorded loss graph's structure: primitive names, operand slots and
+    keyword arguments, never an array or a Node. Slots number the parameters,
+    the declared inputs, then each result. Replay runs the same forward
+    functions and adjoint rules in the Node graph's orders, so its values and
+    gradients are a fresh build's, bit for bit. A constant that is not a
+    declared input is refused: it would freeze one call's values into every
+    replay. outputs[0] is the loss."""
+
+    def __init__(self, graph: GradGraph, outputs):
+        leaves = [*graph.params.values(), *graph.inputs.values()]
+        slot = {id(node): i for i, node in enumerate(leaves)}
+        self.params, self.inputs = list(graph.params), list(graph.inputs)
+        self.shapes = {name: p.shape for name, p in graph.params.items()}
+        self.steps = []
+        for node in graph.nodes:
+            if node.op == "param":
+                continue
+            if any(id(p) not in slot for p in node.parents):
+                raise GraphError(f"{node.op!r} reads a constant that is not a declared input")
+            self.steps.append((node.op, [slot[id(p)] for p in node.parents], node.ctx))
+            slot[id(node)] = len(slot)
+        self.outputs = [slot[id(node)] for node in outputs]
+        # The steps the loss's gradient reaches, in reverse, with which
+        # operands need a gradient and whether it adds to one already written.
+        reached, self.plan = {self.outputs[0]}, []
+        for out in range(self.outputs[0], len(leaves) - 1, -1):
+            op, operands, kw = self.steps[out - len(leaves)]
+            if out in reached:
+                adds = []
+                for s in operands:
+                    adds.append(s in reached)
+                    reached.add(s)
+                needs = [s < len(self.params) or s >= len(leaves) for s in operands]
+                self.plan.append((out, op, operands, kw, needs, adds))
+        self.untouched = [name for i, name in enumerate(self.params) if i not in reached]
+
+    def forward(self, params: dict[str, np.ndarray], inputs: dict[str, np.ndarray]) -> list:
+        """Every slot's value at these parameters and inputs."""
+        values = ([_as_array(params[name]) for name in self.params]
+                  + [_as_array(inputs[name]) for name in self.inputs])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for op, operands, kw in self.steps:
+                values.append(_checked(op, PRIMITIVES[op][0](*[values[s] for s in operands],
+                                                             **kw)))
+        return values
+
+    def backward(self, values: list) -> FlatParams:
+        """The loss's gradients from forward's values, as backward returns them.
+        values is emptied: no activation outlives the step."""
+        out = _layout(self.shapes)
+        grads = [None] * len(values)
+        grads[self.outputs[0]] = np.ones(())
+        for slot, op, operands, kw, needs, adds in self.plan:
+            adjoints = PRIMITIVES[op][1](grads[slot], values[slot],
+                                         [values[s] for s in operands], needs, kw)
+            grads[slot] = None
+            for s, add, pg in zip(operands, adds, adjoints):
+                if pg is None:
+                    continue
+                if s >= len(self.params):
+                    grads[s] = grads[s] + pg if add else pg
+                elif add:
+                    out[self.params[s]] += pg
+                else:
+                    out[self.params[s]][...] = pg
+        for name in self.untouched:
+            out[name][...] = 0.0
+        values.clear()
+        return out
+
+
+def loss_pass(tapes: dict, frozen, params: dict[str, np.ndarray],
+              inputs: dict[str, np.ndarray], build):
+    """Forward half of a loss step: (values of the outputs, finish).
+
+    build(graph, params, inputs) returns (loss, *watched nodes), declaring
+    each array it reads with graph.input. tapes holds one Tape per structure
+    key: frozen, the scalars build puts in the graph, and each input's name
+    and shape. A new key is built on Nodes, and finish() runs backward and
+    records the tape; a known key replays it. finish() returns the gradients.
+    """
+    key = (frozen, tuple((name, value.shape) for name, value in inputs.items()))
+    tape = tapes.get(key)
+    if tape is not None:
+        slots = tape.forward(params, inputs)
+        return [float(slots[s]) for s in tape.outputs], lambda: tape.backward(slots)
+    graph = GradGraph()
+    outputs = build(graph, params, inputs)
+
+    def finish():
+        grads = backward(graph, outputs[0])
+        tapes[key] = Tape(graph, outputs)
+        return grads
+    return [float(node.value) for node in outputs], finish
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:

@@ -175,11 +175,17 @@ def test_c04_normalization_invariants():
 def test_c05_bounded_context_and_rollout_purity():
     rng = np.random.default_rng(5)
     ctx = streamctx.empty_context(sink_size=3, window_size=21, frame_dim=8)
-    bound_ok = True
+    batch = streamctx.ContextBatch.empty(1, sink_size=3, frame_dim=8)
+    bound_ok = batch_ok = True
     for i in range(1000):
-        ctx = streamctx.push_clip(ctx, rng.standard_normal((4, 8)))
+        clip = rng.standard_normal((4, 8))
+        ctx = streamctx.push_clip(ctx, clip)
         expected = min((i + 1) * 4, 24)
         bound_ok = bound_ok and ctx.frame_count() == expected
+        # The rollout's array state: fixed shapes, the window's summary bit for bit.
+        batch = batch.push(clip[None])
+        batch_ok = (batch_ok and batch.sink.shape == (1, 3, 8) and batch.newest.shape == (1, 8)
+                    and np.array_equal(batch.summary()[0], ctx.summary()))
     final_ok = ctx.frame_count() == 24
 
     params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=16)
@@ -192,9 +198,10 @@ def test_c05_bounded_context_and_rollout_purity():
             and np.array_equal(ctx.summary(), before_summary)
             and ctx.frame_count() == 24)
 
-    ok = bound_ok and final_ok and pure
+    ok = bound_ok and final_ok and pure and batch_ok
     report(5, "bounded context and rollout purity", ok,
            f"frame count min(4(i+1), 24) over 1000 pushes {bound_ok}, final 24 {final_ok}, "
+           f"ContextBatch fixed shape with the window's summary bit for bit {batch_ok}, "
            f"group_rollout left context bit-identical {pure}")
     assert ok
 

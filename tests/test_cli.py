@@ -71,16 +71,65 @@ def test_bulk_seeding_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
                 == (tmp_path / "per_key" / name).read_bytes()), name
 
 
+def build_every_step(monkeypatch):
+    """Make every loss pass build its Node graph and run backward: no tape is
+    ever kept, so none is replayed."""
+    loss_pass = tg.loss_pass
+    monkeypatch.setattr(tg, "loss_pass", lambda tapes, *args: loss_pass({}, *args))
+
+
 @pytest.mark.parametrize("mode", ["short", "long"])
 def test_lean_backward_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
-    # backward against the whole-tape walk, for pretraining and every epoch.
+    # backward against the whole-tape walk, for pretraining and every epoch:
+    # every step builds its graph, so the whole-tape walk runs on each.
     cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
     assert cli.run_training(cfg, tmp_path / "lean")["status"] == "ok"
+    build_every_step(monkeypatch)
     monkeypatch.setattr(tg, "backward", reference_backward)
     assert cli.run_training(cfg, tmp_path / "whole_tape")["status"] == "ok"
     for name in ("metrics.jsonl", "checkpoint.bin"):
         assert ((tmp_path / "lean" / name).read_bytes()
                 == (tmp_path / "whole_tape" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_replayed_tapes_leave_run_bytes_unchanged(tmp_path, monkeypatch, mode):
+    # Replayed tapes against a Node build and backward on every step, for
+    # pretraining and every epoch.
+    cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
+    replays = []
+    forward = tg.Tape.forward
+    monkeypatch.setattr(tg.Tape, "forward", lambda *a: replays.append(1) or forward(*a))
+    assert cli.run_training(cfg, tmp_path / "replayed")["status"] == "ok"
+    replayed = len(replays)
+    assert replayed > cfg.pretrain_steps
+    build_every_step(monkeypatch)
+    assert cli.run_training(cfg, tmp_path / "whole_tape")["status"] == "ok"
+    assert len(replays) == replayed
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert ((tmp_path / "replayed" / name).read_bytes()
+                == (tmp_path / "whole_tape" / name).read_bytes()), name
+
+
+def test_timings_log_every_phase_once_per_epoch(tmp_path):
+    cfg = tiny_config(mode="long", epochs=3, total_clips=4, window_clips=2)
+    assert cli.run_training(cfg, tmp_path)["status"] == "ok"
+    rows = runio.read_metrics(tmp_path / "timings.jsonl")
+    phases = ["prefix", "rollout", "judges", "loss_forward", "backward", "clip", "adamw",
+              "ema", "total"]
+    assert [row["epoch"] for row in rows] == [0, 1, 2]
+    for row in rows:
+        assert sorted(row) == sorted(["epoch", *phases])
+        assert all(row[p] >= 0.0 for p in phases)
+        assert sum(row[p] for p in phases[:-1]) <= row["total"]
+    metrics = runio.read_metrics(tmp_path / "metrics.jsonl")
+    assert all(set(row).isdisjoint(phases) for row in metrics)
+    # A resumed run appends; a fresh one starts the file again.
+    cli.run_training(tiny_config(mode="long", epochs=4, total_clips=4, window_clips=2),
+                     tmp_path, resume=str(tmp_path / "checkpoint.bin"))
+    assert [r["epoch"] for r in runio.read_metrics(tmp_path / "timings.jsonl")] == [0, 1, 2, 3]
+    cli.run_training(cfg, tmp_path)
+    assert [r["epoch"] for r in runio.read_metrics(tmp_path / "timings.jsonl")] == [0, 1, 2]
 
 
 def window_list_rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, epoch):

@@ -4,6 +4,7 @@ reference management, and the epoch loop."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import gc
 import tracemalloc
 import weakref
@@ -143,7 +144,8 @@ def test_batch_policy_loss_equals_per_candidate_mean():
     for beta in (1.0, 0.3):
         graph = tg.GradGraph()
         vp_n, vm_n = nftcore.implicit_policies(graph.parameter("vt", v_theta), v_old, beta)
-        batch = nftcore.batch_policy_loss(r, vp_n, vm_n, x0)
+        w = np.repeat(r[:, None], width, axis=1)
+        batch = nftcore.batch_policy_loss(vp_n, vm_n, x0, w, 1.0 - w)
         vp, vm = nftcore.implicit_policies(v_theta, v_old, beta)
         per = np.mean([nftcore.policy_loss(r[i], vp[i:i+1], vm[i:i+1], x0[i:i+1])
                        for i in range(g)])
@@ -165,8 +167,15 @@ def test_batch_policy_loss_node_path_matches_numpy():
     graph = tg.GradGraph()
     vt_node = graph.parameter("vt", v_theta)
     vp_n, vm_n = nftcore.implicit_policies(vt_node, graph.constant(v_old), 1.0)
-    node = nftcore.batch_policy_loss(r, vp_n, vm_n, x0)
+    node = nftcore.batch_policy_loss(vp_n, vm_n, x0, np.repeat(w, width, axis=1),
+                                     np.repeat(1.0 - w, width, axis=1))
     assert float(node.value) == pytest.approx(plain, rel=1e-14)
+
+
+def kl_weights(mask, width):
+    """The mask weights and scale group_loss_inputs builds for selective_kl_loss."""
+    return (np.repeat(mask[:, None], width, axis=1).astype(np.float64),
+            np.asarray(1.0 / float(mask.sum() * width)))
 
 
 def test_selective_kl_constant_offset():
@@ -175,7 +184,8 @@ def test_selective_kl_constant_offset():
     c = 0.25
     mask = np.array([True, True, False, True])
     graph = tg.GradGraph()
-    loss = nftcore.selective_kl_loss(graph.parameter("vt", v_ref + c), v_ref, mask)
+    loss = nftcore.selective_kl_loss(graph.parameter("vt", v_ref + c), v_ref,
+                                     *kl_weights(mask, 8))
     assert float(loss.value) == pytest.approx(c * c, abs=1e-15)
 
 
@@ -186,17 +196,29 @@ def test_selective_kl_only_masked_rows_count():
     v_theta[2] = 99.0  # unmasked: must be invisible
     graph = tg.GradGraph()
     loss = nftcore.selective_kl_loss(graph.parameter("vt", v_theta), v_ref,
-                                     np.array([True, False, False]))
+                                     *kl_weights(np.array([True, False, False]), 4))
     assert float(loss.value) == pytest.approx(4.0)
 
 
 def test_selective_kl_empty_mask_is_plain_zero():
-    v = np.ones((2, 3))
-    graph = tg.GradGraph()
-    out = nftcore.selective_kl_loss(graph.parameter("vt", v), v + 5.0,
-                                    np.array([False, False]))
-    assert isinstance(out, float)
-    assert out == 0.0
+    # No masked row: the group's loss has no KL term or input at all, and
+    # its KL value is plain 0.0.
+    cfg = small_config(lambda_kl=0.05)
+    rng = np.random.default_rng(7)
+    policies = make_world(cfg)[0].policies
+    scored = synthetic_scored_group(cfg, rng)
+    scored.mask[:] = False
+    eps = rng.standard_normal(scored.data.x0_rows.shape)
+    inputs = nftcore.group_loss_inputs(policies, scored, cfg, 0.8, eps)
+    assert sorted(inputs) == ["old_minus", "old_plus", "w", "w_neg", "x", "x0"]
+    graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
+    assert info["kl_loss"] == 0.0 and info["masked"] == 0
+    assert float(loss.value) == info["policy_loss"]
+    scored.mask[1] = True
+    inputs = nftcore.group_loss_inputs(policies, scored, cfg, 0.8, eps)
+    m, scale = kl_weights(scored.mask, inputs["x0"].shape[1])
+    assert np.array_equal(inputs["m"], m) and inputs["kl_scale"] == scale
+    assert np.array_equal(inputs["w_neg"], 1.0 - inputs["w"])
 
 
 def test_total_loss_combination():
@@ -379,6 +401,22 @@ def graphs_without_gc(monkeypatch):
         gc.enable()
 
 
+def holds_no_values(tapes) -> bool:
+    """True when nothing reachable through tapes' containers and attributes is
+    an array, a Node or a graph: a tape keeps structure only."""
+    stack, seen = [tapes], 0
+    while stack:
+        item = stack.pop()
+        seen += 1
+        if isinstance(item, (np.ndarray, tg.Node, tg.GradGraph)):
+            return False
+        if isinstance(item, tg.Tape):
+            stack.append(vars(item))
+        elif isinstance(item, (list, tuple, dict)):
+            stack.extend(gc.get_referents(item))
+    return seen > 1
+
+
 def test_optimize_group_frees_its_graph_without_gc(graphs_without_gc):
     cfg = small_config()
     run, schedule, _ = make_world(cfg)
@@ -386,13 +424,50 @@ def test_optimize_group_frees_its_graph_without_gc(graphs_without_gc):
     nftcore.optimize_group(run, scored, cfg, schedule)
     assert len(graphs_without_gc) == 1
     assert graphs_without_gc[0]() is None
+    # The recorded tape is replayed by the next step: no graph is built.
+    assert len(run.tapes) == 1 and holds_no_values(run.tapes)
+    nftcore.optimize_group(run, scored, cfg, schedule)
+    assert len(graphs_without_gc) == 1 and len(run.tapes) == 1
 
 
-def test_pretrain_step_frees_its_graph_without_gc(graphs_without_gc):
+def test_pretrain_step_frees_its_graph_without_gc(graphs_without_gc, monkeypatch):
+    # Only the first step builds a graph, and it is freed; the tape the
+    # later steps replay keeps no activation alive.
+    tapes = []
+
+    class Kept(tg.Tape):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tapes.append(self)
+
+    monkeypatch.setattr(tg, "Tape", Kept)
     corpus = flowgen.make_corpus(seed=0)
     flowgen.pretrain_base(corpus, 3, arng.substream(0, arng.PRETRAIN_STREAM), hidden=16)
-    assert len(graphs_without_gc) == 3
+    assert len(graphs_without_gc) == 1
     assert all(ref() is None for ref in graphs_without_gc)
+    assert len(tapes) == 1 and holds_no_values(tapes)
+
+
+def test_pretrain_overflow_on_replay_raises_pretrain_divergence_at_its_step(monkeypatch):
+    # After the second update the first layer sits at the float64 maximum,
+    # so the third step, a replay, overflows at its first matmul.
+    class Blowup(tg.AdamW):
+        def step(self, params, grads):
+            super().step(params, grads)
+            if self.t == 2:
+                params["w1"][...] = np.finfo(np.float64).max
+
+    monkeypatch.setattr(tg, "AdamW", Blowup)
+    corpus = flowgen.make_corpus(seed=0)
+    calls = []
+    pass_ = tg.loss_pass
+    monkeypatch.setattr(tg, "loss_pass", lambda tapes, *a: calls.append(len(tapes)) or
+                        pass_(tapes, *a))
+    with pytest.raises(flowgen.PretrainDivergence) as info:
+        flowgen.pretrain_base(corpus, 5, arng.substream(0, arng.PRETRAIN_STREAM), hidden=16)
+    assert info.value.step == 2 and calls == [0, 1, 1]
+    assert math.isfinite(info.value.last_loss)
+    assert "primitive 'matmul'" in str(info.value.__cause__)
 
 
 def test_optimize_group_computes_grad_norm_once(monkeypatch):
@@ -573,6 +648,23 @@ def test_first_layer_overflow_aborts_at_its_matmul():
     groups = [synthetic_scored_group(cfg, rng).data for _ in range(2)]
     with pytest.raises(nftcore.EpochAborted) as exc:
         nftcore.train_epoch(run, groups, cfg, schedule)
+    assert exc.value.pid == groups[0].prompt.pid
+    assert "primitive 'matmul'" in str(exc.value.cause)
+
+
+def test_first_layer_overflow_on_replay_aborts_at_its_matmul(graphs_without_gc):
+    # One clean epoch records a tape per group structure; the next epoch, on
+    # the same groups, replays them, and the replay must stop at the matmul.
+    cfg = small_config()
+    run, schedule, _ = make_world(cfg)
+    rng = np.random.default_rng(17)
+    groups = [synthetic_scored_group(cfg, rng).data for _ in range(2)]
+    nftcore.train_epoch(run, groups, cfg, schedule)
+    built, tapes = len(graphs_without_gc), dict(run.tapes)
+    run.policies.theta["w1"][...] = np.finfo(np.float64).max
+    with pytest.raises(nftcore.EpochAborted) as exc:
+        nftcore.train_epoch(run, groups, cfg, schedule)
+    assert len(graphs_without_gc) == built and run.tapes == tapes
     assert exc.value.pid == groups[0].prompt.pid
     assert "primitive 'matmul'" in str(exc.value.cause)
 

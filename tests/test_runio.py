@@ -135,9 +135,23 @@ def test_checkpoint_detects_truncation(tmp_path):
         runio.load_checkpoint(path)
 
 
+def test_checkpoint_refuses_trailing_payload_bytes(tmp_path):
+    path = tmp_path / "ck.bin"
+    runio.save_checkpoint(path, {"w": np.ones((8, 8)), "b": np.zeros(3)}, seed=0, epoch=0)
+    runio.load_checkpoint(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 12)
+    with pytest.raises(ValueError, match="12 bytes past its last array"):
+        runio.load_checkpoint(path)
+
+
 def test_checkpoint_empty_arrays(tmp_path):
     path = tmp_path / "empty.bin"
     runio.save_checkpoint(path, {}, seed=0, epoch=0)
     loaded, meta = runio.load_checkpoint(path)
     assert loaded == {}
     assert meta["epoch"] == 0
+    # Nothing may follow an empty manifest either.
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(ValueError, match="4 bytes past"):
+        runio.load_checkpoint(path)

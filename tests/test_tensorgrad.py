@@ -181,8 +181,8 @@ def every_primitive_loss(params, x, graph=None):
         piece = (h + params["c"] * h - 0.25) * 0.5
         return float(np.sum(piece ** 2)) + float(np.mean(h))
     p = graph.parameters(params)
-    h = (graph.constant(x) @ p["w"]).tanh()
-    piece = (h + p["c"] * h - graph.constant(0.25)) * 0.5
+    h = (graph.input("x", x) @ p["w"]).tanh()
+    piece = (h + p["c"] * h - graph.input("offset", 0.25)) * 0.5
     return piece.square().sum() + h.mean()
 
 
@@ -353,11 +353,11 @@ def reference_backward(graph, loss):
                        for name, p in graph.params.items()})
 
 
-def group_loss(masked: bool):
-    """build_group_loss at generator scale on a synthetic G=8 group; with
-    masked=False the KL term is plain 0.0 and stays off the graph."""
+def group_case(masked: bool, seed: int = 21):
+    """build_group_loss's pieces at generator scale on a synthetic G=8 group:
+    (theta, inputs, build). With masked=False the KL term is absent."""
     cfg = RunConfig(lambda_kl=0.05)
-    rng = np.random.default_rng(21)
+    rng = np.random.default_rng(seed)
     policies = nftcore.PolicyTriple.from_base(generator_net())
     policies.theta.flat += 0.01 * rng.standard_normal(policies.theta.flat.shape)
     policies.theta_ref.flat -= 0.01 * rng.standard_normal(policies.theta.flat.shape)
@@ -371,49 +371,66 @@ def group_loss(masked: bool):
     scored = nftcore.ScoredGroup(data=data, raw_scores=np.zeros((g, 3)),
                                  advantages=nftcore.compute_advantages(rng.standard_normal(g)),
                                  mask=mask, tau=1.0)
-    graph, loss, info = nftcore.build_group_loss(
-        policies, scored, cfg, 5.0 / 6.0, rng.standard_normal((g, width)))
-    assert (info["kl_loss"] == 0.0) != masked
-    assert info["graph_nodes"] == (34 if masked else 28)
-    return graph, loss
+    inputs = nftcore.group_loss_inputs(policies, scored, cfg, 5.0 / 6.0,
+                                       rng.standard_normal((g, width)))
+    return (policies.theta, inputs,
+            lambda graph, theta, arrays: nftcore.group_loss_graph(graph, theta, arrays, cfg))
 
 
-def pretrain_loss():
+def pretrain_case(seed: int = 22):
     """One pretraining step's loss, as pretrain_base builds it."""
-    rng = np.random.default_rng(22)
+    rng = np.random.default_rng(seed)
     corpus = flowgen.make_corpus(seed=0)
     x0, ctx, pv = corpus.sample_batch(rng, 16)
     t = np.array(flowgen.make_schedule().values)[rng.integers(3, size=16)]
     xt = flowgen.forward_path(x0, rng.standard_normal(x0.shape), t)
-    graph = tg.GradGraph()
-    pred = flowgen.predict_clean_batch(generator_net(1), xt, t, ctx, pv, graph)
-    return graph, (pred - graph.constant(x0)).square().mean()
+    params = generator_net(1)
+    params.flat += 0.01 * rng.standard_normal(params.flat.shape)
+    return params, {"x": flowgen.assemble_input(xt, t, ctx, pv), "x0": x0}, flowgen.regression_loss
 
 
-def every_primitive_graph():
-    rng = np.random.default_rng(11)
+def every_primitive_case(seed: int = 11):
+    rng = np.random.default_rng(seed)
     params = {"w": rng.standard_normal((4, 3)), "c": rng.standard_normal((2, 3))}
-    graph = tg.GradGraph()
-    return graph, every_primitive_loss(params, rng.standard_normal((2, 4)), graph)
+    return (params, {"x": rng.standard_normal((2, 4)), "offset": np.asarray(0.25)},
+            lambda graph, p, inputs: (every_primitive_loss(p, inputs["x"], graph),))
 
 
-def shared_weight_graph():
+def shared_weight_case(seed: int = 12):
     # w feeds two matmuls, so its gradient is accumulated in its view.
-    rng = np.random.default_rng(12)
+    rng = np.random.default_rng(seed)
+
+    def build(graph, params, inputs):
+        w, x = graph.parameter("w", params["w"]), graph.input("x", inputs["x"])
+        return ((x @ w).tanh().square().mean() + (x @ w).sum() * 0.5,)
+    return {"w": rng.standard_normal((3, 3))}, {"x": rng.standard_normal((4, 3))}, build
+
+
+# Each case: seed -> (params, inputs, build), build as tensorgrad.loss_pass takes it.
+CASES = {"group_masked": lambda seed=21: group_case(True, seed),
+         "group_unmasked": lambda seed=21: group_case(False, seed),
+         "pretrain": pretrain_case, "every_primitive": every_primitive_case,
+         "shared_weight": shared_weight_case}
+
+
+def build_case(case: str, seed: int | None = None):
+    """A fresh Node build of a case: (graph, loss node, output nodes)."""
+    params, inputs, build = CASES[case]() if seed is None else CASES[case](seed)
     graph = tg.GradGraph()
-    w = graph.parameter("w", rng.standard_normal((3, 3)))
-    x = graph.constant(rng.standard_normal((4, 3)))
-    return graph, (x @ w).tanh().square().mean() + (x @ w).sum() * 0.5
+    outputs = build(graph, params, inputs)
+    return graph, outputs[0], outputs
 
 
-LOSSES = {"group_masked": lambda: group_loss(True), "group_unmasked": lambda: group_loss(False),
-          "pretrain": pretrain_loss, "every_primitive": every_primitive_graph,
-          "shared_weight": shared_weight_graph}
+def group_loss(masked: bool):
+    graph, loss, outputs = build_case("group_masked" if masked else "group_unmasked")
+    assert len(outputs) == (3 if masked else 2)
+    assert len(graph) == (34 if masked else 27)
+    return graph, loss
 
 
-@pytest.mark.parametrize("case", sorted(LOSSES))
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_backward_is_bit_identical_to_whole_tape_walk(case):
-    graph, loss = LOSSES[case]()
+    graph, loss, _ = build_case(case)
     grads = tg.backward(graph, loss)
     expected = reference_backward(graph, loss)
     assert list(grads) == list(expected)
@@ -421,26 +438,85 @@ def test_backward_is_bit_identical_to_whole_tape_walk(case):
     assert np.any(grads.flat != 0.0)
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_replayed_tape_is_bit_identical_to_a_fresh_build(case):
+    # Recorded on one parameter and input set, replayed on a second: the
+    # loss, the watched values and the gradients are those of a fresh Node
+    # build on the second set with the whole-tape walk.
+    tapes = {}
+    values, finish = tg.loss_pass(tapes, (), *CASES[case](0))
+    finish()
+    assert len(tapes) == 1
+    params, inputs, build = CASES[case](1)
+    replayed, finish = tg.loss_pass(tapes, (), params, inputs, build)
+    grads = finish()
+    assert len(tapes) == 1  # replayed, not recorded again
+    graph, loss, outputs = build_case(case, 1)
+    expected = reference_backward(graph, loss)
+    assert replayed == [float(node.value) for node in outputs] != values
+    assert list(grads) == list(expected)
+    assert np.array_equal(grads.flat, expected.flat)
+    assert np.any(grads.flat != 0.0)
+
+
+def test_recording_refuses_an_undeclared_constant():
+    graph = tg.GradGraph()
+    w = graph.parameter("w", np.ones((2, 2)))
+    loss = (graph.constant(np.ones((3, 2))) @ w).sum()
+    with pytest.raises(tg.GraphError, match="not a declared input"):
+        tg.Tape(graph, [loss])
+    # Through loss_pass, the refusal comes with the first pass's backward,
+    # and no tape is kept.
+    def build(g, params, inputs):
+        return ((g.constant(inputs["x"]) @ g.parameter("w", params["w"])).sum(),)
+
+    tapes = {}
+    _, finish = tg.loss_pass(tapes, (), {"w": np.ones((2, 2))}, {"x": np.ones((3, 2))}, build)
+    with pytest.raises(tg.GraphError):
+        finish()
+    assert tapes == {}
+
+
+def test_overflow_raises_at_the_primitive_that_made_it_on_replay():
+    params, x = overflowing_generator()
+    inputs = {"x": x, "x0": np.zeros((3, params["b3"].shape[1]))}
+    tapes = {}
+    tg.loss_pass(tapes, (), generator_net(), inputs, flowgen.regression_loss)[1]()
+    assert len(tapes) == 1
+    with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
+        tg.loss_pass(tapes, (), params, inputs, flowgen.regression_loss)
+
+
 def test_no_adjoint_is_formed_for_a_detached_operand(monkeypatch):
     calls = []
     for op, (forward, adjoint) in list(tg.PRIMITIVES.items()):
-        def recorded(node, g, adjoint=adjoint):
-            out = adjoint(node, g)
-            calls.append((node, out))
-            return out
+        def recorded(g, out, args, needs, kw, adjoint=adjoint, op=op):
+            result = adjoint(g, out, args, needs, kw)
+            calls.append((op, list(needs), result))
+            return result
         monkeypatch.setitem(tg.PRIMITIVES, op, (forward, recorded))
     graph, loss = group_loss(True)
     tg.backward(graph, loss)
+    walked = [node for node in reversed(graph.nodes) if node.op != "param"]
+    assert [op for op, _, _ in calls] == [node.op for node in walked]
     skipped = set()
-    for node, out in calls:
+    for node, (_, needs, out) in zip(walked, calls):
+        assert needs == [not parent.detached for parent in node.parents]
         assert len(out) == len(node.parents)
         for parent, pg in zip(node.parents, out):
             assert (pg is None) == parent.detached, (node.op, parent)
             if pg is None:
                 skipped.add(node.op)
     # x @ w1 with constant x, the behavior prediction in both branches, the
-    # label and mask weights, the constant targets.
+    # label and mask weights and the KL scale, the constant targets.
     assert skipped == {"matmul", "add", "mul", "sub"}
+    # A replay of the recorded tape calls the rules in the same order with
+    # the same operands marked.
+    node_calls = [(op, needs) for op, needs, _ in calls]
+    tape = tg.Tape(graph, [loss])
+    calls.clear()
+    tape.backward(tape.forward(*CASES["group_masked"]()[:2]))
+    assert [(op, needs) for op, needs, _ in calls] == node_calls
 
 
 def test_loss_must_be_scalar():

@@ -1,0 +1,239 @@
+"""Per-phase wall time of one training epoch, before and after a change.
+
+Run from the repository root, with a checkout of the commit to compare
+against (made, for example, with `git archive <commit> | tar -x -C DIR`):
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/bench_phases.py --before DIR --pairs 10 --out BENCH.json
+
+Every workload of benchmarks/run.py (its seed, tuning and config, or
+--seed) is trained --repeats times on each side, the sides alternating,
+each run in a fresh process that imports astro from that side's src/. A
+run reports, for each phase, the median over its epochs of the phase's
+wall ms per epoch, and the ms of one pretraining step (its pretraining's
+wall time over its steps). With --pairs N, each workload also gets N
+alternating pairs of `benchmarks/run.py --seconds S`, one process per
+side, and the summary of every end-to-end metric BENCHMARK.json bounds:
+each side's median and quartiles and the pairs the change wins. The JSON
+holds these per workload, seed and OPENBLAS_NUM_THREADS, with every run's
+values and numpy, BLAS and thread settings, and a tier-1 run per side with
+pytest's five slowest tests. An existing --out file is updated, so a
+second call can add a held-out seed or another thread setting.
+
+Phases come from the run's timings.jsonl. A checkout that predates the
+phase timers writes none; its phases are then taken from wrappers around
+the public functions that bound them: rollout_prefix (prefix),
+window_rollout less its prefix (rollout), score_group (judges),
+build_group_loss (loss_forward), and, inside epochs only, backward,
+clip_global_norm (clip), AdamW.step (adamw) and ema_update (ema), with
+train_window_epoch as the total. The timers' loss_forward also covers each
+group's noise draws, which build_group_loss does not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PHASES = ("prefix", "rollout", "judges", "loss_forward", "backward", "clip", "adamw", "ema",
+          "total")
+
+
+def load_benchmark():
+    """benchmarks/run.py of this repository: its workloads, tuning and environment()."""
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "benchmarks" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def wrap_phases(astro, epochs: list[dict]):
+    """Time the phases of a checkout without timers by wrapping public functions.
+
+    epochs gets one dict of phase seconds per train_window_epoch call.
+    """
+    current: list[dict] = []
+
+    def timed(owner, attr, phase, epoch_root=False):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            if epoch_root:
+                current.append(dict.fromkeys(PHASES, 0.0))
+            elif not current:  # pretraining, before any epoch
+                return fn(*args, **kwargs)
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                row = current[-1]
+                row[phase] += time.perf_counter() - start
+                if epoch_root:
+                    row["rollout"] -= row["prefix"]
+                    epochs.append(current.pop())
+        setattr(owner, attr, wrapper)
+
+    lt, nc, tg = astro.longtune, astro.nftcore, astro.tensorgrad
+    timed(lt, "train_window_epoch", "total", epoch_root=True)
+    timed(lt, "rollout_prefix", "prefix")
+    timed(lt, "window_rollout", "rollout")
+    timed(nc, "score_group", "judges")
+    timed(nc, "build_group_loss", "loss_forward")
+    timed(tg, "backward", "backward")
+    timed(tg, "clip_global_norm", "clip")
+    timed(tg.AdamW, "step", "adamw")
+    timed(nc, "ema_update", "ema")
+
+
+def child(src: str, workload: str, seed: int) -> dict:
+    """One training run of a workload on the astro in src: its phase and pretraining medians."""
+    sys.path.insert(0, src)
+    import astro
+    from astro import cli
+    if Path(astro.__file__).resolve().parent.parent != Path(src).resolve():
+        raise ImportError(f"astro imported from {astro.__file__}, not from {src}")
+    bench = load_benchmark()
+    spec = bench.WORKLOADS[workload]
+    cfg = astro.config.RunConfig(seed=seed, **bench.TUNING, **spec["config"])
+    wrapped: list[dict] = []
+    if not hasattr(astro.runio, "PhaseTimes"):
+        wrap_phases(astro, wrapped)
+    pretrain = cli.pretrain_from_config
+    pretrain_s = []
+
+    def timed_pretrain(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return pretrain(*args, **kwargs)
+        finally:
+            pretrain_s.append(time.perf_counter() - start)
+    cli.pretrain_from_config = timed_pretrain
+    with tempfile.TemporaryDirectory() as out:
+        if cli.run_training(cfg, Path(out))["status"] != "ok":
+            raise RuntimeError(f"{workload} run failed")
+        timings = Path(out) / "timings.jsonl"
+        rows = wrapped or [json.loads(line) for line in timings.read_text().splitlines()]
+    phases = {p: 1e3 * statistics.median(row[p] for row in rows) for p in PHASES}
+    return {"phases_ms": phases, "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps,
+            "source": "wrappers" if wrapped else "timings.jsonl"}
+
+
+def tier1(checkout: Path) -> dict:
+    """One tier-1 run: pytest's summary line and its five slowest tests."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--durations=5", "--continue-on-collection-errors"],
+                          cwd=checkout, env=env, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    slowest = [line.strip() for line in lines if re.match(r"\s*[\d.]+s (call|setup)", line)]
+    summary = next((line.strip("= ") for line in reversed(lines) if " in " in line), "")
+    return {"summary": summary, "durations_top5": slowest[:5],
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def pair_summary(pairs: list[dict]) -> dict:
+    """Per gated metric: each side's median and quartiles, and the change's wins."""
+    gated = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    out = {}
+    for metric in gated:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        before = [p["before"][name] for p in pairs]
+        after = [p["after"][name] for p in pairs]
+        out[name] = {
+            "before_quartiles": statistics.quantiles(before, n=4),
+            "after_quartiles": statistics.quantiles(after, n=4),
+            "change_wins": sum((a - b) * sign > 0 for b, a in zip(before, after)),
+            "pairs": len(pairs),
+            "median_change_pct":
+                100.0 * (statistics.median(after) / statistics.median(before) - 1.0),
+        }
+    return out
+
+
+def run(cmd: list[str], cwd: Path) -> str:
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    if proc.returncode:
+        raise RuntimeError(f"{' '.join(cmd)} in {cwd} failed:\n{proc.stderr}")
+    return proc.stdout.splitlines()[-1]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", type=Path, help="checkout of the commit to compare against")
+    parser.add_argument("--repeats", type=int, default=5, help="phase runs per side")
+    parser.add_argument("--pairs", type=int, default=0, help="benchmarks/run.py pairs")
+    parser.add_argument("--seconds", type=float, default=20.0, help="--seconds of each pair run")
+    parser.add_argument("--seed", type=int, help="seed of every run (default: the workload's)")
+    parser.add_argument("--workloads", nargs="+", help="a subset of the workloads")
+    parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
+    parser.add_argument("--no-tier1", action="store_true", help="skip the tier-1 runs")
+    parser.add_argument("--child", nargs=3, metavar=("SRC", "WORKLOAD", "SEED"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child[0], args.child[1], int(args.child[2]))))
+        return 0
+    if args.before is None or args.repeats < 0 or args.pairs < 0 or args.pairs == 1:
+        parser.error("--before is required; --repeats >= 0 and --pairs 0 or >= 2")
+    bench = load_benchmark()
+    sides = {"before": args.before.resolve(), "after": ROOT}
+    result = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {
+        "script": "tools/bench_phases.py", "workloads": {}}
+    result["unit"] = "wall ms per epoch (phases); ms per step (pretrain_step_ms)"
+    for name in args.workloads or bench.WORKLOADS:
+        seed = bench.WORKLOADS[name]["seed"] if args.seed is None else args.seed
+        threads = os.environ.get("OPENBLAS_NUM_THREADS", "default")
+        entry = result["workloads"].setdefault(
+            f"{name}@seed{seed}@OPENBLAS_NUM_THREADS={threads}", {})
+        entry["environment"] = bench.environment()
+        runs: dict[str, list] = {side: [] for side in sides}
+        pairs: list[dict] = []
+        for i in range(max(args.repeats, args.pairs)):
+            order = list(sides) if i % 2 == 0 else list(reversed(sides))
+            pair = {}
+            for side in order:
+                if i < args.repeats:
+                    runs[side].append(json.loads(run(
+                        [sys.executable, __file__, "--child", str(sides[side] / "src"), name,
+                         str(seed)], ROOT)))
+                if i < args.pairs:
+                    line = json.loads(run(
+                        [sys.executable, "benchmarks/run.py", "--workload", name, "--seed",
+                         str(seed), "--seconds", str(args.seconds)], sides[side]))
+                    if not line["correct"] or line["failed"]:
+                        raise RuntimeError(f"{side} {name} benchmark run failed: {line}")
+                    pair[side] = {k: v["value"] for k, v in line["metrics"].items()}
+            if pair:
+                pairs.append(pair)
+        if args.repeats:
+            for side, side_runs in runs.items():
+                entry[side] = {p: statistics.median(r["phases_ms"][p] for r in side_runs)
+                               for p in PHASES}
+                entry[side]["pretrain_step_ms"] = statistics.median(
+                    r["pretrain_step_ms"] for r in side_runs)
+                entry[side + "_source"] = side_runs[0]["source"]
+                entry[side + "_runs"] = side_runs
+        if args.pairs:
+            entry["benchmark_seconds"] = args.seconds
+            entry["benchmark_pairs"] = pairs
+            entry["benchmark_summary"] = pair_summary(pairs)
+        print(name, seed, json.dumps({k: entry.get(k) for k in (*sides, "benchmark_summary")}),
+              flush=True)
+    if not args.no_tier1:
+        result["tier1"] = {side: tier1(path) for side, path in sides.items()}
+    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
