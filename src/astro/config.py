@@ -81,6 +81,15 @@ class RunConfig:
             if not cond:
                 raise ValueError(f"invalid config: {msg}")
 
+        # Field types first, so the range checks below compare numbers. The
+        # annotations are strings here (postponed evaluation).
+        kinds = {"int": (int, "an integer"), "float": ((int, float), "a real number")}
+        for f in fields(self):
+            if f.type in kinds:
+                (kind, noun), value = kinds[f.type], getattr(self, f.name)
+                require(isinstance(value, kind) and not isinstance(value, bool),
+                        f"{f.name} must be {noun}, got {value!r}")
+
         require(self.seed >= 0, "seed must be nonnegative")
         require(self.mode in MODES, f"mode must be one of {MODES}")
         require(self.frame_dim >= 2, "frame_dim must be at least 2")

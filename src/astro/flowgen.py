@@ -213,9 +213,9 @@ def assemble_input(xt_flat: np.ndarray, t, ctx_summary, prompt_vec) -> np.ndarra
 
 
 def predict_clean_batch(params: dict[str, np.ndarray], xt_flat: np.ndarray, t,
-                        ctx_summary, prompt_vec, graph: tg.GradGraph | None = None):
-    """Predicted clean clips, flattened. With a graph, the result is a trainable Node."""
-    return mlp_forward(params, assemble_input(xt_flat, t, ctx_summary, prompt_vec), graph)
+                        ctx_summary, prompt_vec) -> np.ndarray:
+    """Predicted clean clips, flattened."""
+    return mlp_forward(params, assemble_input(xt_flat, t, ctx_summary, prompt_vec))
 
 
 def mlp_forward(params: dict[str, np.ndarray], x: np.ndarray,
@@ -329,8 +329,8 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
 
     Returns (flat params, per-step losses); init, when given, is updated in
     place. steps=0 returns the initialization untouched. A non-finite loss
-    aborts with PretrainDivergence. The first step records the loss's tape
-    and every later step replays it.
+    aborts with PretrainDivergence. Every step runs the loss's tape, which
+    the first step records from regression_loss.
     """
     schedule = schedule or make_schedule()
     prompt_dim = corpus.prompts[0].vec.shape[0]

@@ -339,7 +339,7 @@ def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig
 def optimize_group(run: RunState, scored: ScoredGroup, cfg: RunConfig,
                    schedule: flowgen.TimestepSchedule) -> dict:
     """One optimizer step on one prompt group, at epoch run.state.epoch; EMA
-    tick if configured per step. The loss replays the run's tape for its
+    tick if configured per step. The loss runs the run's tape for its
     structure, recorded from group_loss_graph when first seen; each phase's
     wall time is added to run.timings."""
     policies, state, lap = run.policies, run.state, run.timings.lap

@@ -128,7 +128,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
+        length = fh.read(8)
+        if len(length) != 8:
+            raise ValueError(f"checkpoint truncated inside its manifest length: {path}")
+        (blob_len,) = struct.unpack("<Q", length)
         manifest = json.loads(fh.read(blob_len).decode("utf-8"))
         payload = fh.read()
     arrays = {}

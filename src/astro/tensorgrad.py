@@ -5,21 +5,15 @@ matmul, tanh, sum, mean, square. The predictor and the training losses
 compile to these, and no primitive is kept that they do not use. PRIMITIVES
 is the one table of them: each name maps to its forward function and its
 adjoint rule. A GradGraph records nodes in creation order (which is already
-topological), backward walks the tape once, and detached nodes cut gradient
-flow structurally: they have no parents, so nothing is ever propagated
-through them. Adjoints are formed only where gradient flows: an adjoint
-rule returns None in place of the gradient of a detached operand (a
-constant input, label or target) instead of computing it. A loss whose
-graph keeps one structure from step to step is built on Nodes once;
-loss_pass records it as a Tape and replays that with the same rules.
-
-Also home to the optimizer side. Parameters live in FlatParams: name-keyed
-views into one contiguous float64 vector per policy, laid out in sorted-name
-order (build one with flatten). AdamW keeps its moments in the same layout
-and updates the whole vector with in-place array ops. backward writes each
-parameter's gradient straight into its view of one fresh vector in the same
-layout, so clipping scales them in place and AdamW reads their vector
-directly.
+topological), and detached nodes cut gradient flow structurally: they have
+no parents, so nothing is ever propagated through them. The graph only
+records: a Tape numbers its values in slots and is the one place a loss's
+values and gradients are computed. Its backward forms adjoints only where
+gradient flows: an adjoint rule returns None in place of the gradient of a
+detached operand (a constant input, label or target) instead of computing
+it. backward(graph, loss) is that walk over the graph's own values;
+loss_pass records a loss's Tape once per structure and replays it on every
+step, the first included.
 """
 
 from __future__ import annotations
@@ -63,13 +57,12 @@ class Node:
     all its activations, until the cycle collector runs.
     """
 
-    __slots__ = ("_graph", "value", "op", "parents", "ctx", "detached", "param_id", "index")
+    __slots__ = ("_graph", "value", "op", "parents", "ctx", "detached", "param_id")
 
     # Keep numpy from consuming Node in mixed arithmetic; reflected ops run instead.
     __array_ufunc__ = None
 
-    def __init__(self, graph, value, op, parents=(), ctx=None, detached=False,
-                 param_id=None, index=-1):
+    def __init__(self, graph, value, op, parents=(), ctx=None, detached=False, param_id=None):
         self._graph = graph._ref
         self.value = value
         self.op = op
@@ -77,7 +70,6 @@ class Node:
         self.ctx = ctx
         self.detached = detached
         self.param_id = param_id
-        self.index = index
 
     @property
     def graph(self) -> "GradGraph":
@@ -161,7 +153,7 @@ class GradGraph:
             if existing.value is not value:
                 raise GraphError(f"parameter {name!r} already registered with a different array")
             return existing
-        node = Node(self, _as_array(value), op="param", param_id=name, index=len(self.nodes))
+        node = Node(self, _as_array(value), op="param", param_id=name)
         self.nodes.append(node)
         self.params[name] = node
         return node
@@ -302,73 +294,58 @@ def apply_primitive(op_id: str, inputs: list, graph: GradGraph, **kw) -> Node:
     value = _evaluate(op_id, [n.value for n in nodes], kw)
     if not flows:
         return graph.constant(value)
-    node = Node(graph, value, op_id, tuple(nodes), kw, index=len(graph.nodes))
+    node = Node(graph, value, op_id, tuple(nodes), kw)
     graph.nodes.append(node)
     return node
 
 
 def backward(graph: GradGraph, loss: Node) -> FlatParams:
-    """Reverse pass from a scalar loss. One gradient array per registered parameter,
-    as FlatParams in sorted-name order.
-
-    Each parameter's gradient is accumulated in its view of the returned
-    vector, in the order a dict gather would add them. Parameters the loss
-    never touched (or that were detached away) get zeros.
+    """Reverse pass from a scalar loss: its Tape's walk over the graph's own
+    values. One gradient array per registered parameter, as FlatParams in
+    sorted-name order; parameters the loss never touched (or that were
+    detached away) get zeros.
     """
     if not isinstance(loss, Node) or loss._graph is not graph._ref:
         raise GraphError("loss node does not belong to this graph")
     if loss.shape != ():
         raise GraphError(f"loss must be scalar-shaped, got {loss.shape}")
-    out = _layout({name: p.shape for name, p in graph.params.items()})
-    unwritten = set(out)
-    if not loss.detached:
-        grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
-        for node in reversed(graph.nodes[: loss.index + 1]):
-            g = grads.pop(id(node), None)
-            if g is None:  # a parameter, or off the loss's path
-                continue
-            parents = node.parents
-            adjoints = PRIMITIVES[node.op][1](g, node.value, [p.value for p in parents],
-                                              [not p.detached for p in parents], node.ctx)
-            for parent, pg in zip(parents, adjoints):
-                if pg is None:
-                    continue
-                name = parent.param_id
-                if name is None:
-                    acc = grads.get(id(parent))
-                    grads[id(parent)] = pg if acc is None else acc + pg
-                elif name in unwritten:
-                    out[name][...] = pg
-                    unwritten.discard(name)
-                else:
-                    out[name] += pg
-    for name in unwritten:
-        out[name][...] = 0.0
-    return out
+    leaves, results = _slot_nodes(graph, [loss])
+    return Tape(graph, [loss]).backward([node.value for node in (*leaves, *results)])
+
+
+def _slot_nodes(graph: GradGraph, outputs) -> tuple[list[Node], list[Node]]:
+    """The nodes a Tape numbers, in slot order: the leaves (parameters,
+    declared inputs, then each other constant a result reads or an output
+    is) and the results."""
+    leaves = [*graph.params.values(), *graph.inputs.values()]
+    results = [node for node in graph.nodes if node.op != "param"]
+    known = {id(node) for node in leaves}
+    for node in [*(p for result in results for p in result.parents), *outputs]:
+        if node.detached and id(node) not in known:
+            known.add(id(node))
+            leaves.append(node)
+    return leaves, results
 
 
 class Tape:
     """A recorded loss graph's structure: primitive names, operand slots and
     keyword arguments, never an array or a Node. Slots number the parameters,
-    the declared inputs, then each result. Replay runs the same forward
-    functions and adjoint rules in the Node graph's orders, so its values and
-    gradients are a fresh build's, bit for bit. A constant that is not a
-    declared input is refused: it would freeze one call's values into every
-    replay. outputs[0] is the loss."""
+    the declared inputs, every other constant the graph reads, then each
+    result; outputs[0] is the loss. forward and backward run the forward
+    functions and adjoint rules in the graph's orders, so a replay's values
+    and gradients are a fresh build's, bit for bit. A constant that is not a
+    declared input would freeze one call's values into every replay, so
+    forward refuses a tape that reads one; backward(graph, loss) walks such a
+    tape over the graph's own values."""
 
     def __init__(self, graph: GradGraph, outputs):
-        leaves = [*graph.params.values(), *graph.inputs.values()]
-        slot = {id(node): i for i, node in enumerate(leaves)}
+        leaves, results = _slot_nodes(graph, outputs)
+        slot = {id(node): i for i, node in enumerate((*leaves, *results))}
         self.params, self.inputs = list(graph.params), list(graph.inputs)
         self.shapes = {name: p.shape for name, p in graph.params.items()}
-        self.steps = []
-        for node in graph.nodes:
-            if node.op == "param":
-                continue
-            if any(id(p) not in slot for p in node.parents):
-                raise GraphError(f"{node.op!r} reads a constant that is not a declared input")
-            self.steps.append((node.op, [slot[id(p)] for p in node.parents], node.ctx))
-            slot[id(node)] = len(slot)
+        self.frozen = len(leaves) - len(self.params) - len(self.inputs)
+        self.steps = [(node.op, [slot[id(p)] for p in node.parents], node.ctx)
+                      for node in results]
         self.outputs = [slot[id(node)] for node in outputs]
         # The steps the loss's gradient reaches, in reverse, with which
         # operands need a gradient and whether it adds to one already written.
@@ -386,6 +363,8 @@ class Tape:
 
     def forward(self, params: dict[str, np.ndarray], inputs: dict[str, np.ndarray]) -> list:
         """Every slot's value at these parameters and inputs."""
+        if self.frozen:
+            raise GraphError("the tape reads a constant that is not a declared input")
         values = ([_as_array(params[name]) for name in self.params]
                   + [_as_array(inputs[name]) for name in self.inputs])
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -395,8 +374,8 @@ class Tape:
         return values
 
     def backward(self, values: list) -> FlatParams:
-        """The loss's gradients from forward's values, as backward returns them.
-        values is emptied: no activation outlives the step."""
+        """The loss's gradients from every slot's value, as FlatParams in
+        sorted-name order. values is emptied: no activation outlives the step."""
         out = _layout(self.shapes)
         grads = [None] * len(values)
         grads[self.outputs[0]] = np.ones(())
@@ -426,22 +405,20 @@ def loss_pass(tapes: dict, frozen, params: dict[str, np.ndarray],
     build(graph, params, inputs) returns (loss, *watched nodes), declaring
     each array it reads with graph.input. tapes holds one Tape per structure
     key: frozen, the scalars build puts in the graph, and each input's name
-    and shape. A new key is built on Nodes, and finish() runs backward and
-    records the tape; a known key replays it. finish() returns the gradients.
+    and shape. A new key is built on Nodes once, only to record its tape,
+    and the graph is dropped. Every pass, the first included, runs the
+    tape's forward; finish() runs its backward and returns the gradients. A
+    tape is kept once its first forward has succeeded.
     """
     key = (frozen, tuple((name, value.shape) for name, value in inputs.items()))
     tape = tapes.get(key)
-    if tape is not None:
-        slots = tape.forward(params, inputs)
-        return [float(slots[s]) for s in tape.outputs], lambda: tape.backward(slots)
-    graph = GradGraph()
-    outputs = build(graph, params, inputs)
-
-    def finish():
-        grads = backward(graph, outputs[0])
-        tapes[key] = Tape(graph, outputs)
-        return grads
-    return [float(node.value) for node in outputs], finish
+    if tape is None:
+        graph = GradGraph()
+        tape = Tape(graph, build(graph, params, inputs))
+        del graph
+    slots = tape.forward(params, inputs)
+    tapes[key] = tape
+    return [float(slots[s]) for s in tape.outputs], lambda: tape.backward(slots)
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:

@@ -71,41 +71,34 @@ def test_bulk_seeding_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
                 == (tmp_path / "per_key" / name).read_bytes()), name
 
 
-def build_every_step(monkeypatch):
-    """Make every loss pass build its Node graph and run backward: no tape is
-    ever kept, so none is replayed."""
-    loss_pass = tg.loss_pass
-    monkeypatch.setattr(tg, "loss_pass", lambda tapes, *args: loss_pass({}, *args))
+def count_calls(monkeypatch, cls, name):
+    """Count calls of cls.name from here on; returns the list it appends to."""
+    calls, method = [], getattr(cls, name)
+    monkeypatch.setattr(cls, name, lambda *a: calls.append(1) or method(*a))
+    return calls
 
 
 @pytest.mark.parametrize("mode", ["short", "long"])
-def test_lean_backward_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
-    # backward against the whole-tape walk, for pretraining and every epoch:
-    # every step builds its graph, so the whole-tape walk runs on each.
+def test_tape_walk_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
+    # Replayed tapes against a Node build and the whole-tape walk on every
+    # step, for pretraining and every epoch. The production run builds one
+    # graph per tape it records and replays every other step.
     cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
-    assert cli.run_training(cfg, tmp_path / "lean")["status"] == "ok"
-    build_every_step(monkeypatch)
-    monkeypatch.setattr(tg, "backward", reference_backward)
-    assert cli.run_training(cfg, tmp_path / "whole_tape")["status"] == "ok"
-    for name in ("metrics.jsonl", "checkpoint.bin"):
-        assert ((tmp_path / "lean" / name).read_bytes()
-                == (tmp_path / "whole_tape" / name).read_bytes()), name
-
-
-@pytest.mark.parametrize("mode", ["short", "long"])
-def test_replayed_tapes_leave_run_bytes_unchanged(tmp_path, monkeypatch, mode):
-    # Replayed tapes against a Node build and backward on every step, for
-    # pretraining and every epoch.
-    cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
-    replays = []
-    forward = tg.Tape.forward
-    monkeypatch.setattr(tg.Tape, "forward", lambda *a: replays.append(1) or forward(*a))
+    graphs = count_calls(monkeypatch, tg.GradGraph, "__init__")
+    recorded = count_calls(monkeypatch, tg.Tape, "__init__")
+    replays = count_calls(monkeypatch, tg.Tape, "forward")
     assert cli.run_training(cfg, tmp_path / "replayed")["status"] == "ok"
-    replayed = len(replays)
-    assert replayed > cfg.pretrain_steps
-    build_every_step(monkeypatch)
+    assert len(replays) > cfg.pretrain_steps
+    assert len(graphs) == len(recorded) >= 1
+
+    def node_pass(tapes, frozen, params, inputs, build):
+        graph = tg.GradGraph()
+        outputs = build(graph, params, inputs)
+        return ([float(node.value) for node in outputs],
+                lambda: reference_backward(graph, outputs[0]))
+
+    monkeypatch.setattr(tg, "loss_pass", node_pass)
     assert cli.run_training(cfg, tmp_path / "whole_tape")["status"] == "ok"
-    assert len(replays) == replayed
     for name in ("metrics.jsonl", "checkpoint.bin"):
         assert ((tmp_path / "replayed" / name).read_bytes()
                 == (tmp_path / "whole_tape" / name).read_bytes()), name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from astro.config import RunConfig, load_config, save_config
@@ -86,7 +87,26 @@ def test_tuple_coercion():
     ("max_grad_norm", 0.0),
     ("pretrain_steps", -1),
     ("pretrain_batch", 0),
+    # Types: a float in an integer field is truncated downstream (seed 1.5
+    # trains as seed 1), and a string fails a range check with a TypeError.
+    ("seed", 1.5),
+    ("epochs", 2.0),
+    ("epochs", "2"),
+    ("group_size", True),
+    ("pretrain_steps", None),
+    ("lr", "1e-3"),
+    ("beta", False),
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ValueError, match="invalid config"):
         RunConfig(**{field: value})
+
+
+def test_numeric_fields_accept_numbers_of_their_kind(tmp_path):
+    # An int is a real number and numpy's float64 is a float; both save as
+    # JSON, which numpy's int64 does not.
+    cfg = RunConfig(seed=3, lr=1, beta=np.float64(0.5))
+    save_config(cfg, tmp_path / "config.json")
+    assert load_config(tmp_path / "config.json") == cfg
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        RunConfig(seed=np.int64(3))

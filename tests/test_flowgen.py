@@ -146,7 +146,7 @@ def test_predict_clean_graph_path_matches_numpy_path():
 
     plain = flowgen.predict_clean_batch(params, xt, t, ctx, pv)
     graph = tg.GradGraph()
-    node = flowgen.predict_clean_batch(params, xt, t, ctx, pv, graph=graph)
+    node = flowgen.mlp_forward(params, flowgen.assemble_input(xt, t, ctx, pv), graph)
     assert np.array_equal(plain, node.value)
 
 

@@ -135,6 +135,16 @@ def test_checkpoint_detects_truncation(tmp_path):
         runio.load_checkpoint(path)
 
 
+def test_checkpoint_cut_inside_its_manifest_length_raises_value_error(tmp_path):
+    path = tmp_path / "ck.bin"
+    runio.save_checkpoint(path, {"w": np.ones(3)}, seed=0, epoch=0)
+    blob = path.read_bytes()
+    for cut in range(len(runio.CHECKPOINT_MAGIC), len(runio.CHECKPOINT_MAGIC) + 8):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="truncated inside its manifest length"):
+            runio.load_checkpoint(path)
+
+
 def test_checkpoint_refuses_trailing_payload_bytes(tmp_path):
     path = tmp_path / "ck.bin"
     runio.save_checkpoint(path, {"w": np.ones((8, 8)), "b": np.zeros(3)}, seed=0, epoch=0)

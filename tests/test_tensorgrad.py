@@ -248,6 +248,21 @@ def test_unreachable_parameter_gets_zero_gradient():
     assert np.any(grads["used"] != 0.0)
 
 
+def test_backward_of_a_detached_loss_is_all_zeros():
+    # A graph that records nodes but whose loss reads none of them: every
+    # parameter, reached by the graph or not, gets a zero gradient.
+    graph = tg.GradGraph()
+    w = graph.parameter("w", np.full((2, 2), 3.0))
+    graph.parameter("b", np.ones((1, 2)))
+    (w @ w).sum()
+    x = graph.input("x", np.ones((3, 2)))
+    for loss in (graph.constant(2.5), (x * 2.0).sum(), graph.input("s", 1.5)):
+        assert loss.detached and loss.shape == ()
+        grads = tg.backward(graph, loss)
+        assert isinstance(grads, tg.FlatParams) and list(grads) == ["b", "w"]
+        assert np.array_equal(grads.flat, np.zeros(6))
+
+
 def test_backward_returns_flat_grads_in_sorted_order():
     # Registered out of sorted order; the gradients come back laid out like
     # flatten lays out parameters, untouched parameters as zeros.
@@ -338,7 +353,7 @@ def reference_backward(graph, loss):
     grads = {}
     if not loss.detached:
         grads[id(loss)] = np.ones(())
-        for node in reversed(graph.nodes[: loss.index + 1]):
+        for node in reversed(graph.nodes[: graph.nodes.index(loss) + 1]):
             g = grads.pop(id(node), None)
             if g is None or node.op == "param":
                 if g is not None:
@@ -460,20 +475,22 @@ def test_replayed_tape_is_bit_identical_to_a_fresh_build(case):
 
 
 def test_recording_refuses_an_undeclared_constant():
+    # A tape that reads a constant not declared as an input records, and
+    # backward walks it over its graph's values, but it refuses to replay.
     graph = tg.GradGraph()
     w = graph.parameter("w", np.ones((2, 2)))
     loss = (graph.constant(np.ones((3, 2))) @ w).sum()
+    tape = tg.Tape(graph, [loss])
+    assert np.array_equal(tg.backward(graph, loss)["w"], np.full((2, 2), 3.0))
     with pytest.raises(tg.GraphError, match="not a declared input"):
-        tg.Tape(graph, [loss])
-    # Through loss_pass, the refusal comes with the first pass's backward,
-    # and no tape is kept.
+        tape.forward({"w": np.ones((2, 2))}, {})
+    # Through loss_pass, the first pass itself is refused, and no tape is kept.
     def build(g, params, inputs):
         return ((g.constant(inputs["x"]) @ g.parameter("w", params["w"])).sum(),)
 
     tapes = {}
-    _, finish = tg.loss_pass(tapes, (), {"w": np.ones((2, 2))}, {"x": np.ones((3, 2))}, build)
-    with pytest.raises(tg.GraphError):
-        finish()
+    with pytest.raises(tg.GraphError, match="not a declared input"):
+        tg.loss_pass(tapes, (), {"w": np.ones((2, 2))}, {"x": np.ones((3, 2))}, build)
     assert tapes == {}
 
 
