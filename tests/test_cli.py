@@ -79,17 +79,11 @@ def count_calls(monkeypatch, cls, name):
 
 
 @pytest.mark.parametrize("mode", ["short", "long"])
-def test_tape_walk_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
-    # Replayed tapes against a Node build and the whole-tape walk on every
-    # step, for pretraining and every epoch. The production run builds one
-    # graph per tape it records and replays every other step.
+def test_lean_backward_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
+    # The tape's backward against the whole-tape walk over a Node build, on
+    # every step of pretraining and of every epoch.
     cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
-    graphs = count_calls(monkeypatch, tg.GradGraph, "__init__")
-    recorded = count_calls(monkeypatch, tg.Tape, "__init__")
-    replays = count_calls(monkeypatch, tg.Tape, "forward")
-    assert cli.run_training(cfg, tmp_path / "replayed")["status"] == "ok"
-    assert len(replays) > cfg.pretrain_steps
-    assert len(graphs) == len(recorded) >= 1
+    assert cli.run_training(cfg, tmp_path / "lean")["status"] == "ok"
 
     def node_pass(tapes, frozen, params, inputs, build):
         graph = tg.GradGraph()
@@ -100,8 +94,32 @@ def test_tape_walk_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
     monkeypatch.setattr(tg, "loss_pass", node_pass)
     assert cli.run_training(cfg, tmp_path / "whole_tape")["status"] == "ok"
     for name in ("metrics.jsonl", "checkpoint.bin"):
-        assert ((tmp_path / "replayed" / name).read_bytes()
+        assert ((tmp_path / "lean" / name).read_bytes()
                 == (tmp_path / "whole_tape" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_replayed_tapes_leave_run_bytes_unchanged(tmp_path, monkeypatch, mode):
+    # Replayed tapes against a tape recorded afresh on every step, for
+    # pretraining and every epoch. The production run builds one graph per
+    # tape it records and replays every other step.
+    cfg = tiny_config(mode=mode, epochs=3, total_clips=4, window_clips=2)
+    graphs = count_calls(monkeypatch, tg.GradGraph, "__init__")
+    recorded = count_calls(monkeypatch, tg.Tape, "__init__")
+    replays = count_calls(monkeypatch, tg.Tape, "forward")
+    assert cli.run_training(cfg, tmp_path / "replayed")["status"] == "ok"
+    assert len(replays) > cfg.pretrain_steps
+    assert len(graphs) == len(recorded) >= 1
+    assert len(recorded) < len(replays)
+
+    loss_pass = tg.loss_pass
+    monkeypatch.setattr(tg, "loss_pass", lambda tapes, *args: loss_pass({}, *args))
+    del graphs[:], recorded[:], replays[:]
+    assert cli.run_training(cfg, tmp_path / "fresh")["status"] == "ok"
+    assert len(graphs) == len(recorded) == len(replays) > cfg.pretrain_steps
+    for name in ("metrics.jsonl", "checkpoint.bin"):
+        assert ((tmp_path / "replayed" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes()), name
 
 
 def test_timings_log_every_phase_once_per_epoch(tmp_path):
