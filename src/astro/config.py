@@ -7,6 +7,7 @@ hyperparameter name should fail loudly, not silently train the default.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -72,23 +73,28 @@ class RunConfig:
     pretrain_batch: int = 16
 
     def __post_init__(self):
+        self.validate()
         self.reward_weights = tuple(float(w) for w in self.reward_weights)
         self.raw_timesteps = tuple(float(t) for t in self.raw_timesteps)
-        self.validate()
 
     def validate(self) -> None:
         def require(cond: bool, msg: str):
             if not cond:
                 raise ValueError(f"invalid config: {msg}")
 
+        def real(x) -> bool:  # abs(NaN) fails the bound, as does an int past float range
+            return isinstance(x, (int, float)) and not isinstance(x, bool) \
+                and abs(x) <= sys.float_info.max
+
         # Field types first, so the range checks below compare numbers. The
         # annotations are strings here (postponed evaluation).
-        kinds = {"int": (int, "an integer"), "float": ((int, float), "a real number")}
+        kinds = {"int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+                 "float": (real, "a finite real number"),
+                 "tuple": (lambda xs: all(map(real, xs)), "finite real numbers")}
         for f in fields(self):
             if f.type in kinds:
-                (kind, noun), value = kinds[f.type], getattr(self, f.name)
-                require(isinstance(value, kind) and not isinstance(value, bool),
-                        f"{f.name} must be {noun}, got {value!r}")
+                (ok, noun), value = kinds[f.type], getattr(self, f.name)
+                require(ok(value), f"{f.name} must be {noun}, got {value!r}")
 
         require(self.seed >= 0, "seed must be nonnegative")
         require(self.mode in MODES, f"mode must be one of {MODES}")

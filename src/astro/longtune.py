@@ -110,7 +110,7 @@ def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
         x0_rows=window.reshape(g * w, -1),
         ctx_rows=summary.reshape(g * w, -1),
         row_candidate=np.repeat(np.arange(g), w),
-        clips=list(window.reshape(g, w * cfg.clip_len, cfg.frame_dim)),
+        clips=window.reshape(g, w * cfg.clip_len, cfg.frame_dim),
     ) for prompt, window, summary in zip(prompts, clips, summaries)]
 
 
@@ -119,8 +119,8 @@ def train_window_epoch(run: nftcore.RunState, prompts: list[flowgen.Prompt], cfg
     """One epoch of either mode: shared window choice, prefix and window
     rollout under theta_old, then optimization on the window's groups.
     run.timings then holds this epoch's wall seconds per phase: prefix,
-    rollout (the window alone), judges, loss_forward, backward, clip,
-    adamw, ema, and total."""
+    rollout (the window alone), judges, loss_inputs, loss_forward, backward,
+    clip, adamw, ema, and total."""
     t_start = time.perf_counter()
     run.timings.clear()
     epoch = run.state.epoch

@@ -11,9 +11,13 @@ refreshes when that pull grows too large or too stale.
 The engine takes its groups as data, already rolled out: the streaming
 path in longtune decodes them for both modes (short mode is a one-clip
 window at clip 0 with an empty context), so this module never decodes
-candidates itself. Everything a run carries from one epoch to the next is
-one RunState (policies, optimizer, counters, reward statistics); an epoch
-takes it, advances it in place, and returns its runio.MetricsRecord.
+candidates itself. An epoch first prepares, for all groups at once, what
+no optimizer step changes (judging, ranks, masks, noise draws, the frozen
+reference's predictions); each group's step then runs the behavior
+policy's forward, the loss tape, clipping, AdamW and the EMA tick.
+Everything a run carries from one epoch to the next is one RunState
+(policies, optimizer, counters, reward statistics); an epoch takes it,
+advances it in place, and returns its runio.MetricsRecord.
 """
 
 from __future__ import annotations
@@ -127,11 +131,11 @@ class RunState:
 
 
 def compute_advantages(rewards: np.ndarray) -> np.ndarray:
-    """Group-centered rewards; they sum to zero by construction."""
+    """Group-centered rewards along the last axis; each group sums to zero."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.ndim != 1 or rewards.size < 2:
-        raise ValueError("need a 1-D group of at least two rewards")
-    return rewards - rewards.mean()
+    if rewards.ndim < 1 or rewards.shape[-1] < 2:
+        raise ValueError("need groups of at least two rewards")
+    return rewards - rewards.mean(axis=-1, keepdims=True)
 
 
 def normalize_advantage(adv, a_max: float):
@@ -238,7 +242,7 @@ class GroupData:
     x0_rows: np.ndarray
     ctx_rows: np.ndarray
     row_candidate: np.ndarray
-    clips: list[np.ndarray]
+    clips: np.ndarray
 
 
 @dataclass
@@ -248,58 +252,95 @@ class ScoredGroup:
     advantages: np.ndarray
     mask: np.ndarray
     tau: float
+    inputs: dict | None = None  # its epoch_loss_inputs, once prepare_epoch sets them
+
+
+def score_groups(groups: list[GroupData], cfg: RunConfig,
+                 normalizer: rewardlab.RewardNormalizer) -> list[ScoredGroup]:
+    """Judge, standardize, center into advantages, and mark rank disagreement.
+    Judges, centering and ranks run once on the (P, G) stack; the normalizer
+    updates and each group is masked (at risk ratio cfg.rho0) per prompt."""
+    raw = rewardlab.eval_rewards(np.stack([d.clips for d in groups]), [d.prompt for d in groups])
+    std = np.stack([normalizer.update_and_standardize(d.prompt.pid, r)
+                    for d, r in zip(groups, raw)])
+    if cfg.advantage_source == "composite":
+        source = rewardlab.aggregate_composite(std, cfg.reward_weights)
+    else:
+        source = std[..., rewardlab.VQ]
+    advantages = compute_advantages(source)
+    ranks = rewardlab.rank_samples(np.moveaxis(raw, -1, 0))
+    delta = rewardlab.rank_disagreement(
+        ranks[rewardlab.VQ], [r for m, r in enumerate(ranks) if m != rewardlab.VQ])
+    masks = [rewardlab.uncertainty_mask(d, cfg.rho0) for d in delta]
+    return [ScoredGroup(data, scores, adv, mask, tau)
+            for data, scores, adv, (tau, mask) in zip(groups, raw, advantages, masks)]
 
 
 def score_group(data: GroupData, cfg: RunConfig,
                 normalizer: rewardlab.RewardNormalizer) -> ScoredGroup:
-    """Judge, standardize, center into advantages, and mark rank disagreement."""
-    raw = rewardlab.eval_rewards(data.clips, data.prompt)
-    std = normalizer.update_and_standardize(data.prompt.pid, raw)
-    if cfg.advantage_source == "composite":
-        source = rewardlab.aggregate_composite(std, cfg.reward_weights)
-    else:
-        source = std[:, rewardlab.VQ]
-    advantages = compute_advantages(source)
-    ranks = [rewardlab.rank_samples(raw[:, m]) for m in range(rewardlab.N_MODELS)]
-    delta = rewardlab.rank_disagreement(
-        ranks[rewardlab.VQ], [r for m, r in enumerate(ranks) if m != rewardlab.VQ])
-    tau, mask = rewardlab.uncertainty_mask(delta, cfg.rho0)
-    return ScoredGroup(data=data, raw_scores=raw, advantages=advantages, mask=mask, tau=tau)
+    return score_groups([data], cfg, normalizer)[0]
 
 
 # --- optimization ---
 
 
-def draw_noise_level(cfg: RunConfig, schedule: flowgen.TimestepSchedule, epoch: int,
-                     pid: int) -> float:
-    if cfg.noise_mode == "fixed":
-        return cfg.fixed_t
-    stream = rngmod.substream(cfg.seed, rngmod.NOISE_T_STREAM, epoch, pid)
-    return float(schedule.values[int(stream.integers(len(schedule.values)))])
+def draw_noise(cfg: RunConfig, schedule: flowgen.TimestepSchedule, epoch: int,
+               groups: list[GroupData]) -> tuple[list[float], np.ndarray]:
+    """Each group's noise level t and its forward-path noise eps, stacked
+    (P, rows, width), from the group's own (epoch, pid) substreams."""
+    fixed = cfg.noise_mode == "fixed"
+    kinds = (rngmod.EPS_STREAM,) if fixed else (rngmod.EPS_STREAM, rngmod.NOISE_T_STREAM)
+    streams = rngmod.substreams([(cfg.seed, kind, epoch, d.prompt.pid)
+                                 for kind in kinds for d in groups])
+    eps = np.stack([s.standard_normal(d.x0_rows.shape) for s, d in zip(streams, groups)])
+    if fixed:
+        return [cfg.fixed_t] * len(groups), eps
+    n = len(schedule.values)
+    return [float(schedule.values[int(s.integers(n))]) for s in streams[len(groups):]], eps
+
+
+def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored_groups: list[ScoredGroup],
+                      cfg: RunConfig, ts, eps: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """Each group's loss inputs that no optimizer step changes, built in one
+    pass over all groups' rows: the network input x at noise level ts[p] and
+    noise eps[p], the clean rows x0, the label weights w and 1 - w and, only
+    with a masked row, v_ref, the mask weights m and 1 / (n_masked * width)."""
+    data = [s.data for s in scored_groups]
+    rows, width = data[0].x0_rows.shape
+    x0 = np.concatenate([d.x0_rows for d in data])
+    t = np.repeat(ts, rows)
+    x = flowgen.assemble_input(flowgen.forward_path(x0, eps.reshape(x0.shape), t), t,
+                               np.concatenate([d.ctx_rows for d in data]),
+                               np.repeat(np.stack([d.prompt.vec for d in data]), rows, axis=0))
+    v_ref = flowgen.mlp_forward(theta_ref, x)
+    candidate = np.stack([d.row_candidate for d in data])
+    labels = normalize_advantage(np.stack([s.advantages for s in scored_groups]), cfg.a_max)
+    w = np.repeat(np.take_along_axis(labels, candidate, axis=1).reshape(-1, 1), width, axis=1)
+    masked = np.take_along_axis(np.stack([s.mask for s in scored_groups]), candidate, axis=1)
+    m = np.repeat(masked.reshape(-1, 1), width, axis=1).astype(np.float64)
+    w_neg = 1.0 - w
+    inputs = []
+    for p, d in enumerate(data):
+        part = slice(p * rows, (p + 1) * rows)
+        inputs.append({"x": x[part], "x0": d.x0_rows, "w": w[part], "w_neg": w_neg[part]})
+        if masked[p].any():
+            inputs[-1].update(v_ref=v_ref[part], m=m[part],
+                              kl_scale=np.asarray(1.0 / float(masked[p].sum() * width)))
+    return inputs
+
+
+def step_inputs(fixed: dict[str, np.ndarray], theta_old: dict[str, np.ndarray],
+                cfg: RunConfig) -> dict[str, np.ndarray]:
+    """A step's loss inputs: fixed's and (1 -/+ beta) * v_old at theta_old now."""
+    v_old = flowgen.mlp_forward(theta_old, fixed["x"])
+    return {**fixed, "old_plus": (1.0 - cfg.beta) * v_old, "old_minus": (1.0 + cfg.beta) * v_old}
 
 
 def group_loss_inputs(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig,
                       t: float, eps: np.ndarray) -> dict[str, np.ndarray]:
-    """Every array one group's loss reads, in numpy: the network input x, fed
-    to all three policies, the clean rows, (1 -/+ beta) * v_old, the label
-    weights w and 1 - w and, only when a row is masked, v_ref, the mask
-    weights m and their scale 1 / (n_masked * width)."""
-    data = scored.data
-    x = flowgen.assemble_input(flowgen.forward_path(data.x0_rows, eps, t), t, data.ctx_rows,
-                               data.prompt.vec)
-    v_old = flowgen.mlp_forward(policies.theta_old, x)
-    v_ref = flowgen.mlp_forward(policies.theta_ref, x)
-    width = data.x0_rows.shape[1]
-    r_rows = normalize_advantage(scored.advantages, cfg.a_max)[data.row_candidate]
-    w = np.repeat(r_rows[:, None], width, axis=1)
-    inputs = {"x": x, "x0": data.x0_rows, "old_plus": (1.0 - cfg.beta) * v_old,
-              "old_minus": (1.0 + cfg.beta) * v_old, "w": w, "w_neg": 1.0 - w}
-    mask_rows = scored.mask[data.row_candidate]
-    if mask_rows.any():
-        m = np.repeat(mask_rows[:, None], width, axis=1).astype(np.float64)
-        scale = np.asarray(1.0 / float(mask_rows.sum() * width))
-        inputs.update(v_ref=v_ref, m=m, kl_scale=scale)
-    return inputs
+    """Every array one group's loss reads, at noise level t and noise eps."""
+    fixed = epoch_loss_inputs(policies.theta_ref, [scored], cfg, [t], eps[None])[0]
+    return step_inputs(fixed, policies.theta_old, cfg)
 
 
 def group_loss_graph(graph: tg.GradGraph, theta: tg.FlatParams, inputs: dict[str, np.ndarray],
@@ -339,18 +380,19 @@ def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig
 def optimize_group(run: RunState, scored: ScoredGroup, cfg: RunConfig,
                    schedule: flowgen.TimestepSchedule) -> dict:
     """One optimizer step on one prompt group, at epoch run.state.epoch; EMA
-    tick if configured per step. The loss runs the run's tape for its
-    structure, recorded from group_loss_graph when first seen; each phase's
-    wall time is added to run.timings."""
+    tick if configured per step. The loss reads scored.inputs (a group
+    without them is prepared alone) with theta_old's step_inputs, and runs
+    the run's tape for its structure, recorded from group_loss_graph when
+    first seen; each phase's wall time is added to run.timings."""
     policies, state, lap = run.policies, run.state, run.timings.lap
     since = time.perf_counter()
-    pid = scored.data.prompt.pid
-    t = draw_noise_level(cfg, schedule, state.epoch, pid)
-    eps_stream = rngmod.substream(cfg.seed, rngmod.EPS_STREAM, state.epoch, pid)
-    eps = eps_stream.standard_normal(scored.data.x0_rows.shape)
+    fixed = scored.inputs
+    if fixed is None:
+        fixed = epoch_loss_inputs(policies.theta_ref, [scored], cfg,
+                                  *draw_noise(cfg, schedule, state.epoch, [scored.data]))[0]
     values, finish = tg.loss_pass(
         run.tapes, (cfg.beta, cfg.lambda_kl), policies.theta,
-        group_loss_inputs(policies, scored, cfg, t, eps),
+        step_inputs(fixed, policies.theta_old, cfg),
         lambda graph, theta, inputs: group_loss_graph(graph, theta, inputs, cfg))
     since = lap("loss_forward", since)
     grads = finish()
@@ -392,30 +434,39 @@ def abort_on_nonfinite(epoch: int, prompts: list[flowgen.Prompt], rows_per_promp
         raise EpochAborted(epoch, owner.pid, err) from err
 
 
+def prepare_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
+                  schedule: flowgen.TimestepSchedule) -> list[ScoredGroup]:
+    """The part of an epoch that no optimizer step changes, for all groups at
+    once: score_groups, then the draws and epoch_loss_inputs at theta_ref,
+    which moves only at epoch end, timed as the judges and loss_inputs phases.
+    A non-finite theta_ref row aborts the epoch, naming the row's prompt."""
+    epoch, since = run.state.epoch, time.perf_counter()
+    scored_groups = score_groups(groups, cfg, run.normalizer)
+    since = run.timings.lap("judges", since)
+    ts, eps = draw_noise(cfg, schedule, epoch, groups)
+    with abort_on_nonfinite(epoch, [d.prompt for d in groups], len(groups[0].x0_rows)):
+        inputs = epoch_loss_inputs(run.policies.theta_ref, scored_groups, cfg, ts, eps)
+    for scored, fixed in zip(scored_groups, inputs):
+        scored.inputs = fixed
+    run.timings.lap("loss_inputs", since)
+    return scored_groups
+
+
 def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
                 schedule: flowgen.TimestepSchedule) -> runio.MetricsRecord:
-    """One epoch on rolled-out groups: scoring, then per-group optimization.
-
-    groups holds every prompt's candidate group, rolled out under
-    run.policies.theta_old, in prompt order (longtune.window_rollout makes
-    them for both modes). They are scored one by one, in that order, so the
-    normalizer updates exactly as in a per-prompt loop; every group is
-    masked at the fixed risk ratio cfg.rho0.
-    Returns the epoch's record, with window_start and wall_time left for
-    the caller; advances run.state.epoch once every group is optimized.
-    """
+    """One epoch on rolled-out groups, in prompt order (longtune.window_rollout
+    makes them under run.policies.theta_old for both modes): prepare_epoch,
+    one optimizer step per group, then the reference reset and epoch EMA.
+    Returns the epoch's record, with window_start and wall_time left for the
+    caller; advances run.state.epoch once every group is optimized."""
     policies, state = run.policies, run.state
     epoch = state.epoch
-    since = time.perf_counter()
-    scored_groups = [score_group(data, cfg, run.normalizer) for data in groups]
-    run.timings.lap("judges", since)
+    scored_groups = prepare_epoch(run, groups, cfg, schedule)
 
     infos = []
     for scored in scored_groups:
-        try:
+        with abort_on_nonfinite(epoch, [scored.data.prompt], len(scored.data.x0_rows)):
             infos.append(optimize_group(run, scored, cfg, schedule))
-        except tg.NonFiniteError as err:
-            raise EpochAborted(epoch, scored.data.prompt.pid, err) from err
 
     since = time.perf_counter()
     kl_epoch = float(np.mean([i["kl_loss"] for i in infos]))

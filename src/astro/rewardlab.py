@@ -69,14 +69,14 @@ def text_alignment(frames: np.ndarray, prompt_vec: np.ndarray):
     return np.where(degenerate, 0.0, cos)[()]
 
 
-def eval_rewards(clips: list[np.ndarray], prompt: flowgen.Prompt) -> np.ndarray:
-    """Raw (group_size, N_MODELS) score matrix; column order VQ, MQ, TA.
-
-    The group's clips share one shape and are judged as one stack.
-    """
-    frames = np.stack(clips)
-    return np.stack([visual_quality(frames), motion_quality(frames),
-                     text_alignment(frames, prompt.vec)], axis=1)
+def eval_rewards(clips: np.ndarray, prompts: list[flowgen.Prompt]) -> np.ndarray:
+    """Raw (P, group_size, N_MODELS) scores, column order VQ, MQ, TA, of a
+    (P, group_size, n_frames, frame_dim) stack of P groups' clips. Text
+    alignment judges one group at a time: on the whole stack its projection
+    onto the prompts would be reduced in another order."""
+    frames = np.asarray(clips, dtype=np.float64)
+    align = [text_alignment(group, prompt.vec) for group, prompt in zip(frames, prompts)]
+    return np.stack([visual_quality(frames), motion_quality(frames), np.stack(align)], axis=-1)
 
 
 class RewardNormalizer:
@@ -148,16 +148,15 @@ def aggregate_composite(standardized: np.ndarray, weights) -> np.ndarray:
 
 
 def rank_samples(scores: np.ndarray) -> np.ndarray:
-    """Ranks within a group, 1 = highest score, ties broken by candidate index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    ranks = np.empty(len(scores), dtype=np.int64)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    return ranks
+    """Ranks within each group along the last axis, 1 = highest score, ties
+    broken by candidate index: the inverse of a stable sort's order."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")
+    return np.argsort(order, axis=-1) + 1
 
 
 def rank_disagreement(primary_ranks: np.ndarray, aux_ranks: list[np.ndarray]) -> np.ndarray:
-    """Primary rank minus the mean auxiliary rank, per candidate.
+    """Primary rank minus the mean auxiliary rank, per candidate, of one
+    group or of a stack of groups.
 
     Positive means the primary judge likes the candidate less than the
     others do; large positive values flag unreliable reward estimates.

@@ -126,8 +126,8 @@ def test_timings_log_every_phase_once_per_epoch(tmp_path):
     cfg = tiny_config(mode="long", epochs=3, total_clips=4, window_clips=2)
     assert cli.run_training(cfg, tmp_path)["status"] == "ok"
     rows = runio.read_metrics(tmp_path / "timings.jsonl")
-    phases = ["prefix", "rollout", "judges", "loss_forward", "backward", "clip", "adamw",
-              "ema", "total"]
+    phases = ["prefix", "rollout", "judges", "loss_inputs", "loss_forward", "backward", "clip",
+              "adamw", "ema", "total"]
     assert [row["epoch"] for row in rows] == [0, 1, 2]
     for row in rows:
         assert sorted(row) == sorted(["epoch", *phases])

@@ -96,6 +96,20 @@ def test_tuple_coercion():
     ("pretrain_steps", None),
     ("lr", "1e-3"),
     ("beta", False),
+    # Non-finite reals: inf trains until the first step overflows and is
+    # not JSON in config.json; an int past float range is as bad.
+    ("lr", float("inf")),
+    ("beta", float("inf")),
+    ("shift", float("nan")),
+    ("tau_kl", float("inf")),
+    pytest.param("max_grad_norm", 10 ** 400, id="max_grad_norm-past-float-range"),
+    ("reward_weights", (float("inf"), 0.0, 0.0)),
+    ("reward_weights", (float("nan"), 0.5, 0.5)),
+    ("raw_timesteps", (float("inf"), 10.0)),
+    # Tuple entries are real numbers, as scalar fields are: no strings or bools.
+    ("reward_weights", ("0.5", "0.25", "0.25")),
+    ("reward_weights", (True, False, False)),
+    ("raw_timesteps", ["1000", "10"]),
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ValueError, match="invalid config"):

@@ -53,7 +53,9 @@ def test_advantages_validation():
     with pytest.raises(ValueError):
         nftcore.compute_advantages(np.array([1.0]))
     with pytest.raises(ValueError):
-        nftcore.compute_advantages(np.ones((2, 2)))
+        nftcore.compute_advantages(np.ones((2, 1)))  # two groups of one
+    with pytest.raises(ValueError):
+        nftcore.compute_advantages(np.float64(1.0))
 
 
 def test_soft_label_mapping_hand_values():
@@ -491,7 +493,8 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
     run, schedule, _ = make_world(cfg)
     policies, opt = run.policies, run.optimizer
     scored = synthetic_scored_group(cfg, np.random.default_rng(16))
-    t = nftcore.draw_noise_level(cfg, schedule, 0, scored.data.prompt.pid)
+    t = schedule.values[int(arng.substream(cfg.seed, arng.NOISE_T_STREAM, 0, scored.data.prompt.pid)
+                            .integers(len(schedule.values)))]
     eps = arng.substream(cfg.seed, arng.EPS_STREAM, 0, scored.data.prompt.pid) \
         .standard_normal(scored.data.x0_rows.shape)
     graph, loss, _ = nftcore.build_group_loss(policies, scored, cfg, t, eps)
@@ -513,15 +516,21 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
 
 
 def test_draw_noise_level_modes():
+    # Each group draws t and eps from its own (epoch, pid) substreams.
     sched = flowgen.make_schedule()
+    rng = np.random.default_rng(18)
     fixed_cfg = small_config(noise_mode="fixed", fixed_t=0.6)
-    assert nftcore.draw_noise_level(fixed_cfg, sched, 0, 0) == 0.6
+    groups = [synthetic_scored_group(fixed_cfg, rng).data for _ in range(2)]
+    groups[1] = dataclasses.replace(groups[1], prompt=dataclasses.replace(groups[1].prompt, pid=1))
+    assert nftcore.draw_noise(fixed_cfg, sched, 0, groups)[0] == [0.6, 0.6]
     cfg = small_config()
-    t1 = nftcore.draw_noise_level(cfg, sched, 3, 1)
-    t2 = nftcore.draw_noise_level(cfg, sched, 3, 1)
-    assert t1 == t2
+    (_, t1), eps1 = nftcore.draw_noise(cfg, sched, 3, groups)
+    (t2,), eps2 = nftcore.draw_noise(cfg, sched, 3, groups[1:])
+    assert t1 == t2 and np.array_equal(eps1[1], eps2[0])
     assert t1 in sched.values
-    draws = {nftcore.draw_noise_level(cfg, sched, e, 0) for e in range(40)}
+    assert np.array_equal(eps2[0], arng.substream(cfg.seed, arng.EPS_STREAM, 3, 1)
+                          .standard_normal(groups[1].x0_rows.shape))
+    draws = {nftcore.draw_noise(cfg, sched, e, groups[:1])[0][0] for e in range(40)}
     assert len(draws) > 1
 
 
@@ -536,6 +545,115 @@ def test_score_group_advantage_source():
     assert not np.allclose(composite.advantages, primary.advantages)
     assert abs(composite.advantages.sum()) <= 1e-12
     assert abs(primary.advantages.sum()) <= 1e-12
+
+
+def window_groups(cfg, prompts, rng):
+    """Groups of window_clips rows per candidate: random candidates (some
+    rows masked), identical candidates (every judge column tied, so every
+    rank disagreement is 0 and the mask is empty), and random candidates of
+    which two are static clips (their motion-quality scores tie at 0)."""
+    g, w = cfg.group_size, cfg.window_clips
+    shape = (g, w * cfg.clip_len, cfg.frame_dim)
+    candidates = [rng.standard_normal(shape), np.broadcast_to(rng.standard_normal(shape[1:]),
+                                                              shape).copy(),
+                  rng.standard_normal(shape)]
+    candidates[2][:2] = rng.standard_normal((2, 1, cfg.frame_dim))
+    return [nftcore.GroupData(prompt=prompt, x0_rows=frames.reshape(g * w, -1),
+                              ctx_rows=rng.standard_normal((g * w, 2 * cfg.frame_dim)),
+                              row_candidate=np.repeat(np.arange(g), w), clips=frames)
+            for prompt, frames in zip(prompts, candidates)]
+
+
+def per_group_preparation(run, groups, cfg, schedule):
+    """The epoch's preparation one group at a time, from the per-group pieces:
+    (raw scores, advantages, mask, tau, step inputs) per group. Each judge
+    scores the group's own stack; the visual judge is also held to its
+    per-frame definition, frame_quality, which rounds differently (math.hypot
+    and a BLAS dot) and so agrees to 1e-12, not bit for bit."""
+    normalizer, policies, epoch = rewardlab.RewardNormalizer(), run.policies, run.state.epoch
+    out = []
+    for d in groups:
+        frames = np.asarray(d.clips)
+        raw = np.stack([rewardlab.visual_quality(frames), rewardlab.motion_quality(frames),
+                        rewardlab.text_alignment(frames, d.prompt.vec)], axis=1)
+        for clip, score in zip(frames, raw[:, rewardlab.VQ]):
+            per_frame = np.sort([rewardlab.frame_quality(f) for f in clip])[::-1]
+            keep = math.ceil(rewardlab.TOP_FRAME_FRACTION * len(per_frame))
+            assert abs(np.mean(per_frame[:keep]) - score) <= 1e-12 * max(1.0, abs(score))
+        std = normalizer.update_and_standardize(d.prompt.pid, raw)
+        source = (rewardlab.aggregate_composite(std, cfg.reward_weights)
+                  if cfg.advantage_source == "composite" else std[:, rewardlab.VQ])
+        adv = nftcore.compute_advantages(source)
+        ranks = [rewardlab.rank_samples(raw[:, m]) for m in range(rewardlab.N_MODELS)]
+        delta = rewardlab.rank_disagreement(ranks[0], ranks[1:])
+        tau, mask = rewardlab.uncertainty_mask(delta, cfg.rho0)
+        t = schedule.values[int(arng.substream(cfg.seed, arng.NOISE_T_STREAM, epoch, d.prompt.pid)
+                                .integers(len(schedule.values)))]
+        eps = arng.substream(cfg.seed, arng.EPS_STREAM, epoch, d.prompt.pid) \
+            .standard_normal(d.x0_rows.shape)
+        x = flowgen.assemble_input(flowgen.forward_path(d.x0_rows, eps, t), t, d.ctx_rows,
+                                   d.prompt.vec)
+        v_old = flowgen.mlp_forward(policies.theta_old, x)
+        width = d.x0_rows.shape[1]
+        w = np.repeat(nftcore.normalize_advantage(adv, cfg.a_max)[d.row_candidate, None],
+                      width, axis=1)
+        inputs = {"x": x, "x0": d.x0_rows, "old_plus": (1.0 - cfg.beta) * v_old,
+                  "old_minus": (1.0 + cfg.beta) * v_old, "w": w, "w_neg": 1.0 - w}
+        rows_masked = mask[d.row_candidate]
+        if rows_masked.any():
+            inputs.update(v_ref=flowgen.mlp_forward(policies.theta_ref, x),
+                          m=np.repeat(rows_masked[:, None], width, axis=1).astype(np.float64),
+                          kl_scale=np.asarray(1.0 / float(rows_masked.sum() * width)))
+        out.append((raw, adv, mask, tau, inputs))
+    return out
+
+
+@pytest.mark.parametrize("source", ["composite", "primary"])
+def test_prepared_epoch_matches_per_group_reference_bit_for_bit(source):
+    cfg = small_config(group_size=6, window_clips=2, total_clips=2, beta=0.7,
+                       lambda_kl=0.05, rho0=0.5, advantage_source=source)
+    run, schedule, prompts = make_world(cfg, n_prompts=3)
+    rng = np.random.default_rng(19)
+    run.policies.theta_old.flat += 0.05 * rng.standard_normal(run.policies.theta.flat.shape)
+    run.policies.theta_ref.flat -= 0.05 * rng.standard_normal(run.policies.theta.flat.shape)
+    run.state.epoch = 3
+    groups = window_groups(cfg, prompts, rng)
+    want = per_group_preparation(run, groups, cfg, schedule)
+    got = nftcore.prepare_epoch(run, groups, cfg, schedule)
+    # masked rows in groups 0 and 2, in different numbers; none in group 1
+    assert 0 < want[0][2].sum() != want[2][2].sum() > 0 and not want[1][2].any()
+    assert len(set(want[2][0][:, rewardlab.MQ])) < cfg.group_size
+    for scored, (raw, adv, mask, tau, inputs) in zip(got, want):
+        assert np.array_equal(scored.raw_scores, raw)
+        assert np.array_equal(scored.advantages, adv)
+        assert np.array_equal(scored.mask, mask) and scored.tau == tau
+        step = nftcore.step_inputs(scored.inputs, run.policies.theta_old, cfg)
+        assert sorted(step) == sorted(inputs)
+        for name, value in inputs.items():
+            assert np.array_equal(step[name], value), name
+    assert run.optimizer.t == 0 and len(run.tapes) == 0
+
+
+def test_nonfinite_reference_row_aborts_before_the_first_step():
+    # One row of prompt k holds an infinite context value, and theta_ref's
+    # first layer weighs that context column 0: inf * 0 makes the row's
+    # reference prediction NaN, and only that row's. theta_old and theta,
+    # whose weights there are not 0, would saturate it or stop at the step's
+    # matmul; the epoch instead aborts while preparing, before any step.
+    cfg = small_config(window_clips=2, total_clips=2)
+    run, schedule, prompts = make_world(cfg, n_prompts=3)
+    groups = window_groups(cfg, prompts, np.random.default_rng(20))
+    k, row, rows = 1, 5, cfg.group_size * cfg.window_clips
+    groups[k].ctx_rows[row, 0] = np.inf
+    ctx_col = cfg.clip_len * cfg.frame_dim + 4  # after the noised clip and time features
+    run.policies.theta_ref["w1"][ctx_col] = 0.0
+    theta = run.policies.theta.flat.copy()
+    with pytest.raises(nftcore.EpochAborted) as exc, np.errstate(all="ignore"):
+        nftcore.train_epoch(run, groups, cfg, schedule)
+    assert exc.value.pid == prompts[k].pid
+    assert exc.value.cause.row == k * rows + row
+    assert run.optimizer.t == 0 and run.state.steps == 0 and run.state.epoch == 0
+    assert np.array_equal(run.policies.theta.flat, theta)
 
 
 def test_train_epoch_runs_and_is_deterministic():

@@ -80,7 +80,7 @@ def test_stacked_judges_match_per_frame_reference():
     for group in judge_groups(rng):
         want = np.stack([reference_scores(clip, prompt.vec) for clip in group])
         tol = 1e-12 * np.maximum(1.0, np.abs(want))
-        assert np.all(np.abs(rewardlab.eval_rewards(list(group), prompt) - want) <= tol)
+        assert np.all(np.abs(rewardlab.eval_rewards([group], [prompt])[0] - want) <= tol)
         for clip, row, row_tol in zip(group, want, tol):
             assert abs(rewardlab.visual_quality(clip) - row[rewardlab.VQ]) <= row_tol[0]
 
@@ -113,7 +113,7 @@ def test_text_alignment_sign_and_degenerate():
 def test_eval_rewards_shape():
     prompt = flowgen.make_prompt(0, arng.substream(0, arng.PROMPT_STREAM, 0))
     clips = [on_manifold_clip(phase=p) for p in (0.0, 0.5, 1.0)]
-    scores = rewardlab.eval_rewards(clips, prompt)
+    scores = rewardlab.eval_rewards([clips], [prompt])[0]
     assert scores.shape == (3, rewardlab.N_MODELS)
 
 
@@ -217,6 +217,21 @@ def test_rank_samples_best_is_one_and_ties_by_index():
     ranks = rewardlab.rank_samples(scores)
     # 0.9 first; the two 0.3s tie and resolve in index order
     assert list(ranks) == [2, 1, 3, 4]
+
+
+def test_stacked_ranks_match_per_group_lexsort():
+    # Ranking a stack along its last axis breaks ties by candidate index,
+    # as a lexsort on (index, -score) of each group alone does; 0.0 and
+    # -0.0 tie. Groups of 40 are past the size at which an unstable sort
+    # still keeps ties in order.
+    rng = np.random.default_rng(14)
+    scores = rng.integers(-2, 3, size=(4, 3, 40)).astype(np.float64)
+    scores[0, 0, :2] = [0.0, -0.0]
+    ranks = rewardlab.rank_samples(scores)
+    for idx in np.ndindex(scores.shape[:-1]):
+        want = np.empty(scores.shape[-1], dtype=np.int64)
+        want[np.lexsort((np.arange(scores.shape[-1]), -scores[idx]))] = np.arange(1, 41)
+        assert np.array_equal(ranks[idx], want), idx
 
 
 def test_rank_disagreement_value():

@@ -19,14 +19,17 @@ values and numpy, BLAS and thread settings, and a tier-1 run per side with
 pytest's five slowest tests. An existing --out file is updated, so a
 second call can add a held-out seed or another thread setting.
 
-Phases come from the run's timings.jsonl. A checkout that predates the
-phase timers writes none; its phases are then taken from wrappers around
-the public functions that bound them: rollout_prefix (prefix),
-window_rollout less its prefix (rollout), score_group (judges),
-build_group_loss (loss_forward), and, inside epochs only, backward,
-clip_global_norm (clip), AdamW.step (adamw) and ema_update (ema), with
-train_window_epoch as the total. The timers' loss_forward also covers each
-group's noise draws, which build_group_loss does not.
+Phases come from the run's timings.jsonl. A checkout whose timers predate a
+phase reads 0 for it: before the epoch's inputs were prepared in one pass
+(loss_inputs), each group's noise draws, input assembly and reference
+forward were part of loss_forward. A checkout that predates the phase
+timers writes none; its phases are then taken from wrappers around the
+public functions that bound them: rollout_prefix (prefix), window_rollout
+less its prefix (rollout), score_group (judges), build_group_loss
+(loss_forward), and, inside epochs only, backward, clip_global_norm (clip),
+AdamW.step (adamw) and ema_update (ema), with train_window_epoch as the
+total. The timers' loss_forward also covers each group's noise draws, which
+build_group_loss does not.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PHASES = ("prefix", "rollout", "judges", "loss_forward", "backward", "clip", "adamw", "ema",
-          "total")
+PHASES = ("prefix", "rollout", "judges", "loss_inputs", "loss_forward", "backward", "clip",
+          "adamw", "ema", "total")
 
 
 def load_benchmark():
@@ -123,7 +126,7 @@ def child(src: str, workload: str, seed: int) -> dict:
             raise RuntimeError(f"{workload} run failed")
         timings = Path(out) / "timings.jsonl"
         rows = wrapped or [json.loads(line) for line in timings.read_text().splitlines()]
-    phases = {p: 1e3 * statistics.median(row[p] for row in rows) for p in PHASES}
+    phases = {p: 1e3 * statistics.median(row.get(p, 0.0) for row in rows) for p in PHASES}
     return {"phases_ms": phases, "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps,
             "source": "wrappers" if wrapped else "timings.jsonl"}
 
