@@ -90,7 +90,8 @@ class RunConfig:
         # annotations are strings here (postponed evaluation).
         kinds = {"int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
                  "float": (real, "a finite real number"),
-                 "tuple": (lambda xs: all(map(real, xs)), "finite real numbers")}
+                 "tuple": (lambda xs: isinstance(xs, (list, tuple)) and all(map(real, xs)),
+                           "a list of finite real numbers")}
         for f in fields(self):
             if f.type in kinds:
                 (ok, noun), value = kinds[f.type], getattr(self, f.name)

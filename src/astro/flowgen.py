@@ -243,32 +243,33 @@ def mlp_forward(params: dict[str, np.ndarray], x: np.ndarray,
 
 
 def sample_clips(params: dict[str, np.ndarray], ctx_rows, prompt_vec,
-                 schedule: TimestepSchedule, streams) -> np.ndarray:
-    """Few-step generation of N clips at once: draw noise, predict clean, renoise.
+                 schedule: TimestepSchedule, noise) -> np.ndarray:
+    """Few-step generation of N clips at once: start from noise, predict clean, renoise.
 
-    Row i is conditioned on ctx_rows[i] and draws only from streams[i]:
-    exactly len(schedule) draws (one init plus one per renoising), in the
-    order a lone row would make them, so a row's clip does not depend on
-    which other rows share the batch. Every schedule step is one (N, d)
-    forward. Returns the final clean predictions, (N, clip_len, frame_dim).
-    A NonFiniteError carries the first row whose prediction is not finite.
+    noise is the rows' whole draw, (N, len(schedule), clip_len*frame_dim):
+    row i starts from noise[i, 0] and renoises with noise[i, k+1] after
+    step k, and is conditioned on ctx_rows[i], so a row's clip does not
+    depend on which other rows share the batch. The callers draw each row's
+    block once per epoch (rng.normal_blocks). Every schedule step is one
+    (N, d) forward. Returns the final clean predictions, (N, clip_len,
+    frame_dim). A NonFiniteError carries the first row whose prediction is
+    not finite.
     """
     ctx_rows = np.asarray(ctx_rows, dtype=np.float64)
-    n = len(streams)
+    noise = np.asarray(noise, dtype=np.float64)
+    width = params["b3"].shape[1]
+    if noise.ndim != 3 or noise.shape[1:] != (len(schedule), width):
+        raise ValueError(f"noise shape {noise.shape}, expected (N, {len(schedule)}, {width})")
+    n = noise.shape[0]
     if ctx_rows.ndim != 2 or ctx_rows.shape[0] != n or ctx_rows.shape[1] % 2:
         raise ValueError(f"ctx_rows shape {ctx_rows.shape}, expected ({n}, 2*frame_dim)")
     frame_dim = ctx_rows.shape[1] // 2
-    clip_shape = (params["b3"].shape[1] // frame_dim, frame_dim)
-
-    def draw():
-        return np.stack([s.standard_normal(clip_shape) for s in streams]).reshape(n, -1)
-
-    x = draw()
+    x = noise[:, 0]
     for k, t in enumerate(schedule.values):
         pred = predict_clean_batch(params, x, t, ctx_rows, prompt_vec)
         if k + 1 < len(schedule.values):
-            x = forward_path(pred, draw(), schedule.values[k + 1])
-    return pred.reshape(n, *clip_shape)
+            x = forward_path(pred, noise[:, k + 1], schedule.values[k + 1])
+    return pred.reshape(n, width // frame_dim, frame_dim)
 
 
 # --- base-model pretraining ---

@@ -287,16 +287,16 @@ def score_group(data: GroupData, cfg: RunConfig,
 def draw_noise(cfg: RunConfig, schedule: flowgen.TimestepSchedule, epoch: int,
                groups: list[GroupData]) -> tuple[list[float], np.ndarray]:
     """Each group's noise level t and its forward-path noise eps, stacked
-    (P, rows, width), from the group's own (epoch, pid) substreams."""
-    fixed = cfg.noise_mode == "fixed"
-    kinds = (rngmod.EPS_STREAM,) if fixed else (rngmod.EPS_STREAM, rngmod.NOISE_T_STREAM)
-    streams = rngmod.substreams([(cfg.seed, kind, epoch, d.prompt.pid)
-                                 for kind in kinds for d in groups])
-    eps = np.stack([s.standard_normal(d.x0_rows.shape) for s, d in zip(streams, groups)])
-    if fixed:
+    (P, rows, width), from the group's own (epoch, pid) substreams; each
+    group's eps is one draw (rng.normal_blocks)."""
+    eps = rngmod.normal_blocks([(cfg.seed, rngmod.EPS_STREAM, epoch, d.prompt.pid)
+                                for d in groups], groups[0].x0_rows.shape)
+    if cfg.noise_mode == "fixed":
         return [cfg.fixed_t] * len(groups), eps
     n = len(schedule.values)
-    return [float(schedule.values[int(s.integers(n))]) for s in streams[len(groups):]], eps
+    streams = rngmod.substreams([(cfg.seed, rngmod.NOISE_T_STREAM, epoch, d.prompt.pid)
+                                 for d in groups])
+    return [float(schedule.values[int(s.integers(n))]) for s in streams], eps
 
 
 def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored_groups: list[ScoredGroup],

@@ -8,8 +8,14 @@ sequence machinery.
 
 `substreams(keys)` returns `[substream(*key) for key in keys]`, the same
 generators in the same states, but hashes all keys' seeds in one pass of
-array ops instead of building one SeedSequence per key. The rollouts, which
-open one stream per candidate or prompt every epoch, use it.
+array ops instead of building one SeedSequence per key.
+
+`normal_blocks(keys, shape)` draws each key's stream once, for its whole
+budget, with one in-place `standard_normal` call. numpy's Generator keeps no
+normals between calls, so the C-order block holds the values that successive
+smaller draws from the stream would give, in the same order. The rollouts
+and the forward-path noise draw each of their streams this way, once per
+epoch.
 """
 
 from __future__ import annotations
@@ -153,3 +159,15 @@ def substreams(keys) -> list[np.random.Generator]:
         for i, state in zip(rows, states):
             gens[i] = np.random.Generator(np.random.PCG64(_State(state)))
     return gens
+
+
+def normal_blocks(keys, shape) -> np.ndarray:
+    """(len(keys), *shape) standard normals, row i drawn in one call from substream(*keys[i]).
+
+    Row i equals substream(*keys[i]).standard_normal(shape), and so also the
+    same stream's successive draws of any shapes that fill it in C order.
+    """
+    out = np.empty((len(keys), *shape))
+    for gen, row in zip(substreams(keys), out):
+        gen.standard_normal(out=row)
+    return out

@@ -163,16 +163,19 @@ def group_rollout(params_old: dict[str, np.ndarray], ctxs: ContextBatch | list[C
     of every prompt's candidates is decoded together, one batched forward
     per schedule step; candidate i of prompt p draws only from its own
     substream keyed by base_keys[p] + (i,), so candidates are independent
-    of each other, of group_size and of the other prompts. Returns the
-    clips, a (len(prompts), group_size, n_clips, clip_len, frame_dim) stack,
-    and the context summaries that conditioned them, (len(prompts),
-    group_size, n_clips, 2 * frame_dim).
+    of each other, of group_size and of the other prompts. Each stream is
+    drawn once, for its whole (n_clips, len(schedule), clip width) budget,
+    and clip k reads its slice k. Returns the clips, a (len(prompts),
+    group_size, n_clips, clip_len, frame_dim) stack, and the context
+    summaries that conditioned them, (len(prompts), group_size, n_clips,
+    2 * frame_dim).
     """
     if group_size < 2:
         raise ValueError("group_size must be at least 2")
     if not isinstance(ctxs, ContextBatch):
         ctxs = ContextBatch.from_windows(ctxs)
-    streams = rngmod.substreams([key + (i,) for key in base_keys for i in range(group_size)])
+    noise = rngmod.normal_blocks([key + (i,) for key in base_keys for i in range(group_size)],
+                                 (n_clips, len(schedule), params_old["b3"].shape[1]))
     vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)
     ctx = ctxs.repeat(group_size)
     clips, summaries = [], []
@@ -180,7 +183,7 @@ def group_rollout(params_old: dict[str, np.ndarray], ctxs: ContextBatch | list[C
         if k:
             ctx = ctx.push(clips[-1])
         summaries.append(ctx.summary())
-        clips.append(flowgen.sample_clips(params_old, summaries[-1], vecs, schedule, streams))
+        clips.append(flowgen.sample_clips(params_old, summaries[-1], vecs, schedule, noise[:, k]))
     shape = (len(prompts), group_size, n_clips)
     return (np.stack(clips, axis=1).reshape(*shape, *clips[0].shape[1:]),
             np.stack(summaries, axis=1).reshape(*shape, -1))

@@ -17,6 +17,7 @@ import astro
 from astro import cli, flowgen, longtune, nftcore, runio, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig, save_config
+from test_flowgen import per_step_noise
 from test_tensorgrad import reference_backward
 
 
@@ -145,7 +146,7 @@ def test_timings_log_every_phase_once_per_epoch(tmp_path):
 
 def window_list_rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, epoch):
     """Reference prefix: one ContextWindow per prompt, each pushed on its own,
-    with a 2-frame rolling window."""
+    with a 2-frame rolling window, and each stream drawn per schedule step."""
     empty = streamctx.empty_context(cfg.sink_size, 2, cfg.frame_dim)
     ctxs = [empty] * len(prompts)
     if start_clip == 0:
@@ -155,25 +156,30 @@ def window_list_rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, ep
     with nftcore.abort_on_nonfinite(epoch, prompts, 1):
         for _ in range(start_clip):
             summary = np.stack([ctx.summary() for ctx in ctxs])
-            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, streams)
+            noise = per_step_noise(streams, schedule, (cfg.clip_len, cfg.frame_dim))
+            clips = flowgen.sample_clips(theta_old, summary, vecs, schedule, noise)
             ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
     return ctxs
 
 
 def window_list_group_rollout(params_old, ctxs, prompts, group_size, schedule, base_keys,
                               n_clips):
-    """Reference window: one ContextWindow per candidate, each pushed on its own."""
+    """Reference window: one ContextWindow per candidate, each pushed on its own,
+    and each stream drawn per schedule step."""
     streams = arng.substreams([key + (i,) for key in base_keys for i in range(group_size)])
     vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)
     summary = np.repeat(np.stack([ctx.summary() for ctx in ctxs]), group_size, axis=0)
     cand_ctxs = [ctx for ctx in ctxs for _ in range(group_size)]
+    frame_dim = ctxs[0].frame_dim
+    clip_shape = (params_old["b3"].shape[1] // frame_dim, frame_dim)
     clips, summaries = [], []
     for k in range(n_clips):
         if k:
             cand_ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(cand_ctxs, clips[-1])]
             summary = np.stack([ctx.summary() for ctx in cand_ctxs])
         summaries.append(summary)
-        clips.append(flowgen.sample_clips(params_old, summary, vecs, schedule, streams))
+        noise = per_step_noise(streams, schedule, clip_shape)
+        clips.append(flowgen.sample_clips(params_old, summary, vecs, schedule, noise))
     shape = (len(ctxs), group_size, n_clips)
     return (np.stack(clips, axis=1).reshape(*shape, *clips[0].shape[1:]),
             np.stack(summaries, axis=1).reshape(*shape, -1))

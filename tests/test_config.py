@@ -41,6 +41,13 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict({"group_sise": 8})
 
 
+def test_config_file_null_tuple_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"raw_timesteps": null}')
+    with pytest.raises(ValueError, match="invalid config: raw_timesteps"):
+        load_config(path)
+
+
 def test_config_file_must_be_object(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]")
@@ -110,6 +117,12 @@ def test_tuple_coercion():
     ("reward_weights", ("0.5", "0.25", "0.25")),
     ("reward_weights", (True, False, False)),
     ("raw_timesteps", ["1000", "10"]),
+    # Tuple fields are lists or tuples: a scalar or null is not iterable, and
+    # a dict or a string would be read through its keys or characters.
+    ("reward_weights", 0.5),
+    ("raw_timesteps", None),
+    ("raw_timesteps", {1000.0: 1, 500.0: 2}),
+    ("reward_weights", {0.5: "a", 0.25: "b", 0.125: "c"}),
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ValueError, match="invalid config"):

@@ -6,19 +6,30 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from astro import flowgen, rng as arng
+from astro import flowgen, longtune, streamctx, rng as arng
+from astro.config import RunConfig
 
 
 class CountingStream:
-    """Generator wrapper that counts standard_normal calls, to audit draw budgets."""
+    """Generator wrapper that records how many values each standard_normal
+    call draws, to audit draw budgets."""
 
     def __init__(self, gen: np.random.Generator):
         self.gen = gen
-        self.draws = 0
+        self.draws = []
 
-    def standard_normal(self, size=None):
-        self.draws += 1
-        return self.gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        values = self.gen.standard_normal(size, out=out)
+        self.draws.append(np.size(values))
+        return values
+
+
+def per_step_noise(streams, schedule, clip_shape):
+    """Reference sampler noise in the per-step draw order: one clip_shape
+    draw per row per schedule step, stacked as sample_clips takes it,
+    (len(streams), len(schedule), clip width)."""
+    return np.stack([np.stack([s.standard_normal(clip_shape) for s in streams])
+                     .reshape(len(streams), -1) for _ in range(len(schedule))], axis=1)
 
 
 def test_shift_map_hand_value():
@@ -152,10 +163,11 @@ def test_predict_clean_graph_path_matches_numpy_path():
 
 def test_counting_stream():
     counter = CountingStream(arng.substream(0, 1))
-    assert counter.draws == 0
+    assert counter.draws == []
     counter.standard_normal(5)
     counter.standard_normal((2, 3))
-    assert counter.draws == 2
+    counter.standard_normal(out=np.empty((4, 2)))
+    assert counter.draws == [5, 6, 8]
     # draws pass through unchanged
     plain = arng.substream(0, 1).standard_normal(5)
     again = CountingStream(arng.substream(0, 1)).standard_normal(5)
@@ -168,42 +180,76 @@ def sampler_world(seed, rows=5):
     return params, rng.standard_normal((rows, 16)), flowgen.make_schedule()
 
 
-def test_sample_clips_noise_draw_budget():
+def sampler_noise(keys, sched):
+    """One clip's noise from each key's stream, drawn per step (per_step_noise)."""
+    return per_step_noise([arng.substream(*key) for key in keys], sched, (4, 8))
+
+
+def test_sample_clips_noise_draw_budget(monkeypatch):
+    # Every rollout stream is asked once for its whole budget: n_clips * S * d
+    # values for a candidate, start_clip * S * d for a prompt's prefix.
     params, ctx, sched = sampler_world(5)
-    counters = [CountingStream(arng.substream(0, arng.CANDIDATE_STREAM, 0, 0, i))
-                for i in range(len(ctx))]
-    clips = flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, counters)
-    assert clips.shape == (len(ctx), 4, 8)
-    # per row: one initial noise draw plus one renoise per remaining schedule entry
-    assert [c.draws for c in counters] == [len(sched)] * len(ctx)
+    cfg = RunConfig(frame_dim=8, clip_len=4, prompt_dim=4, hidden=32, mode="long",
+                    total_clips=6, window_clips=3)
+    prompts = [flowgen.make_prompt(i, arng.substream(0, arng.PROMPT_STREAM, i), 4)
+               for i in range(3)]
+    streams = {}
+
+    def counting_substreams(keys):
+        gens = [CountingStream(arng.substream(*key)) for key in keys]
+        streams.update(zip(map(tuple, keys), gens))
+        return gens
+
+    monkeypatch.setattr(arng, "substreams", counting_substreams)
+    n_clips, g, width = 3, 4, 4 * 8
+    clips, _ = streamctx.group_rollout(
+        params, streamctx.ContextBatch.empty(len(prompts), cfg.sink_size, 8), prompts, g,
+        sched, [streamctx.group_base_key(0, 0, p.pid) for p in prompts], n_clips)
+    assert clips.shape == (len(prompts), g, n_clips, 4, 8)
+    assert len(streams) == len(prompts) * g
+    assert [c.draws for c in streams.values()] == [[n_clips * len(sched) * width]] * len(streams)
+    streams.clear()
+    longtune.rollout_prefix(params, prompts, 2, cfg, sched, 0)
+    assert sorted(key[1] for key in streams) == [arng.PREFIX_STREAM] * len(prompts)
+    assert [c.draws for c in streams.values()] == [[2 * len(sched) * width]] * len(prompts)
+    streams.clear()
+    longtune.rollout_prefix(params, prompts, 0, cfg, sched, 0)
+    assert streams == {}
+
+    noise = sampler_noise([(0, i) for i in range(len(ctx))], sched)
+    pv = np.ones(4) / 2.0
+    assert flowgen.sample_clips(params, ctx, pv, sched, noise).shape == (len(ctx), 4, 8)
+    for bad in (noise[:, :-1], noise[..., :-1], noise[:-1], noise[0], noise[:, None]):
+        with pytest.raises(ValueError):
+            flowgen.sample_clips(params, ctx, pv, sched, bad)
 
 
 def test_sample_clips_row_matches_single_row_call():
     params, ctx, sched = sampler_world(11)
     pv = np.ones(4) / 2.0
-    batch = flowgen.sample_clips(
-        params, ctx, pv, sched, [arng.substream(4, 2, 0, 1, i) for i in range(len(ctx))])
+    keys = [(4, 2, 0, 1, i) for i in range(len(ctx))]
+    batch = flowgen.sample_clips(params, ctx, pv, sched, sampler_noise(keys, sched))
     for i in range(len(ctx)):
         (alone,) = flowgen.sample_clips(params, ctx[i:i + 1], pv, sched,
-                                        [arng.substream(4, 2, 0, 1, i)])
+                                        sampler_noise(keys[i:i + 1], sched))
         assert np.max(np.abs(batch[i] - alone)) <= 1e-12
 
 
 def test_sample_clips_deterministic_per_key():
     params, ctx, sched = sampler_world(6, rows=1)
     pv = np.ones(4) / 2.0
-    a = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 0)])
-    b = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 0)])
-    c = flowgen.sample_clips(params, ctx, pv, sched, [arng.substream(9, 2, 1, 3, 1)])
+    a = flowgen.sample_clips(params, ctx, pv, sched, sampler_noise([(9, 2, 1, 3, 0)], sched))
+    b = flowgen.sample_clips(params, ctx, pv, sched, sampler_noise([(9, 2, 1, 3, 0)], sched))
+    c = flowgen.sample_clips(params, ctx, pv, sched, sampler_noise([(9, 2, 1, 3, 1)], sched))
     assert np.array_equal(a, b)
     assert np.any(a != c)
 
 
 def test_sample_clips_needs_one_context_row_per_stream():
     params, ctx, sched = sampler_world(7, rows=3)
-    streams = [arng.substream(0, i) for i in range(2)]
+    noise = sampler_noise([(0, i) for i in range(2)], sched)
     with pytest.raises(ValueError):
-        flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, streams)
+        flowgen.sample_clips(params, ctx, np.ones(4) / 2.0, sched, noise)
 
 
 def test_corpus_shapes_and_determinism():

@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from astro import flowgen, longtune, nftcore, rewardlab, streamctx, rng as arng
 from astro.config import RunConfig
+from test_flowgen import per_step_noise
 
 
 def small_config(**over):
@@ -139,16 +140,18 @@ def test_window_rollout_deterministic():
 
 
 def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
-    """Reference: one prompt's prefix decoded one row per call, then its group's window.
+    """Reference: one prompt's prefix decoded one row per call, then its group's window,
+    each stream drawn per schedule step.
 
     Returns (prefix context, window rows, window context rows), rows
     candidate-major.
     """
+    clip_shape = (cfg.clip_len, cfg.frame_dim)
     prefix = streamctx.empty_context(cfg.sink_size, 21, cfg.frame_dim)
     stream = arng.substream(cfg.seed, arng.PREFIX_STREAM, epoch, prompt.pid)
     for _ in range(spec.start_clip):
         (clip,) = flowgen.sample_clips(theta_old, prefix.summary()[None], prompt.vec,
-                                       schedule, [stream])
+                                       schedule, per_step_noise([stream], schedule, clip_shape))
         prefix = streamctx.push_clip(prefix, clip)
     g, w = cfg.group_size, spec.window_clips
     key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
@@ -157,7 +160,8 @@ def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
     rows, summaries = [], []
     for _ in range(w):
         summary = np.stack([ctx.summary() for ctx in ctxs])
-        clips = flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
+        clips = flowgen.sample_clips(theta_old, summary, prompt.vec, schedule,
+                                     per_step_noise(streams, schedule, clip_shape))
         ctxs = [streamctx.push_clip(ctx, clip) for ctx, clip in zip(ctxs, clips)]
         rows.append(clips.reshape(g, -1))
         summaries.append(summary)

@@ -15,6 +15,7 @@ import pytest
 from astro import flowgen, longtune, nftcore, rewardlab, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig
+from test_flowgen import per_step_noise
 from test_tensorgrad import reference_adamw_step
 
 
@@ -681,12 +682,14 @@ def test_train_epoch_advances_state():
 
 
 def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):
-    """Reference: one prompt's candidate group decoded on its own, G rows per call."""
+    """Reference: one prompt's candidate group decoded on its own, G rows per call,
+    each stream drawn per schedule step."""
     ctx = streamctx.empty_context(cfg.sink_size, 21, cfg.frame_dim)
     key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
     streams = [arng.substream(*key, i) for i in range(cfg.group_size)]
     summary = np.tile(ctx.summary(), (cfg.group_size, 1))
-    return flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, streams)
+    noise = per_step_noise(streams, schedule, (cfg.clip_len, cfg.frame_dim))
+    return flowgen.sample_clips(theta_old, summary, prompt.vec, schedule, noise)
 
 
 def short_mode_rollout(theta_old, prompts, epoch, cfg, schedule):

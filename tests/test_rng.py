@@ -56,6 +56,18 @@ def test_substreams_match_substream():
             assert np.array_equal(gen.standard_normal(shape), ref.standard_normal(shape)), key
 
 
+def test_normal_blocks_are_successive_draws():
+    # numpy's Generator keeps no normals between calls, so one block per
+    # stream holds that stream's successive smaller draws, in C order.
+    blocks = arng.normal_blocks(MIXED_KEYS, (2, 4, 32))
+    assert blocks.shape == (len(MIXED_KEYS), 2, 4, 32)
+    for key, block in zip(MIXED_KEYS, blocks):
+        ref = arng.substream(*key)
+        assert np.array_equal(block, np.stack([ref.standard_normal((4, 8))
+                                               for _ in range(8)]).reshape(2, 4, 32)), key
+    assert arng.normal_blocks([], (3,)).shape == (0, 3)
+
+
 def test_seed_states_match_seed_sequence():
     for length in range(1, 10):
         keys = [tuple((3 + i * 7919 + j * 104729) % 2**32 for j in range(length))
