@@ -146,7 +146,7 @@ def forward_path(x0: np.ndarray, eps: np.ndarray, t) -> np.ndarray:
     if x0.shape != eps.shape:
         raise ValueError(f"x0 shape {x0.shape} != eps shape {eps.shape}")
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails both comparisons
         raise ValueError("t outside [0, 1]")
     if t.ndim == 1:
         if x0.ndim != 2 or t.shape[0] != x0.shape[0]:
@@ -250,10 +250,12 @@ def sample_clips(params: dict[str, np.ndarray], ctx_rows, prompt_vec,
     row i starts from noise[i, 0] and renoises with noise[i, k+1] after
     step k, and is conditioned on ctx_rows[i], so a row's clip does not
     depend on which other rows share the batch. The callers draw each row's
-    block once per epoch (rng.normal_blocks). Every schedule step is one
-    (N, d) forward. Returns the final clean predictions, (N, clip_len,
-    frame_dim). A NonFiniteError carries the first row whose prediction is
-    not finite.
+    block once per epoch (rng.normal_blocks). The input rows, laid out as
+    assemble_input's, and the schedule's time features are built once; each
+    later step writes its features and renoised clip, (1-t)*pred + t*noise,
+    in place and runs one (N, d_in) forward. Returns the final clean
+    predictions, (N, clip_len, frame_dim). A NonFiniteError carries the
+    first row whose prediction is not finite.
     """
     ctx_rows = np.asarray(ctx_rows, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
@@ -264,11 +266,16 @@ def sample_clips(params: dict[str, np.ndarray], ctx_rows, prompt_vec,
     if ctx_rows.ndim != 2 or ctx_rows.shape[0] != n or ctx_rows.shape[1] % 2:
         raise ValueError(f"ctx_rows shape {ctx_rows.shape}, expected ({n}, 2*frame_dim)")
     frame_dim = ctx_rows.shape[1] // 2
-    x = noise[:, 0]
-    for k, t in enumerate(schedule.values):
-        pred = predict_clean_batch(params, x, t, ctx_rows, prompt_vec)
-        if k + 1 < len(schedule.values):
-            x = forward_path(pred, noise[:, k + 1], schedule.values[k + 1])
+    feats = time_features(np.array(schedule.values))
+    x = np.concatenate([noise[:, 0], np.broadcast_to(feats[0], (n, TIME_FEATURES)), ctx_rows,
+                        _rows(prompt_vec, n, np.shape(prompt_vec)[-1], "prompt_vec")], axis=1)
+    clip, times = x[:, :width], x[:, width:width + TIME_FEATURES]
+    pred = mlp_forward(params, x)
+    for k, t in enumerate(schedule.values[1:], 1):
+        np.multiply(pred, 1.0 - t, out=clip)
+        clip += t * noise[:, k]
+        times[...] = feats[k]
+        pred = mlp_forward(params, x)
     return pred.reshape(n, width // frame_dim, frame_dim)
 
 

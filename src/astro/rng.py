@@ -4,11 +4,13 @@ Every consumer of randomness in the training loop (candidate decoding, prefix
 rollout, noise levels, forward-path noise, window selection, ...) draws from
 its own counter-keyed substream, so changing how much one consumer draws never
 shifts what another one sees. Keys are plain int tuples fed to numpy's seed
-sequence machinery.
+sequence machinery; a part operator.index refuses (1.7) is a ValueError.
 
 `substreams(keys)` returns `[substream(*key) for key in keys]`, the same
 generators in the same states, but hashes all keys' seeds in one pass of
-array ops instead of building one SeedSequence per key.
+array ops instead of building one SeedSequence per key. Keys of one length
+whose parts are ints below 2**32 (the training loop's, for such seeds) are
+taken as one array of words, without a per-key loop.
 
 `normal_blocks(keys, shape)` draws each key's stream once, for its whole
 budget, with one in-place `standard_normal` call. numpy's Generator keeps no
@@ -21,6 +23,7 @@ epoch.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -45,18 +48,25 @@ _LANE_MASK = np.uint64(_MASK32)
 _XSHIFT = np.uint64(16)
 
 
+def _key_parts(key) -> list[int]:
+    """The key's parts as ints; a part operator.index refuses (1.7, "3") is refused."""
+    try:
+        parts = [operator.index(k) for k in key]
+    except TypeError:
+        raise ValueError(f"substream key parts must be integers, got {key!r}") from None
+    if not parts:
+        raise ValueError("substream key must be non-empty")
+    return parts
+
+
 def substream(*key: int) -> np.random.Generator:
     """Independent generator for an integer key tuple. Same key, same stream."""
-    if not key:
-        raise ValueError("substream key must be non-empty")
-    return np.random.default_rng(tuple(int(k) for k in key))
+    return np.random.default_rng(tuple(_key_parts(key)))
 
 
 def _entropy_words(key) -> list[int]:
     """numpy's little-endian uint32 expansion of a key: 0 -> [0], 2**40+3 -> [3, 256]."""
-    if not key:
-        raise ValueError("substream key must be non-empty")
-    key = [int(k) for k in key]
+    key = _key_parts(key)
     if min(key) < 0:
         raise ValueError("expected non-negative integer")
     if max(key) <= _MASK32:
@@ -137,7 +147,7 @@ class _State(ISeedSequence):
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.state) or np.dtype(dtype) != np.uint64:
+        if n_words != len(self.state) or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError("precomputed state serves PCG64 seeding only")
         return self.state
 
@@ -145,18 +155,28 @@ class _State(ISeedSequence):
 def substreams(keys) -> list[np.random.Generator]:
     """substream(*key) for every key, seeded in one vectorized pass.
 
-    Keys may differ in length and in word count; the seeds of all keys with
-    the same word count are hashed together. Each key still gets its own
-    PCG64, in the state substream would give it.
+    Keys of one length L with every part an int in [0, 2**32) are their own
+    words, one (n, L) array. Other keys may differ in length and in word
+    count; the seeds of all keys with the same word count are hashed
+    together. Each key gets its own PCG64, in the state substream gives it.
     """
-    words = [_entropy_words(key) for key in keys]
-    rows_by_length: dict[int, list[int]] = {}
-    for i, w in enumerate(words):
-        rows_by_length.setdefault(len(w), []).append(i)
+    try:
+        table = np.array(keys)
+    except ValueError:  # keys of different lengths
+        table = np.array(())
+    if table.ndim == 2 and table.size and table.dtype.kind in "iu" \
+            and table.min() >= 0 and table.max() <= _MASK32:
+        groups = [(range(len(keys)), table.astype(np.uint64))]
+    else:
+        words = [_entropy_words(key) for key in keys]
+        rows_by_length: dict[int, list[int]] = {}
+        for i, w in enumerate(words):
+            rows_by_length.setdefault(len(w), []).append(i)
+        groups = [(rows, np.array([words[i] for i in rows], dtype=np.uint64))
+                  for rows in rows_by_length.values()]
     gens = [None] * len(keys)
-    for rows in rows_by_length.values():
-        states = _seed_states(np.array([words[i] for i in rows], dtype=np.uint64))
-        for i, state in zip(rows, states):
+    for rows, group_words in groups:
+        for i, state in zip(rows, _seed_states(group_words)):
             gens[i] = np.random.Generator(np.random.PCG64(_State(state)))
     return gens
 

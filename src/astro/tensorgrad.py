@@ -13,7 +13,10 @@ gradient flows: an adjoint rule returns None in place of the gradient of a
 detached operand (a constant input, label or target) instead of computing
 it. backward(graph, loss) is that walk over the graph's own values;
 loss_pass records a loss's Tape once per structure and replays it on every
-step, the first included.
+step, the first included. A replay checks the leaves' shapes once and the
+finiteness only of the results a proof names (only tanh saturates, see
+PRIMITIVES); if one is not finite, the pass reruns checking every result,
+so its NonFiniteError names the primitive a fresh build's would.
 """
 
 from __future__ import annotations
@@ -175,18 +178,6 @@ class GradGraph:
 # its one operand is not detached.
 
 
-def _broadcast_ok(sa: tuple, sb: tuple) -> bool:
-    # Equal shapes always; a 0-d scalar against anything; otherwise only a
-    # (1, n) row against (B, n).
-    if sa == sb:
-        return True
-    if sa == () or sb == ():
-        return True
-    if len(sa) == 2 and len(sb) == 2 and sa[1] == sb[1]:
-        return sa[0] == 1 or sb[0] == 1
-    return False
-
-
 def _reduce_to(shape: tuple, g: np.ndarray) -> np.ndarray:
     # Undo broadcast in the adjoint: a 0-d operand collects the full sum, a
     # (1, n) row sums over rows.
@@ -197,18 +188,18 @@ def _reduce_to(shape: tuple, g: np.ndarray) -> np.ndarray:
     return g.sum(axis=0, keepdims=True)
 
 
-def _elementwise(op_id: str, ufunc):
-    def forward(a, b):
-        if not _broadcast_ok(a.shape, b.shape):
-            raise ShapeError(f"{op_id}: incompatible shapes {a.shape} and {b.shape}")
-        return ufunc(a, b)
-    return forward
-
-
-def _matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: need (m,k)@(k,n), got {a.shape} and {b.shape}")
-    return a @ b
+def _check_shapes(op_id: str, values: list) -> None:
+    # matmul takes (m,k)@(k,n); a binary elementwise primitive takes equal
+    # shapes, a 0-d scalar against anything, or a (1, n) row against (B, n).
+    if op_id == "matmul":
+        a, b = values
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+            raise ShapeError(f"matmul: need (m,k)@(k,n), got {a.shape} and {b.shape}")
+    elif len(values) == 2:
+        sa, sb = values[0].shape, values[1].shape
+        rows = len(sa) == len(sb) == 2 and sa[1] == sb[1] and 1 in (sa[0], sb[0])
+        if sa != sb and () not in (sa, sb) and not rows:
+            raise ShapeError(f"{op_id}: incompatible shapes {sa} and {sb}")
 
 
 def _add_adjoint(g, out, args, needs, kw):
@@ -239,19 +230,21 @@ def _mean_adjoint(g, out, args, needs, kw):
     return (np.full(a.shape, g / a.size),)
 
 
+# name -> (forward function, adjoint rule, saturates). Only tanh saturates, mapping inf
+# to 1; every other primitive keeps NaN and inf (inf*0 too) in a non-empty result.
 PRIMITIVES = {
-    "add": (_elementwise("add", np.add), _add_adjoint),
-    "sub": (_elementwise("sub", np.subtract), _sub_adjoint),
-    "mul": (_elementwise("mul", np.multiply), _mul_adjoint),
+    "add": (np.add, _add_adjoint, False),
+    "sub": (np.subtract, _sub_adjoint, False),
+    "mul": (np.multiply, _mul_adjoint, False),
     "scalar_mul": (lambda a, scalar: a * scalar,
-                   lambda g, out, args, needs, kw: (g * kw["scalar"],)),
-    "matmul": (_matmul, _matmul_adjoint),
-    "tanh": (np.tanh, lambda g, out, args, needs, kw: (g * (1.0 - out * out),)),
+                   lambda g, out, args, needs, kw: (g * kw["scalar"],), False),
+    "matmul": (np.matmul, _matmul_adjoint, False),
+    "tanh": (np.tanh, lambda g, out, args, needs, kw: (g * (1.0 - out * out),), True),
     "sum": (lambda a: np.asarray(a.sum()),
-            lambda g, out, args, needs, kw: (np.full(args[0].shape, g),)),
+            lambda g, out, args, needs, kw: (np.full(args[0].shape, g),), False),
     # ndarray.mean's own sum and division, without its Python-level wrapper.
-    "mean": (lambda a: np.asarray(np.add.reduce(a, axis=None) / a.size), _mean_adjoint),
-    "square": (lambda a: a * a, lambda g, out, args, needs, kw: (g * 2.0 * args[0],)),
+    "mean": (lambda a: np.asarray(np.add.reduce(a, axis=None) / a.size), _mean_adjoint, False),
+    "square": (lambda a: a * a, lambda g, out, args, needs, kw: (g * 2.0 * args[0],), False),
 }
 
 
@@ -268,6 +261,7 @@ def _checked(op_id: str, value):
 # As a decorator, errstate costs about 1 us less per call than a with-block.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _evaluate(op_id: str, values: list, kw: dict):
+    _check_shapes(op_id, values)
     return _checked(op_id, PRIMITIVES[op_id][0](*values, **kw))
 
 
@@ -328,50 +322,70 @@ def _slot_nodes(graph: GradGraph, outputs) -> tuple[list[Node], list[Node]]:
 
 
 class Tape:
-    """A recorded loss graph's structure: primitive names, operand slots and
-    keyword arguments, never an array or a Node. Slots number the parameters,
-    the declared inputs, every other constant the graph reads, then each
-    result; outputs[0] is the loss. forward and backward run the forward
-    functions and adjoint rules in the graph's orders, so a replay's values
-    and gradients are a fresh build's, bit for bit. A constant that is not a
-    declared input would freeze one call's values into every replay, so
-    forward refuses a tape that reads one; backward(graph, loss) walks such a
-    tape over the graph's own values."""
+    """A recorded loss graph's structure: primitives (bound at record time),
+    operand slots and keyword arguments, never an array or a Node. Slots
+    number the parameters, the declared inputs, every other constant the
+    graph reads, then each result; outputs[0] is the loss. forward and
+    backward run the forward functions and adjoint rules in the graph's
+    orders, so a replay's values and gradients are a fresh build's, bit for
+    bit. A constant that is not a declared input would freeze one call's
+    values into every replay, so forward refuses a tape that reads one;
+    backward(graph, loss) walks such a tape over the graph's own values."""
 
     def __init__(self, graph: GradGraph, outputs):
         leaves, results = _slot_nodes(graph, outputs)
         slot = {id(node): i for i, node in enumerate((*leaves, *results))}
         self.params, self.inputs = list(graph.params), list(graph.inputs)
         self.shapes = {name: p.shape for name, p in graph.params.items()}
+        self.leaf_shapes = [node.shape for node in leaves[:len(self.params) + len(self.inputs)]]
         self.frozen = len(leaves) - len(self.params) - len(self.inputs)
-        self.steps = [(node.op, [slot[id(p)] for p in node.parents], node.ctx)
-                      for node in results]
+        self.steps = [(node.op, PRIMITIVES[node.op][0], [slot[id(p)] for p in node.parents],
+                       node.ctx) for node in results]
         self.outputs = [slot[id(node)] for node in outputs]
+        # The finiteness proof: a step that neither saturates nor has an empty result
+        # keeps a non-finite operand non-finite, so a non-finite result reaches an
+        # output, a result no step reads or an absorbing step's operand: checks[0].
+        watched, read = set(self.outputs), set()
+        for node, (op, _, operands, _) in zip(results, self.steps):
+            (watched if PRIMITIVES[op][2] or node.size == 0 else read).update(operands)
+        self.checks = ([s in watched or s not in read for s in range(len(leaves), len(slot))],
+                       [True] * len(results))
         # The steps the loss's gradient reaches, in reverse, with which
         # operands need a gradient and whether it adds to one already written.
         reached, self.plan = {self.outputs[0]}, []
         for out in range(self.outputs[0], len(leaves) - 1, -1):
-            op, operands, kw = self.steps[out - len(leaves)]
+            op, fn, operands, kw = self.steps[out - len(leaves)]
             if out in reached:
                 adds = []
                 for s in operands:
                     adds.append(s in reached)
                     reached.add(s)
                 needs = [s < len(self.params) or s >= len(leaves) for s in operands]
-                self.plan.append((out, op, operands, kw, needs, adds))
+                self.plan.append((out, PRIMITIVES[op][1], operands, kw, needs, adds))
         self.untouched = [name for i, name in enumerate(self.params) if i not in reached]
 
     def forward(self, params: dict[str, np.ndarray], inputs: dict[str, np.ndarray]) -> list:
-        """Every slot's value at these parameters and inputs."""
+        """Every slot's value at these parameters and inputs. The leaves' shapes, which
+        fix every result's, are checked once; finiteness at the proof's results, and if
+        one fails, at every result of a rerun, which raises where a fresh build does."""
         if self.frozen:
             raise GraphError("the tape reads a constant that is not a declared input")
-        values = ([_as_array(params[name]) for name in self.params]
+        leaves = ([_as_array(params[name]) for name in self.params]
                   + [_as_array(inputs[name]) for name in self.inputs])
+        if [leaf.shape for leaf in leaves] != self.leaf_shapes:
+            raise ShapeError(f"leaf shapes differ from the recorded {self.leaf_shapes}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for op, operands, kw in self.steps:
-                values.append(_checked(op, PRIMITIVES[op][0](*[values[s] for s in operands],
-                                                             **kw)))
-        return values
+            for every, checks in enumerate(self.checks):
+                values = leaves.copy()
+                try:
+                    for (op, fn, operands, kw), check in zip(self.steps, checks):
+                        values.append(fn(*[values[s] for s in operands], **kw))
+                        if check:
+                            _checked(op, values[-1])
+                    return values
+                except NonFiniteError:
+                    if every:
+                        raise
 
     def backward(self, values: list) -> FlatParams:
         """The loss's gradients from every slot's value, as FlatParams in
@@ -379,9 +393,8 @@ class Tape:
         out = _layout(self.shapes)
         grads = [None] * len(values)
         grads[self.outputs[0]] = np.ones(())
-        for slot, op, operands, kw, needs, adds in self.plan:
-            adjoints = PRIMITIVES[op][1](grads[slot], values[slot],
-                                         [values[s] for s in operands], needs, kw)
+        for slot, adjoint, operands, kw, needs, adds in self.plan:
+            adjoints = adjoint(grads[slot], values[slot], [values[s] for s in operands], needs, kw)
             grads[slot] = None
             for s, add, pg in zip(operands, adds, adjoints):
                 if pg is None:

@@ -76,6 +76,15 @@ def test_forward_path_per_row_t():
     assert np.array_equal(out[2], eps[2])
 
 
+def test_forward_path_refuses_nan_t():
+    # NaN fails every comparison, so a range test written as "t < 0 or t > 1"
+    # would let it through and return NaN rows.
+    x0, eps = np.zeros((3, 5)), np.ones((3, 5))
+    for t in (np.nan, np.array([0.5, np.nan, 0.25])):
+        with pytest.raises(ValueError, match=r"t outside \[0, 1\]"):
+            flowgen.forward_path(x0, eps, t)
+
+
 def test_forward_path_second_moment_monte_carlo():
     # E||x^t||^2 = (1-t)^2 ||x0||^2 + t^2 * dim for standard normal noise.
     rng = np.random.default_rng(2)
@@ -233,6 +242,28 @@ def test_sample_clips_row_matches_single_row_call():
         (alone,) = flowgen.sample_clips(params, ctx[i:i + 1], pv, sched,
                                         sampler_noise(keys[i:i + 1], sched))
         assert np.max(np.abs(batch[i] - alone)) <= 1e-12
+
+
+def reference_sample_clips(params, ctx, pv, sched, noise):
+    """The sampler as one predict_clean_batch and one forward_path per step."""
+    x = noise[:, 0]
+    for k, t in enumerate(sched.values):
+        pred = flowgen.predict_clean_batch(params, x, t, ctx, pv)
+        if k + 1 < len(sched):
+            x = flowgen.forward_path(pred, noise[:, k + 1], sched.values[k + 1])
+    return pred.reshape(len(noise), 4, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 192])
+def test_sample_clips_equals_per_step_reference(n):
+    rng = np.random.default_rng(n)
+    params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=128)
+    sched = flowgen.make_schedule()
+    ctx = rng.standard_normal((n, 16))
+    noise = rng.standard_normal((n, len(sched), 32))
+    for pv in (rng.standard_normal(4), rng.standard_normal((n, 4))):
+        assert np.array_equal(flowgen.sample_clips(params, ctx, pv, sched, noise),
+                              reference_sample_clips(params, ctx, pv, sched, noise))
 
 
 def test_sample_clips_deterministic_per_key():

@@ -89,7 +89,25 @@ def test_substreams_of_no_keys():
     assert arng.substreams([]) == []
 
 
-@pytest.mark.parametrize("key", [(0, -1), (-5,), ()])
+def test_one_word_keys_take_the_array_path(monkeypatch):
+    # Keys of one length with parts in [0, 2**32) skip the per-key word
+    # expansion; keys reaching 2**32 still take it. Both give substream's state.
+    edge = [(2**32 - 1, arng.CANDIDATE_STREAM, 0, p, i) for p in range(3) for i in range(4)]
+    wide = [(2**32,) + key[1:] for key in edge]
+    for keys in (edge, wide, edge + wide):
+        for key, gen in zip(keys, arng.substreams(keys)):
+            assert gen.bit_generator.state == arng.substream(*key).bit_generator.state, key
+
+    def refused(key):
+        raise AssertionError("per-key word expansion")
+
+    monkeypatch.setattr(arng, "_entropy_words", refused)
+    assert len(arng.substreams(edge)) == len(edge)
+    with pytest.raises(AssertionError):
+        arng.substreams(wide)
+
+
+@pytest.mark.parametrize("key", [(0, -1), (-5,), (), (0, 1.5)])
 def test_substreams_reject_what_substream_rejects(key):
     with pytest.raises(ValueError):
         arng.substream(*key)

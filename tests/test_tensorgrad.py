@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -174,15 +175,15 @@ def test_gradient_matches_finite_differences_small_nets():
             assert rel_err(grads[name], fd) <= 1e-7, f"trial {trial} param {name}"
 
 
-def every_primitive_loss(params, x, graph=None):
+def every_primitive_loss(params, x, graph=None, offset=0.25):
     """One expression whose tape records every primitive; numpy fallback mirrors it."""
     if graph is None:
         h = np.tanh(x @ params["w"])
-        piece = (h + params["c"] * h - 0.25) * 0.5
+        piece = (h + params["c"] * h - offset) * 0.5
         return float(np.sum(piece ** 2)) + float(np.mean(h))
     p = graph.parameters(params)
     h = (graph.input("x", x) @ p["w"]).tanh()
-    piece = (h + p["c"] * h - graph.input("offset", 0.25)) * 0.5
+    piece = (h + p["c"] * h - graph.input("offset", offset)) * 0.5
     return piece.square().sum() + h.mean()
 
 
@@ -408,7 +409,8 @@ def every_primitive_case(seed: int = 11):
     rng = np.random.default_rng(seed)
     params = {"w": rng.standard_normal((4, 3)), "c": rng.standard_normal((2, 3))}
     return (params, {"x": rng.standard_normal((2, 4)), "offset": np.asarray(0.25)},
-            lambda graph, p, inputs: (every_primitive_loss(p, inputs["x"], graph),))
+            lambda graph, p, inputs: (every_primitive_loss(p, inputs["x"], graph,
+                                                           inputs["offset"]),))
 
 
 def shared_weight_case(seed: int = 12):
@@ -451,6 +453,70 @@ def test_backward_is_bit_identical_to_whole_tape_walk(case):
     assert list(grads) == list(expected)
     assert np.array_equal(grads.flat, expected.flat)
     assert np.any(grads.flat != 0.0)
+
+
+def nonfinite_message(fn):
+    """fn()'s NonFiniteError message, or its result when it raises none."""
+    try:
+        return fn()
+    except tg.NonFiniteError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_replay_raises_where_a_fresh_build_does(case):
+    # The replay checks only the results the finiteness proof names, then
+    # reruns checking every result; it must fail, or pass, as a Node build of
+    # the same arrays does. Each leaf in turn gets one NaN, +inf or -inf.
+    params, inputs, build = CASES[case]()
+    tapes = {}
+    tg.loss_pass(tapes, (), params, inputs, build)[1]()
+    for name, bad in itertools.product([*params, *inputs], (np.nan, np.inf, -np.inf)):
+        arrays = {k: np.array(v) for k, v in {**params, **inputs}.items()}
+        arrays[name].flat[arrays[name].size // 2] = bad
+        p, x = {k: arrays[k] for k in params}, {k: arrays[k] for k in inputs}
+        replayed = nonfinite_message(lambda: tg.loss_pass(tapes, (), p, x, build)[0])
+        fresh = nonfinite_message(
+            lambda: [float(node.value) for node in build(tg.GradGraph(), p, x)])
+        assert replayed == fresh, (name, bad)
+        if bad is np.nan:
+            assert isinstance(fresh, str) and fresh.startswith("primitive ")
+    assert len(tapes) == 1
+
+
+# Operand shapes for each primitive's premise check: equal shapes, a (1, n)
+# row and a 0-d scalar for the elementwise ones; matrix-vector and
+# matrix-matrix products for matmul.
+PREMISE_SHAPES = {
+    **{op: [((3, 4), (3, 4)), ((1, 4), (3, 4)), ((3, 4), (1, 4)), ((), (3, 4)), ((3, 4), ())]
+       for op in ("add", "sub", "mul")},
+    "matmul": [((1, 3), (3, 1)), ((1, 5), (5, 7)), ((6, 5), (5, 1)), ((4, 3), (3, 6)),
+               ((24, 37), (37, 32))],
+    **{op: [((3, 4),), ((),)] for op in ("scalar_mul", "tanh", "sum", "mean", "square")},
+}
+
+
+def test_only_saturating_primitives_make_nonfinite_operands_finite():
+    # The premise of the tape's finiteness proof: a NaN or inf in any operand,
+    # next to zeros, stays non-finite in the result unless the primitive is
+    # marked saturating, and only tanh is (it maps inf to 1).
+    assert set(PREMISE_SHAPES) == set(tg.PRIMITIVES)
+    assert {op for op, (_, _, saturates) in tg.PRIMITIVES.items() if saturates} == {"tanh"}
+    rng = np.random.default_rng(5)
+    with np.errstate(all="ignore"):
+        assert np.isfinite(tg.PRIMITIVES["tanh"][0](np.array([np.inf, -np.inf]))).all()
+        for op, (forward, _, saturates) in tg.PRIMITIVES.items():
+            kws = [{"scalar": 0.0}, {"scalar": 2.0}] if op == "scalar_mul" else [{}]
+            for shapes, kw, bad, fill in itertools.product(
+                    PREMISE_SHAPES[op], kws, (np.nan, np.inf, -np.inf),
+                    (np.zeros, rng.standard_normal)):
+                for pos, shape in enumerate(shapes):
+                    for at in range(math.prod(shape)):
+                        values = [fill(other) for other in shapes]
+                        values[pos] = np.zeros(shape)
+                        values[pos].flat[at] = bad
+                        out = np.asarray(forward(*values, **kw))
+                        assert saturates or not np.isfinite(out).all(), (op, shapes, pos, bad)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -506,12 +572,12 @@ def test_overflow_raises_at_the_primitive_that_made_it_on_replay():
 
 def test_no_adjoint_is_formed_for_a_detached_operand(monkeypatch):
     calls = []
-    for op, (forward, adjoint) in list(tg.PRIMITIVES.items()):
+    for op, (forward, adjoint, saturates) in list(tg.PRIMITIVES.items()):
         def recorded(g, out, args, needs, kw, adjoint=adjoint, op=op):
             result = adjoint(g, out, args, needs, kw)
             calls.append((op, list(needs), result))
             return result
-        monkeypatch.setitem(tg.PRIMITIVES, op, (forward, recorded))
+        monkeypatch.setitem(tg.PRIMITIVES, op, (forward, recorded, saturates))
     graph, loss = group_loss(True)
     tg.backward(graph, loss)
     walked = [node for node in reversed(graph.nodes) if node.op != "param"]
