@@ -101,25 +101,30 @@ class RunState:
         """Inverse of to_arrays, each policy and moment one flat buffer again.
 
         A checkpoint of another seed is refused: its random streams would mix
-        with cfg's. So is one whose network has another shape than cfg's.
-        Entries it does not read (older checkpoints carry a risk buffer and
-        a rho) are ignored."""
+        with cfg's. So is one in which any of the five buffers has another
+        network shape than cfg's; the moments may be absent only before the
+        optimizer's first step (opt_t 0). Entries it does not read (older
+        checkpoints carry a risk buffer and a rho) are ignored."""
         if int(meta["seed"]) != cfg.seed:
             raise ValueError(f"checkpoint was written with seed {meta['seed']}; "
                              f"cannot resume it with seed {cfg.seed}")
-        theta, theta_old, theta_ref, m, v = (
-            tg.flatten({k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)})
-            for prefix in BUFFER_PREFIXES)
-        shapes = flowgen.net_shapes(cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
-        for name in (*shapes, *sorted(theta.keys() - shapes.keys())):
-            got = theta[name].shape if name in theta else None
-            if got != shapes.get(name):
-                raise ValueError(f"checkpoint parameter {name!r} has shape {got}; "
-                                 f"the config implies {shapes.get(name)}")
         extra = meta["extra"]
+        opt_t = int(extra["opt_t"])
+        buffers = [tg.flatten({k[len(prefix):]: a for k, a in arrays.items()
+                               if k.startswith(prefix)}) for prefix in BUFFER_PREFIXES]
+        shapes = flowgen.net_shapes(cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
+        for prefix, params in zip(BUFFER_PREFIXES, buffers):
+            if not params and prefix.startswith("opt/") and opt_t == 0:
+                continue
+            for name in (*shapes, *sorted(params.keys() - shapes.keys())):
+                got = params[name].shape if name in params else None
+                if got != shapes.get(name):
+                    raise ValueError(f"checkpoint {prefix[:-1]} parameter {name!r} has shape "
+                                     f"{got}; the config implies {shapes.get(name)}")
+        theta, theta_old, theta_ref, m, v = buffers
         run = cls.fresh(cfg, {})
         run.policies = PolicyTriple(theta=theta, theta_old=theta_old, theta_ref=theta_ref)
-        run.optimizer.t, run.optimizer.m, run.optimizer.v = int(extra["opt_t"]), m, v
+        run.optimizer.t, run.optimizer.m, run.optimizer.v = opt_t, m, v
         run.state = TrainState(epoch=int(meta["epoch"]), steps=int(extra["steps"]),
                                last_reset_epoch=int(extra["last_reset_epoch"]))
         norm = {k: arrays[f"norm/{k}"] for k in ("count", "mean", "m2")}
@@ -252,7 +257,6 @@ class ScoredGroup:
     advantages: np.ndarray
     mask: np.ndarray
     tau: float
-    inputs: dict | None = None  # its epoch_loss_inputs, once prepare_epoch sets them
 
 
 def score_groups(groups: list[GroupData], cfg: RunConfig,
@@ -336,17 +340,10 @@ def step_inputs(fixed: dict[str, np.ndarray], theta_old: dict[str, np.ndarray],
     return {**fixed, "old_plus": (1.0 - cfg.beta) * v_old, "old_minus": (1.0 + cfg.beta) * v_old}
 
 
-def group_loss_inputs(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig,
-                      t: float, eps: np.ndarray) -> dict[str, np.ndarray]:
-    """Every array one group's loss reads, at noise level t and noise eps."""
-    fixed = epoch_loss_inputs(policies.theta_ref, [scored], cfg, [t], eps[None])[0]
-    return step_inputs(fixed, policies.theta_old, cfg)
-
-
 def group_loss_graph(graph: tg.GradGraph, theta: tg.FlatParams, inputs: dict[str, np.ndarray],
                      cfg: RunConfig):
-    """One group's loss on graph over theta and group_loss_inputs' arrays,
-    each a declared input; the branches are implicit_policies' with their
+    """One group's loss on graph over theta and step_inputs' arrays, each a
+    declared input; the branches are implicit_policies' with their
     behavior terms as inputs. Returns (loss, policy term, KL term), or with
     no row masked (policy term, policy term): the KL term is then 0."""
     c = {name: graph.input(name, value) for name, value in inputs.items() if name != "x"}
@@ -365,11 +362,12 @@ def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig
     """Assemble one mini-batch loss graph. Returns (graph, loss node, info).
 
     Only theta lives on the graph; everything else enters as a declared
-    input from group_loss_inputs.
+    input, built for this one group as prepare_epoch builds it for all.
     """
+    fixed = epoch_loss_inputs(policies.theta_ref, [scored], cfg, [t], eps[None])[0]
     graph = tg.GradGraph()
     outputs = group_loss_graph(graph, policies.theta,
-                               group_loss_inputs(policies, scored, cfg, t, eps), cfg)
+                               step_inputs(fixed, policies.theta_old, cfg), cfg)
     values = [float(node.value) for node in outputs]
     info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0,
             "masked": int(scored.mask[scored.data.row_candidate].sum()),
@@ -377,19 +375,14 @@ def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig
     return graph, outputs[0], info
 
 
-def optimize_group(run: RunState, scored: ScoredGroup, cfg: RunConfig,
-                   schedule: flowgen.TimestepSchedule) -> dict:
-    """One optimizer step on one prompt group, at epoch run.state.epoch; EMA
-    tick if configured per step. The loss reads scored.inputs (a group
-    without them is prepared alone) with theta_old's step_inputs, and runs
-    the run's tape for its structure, recorded from group_loss_graph when
-    first seen; each phase's wall time is added to run.timings."""
+def optimize_group(run: RunState, fixed: dict[str, np.ndarray], cfg: RunConfig) -> dict:
+    """One optimizer step on one prompt group, from its epoch_loss_inputs
+    fixed; EMA tick if configured per step. The loss reads fixed with
+    theta_old's step_inputs, and runs the run's tape for its structure,
+    recorded from group_loss_graph when first seen; each phase's wall time
+    is added to run.timings."""
     policies, state, lap = run.policies, run.state, run.timings.lap
     since = time.perf_counter()
-    fixed = scored.inputs
-    if fixed is None:
-        fixed = epoch_loss_inputs(policies.theta_ref, [scored], cfg,
-                                  *draw_noise(cfg, schedule, state.epoch, [scored.data]))[0]
     values, finish = tg.loss_pass(
         run.tapes, (cfg.beta, cfg.lambda_kl), policies.theta,
         step_inputs(fixed, policies.theta_old, cfg),
@@ -435,10 +428,11 @@ def abort_on_nonfinite(epoch: int, prompts: list[flowgen.Prompt], rows_per_promp
 
 
 def prepare_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
-                  schedule: flowgen.TimestepSchedule) -> list[ScoredGroup]:
+                  schedule: flowgen.TimestepSchedule
+                  ) -> tuple[list[ScoredGroup], list[dict[str, np.ndarray]]]:
     """The part of an epoch that no optimizer step changes, for all groups at
-    once: score_groups, then the draws and epoch_loss_inputs at theta_ref,
-    which moves only at epoch end, timed as the judges and loss_inputs phases.
+    once: (score_groups, each group's epoch_loss_inputs at theta_ref, which
+    moves only at epoch end), timed as the judges and loss_inputs phases.
     A non-finite theta_ref row aborts the epoch, naming the row's prompt."""
     epoch, since = run.state.epoch, time.perf_counter()
     scored_groups = score_groups(groups, cfg, run.normalizer)
@@ -446,10 +440,8 @@ def prepare_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
     ts, eps = draw_noise(cfg, schedule, epoch, groups)
     with abort_on_nonfinite(epoch, [d.prompt for d in groups], len(groups[0].x0_rows)):
         inputs = epoch_loss_inputs(run.policies.theta_ref, scored_groups, cfg, ts, eps)
-    for scored, fixed in zip(scored_groups, inputs):
-        scored.inputs = fixed
     run.timings.lap("loss_inputs", since)
-    return scored_groups
+    return scored_groups, inputs
 
 
 def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
@@ -461,12 +453,12 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
     caller; advances run.state.epoch once every group is optimized."""
     policies, state = run.policies, run.state
     epoch = state.epoch
-    scored_groups = prepare_epoch(run, groups, cfg, schedule)
+    scored_groups, inputs = prepare_epoch(run, groups, cfg, schedule)
 
     infos = []
-    for scored in scored_groups:
-        with abort_on_nonfinite(epoch, [scored.data.prompt], len(scored.data.x0_rows)):
-            infos.append(optimize_group(run, scored, cfg, schedule))
+    for data, fixed in zip(groups, inputs):
+        with abort_on_nonfinite(epoch, [data.prompt], len(data.x0_rows)):
+            infos.append(optimize_group(run, fixed, cfg))
 
     since = time.perf_counter()
     kl_epoch = float(np.mean([i["kl_loss"] for i in infos]))

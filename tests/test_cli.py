@@ -291,6 +291,14 @@ def test_zero_epochs_writes_checkpoint_only(tmp_path):
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     assert (out_dir / "checkpoint.bin").exists()
     assert not (out_dir / "metrics.jsonl").exists()
+    # Its checkpoint holds no moments (AdamW makes them at its first step),
+    # and resuming it trains.
+    arrays, meta = runio.load_checkpoint(out_dir / "checkpoint.bin")
+    assert meta["extra"]["opt_t"] == 0 and not any(k.startswith("opt/") for k in arrays)
+    more_path = write_config(tmp_path, tiny_config(epochs=1), name="more.json")
+    assert cli.main(["train", "--config", str(more_path), "--out", str(out_dir),
+                     "--resume", str(out_dir / "checkpoint.bin")]) == 0
+    assert [r["epoch"] for r in runio.read_metrics(out_dir / "metrics.jsonl")] == [0]
 
 
 def test_verify_theory_command(capsys):
@@ -387,6 +395,33 @@ def test_resume_under_another_network_shape_is_refused(tmp_path):
                   "--resume", str(out_dir / "checkpoint.bin")])
     # Nothing under out_dir was written.
     assert {p: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+def drop_moments(arrays):
+    return {k: a for k, a in arrays.items() if not k.startswith(("opt/m/", "opt/v/"))}
+
+
+def short_reference_row(arrays):
+    return dict(arrays, **{"theta_ref/w1": arrays["theta_ref/w1"][:-1]})
+
+
+@pytest.mark.parametrize("damage, message", [
+    (drop_moments, r"opt/m parameter 'w1' has shape None; the config implies \(24, 16\)"),
+    (short_reference_row, r"theta_ref parameter 'w1' has shape \(23, 16\).*\(24, 16\)"),
+], ids=["no_moments", "short_reference"])
+def test_resume_of_a_damaged_checkpoint_is_refused(tmp_path, damage, message):
+    # Every buffer of the checkpoint is checked, not only theta: moments
+    # missing after optimizer steps would be silently re-zeroed, and a
+    # reference of the wrong shape would fail mid-epoch.
+    assert cli.run_training(tiny_config(epochs=1), tmp_path / "first")["status"] == "ok"
+    arrays, meta = runio.load_checkpoint(tmp_path / "first" / "checkpoint.bin")
+    assert meta["extra"]["opt_t"] == 2
+    damaged = tmp_path / "damaged.bin"
+    runio.save_checkpoint(damaged, damage(arrays), seed=meta["seed"], epoch=meta["epoch"],
+                          extra=meta["extra"])
+    with pytest.raises(ValueError, match=message):
+        cli.run_training(tiny_config(epochs=2), tmp_path / "resumed", resume=str(damaged))
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_resume_under_another_group_size_completes(tmp_path):

@@ -16,7 +16,7 @@ from astro import flowgen, longtune, nftcore, rewardlab, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig
 from test_flowgen import per_step_noise
-from test_tensorgrad import reference_adamw_step
+from test_tensorgrad import one_group_inputs, reference_adamw_step
 
 
 def small_config(**over):
@@ -37,6 +37,13 @@ def make_world(cfg, n_prompts=2):
                                    cfg.prompt_dim)
                for i in range(n_prompts)]
     return run, schedule, prompts
+
+
+def prepared_inputs(run, scored, cfg, schedule):
+    """scored's epoch_loss_inputs at run's epoch, drawn as prepare_epoch draws them."""
+    return nftcore.epoch_loss_inputs(
+        run.policies.theta_ref, [scored], cfg,
+        *nftcore.draw_noise(cfg, schedule, run.state.epoch, [scored.data]))[0]
 
 
 # --- advantages and soft labels ---
@@ -176,7 +183,7 @@ def test_batch_policy_loss_node_path_matches_numpy():
 
 
 def kl_weights(mask, width):
-    """The mask weights and scale group_loss_inputs builds for selective_kl_loss."""
+    """The mask weights and scale epoch_loss_inputs builds for selective_kl_loss."""
     return (np.repeat(mask[:, None], width, axis=1).astype(np.float64),
             np.asarray(1.0 / float(mask.sum() * width)))
 
@@ -212,13 +219,13 @@ def test_selective_kl_empty_mask_is_plain_zero():
     scored = synthetic_scored_group(cfg, rng)
     scored.mask[:] = False
     eps = rng.standard_normal(scored.data.x0_rows.shape)
-    inputs = nftcore.group_loss_inputs(policies, scored, cfg, 0.8, eps)
+    inputs = one_group_inputs(policies, scored, cfg, 0.8, eps)
     assert sorted(inputs) == ["old_minus", "old_plus", "w", "w_neg", "x", "x0"]
     graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
     assert info["kl_loss"] == 0.0 and info["masked"] == 0
     assert float(loss.value) == info["policy_loss"]
     scored.mask[1] = True
-    inputs = nftcore.group_loss_inputs(policies, scored, cfg, 0.8, eps)
+    inputs = one_group_inputs(policies, scored, cfg, 0.8, eps)
     m, scale = kl_weights(scored.mask, inputs["x0"].shape[1])
     assert np.array_equal(inputs["m"], m) and inputs["kl_scale"] == scale
     assert np.array_equal(inputs["w_neg"], 1.0 - inputs["w"])
@@ -377,10 +384,10 @@ def test_optimize_group_ema_interval():
     scored = synthetic_scored_group(cfg, rng)
 
     before = tg.flatten(policies.theta_old)
-    nftcore.optimize_group(run, scored, cfg, schedule)
+    nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     for k in before:  # steps=1, interval 2: no EMA tick yet
         assert np.array_equal(policies.theta_old[k], before[k])
-    nftcore.optimize_group(run, scored, cfg, schedule)
+    nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     assert any(not np.array_equal(policies.theta_old[k], before[k]) for k in before)
     assert run.state.steps == 2
 
@@ -424,12 +431,12 @@ def test_optimize_group_frees_its_graph_without_gc(graphs_without_gc):
     cfg = small_config()
     run, schedule, _ = make_world(cfg)
     scored = synthetic_scored_group(cfg, np.random.default_rng(14))
-    nftcore.optimize_group(run, scored, cfg, schedule)
+    nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     assert len(graphs_without_gc) == 1
     assert graphs_without_gc[0]() is None
     # The recorded tape is replayed by the next step: no graph is built.
     assert len(run.tapes) == 1 and holds_no_values(run.tapes)
-    nftcore.optimize_group(run, scored, cfg, schedule)
+    nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     assert len(graphs_without_gc) == 1 and len(run.tapes) == 1
 
 
@@ -481,8 +488,8 @@ def test_optimize_group_computes_grad_norm_once(monkeypatch):
     norm = tg.global_norm
     monkeypatch.setattr(tg, "global_norm", lambda grads: calls.append(1) or norm(grads))
     for max_norm in (1e-9, 1e9):  # clipped and unclipped
-        info = nftcore.optimize_group(run, scored, small_config(max_grad_norm=max_norm),
-                                      schedule)
+        info = nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule),
+                                      small_config(max_grad_norm=max_norm))
         assert info["grad_norm"] > 0.0
     assert len(calls) == 2
 
@@ -508,7 +515,7 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
     reference_adamw_step(theta_ref, scaled, m_ref, v_ref, 1, cfg.lr, cfg.adam_beta1,
                          cfg.adam_beta2, cfg.adam_eps, cfg.weight_decay)
 
-    info = nftcore.optimize_group(run, scored, cfg, schedule)
+    info = nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     assert info["grad_norm"] == norm
     for k in theta_ref:
         assert np.array_equal(policies.theta[k], theta_ref[k]), k
@@ -620,19 +627,56 @@ def test_prepared_epoch_matches_per_group_reference_bit_for_bit(source):
     run.state.epoch = 3
     groups = window_groups(cfg, prompts, rng)
     want = per_group_preparation(run, groups, cfg, schedule)
-    got = nftcore.prepare_epoch(run, groups, cfg, schedule)
+    got, fixed = nftcore.prepare_epoch(run, groups, cfg, schedule)
     # masked rows in groups 0 and 2, in different numbers; none in group 1
     assert 0 < want[0][2].sum() != want[2][2].sum() > 0 and not want[1][2].any()
     assert len(set(want[2][0][:, rewardlab.MQ])) < cfg.group_size
-    for scored, (raw, adv, mask, tau, inputs) in zip(got, want):
+    for scored, prepared, (raw, adv, mask, tau, inputs) in zip(got, fixed, want):
         assert np.array_equal(scored.raw_scores, raw)
         assert np.array_equal(scored.advantages, adv)
         assert np.array_equal(scored.mask, mask) and scored.tau == tau
-        step = nftcore.step_inputs(scored.inputs, run.policies.theta_old, cfg)
+        step = nftcore.step_inputs(prepared, run.policies.theta_old, cfg)
         assert sorted(step) == sorted(inputs)
         for name, value in inputs.items():
             assert np.array_equal(step[name], value), name
     assert run.optimizer.t == 0 and len(run.tapes) == 0
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_train_epoch_prepares_its_inputs_once(monkeypatch, mode):
+    # Inside train_epoch, and not in the rollout before it: one
+    # epoch_loss_inputs call, one theta_ref forward over all P groups' rows,
+    # then one theta_old forward per step. The loss tapes' own forwards
+    # build graphs or replay tapes and do not call the numpy forward.
+    cfg = small_config(mode=mode, prompts_per_epoch=3, total_clips=3, window_clips=2)
+    run, schedule, prompts = make_world(cfg, n_prompts=3)
+    rows = cfg.group_size * (cfg.window_clips if mode == "long" else 1)
+    inside, prepared, forwards = [], [], []
+    train_epoch, build, forward = (nftcore.train_epoch, nftcore.epoch_loss_inputs,
+                                   flowgen.mlp_forward)
+
+    def counted_epoch(*args, **kwargs):
+        inside.append(True)
+        try:
+            return train_epoch(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_forward(params, x, graph=None):
+        if inside and graph is None:
+            forwards.append(len(x))
+        return forward(params, x, graph)
+
+    monkeypatch.setattr(nftcore, "train_epoch", counted_epoch)
+    monkeypatch.setattr(nftcore, "epoch_loss_inputs",
+                        lambda *args: prepared.append(1) or build(*args))
+    monkeypatch.setattr(flowgen, "mlp_forward", counted_forward)
+    for epoch in range(2):  # the second epoch replays the first one's tapes
+        prepared.clear()
+        forwards.clear()
+        longtune.train_window_epoch(run, prompts, cfg, schedule)
+        assert len(prepared) == 1, epoch
+        assert forwards == [len(prompts) * rows] + [rows] * len(prompts), epoch
 
 
 def test_nonfinite_reference_row_aborts_before_the_first_step():
@@ -764,8 +808,9 @@ def test_first_layer_overflow_aborts_at_its_matmul():
     run, schedule, _ = make_world(cfg)
     run.policies.theta["w1"][...] = np.finfo(np.float64).max
     rng = np.random.default_rng(17)
+    scored = synthetic_scored_group(cfg, rng)
     with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
-        nftcore.optimize_group(run, synthetic_scored_group(cfg, rng), cfg, schedule)
+        nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     groups = [synthetic_scored_group(cfg, rng).data for _ in range(2)]
     with pytest.raises(nftcore.EpochAborted) as exc:
         nftcore.train_epoch(run, groups, cfg, schedule)

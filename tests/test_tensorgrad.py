@@ -369,6 +369,13 @@ def reference_backward(graph, loss):
                        for name, p in graph.params.items()})
 
 
+def one_group_inputs(policies, scored, cfg, t, eps):
+    """Every array one group's loss reads, at noise level t and noise eps: its
+    epoch_loss_inputs alone, with theta_old's step_inputs."""
+    fixed = nftcore.epoch_loss_inputs(policies.theta_ref, [scored], cfg, [t], eps[None])[0]
+    return nftcore.step_inputs(fixed, policies.theta_old, cfg)
+
+
 def group_case(masked: bool, seed: int = 21):
     """build_group_loss's pieces at generator scale on a synthetic G=8 group:
     (theta, inputs, build). With masked=False the KL term is absent."""
@@ -387,8 +394,7 @@ def group_case(masked: bool, seed: int = 21):
     scored = nftcore.ScoredGroup(data=data, raw_scores=np.zeros((g, 3)),
                                  advantages=nftcore.compute_advantages(rng.standard_normal(g)),
                                  mask=mask, tau=1.0)
-    inputs = nftcore.group_loss_inputs(policies, scored, cfg, 5.0 / 6.0,
-                                       rng.standard_normal((g, width)))
+    inputs = one_group_inputs(policies, scored, cfg, 5.0 / 6.0, rng.standard_normal((g, width)))
     return (policies.theta, inputs,
             lambda graph, theta, arrays: nftcore.group_loss_graph(graph, theta, arrays, cfg))
 

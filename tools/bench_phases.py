@@ -6,30 +6,28 @@ against (made, for example, with `git archive <commit> | tar -x -C DIR`):
     OPENBLAS_NUM_THREADS=1 python3 tools/bench_phases.py --before DIR --pairs 10 --out BENCH.json
 
 Every workload of benchmarks/run.py (its seed, tuning and config, or
---seed) is trained --repeats times on each side, the sides alternating,
-each run in a fresh process that imports astro from that side's src/. A
-run reports, for each phase, the median over its epochs of the phase's
-wall ms per epoch, and the ms of one pretraining step (its pretraining's
-wall time over its steps). With --pairs N, each workload also gets N
-alternating pairs of `benchmarks/run.py --seconds S`, one process per
-side, and the summary of every end-to-end metric BENCHMARK.json bounds:
-each side's median and quartiles and the pairs the change wins. The JSON
-holds these per workload, seed and OPENBLAS_NUM_THREADS, with every run's
-values and numpy, BLAS and thread settings, and a tier-1 run per side with
-pytest's five slowest tests. An existing --out file is updated, so a
-second call can add a held-out seed or another thread setting.
+--seed) is trained --repeats times (default 10) on each side, the sides
+alternating, each run in a fresh process that imports astro from that
+side's src/. A run reports, for each phase, the median over its epochs of
+the phase's wall ms per epoch, and the ms of one pretraining step (its
+pretraining's wall time over its steps). With --pairs N, each workload
+also gets N alternating pairs of `benchmarks/run.py --seconds S`, one
+process per side, and the summary of every end-to-end metric
+BENCHMARK.json bounds: each side's median and quartiles and the pairs the
+change wins. The JSON holds these per workload, seed and
+OPENBLAS_NUM_THREADS, with every run's values and numpy, BLAS and thread
+settings, and a tier-1 run per side with pytest's five slowest tests. An
+existing --out file is updated, so a second call can add a held-out seed
+or another thread setting.
 
 Phases come from the run's timings.jsonl. A checkout whose timers predate a
 phase reads 0 for it: before the epoch's inputs were prepared in one pass
 (loss_inputs), each group's noise draws, input assembly and reference
-forward were part of loss_forward. A checkout that predates the phase
-timers writes none; its phases are then taken from wrappers around the
-public functions that bound them: rollout_prefix (prefix), window_rollout
-less its prefix (rollout), score_group (judges), build_group_loss
-(loss_forward), and, inside epochs only, backward, clip_global_norm (clip),
-AdamW.step (adamw) and ema_update (ema), with train_window_epoch as the
-total. The timers' loss_forward also covers each group's noise draws, which
-build_group_loss does not.
+forward were part of loss_forward.
+
+Compare phases at OPENBLAS_NUM_THREADS=1. At the default BLAS threads, the
+medians of phases a change does not touch have moved by up to 30% between
+sides on a 2-core host; at one thread and 10 repeats they held still.
 """
 
 from __future__ import annotations
@@ -60,44 +58,6 @@ def load_benchmark():
     return module
 
 
-def wrap_phases(astro, epochs: list[dict]):
-    """Time the phases of a checkout without timers by wrapping public functions.
-
-    epochs gets one dict of phase seconds per train_window_epoch call.
-    """
-    current: list[dict] = []
-
-    def timed(owner, attr, phase, epoch_root=False):
-        fn = getattr(owner, attr)
-
-        def wrapper(*args, **kwargs):
-            if epoch_root:
-                current.append(dict.fromkeys(PHASES, 0.0))
-            elif not current:  # pretraining, before any epoch
-                return fn(*args, **kwargs)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                row = current[-1]
-                row[phase] += time.perf_counter() - start
-                if epoch_root:
-                    row["rollout"] -= row["prefix"]
-                    epochs.append(current.pop())
-        setattr(owner, attr, wrapper)
-
-    lt, nc, tg = astro.longtune, astro.nftcore, astro.tensorgrad
-    timed(lt, "train_window_epoch", "total", epoch_root=True)
-    timed(lt, "rollout_prefix", "prefix")
-    timed(lt, "window_rollout", "rollout")
-    timed(nc, "score_group", "judges")
-    timed(nc, "build_group_loss", "loss_forward")
-    timed(tg, "backward", "backward")
-    timed(tg, "clip_global_norm", "clip")
-    timed(tg.AdamW, "step", "adamw")
-    timed(nc, "ema_update", "ema")
-
-
 def child(src: str, workload: str, seed: int) -> dict:
     """One training run of a workload on the astro in src: its phase and pretraining medians."""
     sys.path.insert(0, src)
@@ -108,9 +68,6 @@ def child(src: str, workload: str, seed: int) -> dict:
     bench = load_benchmark()
     spec = bench.WORKLOADS[workload]
     cfg = astro.config.RunConfig(seed=seed, **bench.TUNING, **spec["config"])
-    wrapped: list[dict] = []
-    if not hasattr(astro.runio, "PhaseTimes"):
-        wrap_phases(astro, wrapped)
     pretrain = cli.pretrain_from_config
     pretrain_s = []
 
@@ -125,10 +82,9 @@ def child(src: str, workload: str, seed: int) -> dict:
         if cli.run_training(cfg, Path(out))["status"] != "ok":
             raise RuntimeError(f"{workload} run failed")
         timings = Path(out) / "timings.jsonl"
-        rows = wrapped or [json.loads(line) for line in timings.read_text().splitlines()]
+        rows = [json.loads(line) for line in timings.read_text().splitlines()]
     phases = {p: 1e3 * statistics.median(row.get(p, 0.0) for row in rows) for p in PHASES}
-    return {"phases_ms": phases, "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps,
-            "source": "wrappers" if wrapped else "timings.jsonl"}
+    return {"phases_ms": phases, "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps}
 
 
 def tier1(checkout: Path) -> dict:
@@ -173,7 +129,7 @@ def run(cmd: list[str], cwd: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, help="checkout of the commit to compare against")
-    parser.add_argument("--repeats", type=int, default=5, help="phase runs per side")
+    parser.add_argument("--repeats", type=int, default=10, help="phase runs per side")
     parser.add_argument("--pairs", type=int, default=0, help="benchmarks/run.py pairs")
     parser.add_argument("--seconds", type=float, default=20.0, help="--seconds of each pair run")
     parser.add_argument("--seed", type=int, help="seed of every run (default: the workload's)")
@@ -224,7 +180,6 @@ def main(argv=None) -> int:
                                for p in PHASES}
                 entry[side]["pretrain_step_ms"] = statistics.median(
                     r["pretrain_step_ms"] for r in side_runs)
-                entry[side + "_source"] = side_runs[0]["source"]
                 entry[side + "_runs"] = side_runs
         if args.pairs:
             entry["benchmark_seconds"] = args.seconds
