@@ -103,8 +103,9 @@ class RunState:
         A checkpoint of another seed is refused: its random streams would mix
         with cfg's. So is one in which any of the five buffers has another
         network shape than cfg's; the moments may be absent only before the
-        optimizer's first step (opt_t 0). Entries it does not read (older
-        checkpoints carry a risk buffer and a rho) are ignored."""
+        optimizer's first step (opt_t 0). So is a reward normalizer that is
+        not one row per prompt and one column per judge. Entries it does not
+        read (older checkpoints carry a risk buffer and a rho) are ignored."""
         if int(meta["seed"]) != cfg.seed:
             raise ValueError(f"checkpoint was written with seed {meta['seed']}; "
                              f"cannot resume it with seed {cfg.seed}")
@@ -121,13 +122,18 @@ class RunState:
                 if got != shapes.get(name):
                     raise ValueError(f"checkpoint {prefix[:-1]} parameter {name!r} has shape "
                                      f"{got}; the config implies {shapes.get(name)}")
+        n, judges = len(extra["norm_pids"]), rewardlab.N_MODELS
+        norm = {k: arrays[f"norm/{k}"] for k in ("count", "mean", "m2")}
+        for (name, got), want in zip(norm.items(), [(n,), (n, judges), (n, judges)]):
+            if got.shape != want:
+                raise ValueError(f"checkpoint norm/{name} has shape {got.shape}; "
+                                 f"{n} prompts and {judges} judges imply {want}")
         theta, theta_old, theta_ref, m, v = buffers
         run = cls.fresh(cfg, {})
         run.policies = PolicyTriple(theta=theta, theta_old=theta_old, theta_ref=theta_ref)
         run.optimizer.t, run.optimizer.m, run.optimizer.v = opt_t, m, v
         run.state = TrainState(epoch=int(meta["epoch"]), steps=int(extra["steps"]),
                                last_reset_epoch=int(extra["last_reset_epoch"]))
-        norm = {k: arrays[f"norm/{k}"] for k in ("count", "mean", "m2")}
         run.normalizer.load_state_dict({"pids": extra["norm_pids"], **norm})
         return run
 

@@ -7,10 +7,10 @@ shifts what another one sees. Keys are plain int tuples fed to numpy's seed
 sequence machinery; a part operator.index refuses (1.7) is a ValueError.
 
 `substreams(keys)` returns `[substream(*key) for key in keys]`, the same
-generators in the same states, but hashes all keys' seeds in one pass of
-array ops instead of building one SeedSequence per key. Keys of one length
-whose parts are ints below 2**32 (the training loop's, for such seeds) are
-taken as one array of words, without a per-key loop.
+generators in the same states. Keys of one length L >= 4 whose parts are
+ints below 2**32 (every training key, for seeds below 2**32) are seeded as
+one (n, L) table in one pass of array ops; any other key list takes
+substream itself, the reference the table path is checked against.
 
 `normal_blocks(keys, shape)` draws each key's stream once, for its whole
 budget, with one in-place `standard_normal` call. numpy's Generator keeps no
@@ -64,22 +64,6 @@ def substream(*key: int) -> np.random.Generator:
     return np.random.default_rng(tuple(_key_parts(key)))
 
 
-def _entropy_words(key) -> list[int]:
-    """numpy's little-endian uint32 expansion of a key: 0 -> [0], 2**40+3 -> [3, 256]."""
-    key = _key_parts(key)
-    if min(key) < 0:
-        raise ValueError("expected non-negative integer")
-    if max(key) <= _MASK32:
-        return key
-    words = []
-    for k in key:
-        words.append(k & _MASK32)
-        while k > _MASK32:
-            k >>= 32
-            words.append(k & _MASK32)
-    return words
-
-
 @functools.lru_cache(maxsize=64)
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """The first count+1 values of a SeedSequence hash constant, as a read-only (count+1, 1) column.
@@ -115,24 +99,21 @@ _OTHER_POOL_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != s])
 
 
 def _seed_states(words: np.ndarray) -> np.ndarray:
-    """SeedSequence(key).generate_state(4, uint64) for each row of an (n, L) uint64 word array.
+    """SeedSequence(key).generate_state(4, uint64) for each row of an (n, L) uint64 key table.
 
     Follows numpy's pool mixing call for call, with the pool as a (4, n)
-    array: hash the first four words (zeros past the key's end) into the
-    pool, mix each pool word into the three others, then fold in every word
-    beyond four. The state's uint64 words take the low 32 bits first.
+    array: hash the first four words into the pool, mix each pool word into
+    the three others, then fold in every word beyond four. L must be at
+    least 4. The state's uint64 words take the low 32 bits first.
     """
-    n, length = words.shape
-    if length < _POOL_SIZE:
-        words = np.concatenate([words, np.zeros((n, _POOL_SIZE - length), np.uint64)], axis=1)
-    # One hashmix call per pool word for each of max(length, 4) words.
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(length, _POOL_SIZE))
+    # One hashmix call per pool word for each word.
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * words.shape[1])
     pool = _hashmix(words[:, :_POOL_SIZE].T, consts, 0, _POOL_SIZE)
     k = _POOL_SIZE
     for src, dst in enumerate(_OTHER_POOL_WORDS):
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k, len(dst)))
         k += len(dst)
-    for src in range(_POOL_SIZE, length):
+    for src in range(_POOL_SIZE, words.shape[1]):
         pool = _mix(pool, _hashmix(words[:, src], consts, k, _POOL_SIZE))
         k += _POOL_SIZE
     half = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE),
@@ -153,32 +134,21 @@ class _State(ISeedSequence):
 
 
 def substreams(keys) -> list[np.random.Generator]:
-    """substream(*key) for every key, seeded in one vectorized pass.
+    """substream(*key) for every key, each with its own PCG64 in the state substream gives it.
 
-    Keys of one length L with every part an int in [0, 2**32) are their own
-    words, one (n, L) array. Other keys may differ in length and in word
-    count; the seeds of all keys with the same word count are hashed
-    together. Each key gets its own PCG64, in the state substream gives it.
+    Keys of one length L >= 4 with every part an int in [0, 2**32) are their
+    own seed words, seeded as one (n, L) table in one vectorized pass. Every
+    other key list, ragged, short or with a wider part, takes substream.
     """
     try:
         table = np.array(keys)
     except ValueError:  # keys of different lengths
         table = np.array(())
-    if table.ndim == 2 and table.size and table.dtype.kind in "iu" \
-            and table.min() >= 0 and table.max() <= _MASK32:
-        groups = [(range(len(keys)), table.astype(np.uint64))]
-    else:
-        words = [_entropy_words(key) for key in keys]
-        rows_by_length: dict[int, list[int]] = {}
-        for i, w in enumerate(words):
-            rows_by_length.setdefault(len(w), []).append(i)
-        groups = [(rows, np.array([words[i] for i in rows], dtype=np.uint64))
-                  for rows in rows_by_length.values()]
-    gens = [None] * len(keys)
-    for rows, group_words in groups:
-        for i, state in zip(rows, _seed_states(group_words)):
-            gens[i] = np.random.Generator(np.random.PCG64(_State(state)))
-    return gens
+    if table.ndim == 2 and table.shape[1] >= _POOL_SIZE and table.size \
+            and table.dtype.kind in "iu" and table.min() >= 0 and table.max() <= _MASK32:
+        return [np.random.Generator(np.random.PCG64(_State(state)))
+                for state in _seed_states(table.astype(np.uint64))]
+    return [substream(*key) for key in keys]
 
 
 def normal_blocks(keys, shape) -> np.ndarray:

@@ -15,8 +15,8 @@ it. backward(graph, loss) is that walk over the graph's own values;
 loss_pass records a loss's Tape once per structure and replays it on every
 step, the first included. A replay checks the leaves' shapes once and the
 finiteness only of the results a proof names (only tanh saturates, see
-PRIMITIVES); if one is not finite, the pass reruns checking every result,
-so its NonFiniteError names the primitive a fresh build's would.
+PRIMITIVES); if one is not finite, it scans the results already computed in
+order, so its NonFiniteError names the primitive a fresh build's would.
 """
 
 from __future__ import annotations
@@ -348,8 +348,7 @@ class Tape:
         watched, read = set(self.outputs), set()
         for node, (op, _, operands, _) in zip(results, self.steps):
             (watched if PRIMITIVES[op][2] or node.size == 0 else read).update(operands)
-        self.checks = ([s in watched or s not in read for s in range(len(leaves), len(slot))],
-                       [True] * len(results))
+        self.checks = [s in watched or s not in read for s in range(len(leaves), len(slot))]
         # The steps the loss's gradient reaches, in reverse, with which
         # operands need a gradient and whether it adds to one already written.
         reached, self.plan = {self.outputs[0]}, []
@@ -367,25 +366,24 @@ class Tape:
     def forward(self, params: dict[str, np.ndarray], inputs: dict[str, np.ndarray]) -> list:
         """Every slot's value at these parameters and inputs. The leaves' shapes, which
         fix every result's, are checked once; finiteness at the proof's results, and if
-        one fails, at every result of a rerun, which raises where a fresh build does."""
+        one fails, at each result so far, in order, raising where a fresh build does."""
         if self.frozen:
             raise GraphError("the tape reads a constant that is not a declared input")
-        leaves = ([_as_array(params[name]) for name in self.params]
+        values = ([_as_array(params[name]) for name in self.params]
                   + [_as_array(inputs[name]) for name in self.inputs])
-        if [leaf.shape for leaf in leaves] != self.leaf_shapes:
+        if [leaf.shape for leaf in values] != self.leaf_shapes:
             raise ShapeError(f"leaf shapes differ from the recorded {self.leaf_shapes}")
+        n_leaves = len(values)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for every, checks in enumerate(self.checks):
-                values = leaves.copy()
-                try:
-                    for (op, fn, operands, kw), check in zip(self.steps, checks):
-                        values.append(fn(*[values[s] for s in operands], **kw))
-                        if check:
-                            _checked(op, values[-1])
-                    return values
-                except NonFiniteError:
-                    if every:
-                        raise
+            try:
+                for (op, fn, operands, kw), check in zip(self.steps, self.checks):
+                    values.append(fn(*[values[s] for s in operands], **kw))
+                    if check:
+                        _checked(op, values[-1])
+            except NonFiniteError:
+                for (op, *_), value in zip(self.steps, values[n_leaves:]):
+                    _checked(op, value)  # raises, at the latest at the result that failed
+        return values
 
     def backward(self, values: list) -> FlatParams:
         """The loss's gradients from every slot's value, as FlatParams in

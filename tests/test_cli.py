@@ -405,14 +405,24 @@ def short_reference_row(arrays):
     return dict(arrays, **{"theta_ref/w1": arrays["theta_ref/w1"][:-1]})
 
 
+def two_judge_normalizer(arrays):
+    return dict(arrays, **{k: arrays[k][:, :2] for k in ("norm/mean", "norm/m2")})
+
+
+def short_normalizer_row(arrays):
+    return dict(arrays, **{"norm/mean": arrays["norm/mean"][:-1]})
+
+
 @pytest.mark.parametrize("damage, message", [
     (drop_moments, r"opt/m parameter 'w1' has shape None; the config implies \(24, 16\)"),
     (short_reference_row, r"theta_ref parameter 'w1' has shape \(23, 16\).*\(24, 16\)"),
-], ids=["no_moments", "short_reference"])
+    (two_judge_normalizer, r"norm/mean has shape \(2, 2\);.*imply \(2, 3\)"),
+    (short_normalizer_row, r"norm/mean has shape \(1, 3\);.*imply \(2, 3\)"),
+], ids=["no_moments", "short_reference", "two_judge_normalizer", "short_normalizer"])
 def test_resume_of_a_damaged_checkpoint_is_refused(tmp_path, damage, message):
     # Every buffer of the checkpoint is checked, not only theta: moments
     # missing after optimizer steps would be silently re-zeroed, and a
-    # reference of the wrong shape would fail mid-epoch.
+    # reference or a reward normalizer of the wrong shape would fail mid-epoch.
     assert cli.run_training(tiny_config(epochs=1), tmp_path / "first")["status"] == "ok"
     arrays, meta = runio.load_checkpoint(tmp_path / "first" / "checkpoint.bin")
     assert meta["extra"]["opt_t"] == 2

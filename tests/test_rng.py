@@ -69,20 +69,14 @@ def test_normal_blocks_are_successive_draws():
 
 
 def test_seed_states_match_seed_sequence():
-    for length in range(1, 10):
+    for length in range(4, 10):
         keys = [tuple((3 + i * 7919 + j * 104729) % 2**32 for j in range(length))
                 for i in range(5)] + [(2**32 - 1,) * length, (0,) * length]
-        words = np.array([arng._entropy_words(key) for key in keys], dtype=np.uint64)
+        words = np.array(keys, dtype=np.uint64)
         for rows in (words, words[:1]):
             expect = [np.random.SeedSequence(key).generate_state(4, np.uint64)
                       for key in keys[:len(rows)]]
             assert np.array_equal(arng._seed_states(rows), expect), length
-
-
-def test_entropy_words_follow_numpy():
-    assert arng._entropy_words((0,)) == [0]
-    assert arng._entropy_words((2**40 + 3,)) == [3, 256]
-    assert arng._entropy_words((1, 2**32, 5)) == [1, 0, 1, 5]
 
 
 def test_substreams_of_no_keys():
@@ -90,19 +84,27 @@ def test_substreams_of_no_keys():
 
 
 def test_one_word_keys_take_the_array_path(monkeypatch):
-    # Keys of one length with parts in [0, 2**32) skip the per-key word
-    # expansion; keys reaching 2**32 still take it. Both give substream's state.
-    edge = [(2**32 - 1, arng.CANDIDATE_STREAM, 0, p, i) for p in range(3) for i in range(4)]
-    wide = [(2**32,) + key[1:] for key in edge]
-    for keys in (edge, wide, edge + wide):
-        for key, gen in zip(keys, arng.substreams(keys)):
-            assert gen.bit_generator.state == arng.substream(*key).bit_generator.state, key
+    # Training-shaped keys (one length >= 4, parts in [0, 2**32), seed 2**32-1
+    # included) are seeded as one table, never by substream. Wide, short and
+    # ragged keys take substream itself; every key gets substream's state.
+    training = [(seed, arng.CANDIDATE_STREAM, epoch, p, i)
+                for seed in (0, 2**32 - 1) for epoch in (0, 7) for p in range(3)
+                for i in range(4)]
+    wide = [(2**32,) + key[1:] for key in training]
+    short = [key[:3] for key in training]
+    ragged = training[:4] + short[:4]
+    expect = {key: arng.substream(*key).bit_generator.state
+              for key in training + wide + short}
+    for keys in (wide, short, ragged, training[:5] + wide[:5]):
+        assert [g.bit_generator.state for g in arng.substreams(keys)] \
+            == [expect[key] for key in keys]
 
-    def refused(key):
-        raise AssertionError("per-key word expansion")
+    def refused(*key):
+        raise AssertionError(f"per-key seeding of {key}")
 
-    monkeypatch.setattr(arng, "_entropy_words", refused)
-    assert len(arng.substreams(edge)) == len(edge)
+    monkeypatch.setattr(arng, "substream", refused)
+    assert [g.bit_generator.state for g in arng.substreams(training)] \
+        == [expect[key] for key in training]
     with pytest.raises(AssertionError):
         arng.substreams(wide)
 

@@ -9,6 +9,7 @@ import pytest
 
 from astro import flowgen, streamctx, rng as arng
 from astro import tensorgrad as tg
+from test_cli import numeric_environment
 
 
 def frame(v: float, dim: int = 1) -> np.ndarray:
@@ -180,6 +181,30 @@ def test_group_rollout_candidate_independent_of_group_size():
     (four,), _ = streamctx.group_rollout(params, [ctx], [prompt], 4, sched, [key], 1)
     (eight,), _ = streamctx.group_rollout(params, [ctx], [prompt], 8, sched, [key], 1)
     assert np.max(np.abs(four - eight[:4])) <= 1e-12
+
+
+@pytest.mark.parametrize("n_clips", [1, 2])
+def test_group_rollout_candidate_clip_is_batch_invariant(n_clips):
+    # A candidate's clips are the same bits whatever batch decodes them:
+    # any group size, and its prompt alone or among eight (training shapes).
+    rng = np.random.default_rng(19)
+    params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=128)
+    sched = flowgen.make_schedule()
+    prompts = [flowgen.make_prompt(p, arng.substream(0, arng.PROMPT_STREAM, p))
+               for p in range(8)]
+    ctxs = [streamctx.push_clip(streamctx.empty_context(frame_dim=8),
+                                rng.standard_normal((4, 8))) for _ in prompts]
+    keys = [streamctx.group_base_key(0, 5, p) for p in range(8)]
+    first = {}
+    for g in (2, 3, 8, 24):
+        for p_count in (1, 8):
+            clips, _ = streamctx.group_rollout(params, ctxs[:p_count], prompts[:p_count], g,
+                                               sched, keys[:p_count], n_clips)
+            first[g, p_count] = clips[0, :2]
+    ref = first[2, 1]
+    for (g, p_count), got in first.items():
+        assert np.array_equal(got, ref), (f"G={g}, P={p_count} differs from G=2, P=1 "
+                                          f"({numeric_environment()})")
 
 
 def test_group_rollout_rejects_singleton_group():

@@ -472,8 +472,8 @@ def nonfinite_message(fn):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_replay_raises_where_a_fresh_build_does(case):
     # The replay checks only the results the finiteness proof names, then
-    # reruns checking every result; it must fail, or pass, as a Node build of
-    # the same arrays does. Each leaf in turn gets one NaN, +inf or -inf.
+    # scans every result computed so far; it must fail, or pass, as a Node
+    # build of the same arrays does. Each leaf in turn gets one NaN, +inf or -inf.
     params, inputs, build = CASES[case]()
     tapes = {}
     tg.loss_pass(tapes, (), params, inputs, build)[1]()
@@ -574,6 +574,27 @@ def test_overflow_raises_at_the_primitive_that_made_it_on_replay():
     assert len(tapes) == 1
     with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
         tg.loss_pass(tapes, (), params, inputs, flowgen.regression_loss)
+
+
+def test_a_failing_replay_evaluates_each_step_once(monkeypatch):
+    # After a failed check the replay scans the results it already holds;
+    # no step is evaluated again on the same operands.
+    calls = []
+    for op, (forward, adjoint, saturates) in list(tg.PRIMITIVES.items()):
+        def counted(*args, forward=forward, op=op, **kw):
+            calls.append((op, tuple(id(a) for a in args)))
+            return forward(*args, **kw)
+        monkeypatch.setitem(tg.PRIMITIVES, op, (counted, adjoint, saturates))
+    params, x = overflowing_generator()
+    inputs = {"x": x, "x0": np.zeros((3, params["b3"].shape[1]))}
+    tapes = {}
+    tg.loss_pass(tapes, (), generator_net(), inputs, flowgen.regression_loss)[1]()
+    (tape,) = tapes.values()
+    calls.clear()
+    with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
+        tg.loss_pass(tapes, (), params, inputs, flowgen.regression_loss)
+    assert 0 < len(calls) <= len(tape.steps)
+    assert len(set(calls)) == len(calls)
 
 
 def test_no_adjoint_is_formed_for_a_detached_operand(monkeypatch):

@@ -16,7 +16,8 @@ process per side, and the summary of every end-to-end metric
 BENCHMARK.json bounds: each side's median and quartiles and the pairs the
 change wins. The JSON holds these per workload, seed and
 OPENBLAS_NUM_THREADS, with every run's values and numpy, BLAS and thread
-settings, and a tier-1 run per side with pytest's five slowest tests. An
+settings, and a tier-1 run per side with pytest's five slowest tests and
+the side's src/ line count (as `wc -l` counts them). An
 existing --out file is updated, so a second call can add a held-out seed
 or another thread setting.
 
@@ -88,7 +89,7 @@ def child(src: str, workload: str, seed: int) -> dict:
 
 
 def tier1(checkout: Path) -> dict:
-    """One tier-1 run: pytest's summary line and its five slowest tests."""
+    """One tier-1 run: pytest's summary line, its five slowest tests and the lines in src/."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "--durations=5", "--continue-on-collection-errors"],
@@ -96,7 +97,8 @@ def tier1(checkout: Path) -> dict:
     lines = proc.stdout.splitlines()
     slowest = [line.strip() for line in lines if re.match(r"\s*[\d.]+s (call|setup)", line)]
     summary = next((line.strip("= ") for line in reversed(lines) if " in " in line), "")
-    return {"summary": summary, "durations_top5": slowest[:5],
+    src_lines = sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+    return {"summary": summary, "durations_top5": slowest[:5], "src_lines": src_lines,
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
