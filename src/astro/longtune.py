@@ -89,31 +89,20 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
 
 def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
                    spec: WindowSpec, cfg: RunConfig, schedule: flowgen.TimestepSchedule,
-                   epoch: int, prefix: streamctx.ContextBatch | None = None
-                   ) -> list[nftcore.GroupData]:
+                   epoch: int, prefix: streamctx.ContextBatch) -> nftcore.GroupData:
     """Branch every prompt's group at the window: each candidate extends its own context.
 
-    The prefix is decoded first, unless given as rollout_prefix made it;
-    then streamctx.group_rollout decodes the window for all prompts'
-    candidates at once. Returns one GroupData per prompt, in prompt order,
-    whose rows are candidate-major, one row per (candidate, window clip),
-    each with the context summary that conditioned it. Rewards see each
-    candidate's window as one frame stack.
+    prefix is the prompts' contexts at the window start, as rollout_prefix
+    makes them; streamctx.group_rollout decodes the window for all prompts'
+    candidates at once. Returns its two stacks as the epoch's GroupData:
+    every candidate's window clips and the context summary that conditioned
+    each clip, in prompt order.
     """
-    g, w = cfg.group_size, spec.window_clips
-    if prefix is None:
-        prefix = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
     keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
-    with nftcore.abort_on_nonfinite(epoch, prompts, g):
-        clips, summaries = streamctx.group_rollout(theta_old, prefix, prompts, g, schedule,
-                                                   keys, w)
-    return [nftcore.GroupData(
-        prompt=prompt,
-        x0_rows=window.reshape(g * w, -1),
-        ctx_rows=summary.reshape(g * w, -1),
-        row_candidate=np.repeat(np.arange(g), w),
-        clips=window.reshape(g, w * cfg.clip_len, cfg.frame_dim),
-    ) for prompt, window, summary in zip(prompts, clips, summaries)]
+    with nftcore.abort_on_nonfinite(epoch, prompts, cfg.group_size):
+        clips, summaries = streamctx.group_rollout(theta_old, prefix, prompts, cfg.group_size,
+                                                   schedule, keys, spec.window_clips)
+    return nftcore.GroupData(prompts, clips, summaries)
 
 
 def train_window_epoch(run: nftcore.RunState, prompts: list[flowgen.Prompt], cfg: RunConfig,
@@ -130,9 +119,9 @@ def train_window_epoch(run: nftcore.RunState, prompts: list[flowgen.Prompt], cfg
     theta_old = run.policies.theta_old
     prefix = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
     since = run.timings.lap("prefix", t_start)
-    groups = window_rollout(theta_old, prompts, spec, cfg, schedule, epoch, prefix)
+    data = window_rollout(theta_old, prompts, spec, cfg, schedule, epoch, prefix)
     run.timings.lap("rollout", since)
-    record = nftcore.train_epoch(run, groups, cfg, schedule)
+    record = nftcore.train_epoch(run, data, cfg, schedule)
     record.window_start = spec.start_clip
     record.wall_time = run.timings["total"] = time.perf_counter() - t_start
     return record

@@ -11,10 +11,12 @@ refreshes when that pull grows too large or too stale.
 The engine takes its groups as data, already rolled out: the streaming
 path in longtune decodes them for both modes (short mode is a one-clip
 window at clip 0 with an empty context), so this module never decodes
-candidates itself. An epoch first prepares, for all groups at once, what
-no optimizer step changes (judging, ranks, masks, noise draws, the frozen
-reference's predictions); each group's step then runs the behavior
-policy's forward, the loss tape, clipping, AdamW and the EMA tick.
+candidates itself. The epoch's groups are one GroupData, the rollout's
+(P, G, W, ...) stacks, which the judges and the loss inputs read whole. An
+epoch first prepares, for all groups at once, what no optimizer step
+changes (judging, ranks, masks, noise draws, the frozen reference's
+predictions); each group's step then runs the behavior policy's forward,
+the loss tape, clipping, AdamW and the EMA tick.
 Everything a run carries from one epoch to the next is one RunState
 (policies, optimizer, counters, reward statistics); an epoch takes it,
 advances it in place, and returns its runio.MetricsRecord.
@@ -242,37 +244,43 @@ def maybe_reset_reference(state: TrainState, l_kl: float, tau_kl: float, k_max: 
 
 @dataclass
 class GroupData:
-    """One prompt's candidate group, flattened to training rows.
+    """The epoch's candidate groups, one per prompt, as the rollout made them.
 
-    Rows are candidate-major: candidate i occupies rows [i*W, (i+1)*W) where
-    W is the number of clips each candidate generated. clips[i] stacks
-    candidate i's frames for the reward judges.
+    clips is (P, G, W, clip_len, frame_dim): candidate i of prompt p made the
+    W window clips clips[p, i]. summaries is (P, G, W, 2 * frame_dim): the
+    context summary that conditioned each clip. A prompt's training rows are
+    its G * W (candidate, clip) pairs, candidate-major, so row r belongs to
+    candidate r // W; the judges see each candidate's W clips as one stack
+    of frames.
     """
 
-    prompt: flowgen.Prompt
-    x0_rows: np.ndarray
-    ctx_rows: np.ndarray
-    row_candidate: np.ndarray
+    prompts: list[flowgen.Prompt]
     clips: np.ndarray
+    summaries: np.ndarray
 
 
 @dataclass
 class ScoredGroup:
+    """The epoch's groups judged: raw scores (P, G, N_MODELS), advantages and
+    rank-disagreement mask (P, G), and each group's mask threshold tau (P,)."""
+
     data: GroupData
     raw_scores: np.ndarray
     advantages: np.ndarray
     mask: np.ndarray
-    tau: float
+    tau: np.ndarray
 
 
-def score_groups(groups: list[GroupData], cfg: RunConfig,
-                 normalizer: rewardlab.RewardNormalizer) -> list[ScoredGroup]:
+def score_groups(data: GroupData, cfg: RunConfig,
+                 normalizer: rewardlab.RewardNormalizer) -> ScoredGroup:
     """Judge, standardize, center into advantages, and mark rank disagreement.
     Judges, centering and ranks run once on the (P, G) stack; the normalizer
     updates and each group is masked (at risk ratio cfg.rho0) per prompt."""
-    raw = rewardlab.eval_rewards(np.stack([d.clips for d in groups]), [d.prompt for d in groups])
-    std = np.stack([normalizer.update_and_standardize(d.prompt.pid, r)
-                    for d, r in zip(groups, raw)])
+    n_prompts, g = data.clips.shape[:2]
+    raw = rewardlab.eval_rewards(data.clips.reshape(n_prompts, g, -1, data.clips.shape[-1]),
+                                 data.prompts)
+    std = np.stack([normalizer.update_and_standardize(prompt.pid, r)
+                    for prompt, r in zip(data.prompts, raw)])
     if cfg.advantage_source == "composite":
         source = rewardlab.aggregate_composite(std, cfg.reward_weights)
     else:
@@ -281,58 +289,58 @@ def score_groups(groups: list[GroupData], cfg: RunConfig,
     ranks = rewardlab.rank_samples(np.moveaxis(raw, -1, 0))
     delta = rewardlab.rank_disagreement(
         ranks[rewardlab.VQ], [r for m, r in enumerate(ranks) if m != rewardlab.VQ])
-    masks = [rewardlab.uncertainty_mask(d, cfg.rho0) for d in delta]
-    return [ScoredGroup(data, scores, adv, mask, tau)
-            for data, scores, adv, (tau, mask) in zip(groups, raw, advantages, masks)]
+    tau, mask = zip(*[rewardlab.uncertainty_mask(d, cfg.rho0) for d in delta])
+    return ScoredGroup(data, raw, advantages, np.array(mask), np.array(tau))
 
 
 def score_group(data: GroupData, cfg: RunConfig,
                 normalizer: rewardlab.RewardNormalizer) -> ScoredGroup:
-    return score_groups([data], cfg, normalizer)[0]
+    return score_groups(data, cfg, normalizer)
 
 
 # --- optimization ---
 
 
 def draw_noise(cfg: RunConfig, schedule: flowgen.TimestepSchedule, epoch: int,
-               groups: list[GroupData]) -> tuple[list[float], np.ndarray]:
-    """Each group's noise level t and its forward-path noise eps, stacked
-    (P, rows, width), from the group's own (epoch, pid) substreams; each
-    group's eps is one draw (rng.normal_blocks)."""
-    eps = rngmod.normal_blocks([(cfg.seed, rngmod.EPS_STREAM, epoch, d.prompt.pid)
-                                for d in groups], groups[0].x0_rows.shape)
+               data: GroupData) -> tuple[list[float], np.ndarray]:
+    """Each group's noise level t and its forward-path noise eps, shaped like
+    data.clips, from the prompt's own (epoch, pid) substreams; each group's
+    eps is one draw (rng.normal_blocks)."""
+    eps = rngmod.normal_blocks([(cfg.seed, rngmod.EPS_STREAM, epoch, prompt.pid)
+                                for prompt in data.prompts], data.clips.shape[1:])
     if cfg.noise_mode == "fixed":
-        return [cfg.fixed_t] * len(groups), eps
+        return [cfg.fixed_t] * len(data.prompts), eps
     n = len(schedule.values)
-    streams = rngmod.substreams([(cfg.seed, rngmod.NOISE_T_STREAM, epoch, d.prompt.pid)
-                                 for d in groups])
+    streams = rngmod.substreams([(cfg.seed, rngmod.NOISE_T_STREAM, epoch, prompt.pid)
+                                 for prompt in data.prompts])
     return [float(schedule.values[int(s.integers(n))]) for s in streams], eps
 
 
-def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored_groups: list[ScoredGroup],
+def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored: ScoredGroup,
                       cfg: RunConfig, ts, eps: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Each group's loss inputs that no optimizer step changes, built in one
     pass over all groups' rows: the network input x at noise level ts[p] and
     noise eps[p], the clean rows x0, the label weights w and 1 - w and, only
     with a masked row, v_ref, the mask weights m and 1 / (n_masked * width)."""
-    data = [s.data for s in scored_groups]
-    rows, width = data[0].x0_rows.shape
-    x0 = np.concatenate([d.x0_rows for d in data])
+    data = scored.data
+    n_prompts, g, n_clips = data.clips.shape[:3]
+    rows = g * n_clips
+    x0 = data.clips.reshape(n_prompts * rows, -1)
+    width = x0.shape[1]
     t = np.repeat(ts, rows)
     x = flowgen.assemble_input(flowgen.forward_path(x0, eps.reshape(x0.shape), t), t,
-                               np.concatenate([d.ctx_rows for d in data]),
-                               np.repeat(np.stack([d.prompt.vec for d in data]), rows, axis=0))
+                               data.summaries.reshape(len(x0), -1),
+                               np.repeat(np.stack([p.vec for p in data.prompts]), rows, axis=0))
     v_ref = flowgen.mlp_forward(theta_ref, x)
-    candidate = np.stack([d.row_candidate for d in data])
-    labels = normalize_advantage(np.stack([s.advantages for s in scored_groups]), cfg.a_max)
-    w = np.repeat(np.take_along_axis(labels, candidate, axis=1).reshape(-1, 1), width, axis=1)
-    masked = np.take_along_axis(np.stack([s.mask for s in scored_groups]), candidate, axis=1)
+    labels = normalize_advantage(scored.advantages, cfg.a_max)
+    w = np.repeat(np.repeat(labels, n_clips, axis=1).reshape(-1, 1), width, axis=1)
+    masked = np.repeat(scored.mask, n_clips, axis=1)
     m = np.repeat(masked.reshape(-1, 1), width, axis=1).astype(np.float64)
     w_neg = 1.0 - w
     inputs = []
-    for p, d in enumerate(data):
+    for p in range(n_prompts):
         part = slice(p * rows, (p + 1) * rows)
-        inputs.append({"x": x[part], "x0": d.x0_rows, "w": w[part], "w_neg": w_neg[part]})
+        inputs.append({"x": x[part], "x0": x0[part], "w": w[part], "w_neg": w_neg[part]})
         if masked[p].any():
             inputs[-1].update(v_ref=v_ref[part], m=m[part],
                               kl_scale=np.asarray(1.0 / float(masked[p].sum() * width)))
@@ -368,15 +376,15 @@ def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig
     """Assemble one mini-batch loss graph. Returns (graph, loss node, info).
 
     Only theta lives on the graph; everything else enters as a declared
-    input, built for this one group as prepare_epoch builds it for all.
+    input, built for this one-prompt group as prepare_epoch builds it for all.
     """
-    fixed = epoch_loss_inputs(policies.theta_ref, [scored], cfg, [t], eps[None])[0]
+    fixed = epoch_loss_inputs(policies.theta_ref, scored, cfg, [t], eps[None])[0]
     graph = tg.GradGraph()
     outputs = group_loss_graph(graph, policies.theta,
                                step_inputs(fixed, policies.theta_old, cfg), cfg)
     values = [float(node.value) for node in outputs]
     info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0,
-            "masked": int(scored.mask[scored.data.row_candidate].sum()),
+            "masked": int(scored.mask.sum()) * scored.data.clips.shape[2],
             "graph_nodes": len(graph)}
     return graph, outputs[0], info
 
@@ -433,24 +441,24 @@ def abort_on_nonfinite(epoch: int, prompts: list[flowgen.Prompt], rows_per_promp
         raise EpochAborted(epoch, owner.pid, err) from err
 
 
-def prepare_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
+def prepare_epoch(run: RunState, data: GroupData, cfg: RunConfig,
                   schedule: flowgen.TimestepSchedule
-                  ) -> tuple[list[ScoredGroup], list[dict[str, np.ndarray]]]:
+                  ) -> tuple[ScoredGroup, list[dict[str, np.ndarray]]]:
     """The part of an epoch that no optimizer step changes, for all groups at
     once: (score_groups, each group's epoch_loss_inputs at theta_ref, which
     moves only at epoch end), timed as the judges and loss_inputs phases.
     A non-finite theta_ref row aborts the epoch, naming the row's prompt."""
     epoch, since = run.state.epoch, time.perf_counter()
-    scored_groups = score_groups(groups, cfg, run.normalizer)
+    scored = score_groups(data, cfg, run.normalizer)
     since = run.timings.lap("judges", since)
-    ts, eps = draw_noise(cfg, schedule, epoch, groups)
-    with abort_on_nonfinite(epoch, [d.prompt for d in groups], len(groups[0].x0_rows)):
-        inputs = epoch_loss_inputs(run.policies.theta_ref, scored_groups, cfg, ts, eps)
+    ts, eps = draw_noise(cfg, schedule, epoch, data)
+    with abort_on_nonfinite(epoch, data.prompts, math.prod(data.clips.shape[1:3])):
+        inputs = epoch_loss_inputs(run.policies.theta_ref, scored, cfg, ts, eps)
     run.timings.lap("loss_inputs", since)
-    return scored_groups, inputs
+    return scored, inputs
 
 
-def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
+def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
                 schedule: flowgen.TimestepSchedule) -> runio.MetricsRecord:
     """One epoch on rolled-out groups, in prompt order (longtune.window_rollout
     makes them under run.policies.theta_old for both modes): prepare_epoch,
@@ -459,11 +467,11 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
     caller; advances run.state.epoch once every group is optimized."""
     policies, state = run.policies, run.state
     epoch = state.epoch
-    scored_groups, inputs = prepare_epoch(run, groups, cfg, schedule)
+    scored, inputs = prepare_epoch(run, data, cfg, schedule)
 
     infos = []
-    for data, fixed in zip(groups, inputs):
-        with abort_on_nonfinite(epoch, [data.prompt], len(data.x0_rows)):
+    for prompt, fixed in zip(data.prompts, inputs):
+        with abort_on_nonfinite(epoch, [prompt], len(fixed["x"])):
             infos.append(optimize_group(run, fixed, cfg))
 
     since = time.perf_counter()
@@ -475,10 +483,8 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
         ema_update(policies.theta_old, policies.theta, cfg.gamma)
     run.timings.lap("ema", since)
 
-    raw_all = np.concatenate([g.raw_scores for g in scored_groups])
-    raw_means = raw_all.mean(axis=0)
-    finite_taus = [g.tau for g in scored_groups if math.isfinite(g.tau)]
-    n_candidates = sum(len(g.mask) for g in scored_groups)
+    raw_means = scored.raw_scores.reshape(-1, rewardlab.N_MODELS).mean(axis=0)
+    finite_taus = scored.tau[np.isfinite(scored.tau)]
     state.epoch += 1
     return runio.MetricsRecord(
         epoch=epoch,
@@ -488,8 +494,8 @@ def train_epoch(run: RunState, groups: list[GroupData], cfg: RunConfig,
         composite=float(raw_means @ np.asarray(cfg.reward_weights)),
         policy_loss=float(np.mean([i["policy_loss"] for i in infos])),
         kl_loss=kl_epoch,
-        mask_fraction=float(sum(int(g.mask.sum()) for g in scored_groups) / n_candidates),
-        tau=float(np.mean(finite_taus)) if finite_taus else None,
+        mask_fraction=float(scored.mask.mean()),
+        tau=float(finite_taus.mean()) if finite_taus.size else None,
         rho=cfg.rho0,
         grad_norm=float(np.mean([i["grad_norm"] for i in infos])),
         reset=reset,

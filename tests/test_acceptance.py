@@ -296,18 +296,15 @@ def stream_config(**over):
 
 def window_gradients(cfg, policies, schedule, prompt, start, rebuild_constants):
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
-    (data,) = longtune.window_rollout(policies.theta_old, [prompt], spec, cfg, schedule, 0)
+    prefix = longtune.rollout_prefix(policies.theta_old, [prompt], start, cfg, schedule, 0)
+    data = longtune.window_rollout(policies.theta_old, [prompt], spec, cfg, schedule, 0, prefix)
     if rebuild_constants:
-        data = nftcore.GroupData(
-            prompt=data.prompt,
-            x0_rows=np.array(data.x0_rows, copy=True),
-            ctx_rows=np.array(data.ctx_rows, copy=True),
-            row_candidate=np.array(data.row_candidate, copy=True),
-            clips=[np.array(c, copy=True) for c in data.clips],
-        )
+        data = nftcore.GroupData(prompts=list(data.prompts),
+                                 clips=np.array(data.clips, copy=True),
+                                 summaries=np.array(data.summaries, copy=True))
     scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
     scored.mask[:] = True  # pin KL subgraph presence; occupancy is not under test
-    eps = np.random.default_rng(88).standard_normal(data.x0_rows.shape)
+    eps = np.random.default_rng(88).standard_normal(data.clips.shape[1:])
     graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
     return tg.backward(graph, loss), info["graph_nodes"]
 
@@ -384,11 +381,13 @@ def test_c10_reference_reset_and_ema_semantics():
     schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
-    (data,) = longtune.window_rollout(policies.theta_old, [prompt],
-                                      longtune.epoch_window(cfg, 0), cfg, schedule, 0)
+    spec = longtune.epoch_window(cfg, 0)
+    prefix = longtune.rollout_prefix(policies.theta_old, [prompt], spec.start_clip, cfg,
+                                     schedule, 0)
+    data = longtune.window_rollout(policies.theta_old, [prompt], spec, cfg, schedule, 0, prefix)
     scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
     scored.mask[:] = True
-    eps = np.random.default_rng(99).standard_normal(data.x0_rows.shape)
+    eps = np.random.default_rng(99).standard_normal(data.clips.shape[1:])
     _, _, before = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
     state = nftcore.TrainState(epoch=3, last_reset_epoch=3)
     tripped = nftcore.maybe_reset_reference(state, before["kl_loss"], cfg.tau_kl,

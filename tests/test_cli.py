@@ -484,6 +484,10 @@ PINNED_RUNS = {
     "ema_epoch": (dict(mode="short", ema_mode="epoch", epochs=4),
                   "6c755bc345f4fd15498413c333ea4ba1cdabaeeb7728956d9200991d10361083",
                   "803360cead2ac5d187ebb41d648cbea8a3f594b92f5b720c0984db44930f687c"),
+    # the default noise levels, drawn per prompt from the schedule
+    "schedule_noise": (dict(mode="short", noise_mode="schedule", epochs=4),
+                       "c36240a587ea09d0097fc3f05d2452fa798eb02c70510cd197c13a4c3d9a135f",
+                       "c2c8eb02443217eb11f23c4fc5cd78e9459d969f7cc742195c169ba178c0181f"),
 }
 # sha256 of the pretrained base's flat vector under PINNED_TUNING: the bits
 # every pinned run starts from.
@@ -513,7 +517,7 @@ def test_pretrained_base_matches_pinned_digest():
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_run_bytes_match_pinned_digests(tmp_path, name):
     over, metrics_digest, checkpoint_digest = PINNED_RUNS[name]
-    summary = cli.run_training(RunConfig(**PINNED_TUNING, **over), tmp_path)
+    summary = cli.run_training(RunConfig(**{**PINNED_TUNING, **over}), tmp_path)
     assert summary["status"] == "ok"
     if name == "long":
         starts = [r["window_start"] for r in runio.read_metrics(tmp_path / "metrics.jsonl")]

@@ -35,6 +35,12 @@ def make_world(cfg, n_prompts=2):
     return run, schedule, prompts
 
 
+def rollout(theta_old, prompts, spec, cfg, schedule, epoch):
+    """The epoch's groups as train_window_epoch decodes them: the prefix, then the window."""
+    prefix = longtune.rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
+    return longtune.window_rollout(theta_old, prompts, spec, cfg, schedule, epoch, prefix)
+
+
 def test_window_spec_validation():
     longtune.WindowSpec(total_clips=8, window_clips=2, start_clip=6)
     with pytest.raises(ValueError):
@@ -105,27 +111,23 @@ def test_window_rollout_row_layout():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=2)
-    (data,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
+    data = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
     g, w = cfg.group_size, cfg.window_clips
-    width = cfg.clip_len * cfg.frame_dim
-    assert data.x0_rows.shape == (g * w, width)
-    assert data.ctx_rows.shape == (g * w, 2 * cfg.frame_dim)
-    assert list(data.row_candidate) == [i for i in range(g) for _ in range(w)]
-    assert len(data.clips) == g
-    assert data.clips[0].shape == (w * cfg.clip_len, cfg.frame_dim)
+    assert data.prompts == [prompts[0]]
+    assert data.clips.shape == (1, g, w, cfg.clip_len, cfg.frame_dim)
+    assert data.summaries.shape == (1, g, w, 2 * cfg.frame_dim)
 
 
 def test_window_rollout_candidates_branch_after_shared_prefix():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=2)
-    (data,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
-    w = cfg.window_clips
-    first_rows = data.ctx_rows[::w]
+    data = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
+    first_rows = data.summaries[0, :, 0]
     # every candidate's first window clip is conditioned on the same prefix
     assert np.array_equal(first_rows[0], first_rows[1])
     # after generating their own clip the contexts diverge
-    second_rows = data.ctx_rows[1::w]
+    second_rows = data.summaries[0, :, 1]
     assert not np.array_equal(second_rows[0], second_rows[1])
 
 
@@ -133,10 +135,10 @@ def test_window_rollout_deterministic():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=1)
-    (a,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
-    (b,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
-    assert np.array_equal(a.x0_rows, b.x0_rows)
-    assert np.array_equal(a.ctx_rows, b.ctx_rows)
+    a = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
+    b = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
+    assert np.array_equal(a.clips, b.clips)
+    assert np.array_equal(a.summaries, b.summaries)
 
 
 def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
@@ -177,16 +179,19 @@ def test_window_rollout_matches_per_prompt_reference():
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=5)
     prefixes = longtune.rollout_prefix(run.policies.theta_old, prompts, spec.start_clip, cfg,
                                        schedule, 4)
-    groups = longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 4)
-    assert [d.prompt for d in groups] == prompts
+    data = longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 4,
+                                   prefixes)
+    assert data.prompts == prompts
     assert prefixes.total_generated == spec.start_clip * cfg.clip_len
-    for prompt, prefix, data in zip(prompts, prefixes.summary(), groups):
+    rows = cfg.group_size * cfg.window_clips
+    for prompt, prefix, clips, summaries in zip(prompts, prefixes.summary(), data.clips,
+                                                data.summaries):
         ref_prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
             run.policies.theta_old, prompt, spec, cfg, schedule, 4)
         assert ref_prefix.total_generated == prefixes.total_generated
         assert np.max(np.abs(prefix - ref_prefix.summary())) <= 1e-12
-        assert np.max(np.abs(data.x0_rows - ref_rows)) <= 1e-12
-        assert np.max(np.abs(data.ctx_rows - ref_ctx)) <= 1e-12
+        assert np.max(np.abs(clips.reshape(rows, -1) - ref_rows)) <= 1e-12
+        assert np.max(np.abs(summaries.reshape(rows, -1) - ref_ctx)) <= 1e-12
 
 
 def test_group_rollout_matches_per_prompt_window_reference():
@@ -239,7 +244,7 @@ def test_rollout_work_budget(monkeypatch, mode, start, window):
         assert spec == longtune.WindowSpec(total_clips=1, window_clips=1, start_clip=0)
     else:
         spec = longtune.WindowSpec(cfg.total_clips, window, start)
-    longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 0)
+    rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 0)
     p, g = len(prompts), cfg.group_size
     assert len(pushes) == start + window - 1
     assert len(summaries) == start + window
@@ -257,15 +262,13 @@ def test_window_rollout_group_independent_of_other_prompts():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=4)
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=3)
-    together = longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 1)
-    reversed_order = longtune.window_rollout(run.policies.theta_old, prompts[::-1], spec, cfg,
-                                             schedule, 1)[::-1]
+    together = rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 1)
+    reversed_order = rollout(run.policies.theta_old, prompts[::-1], spec, cfg, schedule, 1)
     for k, prompt in enumerate(prompts):
-        (alone,) = longtune.window_rollout(run.policies.theta_old, [prompt], spec, cfg,
-                                           schedule, 1)
-        for other in (alone, reversed_order[k]):
-            assert np.max(np.abs(other.x0_rows - together[k].x0_rows)) <= 1e-12
-            assert np.max(np.abs(other.ctx_rows - together[k].ctx_rows)) <= 1e-12
+        alone = rollout(run.policies.theta_old, [prompt], spec, cfg, schedule, 1)
+        for other, j in ((alone, 0), (reversed_order, len(prompts) - 1 - k)):
+            assert np.max(np.abs(other.clips[j] - together.clips[k])) <= 1e-12
+            assert np.max(np.abs(other.summaries[j] - together.summaries[k])) <= 1e-12
 
 
 @pytest.mark.parametrize("start", [0, 3])
@@ -276,7 +279,7 @@ def test_window_rollout_abort_names_prompt_whose_rows_blew_up(start):
     prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
     spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
     with pytest.raises(nftcore.EpochAborted) as exc:
-        longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 7)
+        rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 7)
     assert exc.value.epoch == 7
     assert exc.value.pid == prompts[2].pid
 
@@ -290,15 +293,14 @@ def test_graph_size_independent_of_prefix_length():
     sizes, node_counts = [], []
     for start in (0, 4, 16, 38):
         spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
-        (data,) = longtune.window_rollout(run.policies.theta_old, [prompts[0]], spec, cfg,
-                                          schedule, 0)
+        data = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
         scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
         # pin the mask: its occupancy decides whether the KL subgraph exists,
         # which is orthogonal to what this test measures
         scored.mask[:] = True
-        eps = rng.standard_normal(data.x0_rows.shape)
+        eps = rng.standard_normal(data.clips.shape[1:])
         graph, loss, info = nftcore.build_group_loss(run.policies, scored, cfg, 0.8, eps)
-        sizes.append(data.x0_rows.shape)
+        sizes.append(data.clips.shape)
         node_counts.append(info["graph_nodes"])
     assert len(set(sizes)) == 1
     assert len(set(node_counts)) == 1

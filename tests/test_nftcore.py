@@ -16,6 +16,7 @@ from astro import flowgen, longtune, nftcore, rewardlab, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig
 from test_flowgen import per_step_noise
+from test_longtune import rollout
 from test_tensorgrad import one_group_inputs, reference_adamw_step
 
 
@@ -42,8 +43,20 @@ def make_world(cfg, n_prompts=2):
 def prepared_inputs(run, scored, cfg, schedule):
     """scored's epoch_loss_inputs at run's epoch, drawn as prepare_epoch draws them."""
     return nftcore.epoch_loss_inputs(
-        run.policies.theta_ref, [scored], cfg,
-        *nftcore.draw_noise(cfg, schedule, run.state.epoch, [scored.data]))[0]
+        run.policies.theta_ref, scored, cfg,
+        *nftcore.draw_noise(cfg, schedule, run.state.epoch, scored.data))[0]
+
+
+def stacked(groups):
+    """One GroupData holding several GroupData's prompts, in order."""
+    return nftcore.GroupData([p for d in groups for p in d.prompts],
+                             np.concatenate([d.clips for d in groups]),
+                             np.concatenate([d.summaries for d in groups]))
+
+
+def prompt_group(data, p):
+    """Prompt p's group alone, as one-prompt GroupData."""
+    return nftcore.GroupData([data.prompts[p]], data.clips[p:p + 1], data.summaries[p:p + 1])
 
 
 # --- advantages and soft labels ---
@@ -218,15 +231,15 @@ def test_selective_kl_empty_mask_is_plain_zero():
     policies = make_world(cfg)[0].policies
     scored = synthetic_scored_group(cfg, rng)
     scored.mask[:] = False
-    eps = rng.standard_normal(scored.data.x0_rows.shape)
+    eps = rng.standard_normal(scored.data.clips.shape[1:])
     inputs = one_group_inputs(policies, scored, cfg, 0.8, eps)
     assert sorted(inputs) == ["old_minus", "old_plus", "w", "w_neg", "x", "x0"]
     graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
     assert info["kl_loss"] == 0.0 and info["masked"] == 0
     assert float(loss.value) == info["policy_loss"]
-    scored.mask[1] = True
+    scored.mask[0, 1] = True
     inputs = one_group_inputs(policies, scored, cfg, 0.8, eps)
-    m, scale = kl_weights(scored.mask, inputs["x0"].shape[1])
+    m, scale = kl_weights(scored.mask[0], inputs["x0"].shape[1])
     assert np.array_equal(inputs["m"], m) and inputs["kl_scale"] == scale
     assert np.array_equal(inputs["w_neg"], 1.0 - inputs["w"])
 
@@ -315,20 +328,18 @@ def test_reset_trigger_staleness_strictly_greater():
 
 
 def synthetic_scored_group(cfg, rng):
+    """Prompt 0's group of one-clip candidates: random clips, summaries,
+    advantages and mask."""
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
     g = cfg.group_size
-    width = cfg.clip_len * cfg.frame_dim
-    x0 = rng.standard_normal((g, width))
-    ctx = rng.standard_normal((g, 2 * cfg.frame_dim))
-    adv = nftcore.compute_advantages(rng.standard_normal(g) * 2.0)
-    mask = rng.random(g) < 0.5
     data = nftcore.GroupData(
-        prompt=prompt, x0_rows=x0, ctx_rows=ctx,
-        row_candidate=np.arange(g),
-        clips=[x0[i].reshape(cfg.clip_len, cfg.frame_dim) for i in range(g)])
-    return nftcore.ScoredGroup(data=data, raw_scores=np.zeros((g, 3)),
-                               advantages=adv, mask=mask, tau=1.0)
+        prompts=[prompt], clips=rng.standard_normal((1, g, 1, cfg.clip_len, cfg.frame_dim)),
+        summaries=rng.standard_normal((1, g, 1, 2 * cfg.frame_dim)))
+    adv = nftcore.compute_advantages(rng.standard_normal((1, g)) * 2.0)
+    mask = rng.random((1, g)) < 0.5
+    return nftcore.ScoredGroup(data=data, raw_scores=np.zeros((1, g, 3)),
+                               advantages=adv, mask=mask, tau=np.ones(1))
 
 
 def test_group_loss_gradient_matches_finite_differences():
@@ -337,9 +348,9 @@ def test_group_loss_gradient_matches_finite_differences():
     policies = make_world(cfg)[0].policies
     scored = synthetic_scored_group(cfg, rng)
     if not scored.mask.any():
-        scored.mask[0] = True  # exercise the KL term too
+        scored.mask[0, 0] = True  # exercise the KL term too
     t = 0.8
-    eps = rng.standard_normal(scored.data.x0_rows.shape)
+    eps = rng.standard_normal(scored.data.clips.shape[1:])
 
     graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, t, eps)
     grads = tg.backward(graph, loss)
@@ -369,7 +380,7 @@ def test_group_loss_keeps_old_and_ref_off_graph():
     policies = make_world(cfg)[0].policies
     scored = synthetic_scored_group(cfg, rng)
     graph, loss, _ = nftcore.build_group_loss(
-        policies, scored, cfg, 0.9, rng.standard_normal(scored.data.x0_rows.shape))
+        policies, scored, cfg, 0.9, rng.standard_normal(scored.data.clips.shape[1:]))
     assert set(graph.params) == set(policies.theta)
 
 
@@ -501,10 +512,11 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
     run, schedule, _ = make_world(cfg)
     policies, opt = run.policies, run.optimizer
     scored = synthetic_scored_group(cfg, np.random.default_rng(16))
-    t = schedule.values[int(arng.substream(cfg.seed, arng.NOISE_T_STREAM, 0, scored.data.prompt.pid)
+    pid = scored.data.prompts[0].pid
+    t = schedule.values[int(arng.substream(cfg.seed, arng.NOISE_T_STREAM, 0, pid)
                             .integers(len(schedule.values)))]
-    eps = arng.substream(cfg.seed, arng.EPS_STREAM, 0, scored.data.prompt.pid) \
-        .standard_normal(scored.data.x0_rows.shape)
+    eps = arng.substream(cfg.seed, arng.EPS_STREAM, 0, pid) \
+        .standard_normal(scored.data.clips.shape[1:])
     graph, loss, _ = nftcore.build_group_loss(policies, scored, cfg, t, eps)
     grads = {k: g.copy() for k, g in tg.backward(graph, loss).items()}
     norm = float(np.sqrt(sum(float(np.sum(np.square(grads[k]))) for k in sorted(grads))))
@@ -528,17 +540,17 @@ def test_draw_noise_level_modes():
     sched = flowgen.make_schedule()
     rng = np.random.default_rng(18)
     fixed_cfg = small_config(noise_mode="fixed", fixed_t=0.6)
-    groups = [synthetic_scored_group(fixed_cfg, rng).data for _ in range(2)]
-    groups[1] = dataclasses.replace(groups[1], prompt=dataclasses.replace(groups[1].prompt, pid=1))
-    assert nftcore.draw_noise(fixed_cfg, sched, 0, groups)[0] == [0.6, 0.6]
+    data = stacked([synthetic_scored_group(fixed_cfg, rng).data for _ in range(2)])
+    data.prompts[1] = dataclasses.replace(data.prompts[1], pid=1)
+    assert nftcore.draw_noise(fixed_cfg, sched, 0, data)[0] == [0.6, 0.6]
     cfg = small_config()
-    (_, t1), eps1 = nftcore.draw_noise(cfg, sched, 3, groups)
-    (t2,), eps2 = nftcore.draw_noise(cfg, sched, 3, groups[1:])
+    (_, t1), eps1 = nftcore.draw_noise(cfg, sched, 3, data)
+    (t2,), eps2 = nftcore.draw_noise(cfg, sched, 3, prompt_group(data, 1))
     assert t1 == t2 and np.array_equal(eps1[1], eps2[0])
     assert t1 in sched.values
     assert np.array_equal(eps2[0], arng.substream(cfg.seed, arng.EPS_STREAM, 3, 1)
-                          .standard_normal(groups[1].x0_rows.shape))
-    draws = {nftcore.draw_noise(cfg, sched, e, groups[:1])[0][0] for e in range(40)}
+                          .standard_normal(data.clips.shape[1:]))
+    draws = {nftcore.draw_noise(cfg, sched, e, prompt_group(data, 0))[0][0] for e in range(40)}
     assert len(draws) > 1
 
 
@@ -566,48 +578,52 @@ def window_groups(cfg, prompts, rng):
                                                               shape).copy(),
                   rng.standard_normal(shape)]
     candidates[2][:2] = rng.standard_normal((2, 1, cfg.frame_dim))
-    return [nftcore.GroupData(prompt=prompt, x0_rows=frames.reshape(g * w, -1),
-                              ctx_rows=rng.standard_normal((g * w, 2 * cfg.frame_dim)),
-                              row_candidate=np.repeat(np.arange(g), w), clips=frames)
-            for prompt, frames in zip(prompts, candidates)]
+    summaries = [rng.standard_normal((g, w, 2 * cfg.frame_dim)) for _ in prompts]
+    return nftcore.GroupData(list(prompts),
+                             np.stack(candidates).reshape(-1, g, w, cfg.clip_len, cfg.frame_dim),
+                             np.stack(summaries))
 
 
-def per_group_preparation(run, groups, cfg, schedule):
+def per_group_preparation(run, data, cfg, schedule):
     """The epoch's preparation one group at a time, from the per-group pieces:
     (raw scores, advantages, mask, tau, step inputs) per group. Each judge
     scores the group's own stack; the visual judge is also held to its
     per-frame definition, frame_quality, which rounds differently (math.hypot
-    and a BLAS dot) and so agrees to 1e-12, not bit for bit."""
+    and a BLAS dot) and so agrees to 1e-12, not bit for bit. Row r of a
+    group is candidate r // W's."""
     normalizer, policies, epoch = rewardlab.RewardNormalizer(), run.policies, run.state.epoch
+    g, w = data.clips.shape[1:3]
+    row_candidate = np.arange(g * w) // w
     out = []
-    for d in groups:
-        frames = np.asarray(d.clips)
+    for prompt, clips, summaries in zip(data.prompts, data.clips, data.summaries):
+        frames = clips.reshape(g, -1, clips.shape[-1])
+        x0_rows, ctx_rows = clips.reshape(g * w, -1), summaries.reshape(g * w, -1)
         raw = np.stack([rewardlab.visual_quality(frames), rewardlab.motion_quality(frames),
-                        rewardlab.text_alignment(frames, d.prompt.vec)], axis=1)
+                        rewardlab.text_alignment(frames, prompt.vec)], axis=1)
         for clip, score in zip(frames, raw[:, rewardlab.VQ]):
             per_frame = np.sort([rewardlab.frame_quality(f) for f in clip])[::-1]
             keep = math.ceil(rewardlab.TOP_FRAME_FRACTION * len(per_frame))
             assert abs(np.mean(per_frame[:keep]) - score) <= 1e-12 * max(1.0, abs(score))
-        std = normalizer.update_and_standardize(d.prompt.pid, raw)
+        std = normalizer.update_and_standardize(prompt.pid, raw)
         source = (rewardlab.aggregate_composite(std, cfg.reward_weights)
                   if cfg.advantage_source == "composite" else std[:, rewardlab.VQ])
         adv = nftcore.compute_advantages(source)
         ranks = [rewardlab.rank_samples(raw[:, m]) for m in range(rewardlab.N_MODELS)]
         delta = rewardlab.rank_disagreement(ranks[0], ranks[1:])
         tau, mask = rewardlab.uncertainty_mask(delta, cfg.rho0)
-        t = schedule.values[int(arng.substream(cfg.seed, arng.NOISE_T_STREAM, epoch, d.prompt.pid)
+        t = schedule.values[int(arng.substream(cfg.seed, arng.NOISE_T_STREAM, epoch, prompt.pid)
                                 .integers(len(schedule.values)))]
-        eps = arng.substream(cfg.seed, arng.EPS_STREAM, epoch, d.prompt.pid) \
-            .standard_normal(d.x0_rows.shape)
-        x = flowgen.assemble_input(flowgen.forward_path(d.x0_rows, eps, t), t, d.ctx_rows,
-                                   d.prompt.vec)
+        eps = arng.substream(cfg.seed, arng.EPS_STREAM, epoch, prompt.pid) \
+            .standard_normal(x0_rows.shape)
+        x = flowgen.assemble_input(flowgen.forward_path(x0_rows, eps, t), t, ctx_rows,
+                                   prompt.vec)
         v_old = flowgen.mlp_forward(policies.theta_old, x)
-        width = d.x0_rows.shape[1]
-        w = np.repeat(nftcore.normalize_advantage(adv, cfg.a_max)[d.row_candidate, None],
-                      width, axis=1)
-        inputs = {"x": x, "x0": d.x0_rows, "old_plus": (1.0 - cfg.beta) * v_old,
-                  "old_minus": (1.0 + cfg.beta) * v_old, "w": w, "w_neg": 1.0 - w}
-        rows_masked = mask[d.row_candidate]
+        width = x0_rows.shape[1]
+        labels = np.repeat(nftcore.normalize_advantage(adv, cfg.a_max)[row_candidate, None],
+                           width, axis=1)
+        inputs = {"x": x, "x0": x0_rows, "old_plus": (1.0 - cfg.beta) * v_old,
+                  "old_minus": (1.0 + cfg.beta) * v_old, "w": labels, "w_neg": 1.0 - labels}
+        rows_masked = mask[row_candidate]
         if rows_masked.any():
             inputs.update(v_ref=flowgen.mlp_forward(policies.theta_ref, x),
                           m=np.repeat(rows_masked[:, None], width, axis=1).astype(np.float64),
@@ -625,16 +641,17 @@ def test_prepared_epoch_matches_per_group_reference_bit_for_bit(source):
     run.policies.theta_old.flat += 0.05 * rng.standard_normal(run.policies.theta.flat.shape)
     run.policies.theta_ref.flat -= 0.05 * rng.standard_normal(run.policies.theta.flat.shape)
     run.state.epoch = 3
-    groups = window_groups(cfg, prompts, rng)
-    want = per_group_preparation(run, groups, cfg, schedule)
-    got, fixed = nftcore.prepare_epoch(run, groups, cfg, schedule)
+    data = window_groups(cfg, prompts, rng)
+    want = per_group_preparation(run, data, cfg, schedule)
+    got, fixed = nftcore.prepare_epoch(run, data, cfg, schedule)
     # masked rows in groups 0 and 2, in different numbers; none in group 1
     assert 0 < want[0][2].sum() != want[2][2].sum() > 0 and not want[1][2].any()
     assert len(set(want[2][0][:, rewardlab.MQ])) < cfg.group_size
-    for scored, prepared, (raw, adv, mask, tau, inputs) in zip(got, fixed, want):
-        assert np.array_equal(scored.raw_scores, raw)
-        assert np.array_equal(scored.advantages, adv)
-        assert np.array_equal(scored.mask, mask) and scored.tau == tau
+    assert got.data is data and len(fixed) == len(want)
+    for p, (prepared, (raw, adv, mask, tau, inputs)) in enumerate(zip(fixed, want)):
+        assert np.array_equal(got.raw_scores[p], raw)
+        assert np.array_equal(got.advantages[p], adv)
+        assert np.array_equal(got.mask[p], mask) and got.tau[p] == tau
         step = nftcore.step_inputs(prepared, run.policies.theta_old, cfg)
         assert sorted(step) == sorted(inputs)
         for name, value in inputs.items():
@@ -687,14 +704,14 @@ def test_nonfinite_reference_row_aborts_before_the_first_step():
     # matmul; the epoch instead aborts while preparing, before any step.
     cfg = small_config(window_clips=2, total_clips=2)
     run, schedule, prompts = make_world(cfg, n_prompts=3)
-    groups = window_groups(cfg, prompts, np.random.default_rng(20))
+    data = window_groups(cfg, prompts, np.random.default_rng(20))
     k, row, rows = 1, 5, cfg.group_size * cfg.window_clips
-    groups[k].ctx_rows[row, 0] = np.inf
+    data.summaries[k, row // cfg.window_clips, row % cfg.window_clips, 0] = np.inf
     ctx_col = cfg.clip_len * cfg.frame_dim + 4  # after the noised clip and time features
     run.policies.theta_ref["w1"][ctx_col] = 0.0
     theta = run.policies.theta.flat.copy()
     with pytest.raises(nftcore.EpochAborted) as exc, np.errstate(all="ignore"):
-        nftcore.train_epoch(run, groups, cfg, schedule)
+        nftcore.train_epoch(run, data, cfg, schedule)
     assert exc.value.pid == prompts[k].pid
     assert exc.value.cause.row == k * rows + row
     assert run.optimizer.t == 0 and run.state.steps == 0 and run.state.epoch == 0
@@ -725,6 +742,36 @@ def test_train_epoch_advances_state():
     assert run.state.steps == len(prompts)
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_train_epoch_record_matches_per_group_reference(monkeypatch, tied):
+    # The record's reward means, mask fraction and mean finite tau, against
+    # each prompt's group scored alone. A group's rank disagreements sum to
+    # 0, so uncertainty_mask never returns tau = inf on judged groups; here
+    # a group whose disagreements are all 0 (all its candidates tie) gets
+    # inf, so that an epoch of only such groups records tau None.
+    mask_of = rewardlab.uncertainty_mask
+    monkeypatch.setattr(rewardlab, "uncertainty_mask", lambda delta, rho: (
+        (math.inf, np.zeros(delta.shape, dtype=bool)) if not delta.any() else mask_of(delta, rho)))
+    cfg = small_config(window_clips=2, total_clips=2, rho0=0.5)
+    run, schedule, prompts = make_world(cfg, n_prompts=3)
+    data = window_groups(cfg, prompts, np.random.default_rng(21))
+    if tied:
+        data.clips[:] = data.clips[:, :1]
+    normalizer = rewardlab.RewardNormalizer()
+    alone = [nftcore.score_group(prompt_group(data, p), cfg, normalizer)
+             for p in range(len(prompts))]
+    record = nftcore.train_epoch(run, data, cfg, schedule)
+    raw = np.concatenate([s.raw_scores[0] for s in alone])
+    means = raw.mean(axis=0)
+    taus = [float(s.tau[0]) for s in alone if math.isfinite(s.tau[0])]
+    assert len(taus) == (0 if tied else 2)
+    assert (record.reward_vq, record.reward_mq, record.reward_ta) == tuple(means)
+    assert record.composite == float(means @ np.asarray(cfg.reward_weights))
+    assert record.mask_fraction == sum(int(s.mask.sum()) for s in alone) / len(raw)
+    assert record.mask_fraction > 0.0 or tied
+    assert record.tau == (float(np.mean(taus)) if taus else None)
+
+
 def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):
     """Reference: one prompt's candidate group decoded on its own, G rows per call,
     each stream drawn per schedule step."""
@@ -738,8 +785,7 @@ def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):
 
 def short_mode_rollout(theta_old, prompts, epoch, cfg, schedule):
     """Short mode's rollout: the streaming window of one clip at clip 0."""
-    spec = longtune.epoch_window(cfg, epoch)
-    return longtune.window_rollout(theta_old, prompts, spec, cfg, schedule, epoch)
+    return rollout(theta_old, prompts, longtune.epoch_window(cfg, epoch), cfg, schedule, epoch)
 
 
 def test_short_rollout_matches_per_prompt_reference():
@@ -747,14 +793,13 @@ def test_short_rollout_matches_per_prompt_reference():
     run, schedule, prompts = make_world(cfg, n_prompts=5)
     policies = run.policies
     g = cfg.group_size
-    groups = short_mode_rollout(policies.theta_old, prompts, 3, cfg, schedule)
-    assert [d.prompt for d in groups] == prompts
-    for prompt, data in zip(prompts, groups):
+    data = short_mode_rollout(policies.theta_old, prompts, 3, cfg, schedule)
+    assert data.prompts == prompts
+    assert data.clips.shape == (len(prompts), g, 1, cfg.clip_len, cfg.frame_dim)
+    assert np.array_equal(data.summaries, np.zeros((len(prompts), g, 1, 2 * cfg.frame_dim)))
+    for prompt, clips in zip(prompts, data.clips):
         ref = per_prompt_short_group(policies.theta_old, prompt, 3, cfg, schedule)
-        assert np.array_equal(data.x0_rows, ref.reshape(g, -1))
-        assert np.array_equal(np.stack(data.clips), ref)
-        assert np.array_equal(data.ctx_rows, np.zeros((g, 2 * cfg.frame_dim)))
-        assert np.array_equal(data.row_candidate, np.arange(g))
+        assert np.array_equal(clips[:, 0], ref)
 
 
 def test_short_rollout_group_independent_of_other_prompts():
@@ -762,12 +807,11 @@ def test_short_rollout_group_independent_of_other_prompts():
     run, schedule, prompts = make_world(cfg, n_prompts=4)
     policies = run.policies
     together = short_mode_rollout(policies.theta_old, prompts, 1, cfg, schedule)
-    reversed_order = short_mode_rollout(policies.theta_old, prompts[::-1], 1, cfg,
-                                        schedule)[::-1]
+    reversed_order = short_mode_rollout(policies.theta_old, prompts[::-1], 1, cfg, schedule)
     for k, prompt in enumerate(prompts):
-        (alone,) = short_mode_rollout(policies.theta_old, [prompt], 1, cfg, schedule)
-        assert np.array_equal(alone.x0_rows, together[k].x0_rows)
-        assert np.array_equal(reversed_order[k].x0_rows, together[k].x0_rows)
+        alone = short_mode_rollout(policies.theta_old, [prompt], 1, cfg, schedule)
+        assert np.array_equal(alone.clips[0], together.clips[k])
+        assert np.array_equal(reversed_order.clips[-1 - k], together.clips[k])
 
 
 def test_train_epoch_abort_names_prompt_whose_rows_blew_up():
@@ -789,16 +833,11 @@ def test_train_epoch_aborts_on_optimization_overflow():
 
     def huge_group():
         data = synthetic_scored_group(cfg, rng).data
-        return nftcore.GroupData(
-            prompt=data.prompt,
-            x0_rows=np.full_like(data.x0_rows, 1e200),
-            ctx_rows=data.ctx_rows,
-            row_candidate=data.row_candidate,
-            clips=data.clips)
+        return dataclasses.replace(data, clips=np.full_like(data.clips, 1e200))
 
     with pytest.raises(nftcore.EpochAborted):
         with np.errstate(all="ignore"):
-            nftcore.train_epoch(run, [huge_group(), huge_group()], cfg, schedule)
+            nftcore.train_epoch(run, stacked([huge_group(), huge_group()]), cfg, schedule)
 
 
 def test_first_layer_overflow_aborts_at_its_matmul():
@@ -811,10 +850,10 @@ def test_first_layer_overflow_aborts_at_its_matmul():
     scored = synthetic_scored_group(cfg, rng)
     with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
         nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
-    groups = [synthetic_scored_group(cfg, rng).data for _ in range(2)]
+    data = stacked([synthetic_scored_group(cfg, rng).data for _ in range(2)])
     with pytest.raises(nftcore.EpochAborted) as exc:
-        nftcore.train_epoch(run, groups, cfg, schedule)
-    assert exc.value.pid == groups[0].prompt.pid
+        nftcore.train_epoch(run, data, cfg, schedule)
+    assert exc.value.pid == data.prompts[0].pid
     assert "primitive 'matmul'" in str(exc.value.cause)
 
 
@@ -824,14 +863,14 @@ def test_first_layer_overflow_on_replay_aborts_at_its_matmul(graphs_without_gc):
     cfg = small_config()
     run, schedule, _ = make_world(cfg)
     rng = np.random.default_rng(17)
-    groups = [synthetic_scored_group(cfg, rng).data for _ in range(2)]
-    nftcore.train_epoch(run, groups, cfg, schedule)
+    data = stacked([synthetic_scored_group(cfg, rng).data for _ in range(2)])
+    nftcore.train_epoch(run, data, cfg, schedule)
     built, tapes = len(graphs_without_gc), dict(run.tapes)
     run.policies.theta["w1"][...] = np.finfo(np.float64).max
     with pytest.raises(nftcore.EpochAborted) as exc:
-        nftcore.train_epoch(run, groups, cfg, schedule)
+        nftcore.train_epoch(run, data, cfg, schedule)
     assert len(graphs_without_gc) == built and run.tapes == tapes
-    assert exc.value.pid == groups[0].prompt.pid
+    assert exc.value.pid == data.prompts[0].pid
     assert "primitive 'matmul'" in str(exc.value.cause)
 
 

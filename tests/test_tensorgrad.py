@@ -372,7 +372,7 @@ def reference_backward(graph, loss):
 def one_group_inputs(policies, scored, cfg, t, eps):
     """Every array one group's loss reads, at noise level t and noise eps: its
     epoch_loss_inputs alone, with theta_old's step_inputs."""
-    fixed = nftcore.epoch_loss_inputs(policies.theta_ref, [scored], cfg, [t], eps[None])[0]
+    fixed = nftcore.epoch_loss_inputs(policies.theta_ref, scored, cfg, [t], eps[None])[0]
     return nftcore.step_inputs(fixed, policies.theta_old, cfg)
 
 
@@ -386,14 +386,13 @@ def group_case(masked: bool, seed: int = 21):
     policies.theta_ref.flat -= 0.01 * rng.standard_normal(policies.theta.flat.shape)
     g, width = cfg.group_size, cfg.clip_len * cfg.frame_dim
     data = nftcore.GroupData(
-        prompt=flowgen.make_prompt(0, rng, cfg.prompt_dim),
-        x0_rows=rng.standard_normal((g, width)),
-        ctx_rows=rng.standard_normal((g, 2 * cfg.frame_dim)),
-        row_candidate=np.arange(g), clips=[])
+        prompts=[flowgen.make_prompt(0, rng, cfg.prompt_dim)],
+        clips=rng.standard_normal((1, g, 1, cfg.clip_len, cfg.frame_dim)),
+        summaries=rng.standard_normal((1, g, 1, 2 * cfg.frame_dim)))
     mask = np.arange(g) % 3 == 0 if masked else np.zeros(g, dtype=bool)
-    scored = nftcore.ScoredGroup(data=data, raw_scores=np.zeros((g, 3)),
-                                 advantages=nftcore.compute_advantages(rng.standard_normal(g)),
-                                 mask=mask, tau=1.0)
+    scored = nftcore.ScoredGroup(data=data, raw_scores=np.zeros((1, g, 3)),
+                                 advantages=nftcore.compute_advantages(rng.standard_normal((1, g))),
+                                 mask=mask[None], tau=np.ones(1))
     inputs = one_group_inputs(policies, scored, cfg, 5.0 / 6.0, rng.standard_normal((g, width)))
     return (policies.theta, inputs,
             lambda graph, theta, arrays: nftcore.group_loss_graph(graph, theta, arrays, cfg))
