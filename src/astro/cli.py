@@ -53,9 +53,10 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
     """Full training run rooted at out_dir. Returns a status summary.
 
     A fresh run truncates any previous metrics log so identical seeds produce
-    identical files; resuming appends and continues the epoch numbering from
-    the checkpoint. Each epoch's wall seconds per phase go to timings.jsonl,
-    never to the metrics log.
+    identical files; resuming drops the logs' lines from the checkpoint's
+    epoch on, then appends and continues the epoch numbering from there.
+    Each epoch's wall seconds per phase go to timings.jsonl, never to the
+    metrics log.
     """
     out_dir = Path(out_dir)
     # A checkpoint is checked against cfg before anything under out_dir is written.
@@ -72,8 +73,11 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
         timings_path.unlink(missing_ok=True)
         if echo:
             echo(f"pretrained base for {cfg.pretrain_steps} steps")
-    elif echo:
-        echo(f"resumed from {resume} at epoch {run.state.epoch}")
+    else:
+        for path in (metrics_path, timings_path):
+            runio.drop_epochs_from(path, run.state.epoch)
+        if echo:
+            echo(f"resumed from {resume} at epoch {run.state.epoch}")
 
     while run.state.epoch < cfg.epochs:
         try:

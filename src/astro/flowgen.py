@@ -297,6 +297,8 @@ class TrajectoryCorpus:
     clip_len: int
     frame_dim: int
     tables: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    bounds: dict[int, np.ndarray] = field(init=False, default_factory=dict, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         x0 = np.array([[target_clip(p.phase, n, self.clip_len, self.frame_dim).ravel()
@@ -312,8 +314,12 @@ class TrajectoryCorpus:
 
         Each example draws its prompt index, then its clip index, all in one
         call that makes the draws a loop of scalar rng.integers calls would.
+        That call's table of bounds is built once per batch size.
         """
-        bounds = np.tile([len(self.prompts), self.horizon], batch_size)
+        bounds = self.bounds.get(batch_size)
+        if bounds is None:
+            bounds = self.bounds[batch_size] = np.tile([len(self.prompts), self.horizon],
+                                                       batch_size)
         which, clip = rng.integers(0, bounds).reshape(batch_size, 2).T
         x0, ctx, pv = self.tables
         return x0[which, clip], ctx[which, clip], pv[which]
@@ -338,7 +344,10 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
     Returns (flat params, per-step losses); init, when given, is updated in
     place. steps=0 returns the initialization untouched. A non-finite loss
     aborts with PretrainDivergence. Every step runs the loss's tape, which
-    the first step records from regression_loss.
+    the first step records from regression_loss. The input rows, laid out
+    as assemble_input's, and the schedule's time features are built once;
+    each step draws its batch, levels and noise, in that order, and writes
+    the rows' columns in place.
     """
     schedule = schedule or make_schedule()
     prompt_dim = corpus.prompts[0].vec.shape[0]
@@ -346,15 +355,29 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
         rng, corpus.frame_dim, corpus.clip_len, prompt_dim, hidden)
     opt = tg.AdamW(lr=lr, weight_decay=0.0)
     levels = np.array(schedule.values)
+    feats = time_features(levels)
+    width = corpus.clip_len * corpus.frame_dim
+    x = np.empty((batch_size, net_input_dim(corpus.frame_dim, corpus.clip_len, prompt_dim)))
+    clip, times, ctx, pv = np.split(x, np.cumsum([width, TIME_FEATURES, 2 * corpus.frame_dim]),
+                                    axis=1)
+    eps = np.empty((batch_size, width))
     losses: list[float] = []
     tapes: dict = {}
     for step in range(steps):
-        x0, ctx, pv = corpus.sample_batch(rng, batch_size)
-        t = levels[rng.integers(len(levels), size=batch_size)]
-        eps = rng.standard_normal(x0.shape)
-        inputs = {"x": assemble_input(forward_path(x0, eps, t), t, ctx, pv), "x0": x0}
+        x0, ctx[...], pv[...] = corpus.sample_batch(rng, batch_size)
+        level = rng.integers(len(levels), size=batch_size)
+        rng.standard_normal(out=eps)
+        # forward_path(x0, eps, t) in its operation order. Its checks hold by
+        # construction: t comes from a validated TimestepSchedule, so it lies
+        # in (0, 1], and eps is drawn in x0's shape.
+        t = levels[level][:, None]
+        np.multiply(1.0 - t, x0, out=clip)
+        eps *= t
+        clip += eps
+        times[...] = feats[level]
         try:
-            (loss,), finish = tg.loss_pass(tapes, (), params, inputs, regression_loss)
+            (loss,), finish = tg.loss_pass(tapes, (), params, {"x": x, "x0": x0},
+                                           regression_loss)
             opt.step(params, finish())
         except NonFiniteError as err:
             raise PretrainDivergence(step, losses[-1] if losses else math.nan) from err

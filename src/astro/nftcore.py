@@ -484,7 +484,6 @@ def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
     run.timings.lap("ema", since)
 
     raw_means = scored.raw_scores.reshape(-1, rewardlab.N_MODELS).mean(axis=0)
-    finite_taus = scored.tau[np.isfinite(scored.tau)]
     state.epoch += 1
     return runio.MetricsRecord(
         epoch=epoch,
@@ -495,7 +494,7 @@ def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
         policy_loss=float(np.mean([i["policy_loss"] for i in infos])),
         kl_loss=kl_epoch,
         mask_fraction=float(scored.mask.mean()),
-        tau=float(finite_taus.mean()) if finite_taus.size else None,
+        tau=float(scored.tau.mean()),
         rho=cfg.rho0,
         grad_norm=float(np.mean([i["grad_norm"] for i in infos])),
         reset=reset,

@@ -170,15 +170,16 @@ def rank_disagreement(primary_ranks: np.ndarray, aux_ranks: list[np.ndarray]) ->
 def uncertainty_mask(delta: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
     """Threshold tau at the 100*(1-rho) percentile of nonnegative disagreements.
 
-    Returns (tau, mask) with mask[i] = delta[i] > tau. With no nonnegative
-    disagreement the percentile is vacuous: tau = +inf and the mask is empty.
+    Returns (tau, mask) with mask[i] = delta[i] > tau. A group's rank
+    disagreements sum to 0, so one of them is always nonnegative; a delta
+    with none raises ValueError.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
     delta = np.asarray(delta, dtype=np.float64)
     nonneg = sorted(delta[delta >= 0.0].tolist())
     if not nonneg:
-        return math.inf, np.zeros(delta.shape, dtype=bool)
+        raise ValueError("no nonnegative disagreement to threshold")
     # np.percentile(nonneg, 100 * (1 - rho), method="linear") in numpy's own
     # arithmetic, without its per-call overhead: the virtual index between
     # two sorted neighbours, then numpy's two-sided lerp. Past the last

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass, fields
@@ -34,7 +35,7 @@ class MetricsRecord:
     policy_loss: float
     kl_loss: float
     mask_fraction: float
-    tau: float | None
+    tau: float
     rho: float
     grad_norm: float
     reset: bool
@@ -68,6 +69,18 @@ class PhaseTimes(dict):
         return now
 
 
+def drop_epochs_from(path, epoch: int) -> None:
+    """Rewrite a JSONL log without its lines whose epoch is at or past epoch,
+    keeping the other lines' bytes; a missing log is left missing."""
+    path = Path(path)
+    if not path.exists():
+        return
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if line.strip() and json.loads(line)["epoch"] < epoch]
+    if kept != lines:
+        path.write_text("".join(kept), encoding="utf-8")
+
+
 def read_metrics(path) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -94,7 +107,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], seed: int, epoch: int,
     """Manifest + float32 payload in one file.
 
     Arrays are stored sorted by name so offsets (and therefore bytes) are a
-    pure function of content.
+    pure function of content. The bytes go to a temporary file next to path,
+    synced to disk, which then replaces path in one step: a write that fails
+    leaves the previous checkpoint whole, and no temporary file behind.
     """
     entries = []
     payload = bytearray()
@@ -115,11 +130,20 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], seed: int, epoch: int,
         "arrays": entries,
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(bytes(payload))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            fh.write(bytes(payload))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

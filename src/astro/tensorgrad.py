@@ -432,10 +432,16 @@ def loss_pass(tapes: dict, frozen, params: dict[str, np.ndarray],
     return [float(slots[s]) for s in tape.outputs], lambda: tape.backward(slots)
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    """Joint L2 norm. Plain numpy reductions, not BLAS dot products, whose
-    per-call cost swings widely with the BLAS thread count on tiny arrays."""
-    return float(np.sqrt(sum(float(np.sum(np.square(grads[name]))) for name in sorted(grads))))
+def global_norm(grads: FlatParams) -> float:
+    """Joint L2 norm: each name's sum of squares, in sorted order. Plain
+    numpy reductions, not BLAS dot products, whose per-call cost swings
+    widely with the BLAS thread count on tiny arrays. Squaring one name at a
+    time keeps no vector-sized buffer alive; its largest temporary is the
+    largest name's."""
+    total = 0.0
+    for part in grads.values():
+        total += float(np.add.reduce(np.square(part), axis=None))
+    return math.sqrt(total)
 
 
 def clip_global_norm(grads: FlatParams, max_norm: float) -> float:
@@ -508,6 +514,8 @@ class AdamW:
     vector in place with whole-vector ops into the moments' two scratch
     vectors, never into the gradients; each op is one step of the per-element
     expression of a per-name loop, in its order, so the bits are that loop's.
+    Two ops whose results are exact identities are skipped: the division by
+    a first-moment bias correction of exactly 1.0, and a zero weight decay.
     The step count t and the moments m and v, FlatParams in the parameters'
     layout (empty before the first step), are the whole optimizer state: a
     checkpoint reads and restores them as attributes.
@@ -558,12 +566,22 @@ class AdamW:
         np.divide(v, b2t, out=a)
         np.sqrt(a, out=a)
         a += self.eps
-        np.divide(m, b1t, out=b)
-        b /= a
-        np.multiply(p, self.weight_decay, out=a)
-        b += a
+        if b1t == 1.0:  # from t = 356 at beta1 = 0.9; x / 1.0 is x
+            np.divide(m, a, out=b)
+        else:
+            np.divide(m, b1t, out=b)
+            b /= a
+        # Skipping a zero decay keeps the bits. For finite p, p * 0 is a zero
+        # with p's sign, and adding it changes b only when b is -0 and p's
+        # sign bit is clear: b becomes +0. Then p - lr * b is p for p > 0, and
+        # +0 for p = +0, either way. A non-finite p fails the check below
+        # either way.
+        if self.weight_decay:
+            np.multiply(p, self.weight_decay, out=a)
+            b += a
         b *= self.lr
         p -= b
-        if not np.isfinite(p).all():
+        # As in _checked: a finite sum proves every element finite.
+        if not math.isfinite(np.add.reduce(p)) and not np.isfinite(p).all():
             bad = next(name for name in sorted(params) if not np.isfinite(params[name]).all())
             raise NonFiniteError(f"parameter {bad!r} became non-finite after update")

@@ -285,6 +285,22 @@ def test_resume_continues_epoch_numbering(tmp_path):
     assert meta["epoch"] == 4
 
 
+def test_resume_drops_log_lines_from_the_checkpoint_epoch_on(tmp_path):
+    # A resume from epoch 2 into a directory whose logs reach epoch 3 logs
+    # epochs 0..3 once each, with the bytes a resume into the directory
+    # that wrote the checkpoint gives.
+    early, late = tmp_path / "early", tmp_path / "late"
+    assert cli.run_training(tiny_config(epochs=2), early)["status"] == "ok"
+    assert cli.run_training(tiny_config(epochs=4), late)["status"] == "ok"
+    for out_dir in (late, early):
+        summary = cli.run_training(tiny_config(epochs=4), out_dir,
+                                   resume=str(early / "checkpoint.bin"))
+        assert summary["status"] == "ok"
+        for fname in ("metrics.jsonl", "timings.jsonl"):
+            assert [r["epoch"] for r in runio.read_metrics(out_dir / fname)] == [0, 1, 2, 3]
+    assert (late / "metrics.jsonl").read_bytes() == (early / "metrics.jsonl").read_bytes()
+
+
 def test_zero_epochs_writes_checkpoint_only(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(epochs=0))
     out_dir = tmp_path / "run"
@@ -315,7 +331,7 @@ def test_export_metrics_command(tmp_path, capsys):
     for e in range(3):
         runio.log_metrics(log, runio.MetricsRecord(
             epoch=e, reward_vq=0.0, reward_mq=0.0, reward_ta=0.0, composite=0.1,
-            policy_loss=0.2, kl_loss=0.0, mask_fraction=0.0, tau=None, rho=0.2,
+            policy_loss=0.2, kl_loss=0.0, mask_fraction=0.0, tau=0.0, rho=0.2,
             grad_norm=0.1, reset=False))
     out = tmp_path / "plot.csv"
     rc = cli.main(["export-metrics", "--log", str(log), "--out", str(out)])
@@ -492,6 +508,9 @@ PINNED_RUNS = {
 # sha256 of the pretrained base's flat vector under PINNED_TUNING: the bits
 # every pinned run starts from.
 PINNED_BASE = "e03bdca5fb049fea67f75113190d979b6a5805d518b54e10b58c68b04121fcb5"
+# The same for 400 pretraining steps: past step 356, where AdamW's bias
+# correction of the first moment becomes exactly 1.0, at zero weight decay.
+PINNED_BASE_400 = "62a572209a8b6da156e79342b4f5912bc7075b2b86a1067baafe2f42cabf7162"
 
 
 def numeric_environment() -> str:
@@ -505,13 +524,21 @@ def numeric_environment() -> str:
     return f"numpy {np.__version__}, BLAS {vendor}, OPENBLAS_NUM_THREADS={threads}"
 
 
-def test_pretrained_base_matches_pinned_digest():
-    cfg = RunConfig(**PINNED_TUNING)
+def assert_pretrained_base_digest(steps: int, pinned: str) -> None:
+    cfg = RunConfig(**{**PINNED_TUNING, "pretrain_steps": steps})
     schedule, corpus, _ = cli.build_world(cfg)
     base, _ = cli.pretrain_from_config(cfg, corpus, schedule)
     got = hashlib.sha256(base.flat.tobytes()).hexdigest()
-    assert got == PINNED_BASE, (f"pretrained base: sha256 {got}, pinned {PINNED_BASE} "
-                                f"({numeric_environment()})")
+    assert got == pinned, (f"pretrained base ({steps} steps): sha256 {got}, pinned {pinned} "
+                           f"({numeric_environment()})")
+
+
+def test_pretrained_base_matches_pinned_digest():
+    assert_pretrained_base_digest(200, PINNED_BASE)
+
+
+def test_pretrained_base_400_matches_pinned_digest():
+    assert_pretrained_base_digest(400, PINNED_BASE_400)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))

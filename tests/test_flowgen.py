@@ -343,6 +343,36 @@ def test_sample_batch_draws_like_scalar_loop(n_prompts, horizon):
             assert rng.standard_normal() == ref_rng.standard_normal()
 
 
+@pytest.mark.parametrize("batch_size,raw", [(16, flowgen.RAW_TIMESTEPS), (5, (900.0, 300.0))])
+def test_pretrain_batch_is_assemble_input_of_forward_path(monkeypatch, batch_size, raw):
+    # The rows each step writes in place, against the batch built from the
+    # same draws (batch, levels, then noise) by forward_path and
+    # assemble_input.
+    corpus = flowgen.make_corpus(seed=2, n_prompts=5, horizon=6, clip_len=3, frame_dim=4)
+    schedule = flowgen.make_schedule(raw)
+    seen = []
+    loss_pass = flowgen.tg.loss_pass
+
+    def recording_loss_pass(tapes, frozen, params, inputs, build):
+        seen.append({name: value.copy() for name, value in inputs.items()})
+        return loss_pass(tapes, frozen, params, inputs, build)
+
+    monkeypatch.setattr(flowgen.tg, "loss_pass", recording_loss_pass)
+    flowgen.pretrain_base(corpus, 7, np.random.default_rng(9), schedule=schedule, hidden=8,
+                          batch_size=batch_size)
+    rng = np.random.default_rng(9)
+    flowgen.init_net(rng, corpus.frame_dim, corpus.clip_len, 4, 8)
+    levels = np.array(schedule.values)
+    for inputs in seen:
+        x0, ctx, pv = corpus.sample_batch(rng, batch_size)
+        t = levels[rng.integers(len(levels), size=batch_size)]
+        eps = rng.standard_normal(x0.shape)
+        want = flowgen.assemble_input(flowgen.forward_path(x0, eps, t), t, ctx, pv)
+        assert np.array_equal(inputs["x"], want)
+        assert np.array_equal(inputs["x0"], x0)
+    assert len(seen) == 7
+
+
 def test_pretrain_reaches_low_error_within_budget():
     corpus = flowgen.make_corpus(seed=0)
     params, losses = flowgen.pretrain_base(

@@ -743,15 +743,10 @@ def test_train_epoch_advances_state():
 
 
 @pytest.mark.parametrize("tied", [False, True])
-def test_train_epoch_record_matches_per_group_reference(monkeypatch, tied):
-    # The record's reward means, mask fraction and mean finite tau, against
-    # each prompt's group scored alone. A group's rank disagreements sum to
-    # 0, so uncertainty_mask never returns tau = inf on judged groups; here
-    # a group whose disagreements are all 0 (all its candidates tie) gets
-    # inf, so that an epoch of only such groups records tau None.
-    mask_of = rewardlab.uncertainty_mask
-    monkeypatch.setattr(rewardlab, "uncertainty_mask", lambda delta, rho: (
-        (math.inf, np.zeros(delta.shape, dtype=bool)) if not delta.any() else mask_of(delta, rho)))
+def test_train_epoch_record_matches_per_group_reference(tied):
+    # The record's reward means, mask fraction and mean tau, against each
+    # prompt's group scored alone. When all of a group's candidates tie,
+    # its disagreements are all 0: tau is 0 and nothing is masked.
     cfg = small_config(window_clips=2, total_clips=2, rho0=0.5)
     run, schedule, prompts = make_world(cfg, n_prompts=3)
     data = window_groups(cfg, prompts, np.random.default_rng(21))
@@ -763,13 +758,13 @@ def test_train_epoch_record_matches_per_group_reference(monkeypatch, tied):
     record = nftcore.train_epoch(run, data, cfg, schedule)
     raw = np.concatenate([s.raw_scores[0] for s in alone])
     means = raw.mean(axis=0)
-    taus = [float(s.tau[0]) for s in alone if math.isfinite(s.tau[0])]
-    assert len(taus) == (0 if tied else 2)
+    taus = [float(s.tau[0]) for s in alone]
+    assert (max(taus) == 0.0) == tied
     assert (record.reward_vq, record.reward_mq, record.reward_ta) == tuple(means)
     assert record.composite == float(means @ np.asarray(cfg.reward_weights))
     assert record.mask_fraction == sum(int(s.mask.sum()) for s in alone) / len(raw)
     assert record.mask_fraction > 0.0 or tied
-    assert record.tau == (float(np.mean(taus)) if taus else None)
+    assert record.tau == float(np.mean(taus))
 
 
 def per_prompt_short_group(theta_old, prompt, epoch, cfg, schedule):

@@ -254,9 +254,10 @@ def test_uncertainty_mask_hand_example():
 
 
 def test_uncertainty_mask_all_negative():
-    tau, mask = rewardlab.uncertainty_mask(np.array([-1.0, -0.5]), 0.2)
-    assert tau == np.inf
-    assert not mask.any()
+    # Rank disagreements sum to 0, so a judged group always has a
+    # nonnegative one; a delta without any has no threshold.
+    with pytest.raises(ValueError, match="nonnegative"):
+        rewardlab.uncertainty_mask(np.array([-1.0, -0.5]), 0.2)
 
 
 def test_uncertainty_mask_threshold_is_strict():
@@ -293,11 +294,13 @@ def test_uncertainty_mask_tau_is_numpy_percentile_bit_for_bit():
         else:
             delta = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
         rho = 1.0 if draw % 7 == 0 else float(rng.uniform(1e-3, 1.0))
-        tau, mask = rewardlab.uncertainty_mask(delta, rho)
         nonneg = delta[delta >= 0.0]
         if nonneg.size == 0:
-            assert tau == np.inf and not mask.any()
+            assert draw % 2 == 0  # only the continuous draws can lack one
+            with pytest.raises(ValueError):
+                rewardlab.uncertainty_mask(delta, rho)
             continue
+        tau, mask = rewardlab.uncertainty_mask(delta, rho)
         expected = float(np.percentile(nonneg, 100.0 * (1.0 - rho), method="linear"))
         assert np.float64(tau).tobytes() == np.float64(expected).tobytes(), (delta, rho)
         assert np.array_equal(mask, delta > expected)

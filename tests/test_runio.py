@@ -44,10 +44,10 @@ def test_log_metrics_line_bytes(tmp_path):
 def test_log_and_read_roundtrip(tmp_path):
     path = tmp_path / "metrics.jsonl"
     for e in range(3):
-        runio.log_metrics(path, sample_record(epoch=e, tau=None if e == 1 else 1.0))
+        runio.log_metrics(path, sample_record(epoch=e, tau=0.5 * e))
     records = runio.read_metrics(path)
     assert [r["epoch"] for r in records] == [0, 1, 2]
-    assert records[1]["tau"] is None
+    assert [r["tau"] for r in records] == [0.0, 0.5, 1.0]
     assert path.read_text().count("\n") == 3
 
 
@@ -153,6 +153,58 @@ def test_checkpoint_refuses_trailing_payload_bytes(tmp_path):
         fh.write(b"\x00" * 12)
     with pytest.raises(ValueError, match="12 bytes past its last array"):
         runio.load_checkpoint(path)
+
+
+class FailingWrites:
+    """A binary file whose writes fail after the first `allowed` of them."""
+
+    def __init__(self, fh, allowed):
+        self.fh, self.allowed = fh, allowed
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.allowed == 0:
+            raise OSError("disk full")
+        self.allowed -= 1
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("allowed", [0, 1, 3])
+def test_checkpoint_write_that_fails_leaves_the_old_one(tmp_path, monkeypatch, allowed):
+    path = tmp_path / "ck.bin"
+    runio.save_checkpoint(path, {"w": np.ones((8, 8))}, seed=0, epoch=1)
+    before = path.read_bytes()
+    monkeypatch.setattr(runio, "open", lambda *a, **k: FailingWrites(open(*a, **k), allowed),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        runio.save_checkpoint(path, {"w": np.zeros((8, 8))}, seed=0, epoch=2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert runio.load_checkpoint(path)[1]["epoch"] == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+    runio.save_checkpoint(path, {"w": np.zeros((8, 8))}, seed=0, epoch=2)
+    assert runio.load_checkpoint(path)[1]["epoch"] == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
+def test_drop_epochs_from_keeps_earlier_lines_bytes(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    for e in (0, 1, 2, 3, 2, 3):
+        runio.log_metrics(path, sample_record(epoch=e))
+    lines = path.read_bytes().splitlines(keepends=True)
+    runio.drop_epochs_from(path, 2)
+    assert path.read_bytes() == b"".join(lines[:2])
+    runio.drop_epochs_from(path, 5)
+    assert path.read_bytes() == b"".join(lines[:2])
+    runio.drop_epochs_from(path, 0)
+    assert path.read_bytes() == b""
+    runio.drop_epochs_from(tmp_path / "missing.jsonl", 0)
+    assert not (tmp_path / "missing.jsonl").exists()
 
 
 def test_checkpoint_empty_arrays(tmp_path):

@@ -793,6 +793,39 @@ def test_flat_adamw_is_bit_exact_against_per_name_loop():
             assert np.array_equal(opt.v[k], v_ref[k])
 
 
+@pytest.mark.parametrize("wd", [0.0, 1e-2])
+def test_flat_adamw_is_bit_exact_across_the_end_of_bias_correction(wd):
+    # From t = 356 (beta1 = 0.9) 1 - beta1**t is exactly 1.0 and the step
+    # skips its division; with wd = 0 it skips the decay. Steps 350..370,
+    # from random moments, cover both sides of the first and both settings
+    # of the second, with zero parameters and gradients of either sign.
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    assert 1.0 - b1 ** 355 != 1.0 and 1.0 - b1 ** 356 == 1.0
+    rng = np.random.default_rng(12)
+    params = generator_net()
+    params["b1"][0, :4] = [0.0, -0.0, 0.0, -0.0]
+    opt = tg.AdamW(lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+    opt.t = 349
+    opt.m = tg.flatten({k: rng.standard_normal(v.shape) * 1e-3 for k, v in params.items()})
+    opt.v = tg.flatten({k: rng.random(v.shape) * 1e-6 for k, v in params.items()})
+    ref = {k: v.copy() for k, v in params.items()}
+    m_ref = {k: v.copy() for k, v in opt.m.items()}
+    v_ref = {k: v.copy() for k, v in opt.v.items()}
+    for step in range(350, 371):
+        grads = tg.flatten({k: rng.standard_normal(v.shape) for k, v in params.items()})
+        grads["b1"][0, :4] = [0.0, -0.0, -0.0, 0.0]
+        m_ref["b1"][0, :4] = opt.m["b1"][0, :4] = 0.0
+        given = grads.flat.copy()
+        opt.step(params, grads)
+        assert np.array_equal(grads.flat, given)
+        reference_adamw_step(ref, grads, m_ref, v_ref, step, lr, b1, b2, eps, wd)
+        assert opt.t == step
+        for k in ref:
+            assert params[k].tobytes() == ref[k].tobytes()
+            assert opt.m[k].tobytes() == m_ref[k].tobytes()
+            assert opt.v[k].tobytes() == v_ref[k].tobytes()
+
+
 def test_flat_adamw_names_first_nonfinite_parameter_in_sorted_order():
     params = generator_net()
     opt = tg.AdamW(lr=1e-3)

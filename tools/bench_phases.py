@@ -9,8 +9,10 @@ Every workload of benchmarks/run.py (its seed, tuning and config, or
 --seed) is trained --repeats times (default 10) on each side, the sides
 alternating, each run in a fresh process that imports astro from that
 side's src/. A run reports, for each phase, the median over its epochs of
-the phase's wall ms per epoch, and the ms of one pretraining step (its
-pretraining's wall time over its steps). With --pairs N, each workload
+the phase's wall ms per epoch, the ms of one pretraining step (its
+pretraining's wall time over its steps), and that step split into batch,
+loss forward, backward and AdamW (from a separate, timer-wrapped
+pretraining pass; see pretrain_split). With --pairs N, each workload
 also gets N alternating pairs of `benchmarks/run.py --seconds S`, one
 process per side, and the summary of every end-to-end metric
 BENCHMARK.json bounds: each side's median and quartiles and the pairs the
@@ -34,6 +36,7 @@ sides on a 2-core host; at one thread and 10 repeats they held still.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import os
@@ -48,6 +51,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PHASES = ("prefix", "rollout", "judges", "loss_inputs", "loss_forward", "backward", "clip",
           "adamw", "ema", "total")
+# The parts of one pretraining step, timed over a separate pass of SPLIT_STEPS
+# steps: past step 356, so both of AdamW's bias-correction regimes are in it.
+SPLIT_PARTS = ("batch", "loss_forward", "backward", "adamw")
+SPLIT_STEPS = 400
 
 
 def load_benchmark():
@@ -85,7 +92,52 @@ def child(src: str, workload: str, seed: int) -> dict:
         timings = Path(out) / "timings.jsonl"
         rows = [json.loads(line) for line in timings.read_text().splitlines()]
     phases = {p: 1e3 * statistics.median(row.get(p, 0.0) for row in rows) for p in PHASES}
-    return {"phases_ms": phases, "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps}
+    return {"phases_ms": phases, "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps,
+            "pretrain_split_ms": pretrain_split(cfg)}
+
+
+def pretrain_split(cfg) -> dict:
+    """ms per step of each part of a pretraining step, from a separate
+    SPLIT_STEPS-step pretraining pass whose calls are wrapped in timers:
+    batch (from the previous step's end to the loss pass: the draws and the
+    input rows), loss_forward (tensorgrad.loss_pass), backward (the pass's
+    finish) and adamw (AdamW.step); the first step's batch also holds the
+    initialization. It runs after the training run, so pretrain_step_ms is
+    unwrapped."""
+    from astro import cli
+    from astro import tensorgrad as tg
+    parts = dict.fromkeys(SPLIT_PARTS, 0.0)
+    loss_pass, step = tg.loss_pass, tg.AdamW.step
+    last = [0.0]
+
+    def timed_loss_pass(*args, **kwargs):
+        start = time.perf_counter()
+        parts["batch"] += start - last[0]
+        values, finish = loss_pass(*args, **kwargs)
+        parts["loss_forward"] += time.perf_counter() - start
+
+        def timed_finish():
+            start = time.perf_counter()
+            grads = finish()
+            parts["backward"] += time.perf_counter() - start
+            return grads
+        return values, timed_finish
+
+    def timed_step(self, *args):
+        start = time.perf_counter()
+        step(self, *args)
+        last[0] = time.perf_counter()
+        parts["adamw"] += last[0] - start
+
+    tg.loss_pass, tg.AdamW.step = timed_loss_pass, timed_step
+    try:
+        short = dataclasses.replace(cfg, pretrain_steps=SPLIT_STEPS)
+        schedule, corpus, _ = cli.build_world(short)
+        last[0] = time.perf_counter()
+        cli.pretrain_from_config(short, corpus, schedule)
+    finally:
+        tg.loss_pass, tg.AdamW.step = loss_pass, step
+    return {part: 1e3 * seconds / SPLIT_STEPS for part, seconds in parts.items()}
 
 
 def tier1(checkout: Path) -> dict:
@@ -182,6 +234,9 @@ def main(argv=None) -> int:
                                for p in PHASES}
                 entry[side]["pretrain_step_ms"] = statistics.median(
                     r["pretrain_step_ms"] for r in side_runs)
+                entry[side]["pretrain_split_ms"] = {
+                    part: statistics.median(r["pretrain_split_ms"][part] for r in side_runs)
+                    for part in SPLIT_PARTS}
                 entry[side + "_runs"] = side_runs
         if args.pairs:
             entry["benchmark_seconds"] = args.seconds
