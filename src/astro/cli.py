@@ -94,7 +94,7 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
         if echo:
             echo(f"epoch {record.epoch:4d}  composite {record.composite:+.4f}  "
                  f"policy {record.policy_loss:.4f}  kl {record.kl_loss:.6f}  "
-                 f"mask {record.mask_fraction:.2f}  {record.wall_time:.2f}s")
+                 f"mask {record.mask_fraction:.2f}  {run.timings['total']:.2f}s")
 
     arrays, extra = run.to_arrays()
     ckpt_path = out_dir / "checkpoint.bin"

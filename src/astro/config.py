@@ -14,7 +14,6 @@ from pathlib import Path
 MODES = ("short", "long")
 ADVANTAGE_SOURCES = ("composite", "primary")
 NOISE_MODES = ("schedule", "fixed")
-EMA_MODES = ("step", "epoch")
 
 
 @dataclass
@@ -44,7 +43,6 @@ class RunConfig:
     tau_kl: float = 0.05
     k_max: int = 20
     gamma: float = 0.9
-    ema_mode: str = "step"
     ema_interval: int = 1
     a_max: float = 5.0
 
@@ -116,7 +114,6 @@ class RunConfig:
         require(self.tau_kl > 0, "tau_kl must be positive")
         require(self.k_max >= 1, "k_max must be at least 1")
         require(0.0 < self.gamma < 1.0, "gamma must lie in (0, 1)")
-        require(self.ema_mode in EMA_MODES, f"ema_mode must be one of {EMA_MODES}")
         require(self.ema_interval >= 1, "ema_interval must be positive")
         require(self.a_max > 0, "a_max must be positive")
         require(0.0 < self.rho0 <= 1.0, "rho0 must lie in (0, 1]")

@@ -87,16 +87,15 @@ def trajectory_context_summary(phase: float, clip_index: int, sink: int,
                                clip_len: int, frame_dim: int) -> np.ndarray:
     """Context summary the ground-truth history would produce before clip_index.
 
-    Mirrors streamctx semantics (mean of the permanent sink frames, then the
-    most recent frame) without needing a window object; a cross-module test
-    pins the two to each other.
+    Mirrors streamctx semantics (mean of the permanent sink frames, zero
+    with no sink, then the most recent frame) without needing a window
+    object; a cross-module test pins the two to each other.
     """
     if clip_index == 0:
         return np.zeros(2 * frame_dim)
     seen = clip_index * clip_len
-    sink_count = min(sink, seen)
-    sink_mean = np.mean(
-        [target_frame(phase, j, frame_dim) for j in range(sink_count)], axis=0)
+    sink_frames = [target_frame(phase, j, frame_dim) for j in range(min(sink, seen))]
+    sink_mean = np.mean(sink_frames, axis=0) if sink_frames else np.zeros(frame_dim)
     last = target_frame(phase, seen - 1, frame_dim)
     return np.concatenate([sink_mean, last])
 

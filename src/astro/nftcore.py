@@ -55,7 +55,6 @@ class PolicyTriple:
 class TrainState:
     epoch: int = 0
     last_reset_epoch: int = 0
-    steps: int = 0
 
 
 # Checkpoint name prefixes of a run's five flat buffers, in file order.
@@ -64,7 +63,9 @@ BUFFER_PREFIXES = ("theta/", "theta_old/", "theta_ref/", "opt/m/", "opt/v/")
 
 @dataclass
 class RunState:
-    """Everything a run carries across epochs. fresh() starts one from a
+    """Everything a run carries across epochs, each value held once and in
+    the form its checkpoint saves: the optimizer's t is the step count, and
+    the normalizer's arrays are the norm/ arrays. fresh() starts one from a
     pretrained base; to_arrays()/from_arrays() are its checkpoint round-trip,
     with array names slash-scoped by component. tapes (the recorded loss
     tapes by structure key) and timings (the current epoch's wall seconds
@@ -87,14 +88,16 @@ class RunState:
 
     def to_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
         """(arrays, extra) for runio.save_checkpoint; the arrays are views of this state."""
-        p, opt, norm = self.policies, self.optimizer, self.normalizer.state_dict()
+        p, opt, norm = self.policies, self.optimizer, self.normalizer
         buffers = (p.theta, p.theta_old, p.theta_ref, opt.m, opt.v)
         arrays = {prefix + k: v for prefix, params in zip(BUFFER_PREFIXES, buffers)
                   for k, v in params.items()}
-        arrays.update({f"norm/{k}": norm[k] for k in ("count", "mean", "m2")})
-        extra = {"opt_t": opt.t, "steps": self.state.steps,
+        arrays.update({"norm/count": norm.count, "norm/mean": norm.mean, "norm/m2": norm.m2})
+        # "steps" repeats opt_t, which from_arrays reads instead; it stays so
+        # that checkpoint bytes do not change.
+        extra = {"opt_t": opt.t, "steps": opt.t,
                  "last_reset_epoch": self.state.last_reset_epoch,
-                 "norm_pids": [int(pid) for pid in norm["pids"]]}
+                 "norm_pids": norm.pids.tolist()}
         return arrays, extra
 
     @classmethod
@@ -106,8 +109,9 @@ class RunState:
         with cfg's. So is one in which any of the five buffers has another
         network shape than cfg's; the moments may be absent only before the
         optimizer's first step (opt_t 0). So is a reward normalizer that is
-        not one row per prompt and one column per judge. Entries it does not
-        read (older checkpoints carry a risk buffer and a rho) are ignored."""
+        not one row per prompt and one column per judge, or whose prompts are
+        not in ascending order. Entries it does not read (older checkpoints
+        carry a risk buffer and a rho; steps repeats opt_t) are ignored."""
         if int(meta["seed"]) != cfg.seed:
             raise ValueError(f"checkpoint was written with seed {meta['seed']}; "
                              f"cannot resume it with seed {cfg.seed}")
@@ -124,19 +128,21 @@ class RunState:
                 if got != shapes.get(name):
                     raise ValueError(f"checkpoint {prefix[:-1]} parameter {name!r} has shape "
                                      f"{got}; the config implies {shapes.get(name)}")
-        n, judges = len(extra["norm_pids"]), rewardlab.N_MODELS
+        pids, judges = np.array(extra["norm_pids"], dtype=np.int64), rewardlab.N_MODELS
+        if np.any(np.diff(pids) <= 0):
+            raise ValueError(f"checkpoint norm_pids {pids.tolist()} are not ascending")
         norm = {k: arrays[f"norm/{k}"] for k in ("count", "mean", "m2")}
-        for (name, got), want in zip(norm.items(), [(n,), (n, judges), (n, judges)]):
+        for (name, got), want in zip(norm.items(), [pids.shape] + [(len(pids), judges)] * 2):
             if got.shape != want:
                 raise ValueError(f"checkpoint norm/{name} has shape {got.shape}; "
-                                 f"{n} prompts and {judges} judges imply {want}")
+                                 f"{len(pids)} prompts and {judges} judges imply {want}")
         theta, theta_old, theta_ref, m, v = buffers
         run = cls.fresh(cfg, {})
         run.policies = PolicyTriple(theta=theta, theta_old=theta_old, theta_ref=theta_ref)
         run.optimizer.t, run.optimizer.m, run.optimizer.v = opt_t, m, v
-        run.state = TrainState(epoch=int(meta["epoch"]), steps=int(extra["steps"]),
+        run.state = TrainState(epoch=int(meta["epoch"]),
                                last_reset_epoch=int(extra["last_reset_epoch"]))
-        run.normalizer.load_state_dict({"pids": extra["norm_pids"], **norm})
+        run.normalizer = rewardlab.RewardNormalizer(pids, **norm)
         return run
 
 
@@ -274,13 +280,12 @@ class ScoredGroup:
 def score_groups(data: GroupData, cfg: RunConfig,
                  normalizer: rewardlab.RewardNormalizer) -> ScoredGroup:
     """Judge, standardize, center into advantages, and mark rank disagreement.
-    Judges, centering and ranks run once on the (P, G) stack; the normalizer
-    updates and each group is masked (at risk ratio cfg.rho0) per prompt."""
+    Judges, the normalizer, centering and ranks run once on the (P, G)
+    stack; each group is masked (at risk ratio cfg.rho0) per prompt."""
     n_prompts, g = data.clips.shape[:2]
     raw = rewardlab.eval_rewards(data.clips.reshape(n_prompts, g, -1, data.clips.shape[-1]),
                                  data.prompts)
-    std = np.stack([normalizer.update_and_standardize(prompt.pid, r)
-                    for prompt, r in zip(data.prompts, raw)])
+    std = normalizer.update_and_standardize([prompt.pid for prompt in data.prompts], raw)
     if cfg.advantage_source == "composite":
         source = rewardlab.aggregate_composite(std, cfg.reward_weights)
     else:
@@ -391,11 +396,11 @@ def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig
 
 def optimize_group(run: RunState, fixed: dict[str, np.ndarray], cfg: RunConfig) -> dict:
     """One optimizer step on one prompt group, from its epoch_loss_inputs
-    fixed; EMA tick if configured per step. The loss reads fixed with
-    theta_old's step_inputs, and runs the run's tape for its structure,
-    recorded from group_loss_graph when first seen; each phase's wall time
-    is added to run.timings."""
-    policies, state, lap = run.policies, run.state, run.timings.lap
+    fixed, then an EMA tick if the optimizer's step count is a multiple of
+    cfg.ema_interval. The loss reads fixed with theta_old's step_inputs, and
+    runs the run's tape for its structure, recorded from group_loss_graph
+    when first seen; each phase's wall time is added to run.timings."""
+    policies, lap = run.policies, run.timings.lap
     since = time.perf_counter()
     values, finish = tg.loss_pass(
         run.tapes, (cfg.beta, cfg.lambda_kl), policies.theta,
@@ -409,8 +414,7 @@ def optimize_group(run: RunState, fixed: dict[str, np.ndarray], cfg: RunConfig) 
     since = lap("clip", since)
     run.optimizer.step(policies.theta, grads)
     since = lap("adamw", since)
-    state.steps += 1
-    if cfg.ema_mode == "step" and state.steps % cfg.ema_interval == 0:
+    if run.optimizer.t % cfg.ema_interval == 0:
         ema_update(policies.theta_old, policies.theta, cfg.gamma)
     lap("ema", since)
     return info
@@ -462,9 +466,11 @@ def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
                 schedule: flowgen.TimestepSchedule) -> runio.MetricsRecord:
     """One epoch on rolled-out groups, in prompt order (longtune.window_rollout
     makes them under run.policies.theta_old for both modes): prepare_epoch,
-    one optimizer step per group, then the reference reset and epoch EMA.
-    Returns the epoch's record, with window_start and wall_time left for the
-    caller; advances run.state.epoch once every group is optimized."""
+    one optimize_group step per group, then the reference reset. theta_old
+    ticks every cfg.ema_interval steps, so cfg.ema_interval =
+    cfg.prompts_per_epoch ticks it once per epoch, after its last step.
+    Returns the epoch's record, with window_start left for the caller;
+    advances run.state.epoch once every group is optimized."""
     policies, state = run.policies, run.state
     epoch = state.epoch
     scored, inputs = prepare_epoch(run, data, cfg, schedule)
@@ -479,8 +485,6 @@ def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
     reset = maybe_reset_reference(state, kl_epoch, cfg.tau_kl, cfg.k_max)
     if reset:
         policies.theta_ref = tg.flatten(policies.theta)
-    if cfg.ema_mode == "epoch":
-        ema_update(policies.theta_old, policies.theta, cfg.gamma)
     run.timings.lap("ema", since)
 
     raw_means = scored.raw_scores.reshape(-1, rewardlab.N_MODELS).mean(axis=0)

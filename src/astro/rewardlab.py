@@ -12,6 +12,7 @@ selective regularizer pins to the reference policy.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,62 +80,53 @@ def eval_rewards(clips: np.ndarray, prompts: list[flowgen.Prompt]) -> np.ndarray
     return np.stack([visual_quality(frames), motion_quality(frames), np.stack(align)], axis=-1)
 
 
+@dataclass
 class RewardNormalizer:
-    """Running per-prompt mean/std per judge, Welford accumulation.
+    """Running per-prompt mean and (biased) variance per judge, by Welford
+    accumulation, held as the arrays a checkpoint saves: row i holds prompt
+    pids[i]'s count (n,), mean and m2 (n, N_MODELS), rows in ascending pid
+    order.
 
     Scores are standardized against statistics that include the current
     batch, with the std floored so early constant batches stay finite.
     """
 
-    def __init__(self):
-        self.count: dict[int, int] = {}
-        self.mean: dict[int, np.ndarray] = {}
-        self.m2: dict[int, np.ndarray] = {}
+    pids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    count: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    mean: np.ndarray = field(default_factory=lambda: np.zeros((0, N_MODELS)))
+    m2: np.ndarray = field(default_factory=lambda: np.zeros((0, N_MODELS)))
 
-    def update(self, pid: int, scores: np.ndarray) -> None:
-        scores = np.atleast_2d(scores)
-        if scores.shape[1] != N_MODELS:
-            raise ValueError(f"expected {N_MODELS} score columns, got {scores.shape[1]}")
-        # Python floats are IEEE doubles, so this loop makes the bits a
-        # numpy loop over the rows would, without its per-row overhead.
-        count = self.count.get(pid, 0)
-        mean = self.mean.get(pid, np.zeros(N_MODELS)).tolist()
-        m2 = self.m2.get(pid, np.zeros(N_MODELS)).tolist()
-        for row in np.asarray(scores, dtype=np.float64).tolist():
-            count += 1
-            for j, x in enumerate(row):
-                delta = x - mean[j]
-                mean[j] += delta / count
-                m2[j] += delta * (x - mean[j])
-        self.count[pid], self.mean[pid], self.m2[pid] = count, np.array(mean), np.array(m2)
-
-    def standardize(self, pid: int, scores: np.ndarray) -> np.ndarray:
-        if self.count.get(pid, 0) == 0:
-            raise ValueError(f"no running statistics for prompt {pid}")
-        std = np.sqrt(self.m2[pid] / self.count[pid])
-        return (np.atleast_2d(scores) - self.mean[pid]) / np.maximum(std, STD_FLOOR)
-
-    def update_and_standardize(self, pid: int, scores: np.ndarray) -> np.ndarray:
-        self.update(pid, scores)
-        return self.standardize(pid, scores)
-
-    def state_dict(self) -> dict:
-        pids = sorted(self.count)
-        return {
-            "pids": list(pids),
-            "count": np.array([self.count[p] for p in pids], dtype=np.float64),
-            "mean": (np.stack([self.mean[p] for p in pids])
-                     if pids else np.zeros((0, N_MODELS))),
-            "m2": (np.stack([self.m2[p] for p in pids])
-                   if pids else np.zeros((0, N_MODELS))),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.count, self.mean, self.m2 = {}, {}, {}
-        for i, pid in enumerate(int(p) for p in state["pids"]):
-            self.count[pid] = int(round(float(state["count"][i])))
-            self.mean[pid] = np.array(state["mean"][i], dtype=np.float64)
-            self.m2[pid] = np.array(state["m2"][i], dtype=np.float64)
+    def update_and_standardize(self, pids, scores: np.ndarray) -> np.ndarray:
+        """Fold each prompt's rows of scores, (P, rows, N_MODELS) with row p
+        for pids[p], into its statistics in row order, then standardize them.
+        A pid not seen before starts from zero statistics; one named twice is
+        refused. The arithmetic is the scalar Welford loop's, for all prompts
+        at once."""
+        pids = np.asarray(pids, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        if (pids.ndim != 1 or scores.ndim != 3 or scores.shape[::2] != (len(pids), N_MODELS)
+                or scores.shape[1] == 0):
+            raise ValueError(f"scores of shape {scores.shape} are not (P, rows, {N_MODELS}) "
+                             f"for P = {pids.size} pids")
+        named = set(pids.tolist())
+        if len(named) != len(pids):
+            raise ValueError(f"pids {pids.tolist()} name a prompt twice")
+        new = sorted(named.difference(self.pids.tolist()))
+        if new:  # zero rows, each at its place in pid order
+            at = np.searchsorted(self.pids, new)
+            self.pids, self.count = np.insert(self.pids, at, new), np.insert(self.count, at, 0.0)
+            self.mean, self.m2 = (np.insert(a, at, 0.0, axis=0) for a in (self.mean, self.m2))
+        rows = np.searchsorted(self.pids, pids)
+        count, mean, m2 = self.count[rows], self.mean[rows], self.m2[rows]
+        delta, step = np.empty_like(mean), np.empty_like(mean)
+        for x in scores.transpose(1, 0, 2):  # mean += (x - mean) / count, etc., in place
+            count += 1.0
+            np.subtract(x, mean, out=delta)
+            mean += np.divide(delta, count[:, None], out=step)
+            m2 += np.multiply(delta, np.subtract(x, mean, out=step), out=step)
+        self.count[rows], self.mean[rows], self.m2[rows] = count, mean, m2
+        std = np.sqrt(m2 / count[:, None])
+        return (scores - mean[:, None]) / np.maximum(std, STD_FLOOR)[:, None]
 
 
 def aggregate_composite(standardized: np.ndarray, weights) -> np.ndarray:

@@ -13,7 +13,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +40,11 @@ class MetricsRecord:
     grad_norm: float
     reset: bool
     window_start: int = 0
-    wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
-        """Every field in declaration order, except wall_time: the log must
-        be byte-identical across same-seed runs, and timing is not."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
+        """Every field in declaration order. No wall time is among them: the
+        log must be byte-identical across same-seed runs, and timing is not."""
+        return asdict(self)
 
 
 def log_metrics(path, record: MetricsRecord) -> None:

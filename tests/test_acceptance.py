@@ -231,7 +231,7 @@ def test_c06_training_improves_composite_reward():
 
     replay = run_training(accept6_config(), epochs=5)
     same = all(
-        all(replay[e][k] == rows[e][k] for k in rows[e] if k != "wall_time")
+        all(replay[e][k] == rows[e][k] for k in rows[e])
         for e in range(5))
 
     ok = gain >= 0.15 and above >= 18 and elapsed <= 600.0 and same

@@ -356,8 +356,8 @@ def test_checkpoint_state_roundtrip(tmp_path):
     policies, optimizer = run.policies, run.optimizer
     optimizer.step(policies.theta, tg.flatten({k: rng.standard_normal(v.shape) * 1e-3
                                                for k, v in policies.theta.items()}))
-    run.state = nftcore.TrainState(epoch=5, last_reset_epoch=2, steps=17)
-    run.normalizer.update(0, rng.standard_normal((8, 3)))
+    run.state = nftcore.TrainState(epoch=5, last_reset_epoch=2)
+    run.normalizer.update_and_standardize([0], rng.standard_normal((1, 8, 3)))
 
     arrays, extra = run.to_arrays()
     path = tmp_path / "ck.bin"
@@ -366,11 +366,11 @@ def test_checkpoint_state_roundtrip(tmp_path):
     run2 = nftcore.RunState.from_arrays(loaded, meta, cfg)
     p2, opt2, state2 = run2.policies, run2.optimizer, run2.state
 
-    assert state2.epoch == 5 and state2.last_reset_epoch == 2 and state2.steps == 17
-    assert opt2.t == optimizer.t
+    assert state2.epoch == 5 and state2.last_reset_epoch == 2
+    assert opt2.t == optimizer.t and extra["steps"] == optimizer.t
     for k in policies.theta:
         assert np.allclose(p2.theta[k], policies.theta[k], atol=1e-6)
-    assert run2.normalizer.count[0] == 8
+    assert run2.normalizer.pids.tolist() == [0] and run2.normalizer.count.tolist() == [8.0]
     # Every policy and moment comes back as one flat buffer, and training
     # can take its next step from them.
     for params in (p2.theta, p2.theta_old, p2.theta_ref, opt2.m, opt2.v):
@@ -413,20 +413,24 @@ def test_resume_under_another_network_shape_is_refused(tmp_path):
     assert {p: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
-def drop_moments(arrays):
-    return {k: a for k, a in arrays.items() if not k.startswith(("opt/m/", "opt/v/"))}
+def drop_moments(arrays, extra):
+    return {k: a for k, a in arrays.items() if not k.startswith(("opt/m/", "opt/v/"))}, extra
 
 
-def short_reference_row(arrays):
-    return dict(arrays, **{"theta_ref/w1": arrays["theta_ref/w1"][:-1]})
+def short_reference_row(arrays, extra):
+    return dict(arrays, **{"theta_ref/w1": arrays["theta_ref/w1"][:-1]}), extra
 
 
-def two_judge_normalizer(arrays):
-    return dict(arrays, **{k: arrays[k][:, :2] for k in ("norm/mean", "norm/m2")})
+def two_judge_normalizer(arrays, extra):
+    return dict(arrays, **{k: arrays[k][:, :2] for k in ("norm/mean", "norm/m2")}), extra
 
 
-def short_normalizer_row(arrays):
-    return dict(arrays, **{"norm/mean": arrays["norm/mean"][:-1]})
+def short_normalizer_row(arrays, extra):
+    return dict(arrays, **{"norm/mean": arrays["norm/mean"][:-1]}), extra
+
+
+def unordered_normalizer_pids(arrays, extra):
+    return arrays, dict(extra, norm_pids=extra["norm_pids"][::-1])
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -434,17 +438,20 @@ def short_normalizer_row(arrays):
     (short_reference_row, r"theta_ref parameter 'w1' has shape \(23, 16\).*\(24, 16\)"),
     (two_judge_normalizer, r"norm/mean has shape \(2, 2\);.*imply \(2, 3\)"),
     (short_normalizer_row, r"norm/mean has shape \(1, 3\);.*imply \(2, 3\)"),
-], ids=["no_moments", "short_reference", "two_judge_normalizer", "short_normalizer"])
+    (unordered_normalizer_pids, r"norm_pids \[1, 0\] are not ascending"),
+], ids=["no_moments", "short_reference", "two_judge_normalizer", "short_normalizer",
+        "unordered_normalizer"])
 def test_resume_of_a_damaged_checkpoint_is_refused(tmp_path, damage, message):
     # Every buffer of the checkpoint is checked, not only theta: moments
     # missing after optimizer steps would be silently re-zeroed, and a
-    # reference or a reward normalizer of the wrong shape would fail mid-epoch.
+    # reference or a reward normalizer of the wrong shape, or with its
+    # prompts out of order, would fail mid-epoch or misfile statistics.
     assert cli.run_training(tiny_config(epochs=1), tmp_path / "first")["status"] == "ok"
     arrays, meta = runio.load_checkpoint(tmp_path / "first" / "checkpoint.bin")
     assert meta["extra"]["opt_t"] == 2
     damaged = tmp_path / "damaged.bin"
-    runio.save_checkpoint(damaged, damage(arrays), seed=meta["seed"], epoch=meta["epoch"],
-                          extra=meta["extra"])
+    arrays, extra = damage(arrays, meta["extra"])
+    runio.save_checkpoint(damaged, arrays, seed=meta["seed"], epoch=meta["epoch"], extra=extra)
     with pytest.raises(ValueError, match=message):
         cli.run_training(tiny_config(epochs=2), tmp_path / "resumed", resume=str(damaged))
     assert not (tmp_path / "resumed").exists()
@@ -459,6 +466,31 @@ def test_resume_under_another_group_size_completes(tmp_path):
     assert [r["epoch"] for r in runio.read_metrics(tmp_path / "metrics.jsonl")] == [0, 1, 2, 3]
     _, meta = runio.load_checkpoint(tmp_path / "checkpoint.bin")
     assert meta["epoch"] == 4
+
+
+@pytest.mark.parametrize("prompts, counts", [(3, [16, 16, 8]), (1, [16, 8])], ids=["3", "1"])
+def test_resume_under_another_prompt_count_completes(tmp_path, prompts, counts):
+    # A 2-prompt checkpoint resumed with more prompts gives the new one fresh
+    # reward statistics; with fewer, the unused prompt's row is carried on.
+    # Each epoch adds group_size 4 to the count of each prompt it trains.
+    assert cli.run_training(tiny_config(prompts_per_epoch=2), tmp_path)["status"] == "ok"
+    summary = cli.run_training(tiny_config(prompts_per_epoch=prompts, epochs=4), tmp_path,
+                               resume=str(tmp_path / "checkpoint.bin"))
+    assert summary["status"] == "ok"
+    arrays, meta = runio.load_checkpoint(tmp_path / "checkpoint.bin")
+    assert meta["epoch"] == 4 and meta["extra"]["opt_t"] == 2 * 2 + 2 * prompts
+    assert meta["extra"]["norm_pids"] == list(range(len(counts)))
+    assert arrays["norm/count"].tolist() == counts
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_run_without_a_sink_completes(tmp_path, mode):
+    # sink_size 0: every context summary's sink mean is zero, in the
+    # pretraining targets and in the rollout alike.
+    summary = cli.run_training(tiny_config(mode=mode, sink_size=0, total_clips=3,
+                                           window_clips=2 if mode == "long" else 1), tmp_path)
+    assert summary["status"] == "ok"
+    assert len(runio.read_metrics(tmp_path / "metrics.jsonl")) == 2
 
 
 def test_resume_ignores_risk_entries_of_older_checkpoints(tmp_path):
@@ -497,7 +529,8 @@ PINNED_RUNS = {
     "clip": (dict(mode="short", max_grad_norm=1e-3, epochs=4),
              "30bfada3ada77dab70a4c0d2a93d8628a8fdba2c2325a8130058c02b6b728002",
              "2aa3b14df79a0c0e27a455d8133be843a4338307ce0ac07af73a531cfe3256c4"),
-    "ema_epoch": (dict(mode="short", ema_mode="epoch", epochs=4),
+    # one EMA tick per epoch: ema_interval = prompts_per_epoch
+    "ema_epoch": (dict(mode="short", ema_interval=8, epochs=4),
                   "6c755bc345f4fd15498413c333ea4ba1cdabaeeb7728956d9200991d10361083",
                   "803360cead2ac5d187ebb41d648cbea8a3f594b92f5b720c0984db44930f687c"),
     # the default noise levels, drawn per prompt from the schedule

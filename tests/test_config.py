@@ -39,6 +39,10 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict({"seed": 0, "learning_rate": 1e-4})
     with pytest.raises(ValueError, match="group_sise"):
         RunConfig.from_dict({"group_sise": 8})
+    # ema_mode="epoch" was ema_interval = prompts_per_epoch under another
+    # name; a config that still names it fails as any unknown key does.
+    with pytest.raises(ValueError, match=r"unknown config keys: \['ema_mode'\]"):
+        RunConfig.from_dict({"ema_mode": "epoch", "ema_interval": 8})
 
 
 def test_config_file_null_tuple_rejected(tmp_path):
@@ -73,7 +77,7 @@ def test_tuple_coercion():
     ("lambda_kl", -1e-4),
     ("tau_kl", 0.0),
     ("gamma", 1.0),
-    ("ema_mode", "never"),
+    ("sink_size", -1),
     ("ema_interval", 0),
     ("a_max", 0.0),
     ("rho0", 0.0),

@@ -327,10 +327,10 @@ def test_reset_trigger_staleness_strictly_greater():
 # --- full loss graph against finite differences ---
 
 
-def synthetic_scored_group(cfg, rng):
-    """Prompt 0's group of one-clip candidates: random clips, summaries,
+def synthetic_scored_group(cfg, rng, pid=0):
+    """Prompt pid's group of one-clip candidates: random clips, summaries,
     advantages and mask."""
-    prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
+    prompt = flowgen.make_prompt(pid, arng.substream(cfg.seed, arng.PROMPT_STREAM, pid),
                                  cfg.prompt_dim)
     g = cfg.group_size
     data = nftcore.GroupData(
@@ -396,11 +396,11 @@ def test_optimize_group_ema_interval():
 
     before = tg.flatten(policies.theta_old)
     nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
-    for k in before:  # steps=1, interval 2: no EMA tick yet
+    for k in before:  # step 1, interval 2: no EMA tick yet
         assert np.array_equal(policies.theta_old[k], before[k])
     nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     assert any(not np.array_equal(policies.theta_old[k], before[k]) for k in before)
-    assert run.state.steps == 2
+    assert run.optimizer.t == 2
 
 
 @pytest.fixture
@@ -604,7 +604,7 @@ def per_group_preparation(run, data, cfg, schedule):
             per_frame = np.sort([rewardlab.frame_quality(f) for f in clip])[::-1]
             keep = math.ceil(rewardlab.TOP_FRAME_FRACTION * len(per_frame))
             assert abs(np.mean(per_frame[:keep]) - score) <= 1e-12 * max(1.0, abs(score))
-        std = normalizer.update_and_standardize(prompt.pid, raw)
+        std = normalizer.update_and_standardize([prompt.pid], raw[None])[0]
         source = (rewardlab.aggregate_composite(std, cfg.reward_weights)
                   if cfg.advantage_source == "composite" else std[:, rewardlab.VQ])
         adv = nftcore.compute_advantages(source)
@@ -714,7 +714,7 @@ def test_nonfinite_reference_row_aborts_before_the_first_step():
         nftcore.train_epoch(run, data, cfg, schedule)
     assert exc.value.pid == prompts[k].pid
     assert exc.value.cause.row == k * rows + row
-    assert run.optimizer.t == 0 and run.state.steps == 0 and run.state.epoch == 0
+    assert run.optimizer.t == 0 and run.state.epoch == 0
     assert np.array_equal(run.policies.theta.flat, theta)
 
 
@@ -739,7 +739,7 @@ def test_train_epoch_advances_state():
     run, schedule, prompts = make_world(cfg)
     longtune.train_window_epoch(run, prompts, cfg, schedule)
     assert run.state.epoch == 1
-    assert run.state.steps == len(prompts)
+    assert run.optimizer.t == len(prompts)
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -826,13 +826,13 @@ def test_train_epoch_aborts_on_optimization_overflow():
     run, schedule, _ = make_world(cfg)
     rng = np.random.default_rng(12)
 
-    def huge_group():
-        data = synthetic_scored_group(cfg, rng).data
+    def huge_group(pid):
+        data = synthetic_scored_group(cfg, rng, pid).data
         return dataclasses.replace(data, clips=np.full_like(data.clips, 1e200))
 
     with pytest.raises(nftcore.EpochAborted):
         with np.errstate(all="ignore"):
-            nftcore.train_epoch(run, stacked([huge_group(), huge_group()]), cfg, schedule)
+            nftcore.train_epoch(run, stacked([huge_group(0), huge_group(1)]), cfg, schedule)
 
 
 def test_first_layer_overflow_aborts_at_its_matmul():
@@ -845,7 +845,7 @@ def test_first_layer_overflow_aborts_at_its_matmul():
     scored = synthetic_scored_group(cfg, rng)
     with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
         nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
-    data = stacked([synthetic_scored_group(cfg, rng).data for _ in range(2)])
+    data = stacked([synthetic_scored_group(cfg, rng, pid).data for pid in range(2)])
     with pytest.raises(nftcore.EpochAborted) as exc:
         nftcore.train_epoch(run, data, cfg, schedule)
     assert exc.value.pid == data.prompts[0].pid
@@ -858,7 +858,7 @@ def test_first_layer_overflow_on_replay_aborts_at_its_matmul(graphs_without_gc):
     cfg = small_config()
     run, schedule, _ = make_world(cfg)
     rng = np.random.default_rng(17)
-    data = stacked([synthetic_scored_group(cfg, rng).data for _ in range(2)])
+    data = stacked([synthetic_scored_group(cfg, rng, pid).data for pid in range(2)])
     nftcore.train_epoch(run, data, cfg, schedule)
     built, tapes = len(graphs_without_gc), dict(run.tapes)
     run.policies.theta["w1"][...] = np.finfo(np.float64).max
@@ -870,11 +870,14 @@ def test_first_layer_overflow_on_replay_aborts_at_its_matmul(graphs_without_gc):
 
 
 def test_epoch_mode_ema_ticks_once_per_epoch():
-    cfg = small_config(ema_mode="epoch")
-    run, schedule, prompts = make_world(cfg)
+    # ema_interval = prompts_per_epoch: one EMA tick per epoch, after its
+    # last step, toward the epoch's final theta.
+    cfg = small_config(prompts_per_epoch=3, ema_interval=3)
+    run, schedule, prompts = make_world(cfg, n_prompts=3)
     policies = run.policies
-    before = tg.flatten(policies.theta_old)
-    longtune.train_window_epoch(run, prompts, cfg, schedule)
-    # exactly one EMA application: old' = gamma*old + (1-gamma)*theta_final
-    # cannot reconstruct theta_final cheaply here, but old must have moved
-    assert any(not np.array_equal(policies.theta_old[k], before[k]) for k in before)
+    for _ in range(2):
+        want = tg.flatten(policies.theta_old)
+        longtune.train_window_epoch(run, prompts, cfg, schedule)
+        nftcore.ema_update(want, policies.theta, cfg.gamma)
+        assert np.array_equal(policies.theta_old.flat, want.flat)
+    assert run.optimizer.t == 6

@@ -123,7 +123,7 @@ def test_eval_rewards_shape():
 def test_normalizer_running_stats():
     norm = rewardlab.RewardNormalizer()
     batch1 = np.array([[1.0, 10.0, 100.0], [3.0, 10.0, 100.0]])
-    z1 = norm.update_and_standardize(0, batch1)
+    z1 = norm.update_and_standardize([0], batch1[None])[0]
     # after update: mean (2,10,100), biased std (1,0,0) with floor on zeros
     assert np.allclose(z1[:, 0], [-1.0, 1.0])
     assert np.allclose(z1[:, 1], 0.0)
@@ -131,7 +131,7 @@ def test_normalizer_running_stats():
 
     # second batch folds into the same running stats
     batch2 = np.array([[5.0, 10.0, 100.0], [7.0, 10.0, 100.0]])
-    z2 = norm.update_and_standardize(0, batch2)
+    z2 = norm.update_and_standardize([0], batch2[None])[0]
     pooled = np.concatenate([batch1[:, 0], batch2[:, 0]])
     expect = (batch2[:, 0] - pooled.mean()) / pooled.std()
     assert np.allclose(z2[:, 0], expect)
@@ -139,30 +139,32 @@ def test_normalizer_running_stats():
 
 def test_normalizer_is_per_prompt():
     norm = rewardlab.RewardNormalizer()
-    norm.update_and_standardize(0, np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]))
+    norm.update_and_standardize([0], np.array([[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]]))
     # a fresh prompt id starts from scratch: its own two values standardize to +-1
-    z = norm.update_and_standardize(1, np.array([[100.0, 0.0, 0.0], [102.0, 0.0, 0.0]]))
-    assert np.allclose(z[:, 0], [-1.0, 1.0])
+    z = norm.update_and_standardize([1], np.array([[[100.0, 0.0, 0.0], [102.0, 0.0, 0.0]]]))
+    assert np.allclose(z[0, :, 0], [-1.0, 1.0])
 
 
 def test_normalizer_std_floor():
     norm = rewardlab.RewardNormalizer()
-    z = norm.update_and_standardize(0, np.full((4, 3), 5.0))
+    z = norm.update_and_standardize([0], np.full((1, 4, 3), 5.0))
     assert np.all(np.isfinite(z))
     assert np.allclose(z, 0.0)
 
 
 def test_normalizer_state_roundtrip():
+    # A normalizer rebuilt from its four arrays, as a checkpoint restores
+    # it, continues bit for bit.
     norm = rewardlab.RewardNormalizer()
     rng = np.random.default_rng(0)
-    for pid in (0, 1):
-        norm.update_and_standardize(pid, rng.standard_normal((8, 3)))
-    clone = rewardlab.RewardNormalizer()
-    clone.load_state_dict(norm.state_dict())
-    batch = rng.standard_normal((8, 3))
+    norm.update_and_standardize([1, 0], rng.standard_normal((2, 8, 3)))
+    assert norm.pids.tolist() == [0, 1] and norm.count.tolist() == [8.0, 8.0]
+    clone = rewardlab.RewardNormalizer(norm.pids.copy(), norm.count.copy(), norm.mean.copy(),
+                                       norm.m2.copy())
+    batch = rng.standard_normal((1, 8, 3))
     assert np.array_equal(
-        norm.update_and_standardize(0, batch.copy()),
-        clone.update_and_standardize(0, batch.copy()))
+        norm.update_and_standardize([0], batch.copy()),
+        clone.update_and_standardize([0], batch.copy()))
 
 
 def numpy_row_welford(count, mean, m2, scores):
@@ -176,21 +178,51 @@ def numpy_row_welford(count, mean, m2, scores):
 
 
 def test_normalizer_update_is_bit_exact_against_numpy_row_loop():
+    # Batches of 1-8 distinct pids in random order, pids first seen
+    # mid-stream, 1-24 rows and scales from 1e-8 to 1e8: the statistics and
+    # the standardized scores equal the per-pid numpy row loop bit for bit.
     rng = np.random.default_rng(11)
     norm = rewardlab.RewardNormalizer()
     ref = {}
-    for _ in range(3000):
-        pid = int(rng.integers(4))
+    zero = np.zeros(rewardlab.N_MODELS)
+
+    def bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+    for step in range(600):
+        pool = 4 if step < 200 else 12  # pids 4-11 first appear mid-stream
+        pids = rng.permutation(pool)[:int(rng.integers(1, 9))]
         rows = int(rng.integers(1, 25))
-        scale = 10.0 ** rng.uniform(-8, 8, size=(1, rewardlab.N_MODELS))
-        scores = rng.standard_normal((rows, rewardlab.N_MODELS)) * scale + rng.uniform(-1, 1)
-        zero = np.zeros(rewardlab.N_MODELS)
-        ref[pid] = numpy_row_welford(*ref.get(pid, (0, zero, zero)), scores)
-        norm.update(pid, scores)
-        count, mean, m2 = ref[pid]
-        assert norm.count[pid] == count
-        assert np.array_equal(norm.mean[pid].view(np.uint64), mean.view(np.uint64))
-        assert np.array_equal(norm.m2[pid].view(np.uint64), m2.view(np.uint64))
+        scale = 10.0 ** rng.uniform(-8, 8, size=(len(pids), 1, rewardlab.N_MODELS))
+        scores = (rng.standard_normal((len(pids), rows, rewardlab.N_MODELS)) * scale
+                  + rng.uniform(-1, 1, size=(len(pids), 1, 1)))
+        z = norm.update_and_standardize(pids, scores)
+        for pid, block, z_block in zip(pids.tolist(), scores, z):
+            ref[pid] = numpy_row_welford(*ref.get(pid, (0, zero, zero)), block)
+            count, mean, m2 = ref[pid]
+            want = (block - mean) / np.maximum(np.sqrt(m2 / count), rewardlab.STD_FLOOR)
+            assert np.array_equal(bits(z_block), bits(want))
+        assert norm.pids.tolist() == sorted(ref)
+        for i, pid in enumerate(norm.pids.tolist()):
+            count, mean, m2 = ref[pid]
+            assert norm.count[i] == count
+            assert np.array_equal(bits(norm.mean[i]), bits(mean))
+            assert np.array_equal(bits(norm.m2[i]), bits(m2))
+
+
+def test_normalizer_refuses_a_pid_named_twice():
+    norm = rewardlab.RewardNormalizer()
+    with pytest.raises(ValueError, match="twice"):
+        norm.update_and_standardize([3, 1, 3], np.zeros((3, 4, rewardlab.N_MODELS)))
+    assert norm.pids.size == 0
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 2), (3, 4, 3), (2, 0, 3), (2, 1, 4, 3)])
+def test_normalizer_refuses_scores_not_shaped_prompts_rows_judges(shape):
+    norm = rewardlab.RewardNormalizer()
+    with pytest.raises(ValueError, match=r"not \(P, rows, 3\)"):
+        norm.update_and_standardize([0, 1], np.zeros(shape))
+    assert norm.pids.size == 0
 
 
 # --- composite and ranks ---

@@ -14,16 +14,9 @@ def sample_record(epoch=0, **over):
     base = dict(
         epoch=epoch, reward_vq=-0.5, reward_mq=-0.01, reward_ta=0.9,
         composite=0.13, policy_loss=0.25, kl_loss=0.001, mask_fraction=0.125,
-        tau=2.5, rho=0.2, grad_norm=0.7, reset=False, wall_time=1.23)
+        tau=2.5, rho=0.2, grad_norm=0.7, reset=False)
     base.update(over)
     return runio.MetricsRecord(**base)
-
-
-def test_record_json_excludes_wall_time():
-    d = sample_record().to_json_dict()
-    assert "wall_time" not in d
-    assert d["epoch"] == 0
-    assert d["tau"] == 2.5
 
 
 def test_record_json_key_order():
@@ -53,9 +46,9 @@ def test_log_and_read_roundtrip(tmp_path):
 
 def test_same_records_give_identical_bytes(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    for path, wall in ((a, 1.0), (b, 99.0)):
+    for path in (a, b):
         for e in range(4):
-            runio.log_metrics(path, sample_record(epoch=e, wall_time=wall))
+            runio.log_metrics(path, sample_record(epoch=e))
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -115,10 +115,12 @@ def test_push_clip_validates_shape():
         streamctx.push_clip(ctx, graph.parameter("clip", np.zeros((4, 8))))
 
 
-def test_trajectory_summary_matches_real_window_pushes():
+@pytest.mark.parametrize("sink", [0, 3])
+def test_trajectory_summary_matches_real_window_pushes(sink):
     # The analytic summary used for pretraining targets must agree with what a
-    # real context window reports after pushing the same target clips.
-    phase, clip_len, frame_dim, sink = 1.1, 4, 8, 3
+    # real context window reports after pushing the same target clips; with
+    # no sink, both hold a zero sink mean.
+    phase, clip_len, frame_dim = 1.1, 4, 8
     ctx = streamctx.empty_context(sink_size=sink, window_size=21, frame_dim=frame_dim)
     for k in range(6):
         analytic = flowgen.trajectory_context_summary(

@@ -11,8 +11,8 @@ alternating, each run in a fresh process that imports astro from that
 side's src/. A run reports, for each phase, the median over its epochs of
 the phase's wall ms per epoch, the ms of one pretraining step (its
 pretraining's wall time over its steps), and that step split into batch,
-loss forward, backward and AdamW (from a separate, timer-wrapped
-pretraining pass; see pretrain_split). With --pairs N, each workload
+loss forward, backward and AdamW (each part's median over the steps of a
+separate, timer-wrapped pretraining pass; see pretrain_split). With --pairs N, each workload
 also gets N alternating pairs of `benchmarks/run.py --seconds S`, one
 process per side, and the summary of every end-to-end metric
 BENCHMARK.json bounds: each side's median and quartiles and the pairs the
@@ -51,8 +51,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PHASES = ("prefix", "rollout", "judges", "loss_inputs", "loss_forward", "backward", "clip",
           "adamw", "ema", "total")
-# The parts of one pretraining step, timed over a separate pass of SPLIT_STEPS
-# steps: past step 356, so both of AdamW's bias-correction regimes are in it.
+# The parts of one pretraining step, timed per step over a separate pass of
+# the workload's pretrain_steps, and at least SPLIT_STEPS: past step 356, so
+# both of AdamW's bias-correction regimes are in it.
 SPLIT_PARTS = ("batch", "loss_forward", "backward", "adamw")
 SPLIT_STEPS = 400
 
@@ -97,29 +98,30 @@ def child(src: str, workload: str, seed: int) -> dict:
 
 
 def pretrain_split(cfg) -> dict:
-    """ms per step of each part of a pretraining step, from a separate
-    SPLIT_STEPS-step pretraining pass whose calls are wrapped in timers:
-    batch (from the previous step's end to the loss pass: the draws and the
-    input rows), loss_forward (tensorgrad.loss_pass), backward (the pass's
-    finish) and adamw (AdamW.step); the first step's batch also holds the
-    initialization. It runs after the training run, so pretrain_step_ms is
-    unwrapped."""
+    """ms of each part of one pretraining step, the median over the steps of
+    a separate pretraining pass of max(cfg.pretrain_steps, SPLIT_STEPS)
+    steps whose calls are wrapped in timers: batch (from the previous step's
+    end to the loss pass: the draws and the input rows), loss_forward
+    (tensorgrad.loss_pass), backward (the pass's finish) and adamw
+    (AdamW.step). The first step's batch also holds the initialization,
+    which the median leaves out. It runs after the training run, so
+    pretrain_step_ms is unwrapped."""
     from astro import cli
     from astro import tensorgrad as tg
-    parts = dict.fromkeys(SPLIT_PARTS, 0.0)
+    parts: dict[str, list[float]] = {part: [] for part in SPLIT_PARTS}
     loss_pass, step = tg.loss_pass, tg.AdamW.step
     last = [0.0]
 
     def timed_loss_pass(*args, **kwargs):
         start = time.perf_counter()
-        parts["batch"] += start - last[0]
+        parts["batch"].append(start - last[0])
         values, finish = loss_pass(*args, **kwargs)
-        parts["loss_forward"] += time.perf_counter() - start
+        parts["loss_forward"].append(time.perf_counter() - start)
 
         def timed_finish():
             start = time.perf_counter()
             grads = finish()
-            parts["backward"] += time.perf_counter() - start
+            parts["backward"].append(time.perf_counter() - start)
             return grads
         return values, timed_finish
 
@@ -127,17 +129,17 @@ def pretrain_split(cfg) -> dict:
         start = time.perf_counter()
         step(self, *args)
         last[0] = time.perf_counter()
-        parts["adamw"] += last[0] - start
+        parts["adamw"].append(last[0] - start)
 
     tg.loss_pass, tg.AdamW.step = timed_loss_pass, timed_step
     try:
-        short = dataclasses.replace(cfg, pretrain_steps=SPLIT_STEPS)
-        schedule, corpus, _ = cli.build_world(short)
+        split = dataclasses.replace(cfg, pretrain_steps=max(cfg.pretrain_steps, SPLIT_STEPS))
+        schedule, corpus, _ = cli.build_world(split)
         last[0] = time.perf_counter()
-        cli.pretrain_from_config(short, corpus, schedule)
+        cli.pretrain_from_config(split, corpus, schedule)
     finally:
         tg.loss_pass, tg.AdamW.step = loss_pass, step
-    return {part: 1e3 * seconds / SPLIT_STEPS for part, seconds in parts.items()}
+    return {part: 1e3 * statistics.median(times) for part, times in parts.items()}
 
 
 def tier1(checkout: Path) -> dict:
