@@ -144,7 +144,7 @@ class RunConfig:
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
+            raise ValueError(f"invalid config: unknown config keys: {unknown}")
         return cls(**data)
 
     def to_dict(self) -> dict:

@@ -39,8 +39,6 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict({"seed": 0, "learning_rate": 1e-4})
     with pytest.raises(ValueError, match="group_sise"):
         RunConfig.from_dict({"group_sise": 8})
-    # ema_mode="epoch" was ema_interval = prompts_per_epoch under another
-    # name; a config that still names it fails as any unknown key does.
     with pytest.raises(ValueError, match=r"unknown config keys: \['ema_mode'\]"):
         RunConfig.from_dict({"ema_mode": "epoch", "ema_interval": 8})
 
@@ -77,7 +75,9 @@ def test_tuple_coercion():
     ("lambda_kl", -1e-4),
     ("tau_kl", 0.0),
     ("gamma", 1.0),
-    ("sink_size", -1),
+    # ema_mode="epoch" was ema_interval = prompts_per_epoch under another
+    # name; a config that still names it fails as any unknown key does.
+    ("ema_mode", "never"),
     ("ema_interval", 0),
     ("a_max", 0.0),
     ("rho0", 0.0),
@@ -127,10 +127,11 @@ def test_tuple_coercion():
     ("raw_timesteps", None),
     ("raw_timesteps", {1000.0: 1, 500.0: 2}),
     ("reward_weights", {0.5: "a", 0.25: "b", 0.125: "c"}),
+    ("sink_size", -1),
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ValueError, match="invalid config"):
-        RunConfig(**{field: value})
+        RunConfig.from_dict({field: value})
 
 
 def test_numeric_fields_accept_numbers_of_their_kind(tmp_path):
