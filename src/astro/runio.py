@@ -110,17 +110,16 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], seed: int, epoch: int,
     synced to disk, which then replaces path in one step: a write that fails
     leaves the previous checkpoint whole, and no temporary file behind.
     """
-    entries = []
-    payload = bytearray()
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+    stored = [(name, np.ascontiguousarray(arrays[name], dtype="<f4")) for name in sorted(arrays)]
+    entries, offset = [], 0
+    for name, arr in stored:
         entries.append({
             "name": name,
             "shape": list(arr.shape),
-            "offset": len(payload),
+            "offset": offset,
             "count": int(arr.size),
         })
-        payload.extend(arr.tobytes())
+        offset += arr.nbytes
     manifest = {
         "format": 1,
         "seed": int(seed),
@@ -136,7 +135,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], seed: int, epoch: int,
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<Q", len(blob)))
             fh.write(blob)
-            fh.write(bytes(payload))
+            for _, arr in stored:
+                fh.write(arr)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -156,6 +156,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"checkpoint truncated inside its manifest length: {path}")
         (blob_len,) = struct.unpack("<Q", length)
         manifest = json.loads(fh.read(blob_len).decode("utf-8"))
+        if manifest.get("format") != 1:
+            raise ValueError(f"checkpoint format {manifest.get('format')!r} is not "
+                             f"format 1, the only one this version reads: {path}")
         payload = fh.read()
     arrays = {}
     for entry in manifest["arrays"]:

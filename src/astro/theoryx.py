@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 
 # --- optimal-velocity guarantee ---
@@ -91,6 +90,9 @@ def optimal_velocity_numeric(inst: GuidanceInstance, bracket: float = 50.0) -> n
     v_old + c*(v_plus - v_old); the search recovers c without using the
     closed form.
     """
+    # Imported here, its only use, so training processes never load scipy.
+    from scipy import optimize
+
     delta_plus = inst.v_plus - inst.v_old
 
     def along(c: float) -> float:

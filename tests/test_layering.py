@@ -1,10 +1,12 @@
 """Module layering: the astro modules import each other without a cycle,
-and every config field is read by the program.
+every config field is read by the program, and training loads no scipy.
 
 The epoch engine (nftcore) takes already rolled-out groups, which longtune
 decodes and passes in, so nftcore must never import longtune; a cycle
 anywhere would also make the import order of the package matter. A config
 field that no module reads is a knob that changes nothing a run writes.
+Importing scipy.optimize more than doubles a training process's peak memory
+and loads a second OpenBLAS runtime, so only verify-theory's minimizer may.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import graphlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import astro
@@ -68,3 +74,36 @@ def test_every_config_field_is_read_outside_config():
                     and node.value.id == "cfg")
     unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
     assert not unread, f"RunConfig fields no module reads as cfg.<field>: {unread}"
+
+
+# Run in a fresh interpreter: this one has long since imported scipy through
+# other test files.
+TRAIN_WITHOUT_SCIPY = textwrap.dedent("""
+    import sys, tempfile
+    from pathlib import Path
+    import numpy as np
+    from astro import cli, theoryx
+    from astro.config import RunConfig
+
+    with tempfile.TemporaryDirectory() as out:
+        for mode in ("short", "long"):
+            cfg = RunConfig(seed=0, mode=mode, frame_dim=4, clip_len=2, prompt_dim=4,
+                            hidden=16, group_size=4, prompts_per_epoch=2, epochs=2,
+                            total_clips=3, window_clips=1, pretrain_steps=40)
+            assert cli.run_training(cfg, Path(out) / mode)["status"] == "ok", mode
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, f"training loaded {len(loaded)} scipy modules: {loaded[:5]}"
+    inst = theoryx.make_guidance_instance(np.random.default_rng(0), 0.5)
+    gap = np.abs(theoryx.optimal_velocity_numeric(inst)
+                 - theoryx.optimal_velocity_closed_form(inst)).max()
+    assert gap <= 1e-6, gap
+    assert "scipy.optimize" in sys.modules
+""")
+
+
+def test_training_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", TRAIN_WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -110,6 +111,53 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     runio.save_checkpoint(p2, loaded, seed=meta["seed"], epoch=meta["epoch"],
                           extra=meta["extra"])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_bytes_are_the_manifest_then_each_array_as_float32(tmp_path):
+    # Built by hand: arrays in name order, each at the offset the sizes
+    # before it give, a transposed view and an int array converted on the way.
+    path = tmp_path / "ck.bin"
+    w = np.arange(6.0).reshape(2, 3) / 7.0
+    arrays = {"w": w.T, "b": np.arange(4), "a": np.float64(2.5)}
+    runio.save_checkpoint(path, arrays, seed=3, epoch=5, extra={"opt_t": 9})
+    manifest = {"arrays": [
+        {"count": 1, "name": "a", "offset": 0, "shape": [1]},
+        {"count": 4, "name": "b", "offset": 4, "shape": [4]},
+        {"count": 6, "name": "w", "offset": 20, "shape": [3, 2]},
+    ], "epoch": 5, "extra": {"opt_t": 9}, "format": 1, "seed": 3}
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = b"".join(np.array(a, dtype="<f4").tobytes()
+                       for a in (np.float64(2.5), np.arange(4), w.T))
+    assert path.read_bytes() == (runio.CHECKPOINT_MAGIC + struct.pack("<Q", len(blob))
+                                 + blob + payload)
+
+
+def rewrite_manifest(path, edit):
+    """Rewrite a checkpoint's manifest through edit(manifest), keeping its payload."""
+    blob = path.read_bytes()
+    start = len(runio.CHECKPOINT_MAGIC) + 8
+    (length,) = struct.unpack("<Q", blob[len(runio.CHECKPOINT_MAGIC):start])
+    manifest = json.loads(blob[start:start + length])
+    edit(manifest)
+    new = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(runio.CHECKPOINT_MAGIC + struct.pack("<Q", len(new)) + new
+                     + blob[start + length:])
+
+
+@pytest.mark.parametrize("fmt", [2, 0, "1", None])
+def test_checkpoint_of_another_format_is_refused(tmp_path, fmt):
+    path = tmp_path / "ck.bin"
+    runio.save_checkpoint(path, {"w": np.ones((2, 2))}, seed=0, epoch=1)
+    rewrite_manifest(path, lambda m: m.update(format=1))
+    assert runio.load_checkpoint(path)[1]["epoch"] == 1
+
+    def edit(manifest):
+        del manifest["format"]
+        if fmt is not None:
+            manifest["format"] = fmt
+    rewrite_manifest(path, edit)
+    with pytest.raises(ValueError, match=f"checkpoint format {fmt!r} is not format 1"):
+        runio.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):

@@ -12,14 +12,18 @@ side's src/. A run reports, for each phase, the median over its epochs of
 the phase's wall ms per epoch, the ms of one pretraining step (its
 pretraining's wall time over its steps), and that step split into batch,
 loss forward, backward and AdamW (each part's median over the steps of a
-separate, timer-wrapped pretraining pass; see pretrain_split). With --pairs N, each workload
-also gets N alternating pairs of `benchmarks/run.py --seconds S`, one
-process per side, and the summary of every end-to-end metric
-BENCHMARK.json bounds: each side's median and quartiles and the pairs the
-change wins. The JSON holds these per workload, seed and
-OPENBLAS_NUM_THREADS, with every run's values and numpy, BLAS and thread
-settings, and a tier-1 run per side with pytest's five slowest tests and
-the side's src/ line count (as `wc -l` counts them). An
+separate, timer-wrapped pretraining pass; see pretrain_split), the wall
+seconds of `import astro, astro.cli` (import_s), and the process's
+ru_maxrss in MB after that import and after the training run. With
+--pairs N, each workload also gets N alternating pairs of
+`benchmarks/run.py --seconds S`, one process per side, and the summary of
+every end-to-end metric BENCHMARK.json bounds, and of the wall-time
+epoch_ms_p50 and run_s that the pair run records in its
+.bench_out/<workload>-seed<n>-trace0/result.json: each side's median and
+quartiles and the pairs the change wins. The JSON holds these per
+workload, seed and OPENBLAS_NUM_THREADS, with every run's values and numpy,
+BLAS and thread settings, and a tier-1 run per side with pytest's five
+slowest tests and the side's src/ line count (as `wc -l` counts them). An
 existing --out file is updated, so a second call can add a held-out seed
 or another thread setting.
 
@@ -41,6 +45,7 @@ import importlib.util
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -56,6 +61,11 @@ PHASES = ("prefix", "rollout", "judges", "loss_inputs", "loss_forward", "backwar
 # both of AdamW's bias-correction regimes are in it.
 SPLIT_PARTS = ("batch", "loss_forward", "backward", "adamw")
 SPLIT_STEPS = 400
+# What a child run reports beside its phases, in its JSON line.
+CHILD_COSTS = ("import_s", "maxrss_import_mb", "maxrss_run_mb", "pretrain_step_ms")
+# Wall-time end-to-end metrics summarized beside the gated ones: benchmarks/run.py
+# bounds only their reference-unit forms, which move when the reference pass does.
+WALL_METRICS = ("epoch_ms_p50", "run_s")
 
 
 def load_benchmark():
@@ -67,11 +77,19 @@ def load_benchmark():
     return module
 
 
+def maxrss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def child(src: str, workload: str, seed: int) -> dict:
-    """One training run of a workload on the astro in src: its phase and pretraining medians."""
+    """One training run of a workload on the astro in src: its import cost,
+    peak memory, and phase and pretraining medians."""
     sys.path.insert(0, src)
+    start = time.perf_counter()
     import astro
     from astro import cli
+    import_s = time.perf_counter() - start
+    maxrss_import_mb = maxrss_mb()
     if Path(astro.__file__).resolve().parent.parent != Path(src).resolve():
         raise ImportError(f"astro imported from {astro.__file__}, not from {src}")
     bench = load_benchmark()
@@ -90,10 +108,13 @@ def child(src: str, workload: str, seed: int) -> dict:
     with tempfile.TemporaryDirectory() as out:
         if cli.run_training(cfg, Path(out))["status"] != "ok":
             raise RuntimeError(f"{workload} run failed")
+        maxrss_run_mb = maxrss_mb()
         timings = Path(out) / "timings.jsonl"
         rows = [json.loads(line) for line in timings.read_text().splitlines()]
     phases = {p: 1e3 * statistics.median(row.get(p, 0.0) for row in rows) for p in PHASES}
-    return {"phases_ms": phases, "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps,
+    return {"phases_ms": phases, "import_s": import_s, "maxrss_import_mb": maxrss_import_mb,
+            "maxrss_run_mb": maxrss_run_mb,
+            "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps,
             "pretrain_split_ms": pretrain_split(cfg)}
 
 
@@ -157,11 +178,13 @@ def tier1(checkout: Path) -> dict:
 
 
 def pair_summary(pairs: list[dict]) -> dict:
-    """Per gated metric: each side's median and quartiles, and the change's wins."""
+    """Per gated metric and wall metric: each side's median and quartiles, and
+    the change's wins."""
     gated = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    better = {m["name"]: m["better"] for m in gated} | dict.fromkeys(WALL_METRICS, "lower")
     out = {}
-    for metric in gated:
-        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+    for name, direction in better.items():
+        sign = 1 if direction == "higher" else -1
         before = [p["before"][name] for p in pairs]
         after = [p["after"][name] for p in pairs]
         out[name] = {
@@ -204,7 +227,8 @@ def main(argv=None) -> int:
     sides = {"before": args.before.resolve(), "after": ROOT}
     result = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {
         "script": "tools/bench_phases.py", "workloads": {}}
-    result["unit"] = "wall ms per epoch (phases); ms per step (pretrain_step_ms)"
+    result["unit"] = ("wall ms per epoch (phases); ms per step (pretrain_step_ms); s (import_s); "
+                      "MB (maxrss_*_mb)")
     for name in args.workloads or bench.WORKLOADS:
         seed = bench.WORKLOADS[name]["seed"] if args.seed is None else args.seed
         threads = os.environ.get("OPENBLAS_NUM_THREADS", "default")
@@ -227,15 +251,18 @@ def main(argv=None) -> int:
                          str(seed), "--seconds", str(args.seconds)], sides[side]))
                     if not line["correct"] or line["failed"]:
                         raise RuntimeError(f"{side} {name} benchmark run failed: {line}")
+                    saved = json.loads((sides[side] / ".bench_out" / f"{name}-seed{seed}-trace0"
+                                        / "result.json").read_text(encoding="utf-8"))
                     pair[side] = {k: v["value"] for k, v in line["metrics"].items()}
+                    pair[side].update({k: saved["end_to_end"][k] for k in WALL_METRICS})
             if pair:
                 pairs.append(pair)
         if args.repeats:
             for side, side_runs in runs.items():
                 entry[side] = {p: statistics.median(r["phases_ms"][p] for r in side_runs)
                                for p in PHASES}
-                entry[side]["pretrain_step_ms"] = statistics.median(
-                    r["pretrain_step_ms"] for r in side_runs)
+                entry[side].update({cost: statistics.median(r[cost] for r in side_runs)
+                                    for cost in CHILD_COSTS})
                 entry[side]["pretrain_split_ms"] = {
                     part: statistics.median(r["pretrain_split_ms"][part] for r in side_runs)
                     for part in SPLIT_PARTS}
