@@ -75,11 +75,11 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
             echo(f"pretrained base for {cfg.pretrain_steps} steps")
     else:
         for path in (metrics_path, timings_path):
-            runio.drop_epochs_from(path, run.state.epoch)
+            runio.drop_epochs_from(path, run.epoch)
         if echo:
-            echo(f"resumed from {resume} at epoch {run.state.epoch}")
+            echo(f"resumed from {resume} at epoch {run.epoch}")
 
-    while run.state.epoch < cfg.epochs:
+    while run.epoch < cfg.epochs:
         try:
             record = longtune.train_window_epoch(run, prompts, cfg, schedule)
         except nftcore.EpochAborted as err:
@@ -98,11 +98,11 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
 
     arrays, extra = run.to_arrays()
     ckpt_path = out_dir / "checkpoint.bin"
-    runio.save_checkpoint(ckpt_path, arrays, seed=cfg.seed, epoch=run.state.epoch,
+    runio.save_checkpoint(ckpt_path, arrays, seed=cfg.seed, epoch=run.epoch,
                           extra=extra)
     if echo:
         echo(f"checkpoint written to {ckpt_path}")
-    return {"status": "ok", "epochs_run": run.state.epoch, "out_dir": str(out_dir),
+    return {"status": "ok", "epochs_run": run.epoch, "out_dir": str(out_dir),
             "checkpoint": str(ckpt_path), "metrics": str(metrics_path)}
 
 

@@ -14,7 +14,6 @@ empty context and no prefix.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,40 +22,16 @@ from . import rng as rngmod
 from .config import RunConfig
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Clip-aligned window placement inside a stream of total_clips clips."""
-
-    total_clips: int
-    window_clips: int
-    start_clip: int
-
-    def __post_init__(self):
-        if self.window_clips < 1 or self.window_clips > self.total_clips:
-            raise ValueError("window_clips must lie in [1, total_clips]")
-        if not 0 <= self.start_clip <= self.total_clips - self.window_clips:
-            raise ValueError(
-                f"start_clip {self.start_clip} outside [0, {self.total_clips - self.window_clips}]")
-
-
-def select_window(total_clips: int, window_clips: int, rng: np.random.Generator) -> int:
-    """Uniform clip-aligned start in [0, total_clips - window_clips]."""
-    if not 1 <= window_clips <= total_clips:
-        raise ValueError("window_clips must lie in [1, total_clips]")
-    return int(rng.integers(0, total_clips - window_clips + 1))
-
-
-def epoch_window(cfg: RunConfig, epoch: int) -> WindowSpec:
-    """The epoch's shared window; derived from (seed, epoch) so workers agree.
-
-    Short mode draws nothing: its window is the single clip at clip 0.
+def epoch_window(cfg: RunConfig, epoch: int) -> tuple[int, int]:
+    """The epoch's shared window as (start_clip, n_clips); the start is drawn
+    uniformly from [0, total_clips - window_clips] on the (seed, epoch)
+    window substream, so workers agree. Short mode draws nothing: its window
+    is the single clip at clip 0.
     """
     if cfg.mode == "short":
-        return WindowSpec(total_clips=1, window_clips=1, start_clip=0)
+        return 0, 1
     stream = rngmod.substream(cfg.seed, rngmod.WINDOW_STREAM, epoch)
-    start = select_window(cfg.total_clips, cfg.window_clips, stream)
-    return WindowSpec(total_clips=cfg.total_clips, window_clips=cfg.window_clips,
-                      start_clip=start)
+    return int(stream.integers(0, cfg.total_clips - cfg.window_clips + 1)), cfg.window_clips
 
 
 def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
@@ -88,20 +63,20 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
 
 
 def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],
-                   spec: WindowSpec, cfg: RunConfig, schedule: flowgen.TimestepSchedule,
+                   n_clips: int, cfg: RunConfig, schedule: flowgen.TimestepSchedule,
                    epoch: int, prefix: streamctx.ContextBatch) -> nftcore.GroupData:
     """Branch every prompt's group at the window: each candidate extends its own context.
 
     prefix is the prompts' contexts at the window start, as rollout_prefix
-    makes them; streamctx.group_rollout decodes the window for all prompts'
-    candidates at once. Returns its two stacks as the epoch's GroupData:
-    every candidate's window clips and the context summary that conditioned
-    each clip, in prompt order.
+    makes them; streamctx.group_rollout decodes the window's n_clips clips
+    for all prompts' candidates at once. Returns its two stacks as the
+    epoch's GroupData: every candidate's window clips and the context
+    summary that conditioned each clip, in prompt order.
     """
     keys = [streamctx.group_base_key(cfg.seed, epoch, p.pid) for p in prompts]
     with nftcore.abort_on_nonfinite(epoch, prompts, cfg.group_size):
         clips, summaries = streamctx.group_rollout(theta_old, prefix, prompts, cfg.group_size,
-                                                   schedule, keys, spec.window_clips)
+                                                   schedule, keys, n_clips)
     return nftcore.GroupData(prompts, clips, summaries)
 
 
@@ -114,14 +89,14 @@ def train_window_epoch(run: nftcore.RunState, prompts: list[flowgen.Prompt], cfg
     clip, adamw, ema, and total."""
     t_start = time.perf_counter()
     run.timings.clear()
-    epoch = run.state.epoch
-    spec = epoch_window(cfg, epoch)
+    epoch = run.epoch
+    start_clip, n_clips = epoch_window(cfg, epoch)
     theta_old = run.policies.theta_old
-    prefix = rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
+    prefix = rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, epoch)
     since = run.timings.lap("prefix", t_start)
-    data = window_rollout(theta_old, prompts, spec, cfg, schedule, epoch, prefix)
+    data = window_rollout(theta_old, prompts, n_clips, cfg, schedule, epoch, prefix)
     run.timings.lap("rollout", since)
     record = nftcore.train_epoch(run, data, cfg, schedule)
-    record.window_start = spec.start_clip
+    record.window_start = start_clip
     run.timings["total"] = time.perf_counter() - t_start
     return record

@@ -51,12 +51,6 @@ class PolicyTriple:
                    theta_ref=tg.flatten(base))
 
 
-@dataclass
-class TrainState:
-    epoch: int = 0
-    last_reset_epoch: int = 0
-
-
 # Checkpoint name prefixes of a run's five flat buffers, in file order.
 BUFFER_PREFIXES = ("theta/", "theta_old/", "theta_ref/", "opt/m/", "opt/v/")
 
@@ -65,16 +59,18 @@ BUFFER_PREFIXES = ("theta/", "theta_old/", "theta_ref/", "opt/m/", "opt/v/")
 class RunState:
     """Everything a run carries across epochs, each value held once and in
     the form its checkpoint saves: the optimizer's t is the step count, and
-    the normalizer's arrays are the norm/ arrays. fresh() starts one from a
-    pretrained base; to_arrays()/from_arrays() are its checkpoint round-trip,
-    with array names slash-scoped by component. tapes (the recorded loss
-    tapes by structure key) and timings (the current epoch's wall seconds
-    per phase) are working state, never checkpointed."""
+    the normalizer's arrays are the norm/ arrays; epoch is the next epoch to
+    run and last_reset_epoch the latest reference reset's. fresh() starts
+    one from a pretrained base; to_arrays()/from_arrays() are its checkpoint
+    round-trip, with array names slash-scoped by component. tapes (the
+    recorded loss tapes by structure key) and timings (the current epoch's
+    wall seconds per phase) are working state, never checkpointed."""
 
     policies: PolicyTriple
     optimizer: tg.AdamW
-    state: TrainState
     normalizer: rewardlab.RewardNormalizer
+    epoch: int = 0
+    last_reset_epoch: int = 0
     tapes: dict = field(default_factory=dict, repr=False)
     timings: runio.PhaseTimes = field(default_factory=runio.PhaseTimes, repr=False)
 
@@ -84,7 +80,7 @@ class RunState:
         optimizer = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                              eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
         return cls(policies=PolicyTriple.from_base(base), optimizer=optimizer,
-                   state=TrainState(), normalizer=rewardlab.RewardNormalizer())
+                   normalizer=rewardlab.RewardNormalizer())
 
     def to_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
         """(arrays, extra) for runio.save_checkpoint; the arrays are views of this state."""
@@ -96,7 +92,7 @@ class RunState:
         # "steps" repeats opt_t, which from_arrays reads instead; it stays so
         # that checkpoint bytes do not change.
         extra = {"opt_t": opt.t, "steps": opt.t,
-                 "last_reset_epoch": self.state.last_reset_epoch,
+                 "last_reset_epoch": self.last_reset_epoch,
                  "norm_pids": norm.pids.tolist()}
         return arrays, extra
 
@@ -110,12 +106,18 @@ class RunState:
         network shape than cfg's; the moments may be absent only before the
         optimizer's first step (opt_t 0). So is a reward normalizer that is
         not one row per prompt and one column per judge, or whose prompts are
-        not in ascending order. Entries it does not read (older checkpoints
+        not in ascending order. So is one that lacks a norm/ array or an extra
+        entry this method reads. Entries it does not read (older checkpoints
         carry a risk buffer and a rho; steps repeats opt_t) are ignored."""
         if int(meta["seed"]) != cfg.seed:
             raise ValueError(f"checkpoint was written with seed {meta['seed']}; "
                              f"cannot resume it with seed {cfg.seed}")
         extra = meta["extra"]
+        missing = [f"norm/{k}" for k in ("count", "mean", "m2") if f"norm/{k}" not in arrays]
+        missing += [f"extra.{k}" for k in ("opt_t", "last_reset_epoch", "norm_pids")
+                    if k not in extra]
+        if missing:
+            raise ValueError(f"checkpoint lacks {', '.join(missing)}")
         opt_t = int(extra["opt_t"])
         buffers = [tg.flatten({k[len(prefix):]: a for k, a in arrays.items()
                                if k.startswith(prefix)}) for prefix in BUFFER_PREFIXES]
@@ -140,8 +142,7 @@ class RunState:
         run = cls.fresh(cfg, {})
         run.policies = PolicyTriple(theta=theta, theta_old=theta_old, theta_ref=theta_ref)
         run.optimizer.t, run.optimizer.m, run.optimizer.v = opt_t, m, v
-        run.state = TrainState(epoch=int(meta["epoch"]),
-                               last_reset_epoch=int(extra["last_reset_epoch"]))
+        run.epoch, run.last_reset_epoch = int(meta["epoch"]), int(extra["last_reset_epoch"])
         run.normalizer = rewardlab.RewardNormalizer(pids, **norm)
         return run
 
@@ -237,12 +238,10 @@ def ema_update(theta_old: tg.FlatParams, theta: tg.FlatParams, gamma: float) -> 
     old += pull
 
 
-def maybe_reset_reference(state: TrainState, l_kl: float, tau_kl: float, k_max: int) -> bool:
+def maybe_reset_reference(epoch: int, last_reset_epoch: int, l_kl: float, tau_kl: float,
+                          k_max: int) -> bool:
     """Strictly-greater triggers: KL drift past tau_kl, or staleness past k_max epochs."""
-    if l_kl > tau_kl or (state.epoch - state.last_reset_epoch) > k_max:
-        state.last_reset_epoch = state.epoch
-        return True
-    return False
+    return l_kl > tau_kl or epoch - last_reset_epoch > k_max
 
 
 # --- group construction and scoring ---
@@ -452,7 +451,7 @@ def prepare_epoch(run: RunState, data: GroupData, cfg: RunConfig,
     once: (score_groups, each group's epoch_loss_inputs at theta_ref, which
     moves only at epoch end), timed as the judges and loss_inputs phases.
     A non-finite theta_ref row aborts the epoch, naming the row's prompt."""
-    epoch, since = run.state.epoch, time.perf_counter()
+    epoch, since = run.epoch, time.perf_counter()
     scored = score_groups(data, cfg, run.normalizer)
     since = run.timings.lap("judges", since)
     ts, eps = draw_noise(cfg, schedule, epoch, data)
@@ -470,9 +469,8 @@ def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
     ticks every cfg.ema_interval steps, so cfg.ema_interval =
     cfg.prompts_per_epoch ticks it once per epoch, after its last step.
     Returns the epoch's record, with window_start left for the caller;
-    advances run.state.epoch once every group is optimized."""
-    policies, state = run.policies, run.state
-    epoch = state.epoch
+    advances run.epoch once every group is optimized."""
+    policies, epoch = run.policies, run.epoch
     scored, inputs = prepare_epoch(run, data, cfg, schedule)
 
     infos = []
@@ -482,13 +480,14 @@ def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
 
     since = time.perf_counter()
     kl_epoch = float(np.mean([i["kl_loss"] for i in infos]))
-    reset = maybe_reset_reference(state, kl_epoch, cfg.tau_kl, cfg.k_max)
+    reset = maybe_reset_reference(epoch, run.last_reset_epoch, kl_epoch, cfg.tau_kl, cfg.k_max)
     if reset:
         policies.theta_ref = tg.flatten(policies.theta)
+        run.last_reset_epoch = epoch
     run.timings.lap("ema", since)
 
     raw_means = scored.raw_scores.reshape(-1, rewardlab.N_MODELS).mean(axis=0)
-    state.epoch += 1
+    run.epoch += 1
     return runio.MetricsRecord(
         epoch=epoch,
         reward_vq=float(raw_means[rewardlab.VQ]),

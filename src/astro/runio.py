@@ -68,26 +68,31 @@ class PhaseTimes(dict):
         return now
 
 
+def complete_lines(text: str) -> list[str]:
+    """A JSONL log's lines, without their newlines. A final line with no
+    newline is an append cut off mid-write, so it is no record; a torn line
+    anywhere else still fails to parse."""
+    return text.split("\n")[:-1]
+
+
 def drop_epochs_from(path, epoch: int) -> None:
     """Rewrite a JSONL log without its lines whose epoch is at or past epoch,
-    keeping the other lines' bytes; a missing log is left missing."""
+    and without a torn final line, keeping the other lines' bytes; a missing
+    log is left missing."""
     path = Path(path)
     if not path.exists():
         return
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    kept = [line for line in lines if line.strip() and json.loads(line)["epoch"] < epoch]
-    if kept != lines:
-        path.write_text("".join(kept), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    kept = "".join(line + "\n" for line in complete_lines(text)
+                   if line.strip() and json.loads(line)["epoch"] < epoch)
+    if kept != text:
+        path.write_text(kept, encoding="utf-8")
 
 
 def read_metrics(path) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    """A JSONL log's records; a torn final line is none (complete_lines)."""
+    text = Path(path).read_text(encoding="utf-8")
+    return [json.loads(line) for line in complete_lines(text) if line.strip()]
 
 
 def export_plot_data(log_path, out_path) -> int:

@@ -295,9 +295,9 @@ def stream_config(**over):
 
 
 def window_gradients(cfg, policies, schedule, prompt, start, rebuild_constants):
-    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
     prefix = longtune.rollout_prefix(policies.theta_old, [prompt], start, cfg, schedule, 0)
-    data = longtune.window_rollout(policies.theta_old, [prompt], spec, cfg, schedule, 0, prefix)
+    data = longtune.window_rollout(policies.theta_old, [prompt], cfg.window_clips, cfg, schedule,
+                                   0, prefix)
     if rebuild_constants:
         data = nftcore.GroupData(prompts=list(data.prompts),
                                  clips=np.array(data.clips, copy=True),
@@ -363,13 +363,10 @@ def test_c09_contrast_strength_ablation():
 
 def test_c10_reference_reset_and_ema_semantics():
     # Strictly-greater KL trigger, staleness trigger independent of KL.
-    s = nftcore.TrainState(epoch=7, last_reset_epoch=7)
-    at_threshold = nftcore.maybe_reset_reference(s, 0.05, 0.05, 20)
-    past_threshold = nftcore.maybe_reset_reference(s, 0.0500001, 0.05, 20)
-    s2 = nftcore.TrainState(epoch=27, last_reset_epoch=7)
-    at_kmax = nftcore.maybe_reset_reference(s2, 0.0, 0.05, 20)
-    s3 = nftcore.TrainState(epoch=28, last_reset_epoch=7)
-    past_kmax = nftcore.maybe_reset_reference(s3, 0.0, 0.05, 20)
+    at_threshold = nftcore.maybe_reset_reference(7, 7, 0.05, 0.05, 20)
+    past_threshold = nftcore.maybe_reset_reference(7, 7, 0.0500001, 0.05, 20)
+    at_kmax = nftcore.maybe_reset_reference(27, 7, 0.0, 0.05, 20)
+    past_kmax = nftcore.maybe_reset_reference(28, 7, 0.0, 0.05, 20)
     triggers_ok = (not at_threshold) and past_threshold and (not at_kmax) and past_kmax
 
     # A reset zeroes the selective KL on the very batch that tripped it.
@@ -381,21 +378,18 @@ def test_c10_reference_reset_and_ema_semantics():
     schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
-    spec = longtune.epoch_window(cfg, 0)
-    prefix = longtune.rollout_prefix(policies.theta_old, [prompt], spec.start_clip, cfg,
-                                     schedule, 0)
-    data = longtune.window_rollout(policies.theta_old, [prompt], spec, cfg, schedule, 0, prefix)
+    start_clip, n_clips = longtune.epoch_window(cfg, 0)
+    prefix = longtune.rollout_prefix(policies.theta_old, [prompt], start_clip, cfg, schedule, 0)
+    data = longtune.window_rollout(policies.theta_old, [prompt], n_clips, cfg, schedule, 0,
+                                   prefix)
     scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
     scored.mask[:] = True
     eps = np.random.default_rng(99).standard_normal(data.clips.shape[1:])
     _, _, before = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
-    state = nftcore.TrainState(epoch=3, last_reset_epoch=3)
-    tripped = nftcore.maybe_reset_reference(state, before["kl_loss"], cfg.tau_kl,
-                                            cfg.k_max)
+    tripped = nftcore.maybe_reset_reference(3, 3, before["kl_loss"], cfg.tau_kl, cfg.k_max)
     policies.theta_ref = tg.flatten(policies.theta)
     _, _, after = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
-    reset_ok = (before["kl_loss"] > cfg.tau_kl and tripped
-                and state.last_reset_epoch == 3 and after["kl_loss"] == 0.0)
+    reset_ok = before["kl_loss"] > cfg.tau_kl and tripped and after["kl_loss"] == 0.0
 
     # EMA gap contracts geometrically: after n steps exactly gamma^n of start.
     gamma, n = 0.9, 24

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -288,10 +289,14 @@ def test_resume_continues_epoch_numbering(tmp_path):
 def test_resume_drops_log_lines_from_the_checkpoint_epoch_on(tmp_path):
     # A resume from epoch 2 into a directory whose logs reach epoch 3 logs
     # epochs 0..3 once each, with the bytes a resume into the directory
-    # that wrote the checkpoint gives.
+    # that wrote the checkpoint gives. A final line cut off mid-append, as a
+    # killed run leaves it, is dropped with them.
     early, late = tmp_path / "early", tmp_path / "late"
     assert cli.run_training(tiny_config(epochs=2), early)["status"] == "ok"
     assert cli.run_training(tiny_config(epochs=4), late)["status"] == "ok"
+    for fname in ("metrics.jsonl", "timings.jsonl"):
+        with open(late / fname, "a", encoding="utf-8") as fh:
+            fh.write('{"epoch":4,"a"')
     for out_dir in (late, early):
         summary = cli.run_training(tiny_config(epochs=4), out_dir,
                                    resume=str(early / "checkpoint.bin"))
@@ -356,17 +361,17 @@ def test_checkpoint_state_roundtrip(tmp_path):
     policies, optimizer = run.policies, run.optimizer
     optimizer.step(policies.theta, tg.flatten({k: rng.standard_normal(v.shape) * 1e-3
                                                for k, v in policies.theta.items()}))
-    run.state = nftcore.TrainState(epoch=5, last_reset_epoch=2)
+    run.epoch, run.last_reset_epoch = 5, 2
     run.normalizer.update_and_standardize([0], rng.standard_normal((1, 8, 3)))
 
     arrays, extra = run.to_arrays()
     path = tmp_path / "ck.bin"
-    runio.save_checkpoint(path, arrays, seed=cfg.seed, epoch=run.state.epoch, extra=extra)
+    runio.save_checkpoint(path, arrays, seed=cfg.seed, epoch=run.epoch, extra=extra)
     loaded, meta = runio.load_checkpoint(path)
     run2 = nftcore.RunState.from_arrays(loaded, meta, cfg)
-    p2, opt2, state2 = run2.policies, run2.optimizer, run2.state
+    p2, opt2 = run2.policies, run2.optimizer
 
-    assert state2.epoch == 5 and state2.last_reset_epoch == 2
+    assert run2.epoch == 5 and run2.last_reset_epoch == 2
     assert opt2.t == optimizer.t and extra["steps"] == optimizer.t
     for k in policies.theta:
         assert np.allclose(p2.theta[k], policies.theta[k], atol=1e-6)
@@ -433,19 +438,33 @@ def unordered_normalizer_pids(arrays, extra):
     return arrays, dict(extra, norm_pids=extra["norm_pids"][::-1])
 
 
+def lacking(entry):
+    """Damage that drops one entry: a norm/ array, or extra.<key> of the extra dict."""
+    def damage(arrays, extra):
+        return ({k: a for k, a in arrays.items() if k != entry},
+                {k: v for k, v in extra.items() if f"extra.{k}" != entry})
+    return damage
+
+
+READ_ENTRIES = ("norm/count", "norm/mean", "norm/m2", "extra.opt_t", "extra.last_reset_epoch",
+                "extra.norm_pids")
+
+
 @pytest.mark.parametrize("damage, message", [
     (drop_moments, r"opt/m parameter 'w1' has shape None; the config implies \(24, 16\)"),
     (short_reference_row, r"theta_ref parameter 'w1' has shape \(23, 16\).*\(24, 16\)"),
     (two_judge_normalizer, r"norm/mean has shape \(2, 2\);.*imply \(2, 3\)"),
     (short_normalizer_row, r"norm/mean has shape \(1, 3\);.*imply \(2, 3\)"),
     (unordered_normalizer_pids, r"norm_pids \[1, 0\] are not ascending"),
+    *[(lacking(entry), f"checkpoint lacks {re.escape(entry)}$") for entry in READ_ENTRIES],
 ], ids=["no_moments", "short_reference", "two_judge_normalizer", "short_normalizer",
-        "unordered_normalizer"])
+        "unordered_normalizer", *[f"lacks_{entry}" for entry in READ_ENTRIES]])
 def test_resume_of_a_damaged_checkpoint_is_refused(tmp_path, damage, message):
     # Every buffer of the checkpoint is checked, not only theta: moments
     # missing after optimizer steps would be silently re-zeroed, and a
     # reference or a reward normalizer of the wrong shape, or with its
-    # prompts out of order, would fail mid-epoch or misfile statistics.
+    # prompts out of order, would fail mid-epoch or misfile statistics. An
+    # entry missing altogether is named, not a bare KeyError.
     assert cli.run_training(tiny_config(epochs=1), tmp_path / "first")["status"] == "ok"
     arrays, meta = runio.load_checkpoint(tmp_path / "first" / "checkpoint.bin")
     assert meta["extra"]["opt_t"] == 2

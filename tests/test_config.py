@@ -128,6 +128,7 @@ def test_tuple_coercion():
     ("raw_timesteps", {1000.0: 1, 500.0: 2}),
     ("reward_weights", {0.5: "a", 0.25: "b", 0.125: "c"}),
     ("sink_size", -1),
+    ("window_clips", 0),
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ValueError, match="invalid config"):

@@ -35,40 +35,36 @@ def make_world(cfg, n_prompts=2):
     return run, schedule, prompts
 
 
-def rollout(theta_old, prompts, spec, cfg, schedule, epoch):
-    """The epoch's groups as train_window_epoch decodes them: the prefix, then the window."""
-    prefix = longtune.rollout_prefix(theta_old, prompts, spec.start_clip, cfg, schedule, epoch)
-    return longtune.window_rollout(theta_old, prompts, spec, cfg, schedule, epoch, prefix)
+def rollout(theta_old, prompts, window, cfg, schedule, epoch):
+    """The epoch's groups as train_window_epoch decodes them: the prefix up to
+    window's (start_clip, n_clips) start, then the window."""
+    start_clip, n_clips = window
+    prefix = longtune.rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, epoch)
+    return longtune.window_rollout(theta_old, prompts, n_clips, cfg, schedule, epoch, prefix)
 
 
-def test_window_spec_validation():
-    longtune.WindowSpec(total_clips=8, window_clips=2, start_clip=6)
-    with pytest.raises(ValueError):
-        longtune.WindowSpec(total_clips=8, window_clips=2, start_clip=7)
-    with pytest.raises(ValueError):
-        longtune.WindowSpec(total_clips=8, window_clips=0, start_clip=0)
-    with pytest.raises(ValueError):
-        longtune.WindowSpec(total_clips=8, window_clips=9, start_clip=0)
-    with pytest.raises(ValueError):
-        longtune.WindowSpec(total_clips=8, window_clips=1, start_clip=-1)
+def test_epoch_window_uniform_chi_squared():
+    # Training draws one start per epoch, so uniformity is over epochs: at
+    # seed 0 over epochs 0..9999, chi-squared is 3.74 for (8, 1) and 1.98
+    # for (5, 2), against 99% critical values of 18.48 and 11.34.
+    epochs = 10_000
+    for total, window in ((8, 1), (5, 2)):
+        cfg = small_config(total_clips=total, window_clips=window)
+        bins = total - window + 1
+        counts = np.zeros(bins)
+        for epoch in range(epochs):
+            start, n_clips = longtune.epoch_window(cfg, epoch)
+            assert n_clips == window
+            counts[start] += 1
+        expected = epochs / bins
+        stat = float(np.sum((counts - expected) ** 2 / expected))
+        assert stat <= chi2.ppf(0.99, bins - 1)
+        assert counts.min() > 0
 
 
-def test_select_window_uniform_chi_squared():
-    rng = np.random.default_rng(0)
-    total, window, draws = 8, 1, 10_000
-    bins = total - window + 1
-    counts = np.zeros(bins)
-    for _ in range(draws):
-        counts[longtune.select_window(total, window, rng)] += 1
-    expected = draws / bins
-    stat = float(np.sum((counts - expected) ** 2 / expected))
-    assert stat <= chi2.ppf(0.99, bins - 1)
-    assert counts.min() > 0
-
-
-def test_select_window_covers_full_range():
-    rng = np.random.default_rng(1)
-    starts = {longtune.select_window(5, 2, rng) for _ in range(200)}
+def test_epoch_window_covers_full_range():
+    cfg = small_config(total_clips=5, window_clips=2)
+    starts = {longtune.epoch_window(cfg, epoch)[0] for epoch in range(200)}
     assert starts == {0, 1, 2, 3}
 
 
@@ -77,7 +73,7 @@ def test_epoch_window_deterministic_and_varying():
     a = longtune.epoch_window(cfg, 3)
     b = longtune.epoch_window(cfg, 3)
     assert a == b
-    starts = {longtune.epoch_window(cfg, e).start_clip for e in range(50)}
+    starts = {longtune.epoch_window(cfg, e)[0] for e in range(50)}
     assert len(starts) > 3
 
 
@@ -110,8 +106,7 @@ def test_rollout_prefix_deterministic():
 def test_window_rollout_row_layout():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
-    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=2)
-    data = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
+    data = rollout(run.policies.theta_old, [prompts[0]], (2, cfg.window_clips), cfg, schedule, 0)
     g, w = cfg.group_size, cfg.window_clips
     assert data.prompts == [prompts[0]]
     assert data.clips.shape == (1, g, w, cfg.clip_len, cfg.frame_dim)
@@ -121,8 +116,7 @@ def test_window_rollout_row_layout():
 def test_window_rollout_candidates_branch_after_shared_prefix():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
-    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=2)
-    data = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
+    data = rollout(run.policies.theta_old, [prompts[0]], (2, cfg.window_clips), cfg, schedule, 0)
     first_rows = data.summaries[0, :, 0]
     # every candidate's first window clip is conditioned on the same prefix
     assert np.array_equal(first_rows[0], first_rows[1])
@@ -134,16 +128,17 @@ def test_window_rollout_candidates_branch_after_shared_prefix():
 def test_window_rollout_deterministic():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
-    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=1)
-    a = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
-    b = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 2)
+    window = (1, cfg.window_clips)
+    a = rollout(run.policies.theta_old, [prompts[0]], window, cfg, schedule, 2)
+    b = rollout(run.policies.theta_old, [prompts[0]], window, cfg, schedule, 2)
     assert np.array_equal(a.clips, b.clips)
     assert np.array_equal(a.summaries, b.summaries)
 
 
-def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
-    """Reference: one prompt's prefix decoded one row per call, then its group's window,
-    each stream drawn per schedule step.
+def per_prompt_window_rollout(theta_old, prompt, window, cfg, schedule, epoch):
+    """Reference: one prompt's prefix decoded one row per call up to window's
+    (start_clip, n_clips) start, then its group's window, each stream drawn
+    per schedule step.
 
     Returns (prefix context, window rows, window context rows), rows
     candidate-major.
@@ -151,11 +146,12 @@ def per_prompt_window_rollout(theta_old, prompt, spec, cfg, schedule, epoch):
     clip_shape = (cfg.clip_len, cfg.frame_dim)
     prefix = streamctx.empty_context(cfg.sink_size, 21, cfg.frame_dim)
     stream = arng.substream(cfg.seed, arng.PREFIX_STREAM, epoch, prompt.pid)
-    for _ in range(spec.start_clip):
+    start_clip, w = window
+    for _ in range(start_clip):
         (clip,) = flowgen.sample_clips(theta_old, prefix.summary()[None], prompt.vec,
                                        schedule, per_step_noise([stream], schedule, clip_shape))
         prefix = streamctx.push_clip(prefix, clip)
-    g, w = cfg.group_size, spec.window_clips
+    g = cfg.group_size
     key = streamctx.group_base_key(cfg.seed, epoch, prompt.pid)
     streams = [arng.substream(*key, i) for i in range(g)]
     ctxs = [prefix] * g
@@ -176,18 +172,17 @@ def test_window_rollout_matches_per_prompt_reference():
     # one, so the two round differently; 1e-12 bounds that.
     cfg = small_config(total_clips=8)
     run, schedule, prompts = make_world(cfg, n_prompts=5)
-    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=5)
-    prefixes = longtune.rollout_prefix(run.policies.theta_old, prompts, spec.start_clip, cfg,
-                                       schedule, 4)
-    data = longtune.window_rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 4,
-                                   prefixes)
+    window = (5, cfg.window_clips)
+    prefixes = longtune.rollout_prefix(run.policies.theta_old, prompts, 5, cfg, schedule, 4)
+    data = longtune.window_rollout(run.policies.theta_old, prompts, cfg.window_clips, cfg,
+                                   schedule, 4, prefixes)
     assert data.prompts == prompts
-    assert prefixes.total_generated == spec.start_clip * cfg.clip_len
+    assert prefixes.total_generated == 5 * cfg.clip_len
     rows = cfg.group_size * cfg.window_clips
     for prompt, prefix, clips, summaries in zip(prompts, prefixes.summary(), data.clips,
                                                 data.summaries):
         ref_prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
-            run.policies.theta_old, prompt, spec, cfg, schedule, 4)
+            run.policies.theta_old, prompt, window, cfg, schedule, 4)
         assert ref_prefix.total_generated == prefixes.total_generated
         assert np.max(np.abs(prefix - ref_prefix.summary())) <= 1e-12
         assert np.max(np.abs(clips.reshape(rows, -1) - ref_rows)) <= 1e-12
@@ -198,10 +193,9 @@ def test_group_rollout_matches_per_prompt_window_reference():
     # With no prefix both decode the same G-row batches, so the bits agree.
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
-    spec = longtune.WindowSpec(cfg.total_clips, window_clips=3, start_clip=0)
+    g, w = cfg.group_size, 3
     prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
-        run.policies.theta_old, prompts[0], spec, cfg, schedule, 2)
-    g, w = cfg.group_size, spec.window_clips
+        run.policies.theta_old, prompts[0], (0, w), cfg, schedule, 2)
     clips, summaries = streamctx.group_rollout(
         run.policies.theta_old, [prefix], prompts, g, schedule,
         [streamctx.group_base_key(cfg.seed, 2, prompts[0].pid)], w)
@@ -240,11 +234,8 @@ def test_rollout_work_budget(monkeypatch, mode, start, window):
     count_calls(monkeypatch, arng, "substream", keys)
     count_calls(monkeypatch, arng, "substreams", batches)
     if mode == "short":
-        spec = longtune.epoch_window(cfg, 0)
-        assert spec == longtune.WindowSpec(total_clips=1, window_clips=1, start_clip=0)
-    else:
-        spec = longtune.WindowSpec(cfg.total_clips, window, start)
-    rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 0)
+        assert longtune.epoch_window(cfg, 0) == (0, 1)
+    rollout(run.policies.theta_old, prompts, (start, window), cfg, schedule, 0)
     p, g = len(prompts), cfg.group_size
     assert len(pushes) == start + window - 1
     assert len(summaries) == start + window
@@ -261,11 +252,11 @@ def test_rollout_work_budget(monkeypatch, mode, start, window):
 def test_window_rollout_group_independent_of_other_prompts():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=4)
-    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=3)
-    together = rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 1)
-    reversed_order = rollout(run.policies.theta_old, prompts[::-1], spec, cfg, schedule, 1)
+    window = (3, cfg.window_clips)
+    together = rollout(run.policies.theta_old, prompts, window, cfg, schedule, 1)
+    reversed_order = rollout(run.policies.theta_old, prompts[::-1], window, cfg, schedule, 1)
     for k, prompt in enumerate(prompts):
-        alone = rollout(run.policies.theta_old, [prompt], spec, cfg, schedule, 1)
+        alone = rollout(run.policies.theta_old, [prompt], window, cfg, schedule, 1)
         for other, j in ((alone, 0), (reversed_order, len(prompts) - 1 - k)):
             assert np.max(np.abs(other.clips[j] - together.clips[k])) <= 1e-12
             assert np.max(np.abs(other.summaries[j] - together.summaries[k])) <= 1e-12
@@ -277,9 +268,8 @@ def test_window_rollout_abort_names_prompt_whose_rows_blew_up(start):
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=4)
     prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
-    spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
     with pytest.raises(nftcore.EpochAborted) as exc:
-        rollout(run.policies.theta_old, prompts, spec, cfg, schedule, 7)
+        rollout(run.policies.theta_old, prompts, (start, cfg.window_clips), cfg, schedule, 7)
     assert exc.value.epoch == 7
     assert exc.value.pid == prompts[2].pid
 
@@ -292,8 +282,8 @@ def test_graph_size_independent_of_prefix_length():
     rng = np.random.default_rng(2)
     sizes, node_counts = [], []
     for start in (0, 4, 16, 38):
-        spec = longtune.WindowSpec(cfg.total_clips, cfg.window_clips, start_clip=start)
-        data = rollout(run.policies.theta_old, [prompts[0]], spec, cfg, schedule, 0)
+        data = rollout(run.policies.theta_old, [prompts[0]], (start, cfg.window_clips), cfg,
+                       schedule, 0)
         scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
         # pin the mask: its occupancy decides whether the KL subgraph exists,
         # which is orthogonal to what this test measures
@@ -327,6 +317,5 @@ def test_train_window_epoch_reports_window_start():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg)
     metrics = longtune.train_window_epoch(run, prompts, cfg, schedule)
-    spec = longtune.epoch_window(cfg, 0)
-    assert metrics.window_start == spec.start_clip
-    assert run.state.epoch == 1
+    assert metrics.window_start == longtune.epoch_window(cfg, 0)[0]
+    assert run.epoch == 1

@@ -44,7 +44,7 @@ def prepared_inputs(run, scored, cfg, schedule):
     """scored's epoch_loss_inputs at run's epoch, drawn as prepare_epoch draws them."""
     return nftcore.epoch_loss_inputs(
         run.policies.theta_ref, scored, cfg,
-        *nftcore.draw_noise(cfg, schedule, run.state.epoch, scored.data))[0]
+        *nftcore.draw_noise(cfg, schedule, run.epoch, scored.data))[0]
 
 
 def stacked(groups):
@@ -309,19 +309,13 @@ def test_ema_validates_gamma():
 
 
 def test_reset_trigger_kl_strictly_greater():
-    state = nftcore.TrainState(epoch=5, last_reset_epoch=0)
-    assert not nftcore.maybe_reset_reference(state, 0.05, 0.05, 20)
-    assert state.last_reset_epoch == 0
-    assert nftcore.maybe_reset_reference(state, 0.050001, 0.05, 20)
-    assert state.last_reset_epoch == 5
+    assert not nftcore.maybe_reset_reference(5, 0, 0.05, 0.05, 20)
+    assert nftcore.maybe_reset_reference(5, 0, 0.050001, 0.05, 20)
 
 
 def test_reset_trigger_staleness_strictly_greater():
-    state = nftcore.TrainState(epoch=20, last_reset_epoch=0)
-    assert not nftcore.maybe_reset_reference(state, 0.0, 0.05, 20)  # k - k_last == k_max
-    state.epoch = 21
-    assert nftcore.maybe_reset_reference(state, 0.0, 0.05, 20)
-    assert state.last_reset_epoch == 21
+    assert not nftcore.maybe_reset_reference(20, 0, 0.0, 0.05, 20)  # k - k_last == k_max
+    assert nftcore.maybe_reset_reference(21, 0, 0.0, 0.05, 20)
 
 
 # --- full loss graph against finite differences ---
@@ -591,7 +585,7 @@ def per_group_preparation(run, data, cfg, schedule):
     per-frame definition, frame_quality, which rounds differently (math.hypot
     and a BLAS dot) and so agrees to 1e-12, not bit for bit. Row r of a
     group is candidate r // W's."""
-    normalizer, policies, epoch = rewardlab.RewardNormalizer(), run.policies, run.state.epoch
+    normalizer, policies, epoch = rewardlab.RewardNormalizer(), run.policies, run.epoch
     g, w = data.clips.shape[1:3]
     row_candidate = np.arange(g * w) // w
     out = []
@@ -640,7 +634,7 @@ def test_prepared_epoch_matches_per_group_reference_bit_for_bit(source):
     rng = np.random.default_rng(19)
     run.policies.theta_old.flat += 0.05 * rng.standard_normal(run.policies.theta.flat.shape)
     run.policies.theta_ref.flat -= 0.05 * rng.standard_normal(run.policies.theta.flat.shape)
-    run.state.epoch = 3
+    run.epoch = 3
     data = window_groups(cfg, prompts, rng)
     want = per_group_preparation(run, data, cfg, schedule)
     got, fixed = nftcore.prepare_epoch(run, data, cfg, schedule)
@@ -714,7 +708,7 @@ def test_nonfinite_reference_row_aborts_before_the_first_step():
         nftcore.train_epoch(run, data, cfg, schedule)
     assert exc.value.pid == prompts[k].pid
     assert exc.value.cause.row == k * rows + row
-    assert run.optimizer.t == 0 and run.state.epoch == 0
+    assert run.optimizer.t == 0 and run.epoch == 0
     assert np.array_equal(run.policies.theta.flat, theta)
 
 
@@ -738,8 +732,19 @@ def test_train_epoch_advances_state():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg)
     longtune.train_window_epoch(run, prompts, cfg, schedule)
-    assert run.state.epoch == 1
+    assert run.epoch == 1
     assert run.optimizer.t == len(prompts)
+
+
+def test_train_epoch_records_the_epoch_of_a_reset():
+    # A reference k_max + 1 epochs old is stale: the epoch resets it to theta
+    # and notes its own number as the latest reset.
+    cfg = small_config()
+    run, schedule, prompts = make_world(cfg)
+    run.epoch = cfg.k_max + 1
+    record = longtune.train_window_epoch(run, prompts, cfg, schedule)
+    assert record.reset and run.last_reset_epoch == cfg.k_max + 1
+    assert np.array_equal(run.policies.theta_ref.flat, run.policies.theta.flat)
 
 
 @pytest.mark.parametrize("tied", [False, True])

@@ -248,6 +248,27 @@ def test_drop_epochs_from_keeps_earlier_lines_bytes(tmp_path):
     assert not (tmp_path / "missing.jsonl").exists()
 
 
+def test_torn_final_log_line_is_no_record(tmp_path):
+    # An append cut off mid-write leaves a final line with no newline: it is
+    # no record, and dropping epochs removes it. Torn anywhere else, a line
+    # is still an error.
+    path = tmp_path / "metrics.jsonl"
+    for e in (0, 1):
+        runio.log_metrics(path, sample_record(epoch=e))
+    whole = path.read_bytes()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"epoch":2,"a"')
+    assert [r["epoch"] for r in runio.read_metrics(path)] == [0, 1]
+    runio.drop_epochs_from(path, 2)
+    assert path.read_bytes() == whole
+    lines = whole.splitlines(keepends=True)
+    path.write_bytes(lines[0] + b'{"epoch":2,"a"\n' + lines[1])
+    with pytest.raises(json.JSONDecodeError):
+        runio.read_metrics(path)
+    with pytest.raises(json.JSONDecodeError):
+        runio.drop_epochs_from(path, 2)
+
+
 def test_checkpoint_empty_arrays(tmp_path):
     path = tmp_path / "empty.bin"
     runio.save_checkpoint(path, {}, seed=0, epoch=0)
