@@ -52,9 +52,10 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
                  echo=None) -> dict:
     """Full training run rooted at out_dir. Returns a status summary.
 
-    A fresh run truncates any previous metrics log so identical seeds produce
-    identical files; resuming drops the logs' lines from the checkpoint's
-    epoch on, then appends and continues the epoch numbering from there.
+    Every run removes an earlier abort.json. A fresh run also removes a
+    previous run's logs and checkpoint, so identical seeds produce identical
+    files; resuming drops the logs' lines from the checkpoint's epoch on,
+    then appends and continues the epoch numbering from there.
     Each epoch's wall seconds per phase go to timings.jsonl, never to the
     metrics log.
     """
@@ -65,12 +66,14 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
     save_config(cfg, out_dir / "config.json")
     schedule, corpus, prompts = build_world(cfg)
     metrics_path, timings_path = out_dir / "metrics.jsonl", out_dir / "timings.jsonl"
+    ckpt_path, abort_path = out_dir / "checkpoint.bin", out_dir / "abort.json"
+    abort_path.unlink(missing_ok=True)
 
     if run is None:
         base, _ = pretrain_from_config(cfg, corpus, schedule)
         run = nftcore.RunState.fresh(cfg, base)
-        metrics_path.unlink(missing_ok=True)
-        timings_path.unlink(missing_ok=True)
+        for path in (metrics_path, timings_path, ckpt_path):
+            path.unlink(missing_ok=True)
         if echo:
             echo(f"pretrained base for {cfg.pretrain_steps} steps")
     else:
@@ -85,7 +88,7 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
         except nftcore.EpochAborted as err:
             diag = {"status": "aborted", "epoch": err.epoch, "prompt": err.pid,
                     "cause": str(err.cause)}
-            (out_dir / "abort.json").write_text(json.dumps(diag, indent=2), encoding="utf-8")
+            abort_path.write_text(json.dumps(diag, indent=2), encoding="utf-8")
             if echo:
                 echo(f"aborted: {err}")
             return diag
@@ -97,7 +100,6 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
                  f"mask {record.mask_fraction:.2f}  {run.timings['total']:.2f}s")
 
     arrays, extra = run.to_arrays()
-    ckpt_path = out_dir / "checkpoint.bin"
     runio.save_checkpoint(ckpt_path, arrays, seed=cfg.seed, epoch=run.epoch,
                           extra=extra)
     if echo:

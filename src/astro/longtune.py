@@ -91,7 +91,7 @@ def train_window_epoch(run: nftcore.RunState, prompts: list[flowgen.Prompt], cfg
     run.timings.clear()
     epoch = run.epoch
     start_clip, n_clips = epoch_window(cfg, epoch)
-    theta_old = run.policies.theta_old
+    theta_old = run.theta_old
     prefix = rollout_prefix(theta_old, prompts, start_clip, cfg, schedule, epoch)
     since = run.timings.lap("prefix", t_start)
     data = window_rollout(theta_old, prompts, n_clips, cfg, schedule, epoch, prefix)

@@ -17,9 +17,10 @@ epoch first prepares, for all groups at once, what no optimizer step
 changes (judging, ranks, masks, noise draws, the frozen reference's
 predictions); each group's step then runs the behavior policy's forward,
 the loss tape, clipping, AdamW and the EMA tick.
-Everything a run carries from one epoch to the next is one RunState
-(policies, optimizer, counters, reward statistics); an epoch takes it,
-advances it in place, and returns its runio.MetricsRecord.
+Everything a run carries from one epoch to the next is one RunState: the
+trainable theta, EMA behavior theta_old and resetting reference theta_ref,
+the optimizer, counters and reward statistics. An epoch takes it, advances
+it in place, and returns its runio.MetricsRecord.
 """
 
 from __future__ import annotations
@@ -37,20 +38,6 @@ from . import tensorgrad as tg
 from .config import RunConfig
 
 
-@dataclass
-class PolicyTriple:
-    """Trainable policy, EMA behavior policy, and frozen reference, each flat."""
-
-    theta: tg.FlatParams
-    theta_old: tg.FlatParams
-    theta_ref: tg.FlatParams
-
-    @classmethod
-    def from_base(cls, base: dict[str, np.ndarray]) -> "PolicyTriple":
-        return cls(theta=tg.flatten(base), theta_old=tg.flatten(base),
-                   theta_ref=tg.flatten(base))
-
-
 # Checkpoint name prefixes of a run's five flat buffers, in file order.
 BUFFER_PREFIXES = ("theta/", "theta_old/", "theta_ref/", "opt/m/", "opt/v/")
 
@@ -66,7 +53,9 @@ class RunState:
     recorded loss tapes by structure key) and timings (the current epoch's
     wall seconds per phase) are working state, never checkpointed."""
 
-    policies: PolicyTriple
+    theta: tg.FlatParams
+    theta_old: tg.FlatParams
+    theta_ref: tg.FlatParams
     optimizer: tg.AdamW
     normalizer: rewardlab.RewardNormalizer
     epoch: int = 0
@@ -79,13 +68,14 @@ class RunState:
         """Epoch 0: every policy a copy of base, no moments, no reward statistics."""
         optimizer = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                              eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-        return cls(policies=PolicyTriple.from_base(base), optimizer=optimizer,
+        return cls(theta=tg.flatten(base), theta_old=tg.flatten(base),
+                   theta_ref=tg.flatten(base), optimizer=optimizer,
                    normalizer=rewardlab.RewardNormalizer())
 
     def to_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
         """(arrays, extra) for runio.save_checkpoint; the arrays are views of this state."""
-        p, opt, norm = self.policies, self.optimizer, self.normalizer
-        buffers = (p.theta, p.theta_old, p.theta_ref, opt.m, opt.v)
+        opt, norm = self.optimizer, self.normalizer
+        buffers = (self.theta, self.theta_old, self.theta_ref, opt.m, opt.v)
         arrays = {prefix + k: v for prefix, params in zip(BUFFER_PREFIXES, buffers)
                   for k, v in params.items()}
         arrays.update({"norm/count": norm.count, "norm/mean": norm.mean, "norm/m2": norm.m2})
@@ -138,10 +128,9 @@ class RunState:
             if got.shape != want:
                 raise ValueError(f"checkpoint norm/{name} has shape {got.shape}; "
                                  f"{len(pids)} prompts and {judges} judges imply {want}")
-        theta, theta_old, theta_ref, m, v = buffers
         run = cls.fresh(cfg, {})
-        run.policies = PolicyTriple(theta=theta, theta_old=theta_old, theta_ref=theta_ref)
-        run.optimizer.t, run.optimizer.m, run.optimizer.v = opt_t, m, v
+        run.theta, run.theta_old, run.theta_ref, run.optimizer.m, run.optimizer.v = buffers
+        run.optimizer.t = opt_t
         run.epoch, run.last_reset_epoch = int(meta["epoch"]), int(extra["last_reset_epoch"])
         run.normalizer = rewardlab.RewardNormalizer(pids, **norm)
         return run
@@ -375,17 +364,16 @@ def group_loss_graph(graph: tg.GradGraph, theta: tg.FlatParams, inputs: dict[str
     return total_loss(pol, kl, cfg.lambda_kl), pol, kl
 
 
-def build_group_loss(policies: PolicyTriple, scored: ScoredGroup, cfg: RunConfig,
+def build_group_loss(run: RunState, scored: ScoredGroup, cfg: RunConfig,
                      t: float, eps: np.ndarray):
     """Assemble one mini-batch loss graph. Returns (graph, loss node, info).
 
     Only theta lives on the graph; everything else enters as a declared
     input, built for this one-prompt group as prepare_epoch builds it for all.
     """
-    fixed = epoch_loss_inputs(policies.theta_ref, scored, cfg, [t], eps[None])[0]
+    fixed = epoch_loss_inputs(run.theta_ref, scored, cfg, [t], eps[None])[0]
     graph = tg.GradGraph()
-    outputs = group_loss_graph(graph, policies.theta,
-                               step_inputs(fixed, policies.theta_old, cfg), cfg)
+    outputs = group_loss_graph(graph, run.theta, step_inputs(fixed, run.theta_old, cfg), cfg)
     values = [float(node.value) for node in outputs]
     info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0,
             "masked": int(scored.mask.sum()) * scored.data.clips.shape[2],
@@ -399,11 +387,10 @@ def optimize_group(run: RunState, fixed: dict[str, np.ndarray], cfg: RunConfig) 
     cfg.ema_interval. The loss reads fixed with theta_old's step_inputs, and
     runs the run's tape for its structure, recorded from group_loss_graph
     when first seen; each phase's wall time is added to run.timings."""
-    policies, lap = run.policies, run.timings.lap
+    lap = run.timings.lap
     since = time.perf_counter()
     values, finish = tg.loss_pass(
-        run.tapes, (cfg.beta, cfg.lambda_kl), policies.theta,
-        step_inputs(fixed, policies.theta_old, cfg),
+        run.tapes, (cfg.beta, cfg.lambda_kl), run.theta, step_inputs(fixed, run.theta_old, cfg),
         lambda graph, theta, inputs: group_loss_graph(graph, theta, inputs, cfg))
     since = lap("loss_forward", since)
     grads = finish()
@@ -411,10 +398,10 @@ def optimize_group(run: RunState, fixed: dict[str, np.ndarray], cfg: RunConfig) 
     info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0}
     info["grad_norm"] = tg.clip_global_norm(grads, cfg.max_grad_norm)
     since = lap("clip", since)
-    run.optimizer.step(policies.theta, grads)
+    run.optimizer.step(run.theta, grads)
     since = lap("adamw", since)
     if run.optimizer.t % cfg.ema_interval == 0:
-        ema_update(policies.theta_old, policies.theta, cfg.gamma)
+        ema_update(run.theta_old, run.theta, cfg.gamma)
     lap("ema", since)
     return info
 
@@ -456,7 +443,7 @@ def prepare_epoch(run: RunState, data: GroupData, cfg: RunConfig,
     since = run.timings.lap("judges", since)
     ts, eps = draw_noise(cfg, schedule, epoch, data)
     with abort_on_nonfinite(epoch, data.prompts, math.prod(data.clips.shape[1:3])):
-        inputs = epoch_loss_inputs(run.policies.theta_ref, scored, cfg, ts, eps)
+        inputs = epoch_loss_inputs(run.theta_ref, scored, cfg, ts, eps)
     run.timings.lap("loss_inputs", since)
     return scored, inputs
 
@@ -464,13 +451,13 @@ def prepare_epoch(run: RunState, data: GroupData, cfg: RunConfig,
 def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
                 schedule: flowgen.TimestepSchedule) -> runio.MetricsRecord:
     """One epoch on rolled-out groups, in prompt order (longtune.window_rollout
-    makes them under run.policies.theta_old for both modes): prepare_epoch,
+    makes them under run.theta_old for both modes): prepare_epoch,
     one optimize_group step per group, then the reference reset. theta_old
     ticks every cfg.ema_interval steps, so cfg.ema_interval =
     cfg.prompts_per_epoch ticks it once per epoch, after its last step.
     Returns the epoch's record, with window_start left for the caller;
     advances run.epoch once every group is optimized."""
-    policies, epoch = run.policies, run.epoch
+    epoch = run.epoch
     scored, inputs = prepare_epoch(run, data, cfg, schedule)
 
     infos = []
@@ -482,7 +469,7 @@ def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
     kl_epoch = float(np.mean([i["kl_loss"] for i in infos]))
     reset = maybe_reset_reference(epoch, run.last_reset_epoch, kl_epoch, cfg.tau_kl, cfg.k_max)
     if reset:
-        policies.theta_ref = tg.flatten(policies.theta)
+        run.theta_ref = tg.flatten(run.theta)
         run.last_reset_epoch = epoch
     run.timings.lap("ema", since)
 

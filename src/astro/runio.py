@@ -161,9 +161,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"checkpoint truncated inside its manifest length: {path}")
         (blob_len,) = struct.unpack("<Q", length)
         manifest = json.loads(fh.read(blob_len).decode("utf-8"))
+        if not isinstance(manifest, dict):
+            raise ValueError(f"checkpoint manifest is a JSON {type(manifest).__name__}, "
+                             f"not an object: {path}")
         if manifest.get("format") != 1:
             raise ValueError(f"checkpoint format {manifest.get('format')!r} is not "
                              f"format 1, the only one this version reads: {path}")
+        missing = [k for k in ("seed", "epoch", "extra", "arrays") if k not in manifest]
+        missing += [f"arrays[{i}].{k}" for i, entry in enumerate(manifest.get("arrays", []))
+                    for k in ("name", "shape", "offset", "count") if k not in entry]
+        if missing:
+            raise ValueError(f"checkpoint manifest lacks {', '.join(missing)}: {path}")
         payload = fh.read()
     arrays = {}
     for entry in manifest["arrays"]:

@@ -294,9 +294,9 @@ def stream_config(**over):
     return RunConfig(**base)
 
 
-def window_gradients(cfg, policies, schedule, prompt, start, rebuild_constants):
-    prefix = longtune.rollout_prefix(policies.theta_old, [prompt], start, cfg, schedule, 0)
-    data = longtune.window_rollout(policies.theta_old, [prompt], cfg.window_clips, cfg, schedule,
+def window_gradients(cfg, run, schedule, prompt, start, rebuild_constants):
+    prefix = longtune.rollout_prefix(run.theta_old, [prompt], start, cfg, schedule, 0)
+    data = longtune.window_rollout(run.theta_old, [prompt], cfg.window_clips, cfg, schedule,
                                    0, prefix)
     if rebuild_constants:
         data = nftcore.GroupData(prompts=list(data.prompts),
@@ -305,7 +305,7 @@ def window_gradients(cfg, policies, schedule, prompt, start, rebuild_constants):
     scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
     scored.mask[:] = True  # pin KL subgraph presence; occupancy is not under test
     eps = np.random.default_rng(88).standard_normal(data.clips.shape[1:])
-    graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
+    graph, loss, info = nftcore.build_group_loss(run, scored, cfg, 0.8, eps)
     return tg.backward(graph, loss), info["graph_nodes"]
 
 
@@ -313,16 +313,16 @@ def test_c08_detached_history_equals_truncated_graph():
     cfg = stream_config()
     rng = np.random.default_rng(cfg.seed + 100)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
-    policies = nftcore.PolicyTriple.from_base(base)
+    run = nftcore.RunState.fresh(cfg, base)
     schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
 
-    live, _ = window_gradients(cfg, policies, schedule, prompt, 4, False)
-    trunc, _ = window_gradients(cfg, policies, schedule, prompt, 4, True)
+    live, _ = window_gradients(cfg, run, schedule, prompt, 4, False)
+    trunc, _ = window_gradients(cfg, run, schedule, prompt, 4, True)
     worst = max(float(np.max(np.abs(live[k] - trunc[k]))) for k in live)
 
-    nodes = [window_gradients(cfg, policies, schedule, prompt, s, False)[1]
+    nodes = [window_gradients(cfg, run, schedule, prompt, s, False)[1]
              for s in (0, 4, 16)]
 
     ok = worst <= 1e-10 and len(set(nodes)) == 1
@@ -373,22 +373,22 @@ def test_c10_reference_reset_and_ema_semantics():
     cfg = stream_config(mode="short", total_clips=1, window_clips=1, lambda_kl=1e-4)
     rng = np.random.default_rng(cfg.seed + 100)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
-    policies = nftcore.PolicyTriple.from_base(base)
-    policies.theta_ref = {k: v + 0.05 for k, v in policies.theta_ref.items()}
+    run = nftcore.RunState.fresh(cfg, base)
+    run.theta_ref = {k: v + 0.05 for k, v in run.theta_ref.items()}
     schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
     start_clip, n_clips = longtune.epoch_window(cfg, 0)
-    prefix = longtune.rollout_prefix(policies.theta_old, [prompt], start_clip, cfg, schedule, 0)
-    data = longtune.window_rollout(policies.theta_old, [prompt], n_clips, cfg, schedule, 0,
+    prefix = longtune.rollout_prefix(run.theta_old, [prompt], start_clip, cfg, schedule, 0)
+    data = longtune.window_rollout(run.theta_old, [prompt], n_clips, cfg, schedule, 0,
                                    prefix)
     scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
     scored.mask[:] = True
     eps = np.random.default_rng(99).standard_normal(data.clips.shape[1:])
-    _, _, before = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
+    _, _, before = nftcore.build_group_loss(run, scored, cfg, 0.8, eps)
     tripped = nftcore.maybe_reset_reference(3, 3, before["kl_loss"], cfg.tau_kl, cfg.k_max)
-    policies.theta_ref = tg.flatten(policies.theta)
-    _, _, after = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
+    run.theta_ref = tg.flatten(run.theta)
+    _, _, after = nftcore.build_group_loss(run, scored, cfg, 0.8, eps)
     reset_ok = before["kl_loss"] > cfg.tau_kl and tripped and after["kl_loss"] == 0.0
 
     # EMA gap contracts geometrically: after n steps exactly gamma^n of start.

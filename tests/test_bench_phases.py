@@ -1,0 +1,54 @@
+"""tools/bench_phases.py's pair_summary, which every perf claim's summary uses.
+
+It is checked on synthetic pairs: which side a pair's win goes to, in the
+direction BENCHMARK.json gives each metric, and the change of the medians.
+tools/ is put on sys.path and the module is loaded with no bytecode written
+next to it.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# One value per pair and side, the same for every metric: pair 0 is a tie,
+# pair 1 has the change lower, pairs 2 and 3 have it higher. The medians
+# are 2.5 before and 3.0 after.
+BEFORE = [1.0, 2.0, 3.0, 4.0]
+AFTER = [1.0, 1.0, 5.0, 6.0]
+
+
+@pytest.fixture
+def summary(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    bench_phases = importlib.import_module("bench_phases")
+    gated = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    names = [m["name"] for m in gated] + list(bench_phases.WALL_METRICS)
+    pairs = [{"before": dict.fromkeys(names, b), "after": dict.fromkeys(names, a)}
+             for b, a in zip(BEFORE, AFTER)]
+    return bench_phases.pair_summary(pairs)
+
+
+def test_a_tie_is_a_win_for_neither_side(summary):
+    # Lower is better for epoch_ref_p50: the change wins pair 1 alone, and
+    # the tie of pair 0 would make it 2.
+    assert summary["epoch_ref_p50"]["change_wins"] == 1
+    assert summary["epoch_ref_p50"]["pairs"] == 4
+
+
+def test_clips_per_ref_is_higher_is_better(summary):
+    # The change wins pairs 2 and 3 for clips_per_ref, and no lower-is-better metric does.
+    assert summary["clips_per_ref"]["change_wins"] == 2
+    assert all(s["change_wins"] == 1 for name, s in summary.items() if name != "clips_per_ref")
+
+
+def test_median_change_pct_matches_the_medians(summary):
+    for s in summary.values():
+        assert s["median_change_pct"] == pytest.approx(100.0 * (3.0 / 2.5 - 1.0))

@@ -306,6 +306,25 @@ def test_resume_drops_log_lines_from_the_checkpoint_epoch_on(tmp_path):
     assert (late / "metrics.jsonl").read_bytes() == (early / "metrics.jsonl").read_bytes()
 
 
+def test_fresh_run_leaves_nothing_of_the_previous_run(tmp_path):
+    # A fresh run that aborts leaves no checkpoint of an earlier run to be
+    # resumed by mistake, and a fresh run that completes leaves no abort.json
+    # of an earlier abort. A resume removes abort.json but keeps the
+    # checkpoint, which may be the one it resumed from.
+    out_dir, saved = tmp_path / "run", tmp_path / "saved.bin"
+    assert cli.run_training(tiny_config(), out_dir)["status"] == "ok"
+    saved.write_bytes((out_dir / "checkpoint.bin").read_bytes())
+    assert cli.run_training(tiny_config(lr=1e300), out_dir)["status"] == "aborted"
+    assert not (out_dir / "checkpoint.bin").exists()
+    assert cli.run_training(tiny_config(), out_dir)["status"] == "ok"
+    assert not (out_dir / "abort.json").exists()
+    assert cli.run_training(tiny_config(lr=1e300), out_dir)["status"] == "aborted"
+    summary = cli.run_training(tiny_config(epochs=3), out_dir, resume=str(saved))
+    assert summary["status"] == "ok"
+    assert not (out_dir / "abort.json").exists()
+    assert [r["epoch"] for r in runio.read_metrics(out_dir / "metrics.jsonl")] == [2]
+
+
 def test_zero_epochs_writes_checkpoint_only(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(epochs=0))
     out_dir = tmp_path / "run"
@@ -358,9 +377,9 @@ def test_checkpoint_state_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
     run = nftcore.RunState.fresh(cfg, base)
-    policies, optimizer = run.policies, run.optimizer
-    optimizer.step(policies.theta, tg.flatten({k: rng.standard_normal(v.shape) * 1e-3
-                                               for k, v in policies.theta.items()}))
+    optimizer = run.optimizer
+    optimizer.step(run.theta, tg.flatten({k: rng.standard_normal(v.shape) * 1e-3
+                                          for k, v in run.theta.items()}))
     run.epoch, run.last_reset_epoch = 5, 2
     run.normalizer.update_and_standardize([0], rng.standard_normal((1, 8, 3)))
 
@@ -369,26 +388,26 @@ def test_checkpoint_state_roundtrip(tmp_path):
     runio.save_checkpoint(path, arrays, seed=cfg.seed, epoch=run.epoch, extra=extra)
     loaded, meta = runio.load_checkpoint(path)
     run2 = nftcore.RunState.from_arrays(loaded, meta, cfg)
-    p2, opt2 = run2.policies, run2.optimizer
+    opt2 = run2.optimizer
 
     assert run2.epoch == 5 and run2.last_reset_epoch == 2
     assert opt2.t == optimizer.t and extra["steps"] == optimizer.t
-    for k in policies.theta:
-        assert np.allclose(p2.theta[k], policies.theta[k], atol=1e-6)
+    for k in run.theta:
+        assert np.allclose(run2.theta[k], run.theta[k], atol=1e-6)
     assert run2.normalizer.pids.tolist() == [0] and run2.normalizer.count.tolist() == [8.0]
     # Every policy and moment comes back as one flat buffer, and training
     # can take its next step from them.
-    for params in (p2.theta, p2.theta_old, p2.theta_ref, opt2.m, opt2.v):
+    for params in (run2.theta, run2.theta_old, run2.theta_ref, opt2.m, opt2.v):
         assert isinstance(params, tg.FlatParams)
         assert all(np.shares_memory(params[k], params.flat) for k in params)
-    assert list(opt2.m) == sorted(policies.theta)
+    assert list(opt2.m) == sorted(run.theta)
     repacked, _ = run2.to_arrays()
     assert list(repacked) == list(arrays)
-    opt2.step(p2.theta, tg.flatten({k: np.full(v.shape, 1e-3) for k, v in p2.theta.items()}))
+    opt2.step(run2.theta, tg.flatten({k: np.full(v.shape, 1e-3) for k, v in run2.theta.items()}))
     assert opt2.t == optimizer.t + 1
-    assert all(np.isfinite(p2.theta[k]).all() for k in p2.theta)
-    nftcore.ema_update(p2.theta_old, p2.theta, cfg.gamma)
-    assert not np.array_equal(p2.theta_old.flat, p2.theta_ref.flat)
+    assert all(np.isfinite(run2.theta[k]).all() for k in run2.theta)
+    nftcore.ema_update(run2.theta_old, run2.theta, cfg.gamma)
+    assert not np.array_equal(run2.theta_old.flat, run2.theta_ref.flat)
 
 
 def test_resume_under_another_seed_is_refused(tmp_path):

@@ -81,7 +81,7 @@ def test_rollout_prefix_frame_budget():
     cfg = small_config(total_clips=30)
     run, schedule, prompts = make_world(cfg, n_prompts=2)
     for start in (0, 1, 2, 12, 29):
-        ctx = longtune.rollout_prefix(run.policies.theta_old, prompts, start, cfg, schedule,
+        ctx = longtune.rollout_prefix(run.theta_old, prompts, start, cfg, schedule,
                                       epoch=0)
         total = start * cfg.clip_len
         assert ctx.total_generated == total
@@ -95,18 +95,18 @@ def test_rollout_prefix_frame_budget():
 def test_rollout_prefix_deterministic():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=2)
-    a = longtune.rollout_prefix(run.policies.theta_old, prompts, 3, cfg, schedule, 5)
-    b = longtune.rollout_prefix(run.policies.theta_old, prompts, 3, cfg, schedule, 5)
+    a = longtune.rollout_prefix(run.theta_old, prompts, 3, cfg, schedule, 5)
+    b = longtune.rollout_prefix(run.theta_old, prompts, 3, cfg, schedule, 5)
     assert np.array_equal(a.summary(), b.summary())
     assert np.array_equal(a.sink, b.sink)
-    c = longtune.rollout_prefix(run.policies.theta_old, prompts, 3, cfg, schedule, 6)
+    c = longtune.rollout_prefix(run.theta_old, prompts, 3, cfg, schedule, 6)
     assert not np.array_equal(a.summary(), c.summary())
 
 
 def test_window_rollout_row_layout():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
-    data = rollout(run.policies.theta_old, [prompts[0]], (2, cfg.window_clips), cfg, schedule, 0)
+    data = rollout(run.theta_old, [prompts[0]], (2, cfg.window_clips), cfg, schedule, 0)
     g, w = cfg.group_size, cfg.window_clips
     assert data.prompts == [prompts[0]]
     assert data.clips.shape == (1, g, w, cfg.clip_len, cfg.frame_dim)
@@ -116,7 +116,7 @@ def test_window_rollout_row_layout():
 def test_window_rollout_candidates_branch_after_shared_prefix():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
-    data = rollout(run.policies.theta_old, [prompts[0]], (2, cfg.window_clips), cfg, schedule, 0)
+    data = rollout(run.theta_old, [prompts[0]], (2, cfg.window_clips), cfg, schedule, 0)
     first_rows = data.summaries[0, :, 0]
     # every candidate's first window clip is conditioned on the same prefix
     assert np.array_equal(first_rows[0], first_rows[1])
@@ -129,8 +129,8 @@ def test_window_rollout_deterministic():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=1)
     window = (1, cfg.window_clips)
-    a = rollout(run.policies.theta_old, [prompts[0]], window, cfg, schedule, 2)
-    b = rollout(run.policies.theta_old, [prompts[0]], window, cfg, schedule, 2)
+    a = rollout(run.theta_old, [prompts[0]], window, cfg, schedule, 2)
+    b = rollout(run.theta_old, [prompts[0]], window, cfg, schedule, 2)
     assert np.array_equal(a.clips, b.clips)
     assert np.array_equal(a.summaries, b.summaries)
 
@@ -173,8 +173,8 @@ def test_window_rollout_matches_per_prompt_reference():
     cfg = small_config(total_clips=8)
     run, schedule, prompts = make_world(cfg, n_prompts=5)
     window = (5, cfg.window_clips)
-    prefixes = longtune.rollout_prefix(run.policies.theta_old, prompts, 5, cfg, schedule, 4)
-    data = longtune.window_rollout(run.policies.theta_old, prompts, cfg.window_clips, cfg,
+    prefixes = longtune.rollout_prefix(run.theta_old, prompts, 5, cfg, schedule, 4)
+    data = longtune.window_rollout(run.theta_old, prompts, cfg.window_clips, cfg,
                                    schedule, 4, prefixes)
     assert data.prompts == prompts
     assert prefixes.total_generated == 5 * cfg.clip_len
@@ -182,7 +182,7 @@ def test_window_rollout_matches_per_prompt_reference():
     for prompt, prefix, clips, summaries in zip(prompts, prefixes.summary(), data.clips,
                                                 data.summaries):
         ref_prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
-            run.policies.theta_old, prompt, window, cfg, schedule, 4)
+            run.theta_old, prompt, window, cfg, schedule, 4)
         assert ref_prefix.total_generated == prefixes.total_generated
         assert np.max(np.abs(prefix - ref_prefix.summary())) <= 1e-12
         assert np.max(np.abs(clips.reshape(rows, -1) - ref_rows)) <= 1e-12
@@ -195,9 +195,9 @@ def test_group_rollout_matches_per_prompt_window_reference():
     run, schedule, prompts = make_world(cfg, n_prompts=1)
     g, w = cfg.group_size, 3
     prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
-        run.policies.theta_old, prompts[0], (0, w), cfg, schedule, 2)
+        run.theta_old, prompts[0], (0, w), cfg, schedule, 2)
     clips, summaries = streamctx.group_rollout(
-        run.policies.theta_old, [prefix], prompts, g, schedule,
+        run.theta_old, [prefix], prompts, g, schedule,
         [streamctx.group_base_key(cfg.seed, 2, prompts[0].pid)], w)
     assert clips.shape == (1, g, w, cfg.clip_len, cfg.frame_dim)
     assert np.array_equal(clips.reshape(g * w, -1), ref_rows)
@@ -235,7 +235,7 @@ def test_rollout_work_budget(monkeypatch, mode, start, window):
     count_calls(monkeypatch, arng, "substreams", batches)
     if mode == "short":
         assert longtune.epoch_window(cfg, 0) == (0, 1)
-    rollout(run.policies.theta_old, prompts, (start, window), cfg, schedule, 0)
+    rollout(run.theta_old, prompts, (start, window), cfg, schedule, 0)
     p, g = len(prompts), cfg.group_size
     assert len(pushes) == start + window - 1
     assert len(summaries) == start + window
@@ -253,10 +253,10 @@ def test_window_rollout_group_independent_of_other_prompts():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=4)
     window = (3, cfg.window_clips)
-    together = rollout(run.policies.theta_old, prompts, window, cfg, schedule, 1)
-    reversed_order = rollout(run.policies.theta_old, prompts[::-1], window, cfg, schedule, 1)
+    together = rollout(run.theta_old, prompts, window, cfg, schedule, 1)
+    reversed_order = rollout(run.theta_old, prompts[::-1], window, cfg, schedule, 1)
     for k, prompt in enumerate(prompts):
-        alone = rollout(run.policies.theta_old, [prompt], window, cfg, schedule, 1)
+        alone = rollout(run.theta_old, [prompt], window, cfg, schedule, 1)
         for other, j in ((alone, 0), (reversed_order, len(prompts) - 1 - k)):
             assert np.max(np.abs(other.clips[j] - together.clips[k])) <= 1e-12
             assert np.max(np.abs(other.summaries[j] - together.summaries[k])) <= 1e-12
@@ -269,7 +269,7 @@ def test_window_rollout_abort_names_prompt_whose_rows_blew_up(start):
     run, schedule, prompts = make_world(cfg, n_prompts=4)
     prompts[2] = dataclasses.replace(prompts[2], vec=np.full_like(prompts[2].vec, np.nan))
     with pytest.raises(nftcore.EpochAborted) as exc:
-        rollout(run.policies.theta_old, prompts, (start, cfg.window_clips), cfg, schedule, 7)
+        rollout(run.theta_old, prompts, (start, cfg.window_clips), cfg, schedule, 7)
     assert exc.value.epoch == 7
     assert exc.value.pid == prompts[2].pid
 
@@ -282,14 +282,14 @@ def test_graph_size_independent_of_prefix_length():
     rng = np.random.default_rng(2)
     sizes, node_counts = [], []
     for start in (0, 4, 16, 38):
-        data = rollout(run.policies.theta_old, [prompts[0]], (start, cfg.window_clips), cfg,
+        data = rollout(run.theta_old, [prompts[0]], (start, cfg.window_clips), cfg,
                        schedule, 0)
         scored = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer())
         # pin the mask: its occupancy decides whether the KL subgraph exists,
         # which is orthogonal to what this test measures
         scored.mask[:] = True
         eps = rng.standard_normal(data.clips.shape[1:])
-        graph, loss, info = nftcore.build_group_loss(run.policies, scored, cfg, 0.8, eps)
+        graph, loss, info = nftcore.build_group_loss(run, scored, cfg, 0.8, eps)
         sizes.append(data.clips.shape)
         node_counts.append(info["graph_nodes"])
     assert len(set(sizes)) == 1
@@ -304,7 +304,7 @@ def test_single_clip_stream_equals_short_path():
         cfg = small_config(total_clips=1, window_clips=1, mode=mode)
         run, schedule, prompts = make_world(cfg)
         metrics = longtune.train_window_epoch(run, prompts, cfg, schedule)
-        runs.append((metrics, run.policies.theta))
+        runs.append((metrics, run.theta))
     short_m, long_m = runs[0][0].to_json_dict(), runs[1][0].to_json_dict()
     assert long_m["window_start"] == 0
     for key in short_m:

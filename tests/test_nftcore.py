@@ -43,7 +43,7 @@ def make_world(cfg, n_prompts=2):
 def prepared_inputs(run, scored, cfg, schedule):
     """scored's epoch_loss_inputs at run's epoch, drawn as prepare_epoch draws them."""
     return nftcore.epoch_loss_inputs(
-        run.policies.theta_ref, scored, cfg,
+        run.theta_ref, scored, cfg,
         *nftcore.draw_noise(cfg, schedule, run.epoch, scored.data))[0]
 
 
@@ -228,17 +228,17 @@ def test_selective_kl_empty_mask_is_plain_zero():
     # its KL value is plain 0.0.
     cfg = small_config(lambda_kl=0.05)
     rng = np.random.default_rng(7)
-    policies = make_world(cfg)[0].policies
+    run = make_world(cfg)[0]
     scored = synthetic_scored_group(cfg, rng)
     scored.mask[:] = False
     eps = rng.standard_normal(scored.data.clips.shape[1:])
-    inputs = one_group_inputs(policies, scored, cfg, 0.8, eps)
+    inputs = one_group_inputs(run, scored, cfg, 0.8, eps)
     assert sorted(inputs) == ["old_minus", "old_plus", "w", "w_neg", "x", "x0"]
-    graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, 0.8, eps)
+    graph, loss, info = nftcore.build_group_loss(run, scored, cfg, 0.8, eps)
     assert info["kl_loss"] == 0.0 and info["masked"] == 0
     assert float(loss.value) == info["policy_loss"]
     scored.mask[0, 1] = True
-    inputs = one_group_inputs(policies, scored, cfg, 0.8, eps)
+    inputs = one_group_inputs(run, scored, cfg, 0.8, eps)
     m, scale = kl_weights(scored.mask[0], inputs["x0"].shape[1])
     assert np.array_equal(inputs["m"], m) and inputs["kl_scale"] == scale
     assert np.array_equal(inputs["w_neg"], 1.0 - inputs["w"])
@@ -268,15 +268,15 @@ def test_ema_gap_shrinks_geometrically():
 
 def test_ema_in_place_is_bit_exact_against_expression():
     cfg = small_config(hidden=128, frame_dim=8, clip_len=4)
-    policies = make_world(cfg)[0].policies
+    run = make_world(cfg)[0]
     rng = np.random.default_rng(8)
-    for k in policies.theta:
-        policies.theta[k] += rng.standard_normal(policies.theta[k].shape)
-    old = policies.theta_old
+    for k in run.theta:
+        run.theta[k] += rng.standard_normal(run.theta[k].shape)
+    old = run.theta_old
     buffer = old.flat
     for gamma in (0.9, 0.99, 0.3):
-        expected = {k: gamma * old[k] + (1.0 - gamma) * policies.theta[k] for k in old}
-        nftcore.ema_update(old, policies.theta, gamma)
+        expected = {k: gamma * old[k] + (1.0 - gamma) * run.theta[k] for k in old}
+        nftcore.ema_update(old, run.theta, gamma)
         assert old.flat is buffer
         for k in expected:
             assert np.array_equal(old[k], expected[k])
@@ -285,10 +285,10 @@ def test_ema_in_place_is_bit_exact_against_expression():
 
 def test_ema_allocates_no_vector_sized_temporaries():
     cfg = small_config(hidden=128, frame_dim=8, clip_len=4)
-    policies = make_world(cfg)[0].policies
+    run = make_world(cfg)[0]
 
     def tick():
-        nftcore.ema_update(policies.theta_old, policies.theta, 0.9)
+        nftcore.ema_update(run.theta_old, run.theta, 0.9)
 
     for _ in range(2):
         tick()
@@ -298,7 +298,7 @@ def test_ema_allocates_no_vector_sized_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < policies.theta_old.flat.nbytes / 4, peak
+    assert peak < run.theta_old.flat.nbytes / 4, peak
 
 
 def test_ema_validates_gamma():
@@ -339,29 +339,29 @@ def synthetic_scored_group(cfg, rng, pid=0):
 def test_group_loss_gradient_matches_finite_differences():
     cfg = small_config(lambda_kl=0.05)
     rng = np.random.default_rng(8)
-    policies = make_world(cfg)[0].policies
+    run = make_world(cfg)[0]
     scored = synthetic_scored_group(cfg, rng)
     if not scored.mask.any():
         scored.mask[0, 0] = True  # exercise the KL term too
     t = 0.8
     eps = rng.standard_normal(scored.data.clips.shape[1:])
 
-    graph, loss, info = nftcore.build_group_loss(policies, scored, cfg, t, eps)
+    graph, loss, info = nftcore.build_group_loss(run, scored, cfg, t, eps)
     grads = tg.backward(graph, loss)
     assert info["masked"] >= 1
 
     h = 1e-5
-    for name in list(policies.theta):
-        arr = policies.theta[name]
+    for name in list(run.theta):
+        arr = run.theta[name]
         it = np.nditer(arr, flags=["multi_index"])
         fd = np.zeros_like(arr)
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            _, lp, _ = nftcore.build_group_loss(policies, scored, cfg, t, eps)
+            _, lp, _ = nftcore.build_group_loss(run, scored, cfg, t, eps)
             arr[idx] = orig - h
-            _, lm, _ = nftcore.build_group_loss(policies, scored, cfg, t, eps)
+            _, lm, _ = nftcore.build_group_loss(run, scored, cfg, t, eps)
             arr[idx] = orig
             fd[idx] = (float(lp.value) - float(lm.value)) / (2 * h)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[name])), 1e-6)
@@ -371,11 +371,11 @@ def test_group_loss_gradient_matches_finite_differences():
 def test_group_loss_keeps_old_and_ref_off_graph():
     cfg = small_config()
     rng = np.random.default_rng(9)
-    policies = make_world(cfg)[0].policies
+    run = make_world(cfg)[0]
     scored = synthetic_scored_group(cfg, rng)
     graph, loss, _ = nftcore.build_group_loss(
-        policies, scored, cfg, 0.9, rng.standard_normal(scored.data.clips.shape[1:]))
-    assert set(graph.params) == set(policies.theta)
+        run, scored, cfg, 0.9, rng.standard_normal(scored.data.clips.shape[1:]))
+    assert set(graph.params) == set(run.theta)
 
 
 # --- optimizer step and epoch loop ---
@@ -385,15 +385,14 @@ def test_optimize_group_ema_interval():
     cfg = small_config(ema_interval=2)
     rng = np.random.default_rng(10)
     run, schedule, _ = make_world(cfg)
-    policies = run.policies
     scored = synthetic_scored_group(cfg, rng)
 
-    before = tg.flatten(policies.theta_old)
+    before = tg.flatten(run.theta_old)
     nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     for k in before:  # step 1, interval 2: no EMA tick yet
-        assert np.array_equal(policies.theta_old[k], before[k])
+        assert np.array_equal(run.theta_old[k], before[k])
     nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
-    assert any(not np.array_equal(policies.theta_old[k], before[k]) for k in before)
+    assert any(not np.array_equal(run.theta_old[k], before[k]) for k in before)
     assert run.optimizer.t == 2
 
 
@@ -504,19 +503,19 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
     # arrays copied, scaled by max_norm / norm, then the per-name AdamW loop.
     cfg = small_config(max_grad_norm=1e-6)
     run, schedule, _ = make_world(cfg)
-    policies, opt = run.policies, run.optimizer
+    opt = run.optimizer
     scored = synthetic_scored_group(cfg, np.random.default_rng(16))
     pid = scored.data.prompts[0].pid
     t = schedule.values[int(arng.substream(cfg.seed, arng.NOISE_T_STREAM, 0, pid)
                             .integers(len(schedule.values)))]
     eps = arng.substream(cfg.seed, arng.EPS_STREAM, 0, pid) \
         .standard_normal(scored.data.clips.shape[1:])
-    graph, loss, _ = nftcore.build_group_loss(policies, scored, cfg, t, eps)
+    graph, loss, _ = nftcore.build_group_loss(run, scored, cfg, t, eps)
     grads = {k: g.copy() for k, g in tg.backward(graph, loss).items()}
     norm = float(np.sqrt(sum(float(np.sum(np.square(grads[k]))) for k in sorted(grads))))
     assert norm > 1e3 * cfg.max_grad_norm
     scaled = {k: g * (cfg.max_grad_norm / norm) for k, g in grads.items()}
-    theta_ref = {k: v.copy() for k, v in policies.theta.items()}
+    theta_ref = {k: v.copy() for k, v in run.theta.items()}
     m_ref, v_ref = {}, {}
     reference_adamw_step(theta_ref, scaled, m_ref, v_ref, 1, cfg.lr, cfg.adam_beta1,
                          cfg.adam_beta2, cfg.adam_eps, cfg.weight_decay)
@@ -524,7 +523,7 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
     info = nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     assert info["grad_norm"] == norm
     for k in theta_ref:
-        assert np.array_equal(policies.theta[k], theta_ref[k]), k
+        assert np.array_equal(run.theta[k], theta_ref[k]), k
         assert np.array_equal(opt.m[k], m_ref[k]), k
         assert np.array_equal(opt.v[k], v_ref[k]), k
 
@@ -585,7 +584,7 @@ def per_group_preparation(run, data, cfg, schedule):
     per-frame definition, frame_quality, which rounds differently (math.hypot
     and a BLAS dot) and so agrees to 1e-12, not bit for bit. Row r of a
     group is candidate r // W's."""
-    normalizer, policies, epoch = rewardlab.RewardNormalizer(), run.policies, run.epoch
+    normalizer, epoch = rewardlab.RewardNormalizer(), run.epoch
     g, w = data.clips.shape[1:3]
     row_candidate = np.arange(g * w) // w
     out = []
@@ -611,7 +610,7 @@ def per_group_preparation(run, data, cfg, schedule):
             .standard_normal(x0_rows.shape)
         x = flowgen.assemble_input(flowgen.forward_path(x0_rows, eps, t), t, ctx_rows,
                                    prompt.vec)
-        v_old = flowgen.mlp_forward(policies.theta_old, x)
+        v_old = flowgen.mlp_forward(run.theta_old, x)
         width = x0_rows.shape[1]
         labels = np.repeat(nftcore.normalize_advantage(adv, cfg.a_max)[row_candidate, None],
                            width, axis=1)
@@ -619,7 +618,7 @@ def per_group_preparation(run, data, cfg, schedule):
                   "old_minus": (1.0 + cfg.beta) * v_old, "w": labels, "w_neg": 1.0 - labels}
         rows_masked = mask[row_candidate]
         if rows_masked.any():
-            inputs.update(v_ref=flowgen.mlp_forward(policies.theta_ref, x),
+            inputs.update(v_ref=flowgen.mlp_forward(run.theta_ref, x),
                           m=np.repeat(rows_masked[:, None], width, axis=1).astype(np.float64),
                           kl_scale=np.asarray(1.0 / float(rows_masked.sum() * width)))
         out.append((raw, adv, mask, tau, inputs))
@@ -632,8 +631,8 @@ def test_prepared_epoch_matches_per_group_reference_bit_for_bit(source):
                        lambda_kl=0.05, rho0=0.5, advantage_source=source)
     run, schedule, prompts = make_world(cfg, n_prompts=3)
     rng = np.random.default_rng(19)
-    run.policies.theta_old.flat += 0.05 * rng.standard_normal(run.policies.theta.flat.shape)
-    run.policies.theta_ref.flat -= 0.05 * rng.standard_normal(run.policies.theta.flat.shape)
+    run.theta_old.flat += 0.05 * rng.standard_normal(run.theta.flat.shape)
+    run.theta_ref.flat -= 0.05 * rng.standard_normal(run.theta.flat.shape)
     run.epoch = 3
     data = window_groups(cfg, prompts, rng)
     want = per_group_preparation(run, data, cfg, schedule)
@@ -646,7 +645,7 @@ def test_prepared_epoch_matches_per_group_reference_bit_for_bit(source):
         assert np.array_equal(got.raw_scores[p], raw)
         assert np.array_equal(got.advantages[p], adv)
         assert np.array_equal(got.mask[p], mask) and got.tau[p] == tau
-        step = nftcore.step_inputs(prepared, run.policies.theta_old, cfg)
+        step = nftcore.step_inputs(prepared, run.theta_old, cfg)
         assert sorted(step) == sorted(inputs)
         for name, value in inputs.items():
             assert np.array_equal(step[name], value), name
@@ -702,14 +701,14 @@ def test_nonfinite_reference_row_aborts_before_the_first_step():
     k, row, rows = 1, 5, cfg.group_size * cfg.window_clips
     data.summaries[k, row // cfg.window_clips, row % cfg.window_clips, 0] = np.inf
     ctx_col = cfg.clip_len * cfg.frame_dim + 4  # after the noised clip and time features
-    run.policies.theta_ref["w1"][ctx_col] = 0.0
-    theta = run.policies.theta.flat.copy()
+    run.theta_ref["w1"][ctx_col] = 0.0
+    theta = run.theta.flat.copy()
     with pytest.raises(nftcore.EpochAborted) as exc, np.errstate(all="ignore"):
         nftcore.train_epoch(run, data, cfg, schedule)
     assert exc.value.pid == prompts[k].pid
     assert exc.value.cause.row == k * rows + row
     assert run.optimizer.t == 0 and run.epoch == 0
-    assert np.array_equal(run.policies.theta.flat, theta)
+    assert np.array_equal(run.theta.flat, theta)
 
 
 def test_train_epoch_runs_and_is_deterministic():
@@ -718,7 +717,7 @@ def test_train_epoch_runs_and_is_deterministic():
         cfg = small_config()
         run, schedule, prompts = make_world(cfg)
         metrics = longtune.train_window_epoch(run, prompts, cfg, schedule)
-        results.append((metrics, run.policies.theta))
+        results.append((metrics, run.theta))
     m1, m2 = results[0][0].to_json_dict(), results[1][0].to_json_dict()
     for key in m1:
         assert m1[key] == m2[key], key
@@ -744,7 +743,7 @@ def test_train_epoch_records_the_epoch_of_a_reset():
     run.epoch = cfg.k_max + 1
     record = longtune.train_window_epoch(run, prompts, cfg, schedule)
     assert record.reset and run.last_reset_epoch == cfg.k_max + 1
-    assert np.array_equal(run.policies.theta_ref.flat, run.policies.theta.flat)
+    assert np.array_equal(run.theta_ref.flat, run.theta.flat)
 
 
 @pytest.mark.parametrize("tied", [False, True])
@@ -791,25 +790,23 @@ def short_mode_rollout(theta_old, prompts, epoch, cfg, schedule):
 def test_short_rollout_matches_per_prompt_reference():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=5)
-    policies = run.policies
     g = cfg.group_size
-    data = short_mode_rollout(policies.theta_old, prompts, 3, cfg, schedule)
+    data = short_mode_rollout(run.theta_old, prompts, 3, cfg, schedule)
     assert data.prompts == prompts
     assert data.clips.shape == (len(prompts), g, 1, cfg.clip_len, cfg.frame_dim)
     assert np.array_equal(data.summaries, np.zeros((len(prompts), g, 1, 2 * cfg.frame_dim)))
     for prompt, clips in zip(prompts, data.clips):
-        ref = per_prompt_short_group(policies.theta_old, prompt, 3, cfg, schedule)
+        ref = per_prompt_short_group(run.theta_old, prompt, 3, cfg, schedule)
         assert np.array_equal(clips[:, 0], ref)
 
 
 def test_short_rollout_group_independent_of_other_prompts():
     cfg = small_config()
     run, schedule, prompts = make_world(cfg, n_prompts=4)
-    policies = run.policies
-    together = short_mode_rollout(policies.theta_old, prompts, 1, cfg, schedule)
-    reversed_order = short_mode_rollout(policies.theta_old, prompts[::-1], 1, cfg, schedule)
+    together = short_mode_rollout(run.theta_old, prompts, 1, cfg, schedule)
+    reversed_order = short_mode_rollout(run.theta_old, prompts[::-1], 1, cfg, schedule)
     for k, prompt in enumerate(prompts):
-        alone = short_mode_rollout(policies.theta_old, [prompt], 1, cfg, schedule)
+        alone = short_mode_rollout(run.theta_old, [prompt], 1, cfg, schedule)
         assert np.array_equal(alone.clips[0], together.clips[k])
         assert np.array_equal(reversed_order.clips[-1 - k], together.clips[k])
 
@@ -845,7 +842,7 @@ def test_first_layer_overflow_aborts_at_its_matmul():
     # saturate it to 1, so the per-primitive check is what catches it.
     cfg = small_config()
     run, schedule, _ = make_world(cfg)
-    run.policies.theta["w1"][...] = np.finfo(np.float64).max
+    run.theta["w1"][...] = np.finfo(np.float64).max
     rng = np.random.default_rng(17)
     scored = synthetic_scored_group(cfg, rng)
     with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
@@ -866,7 +863,7 @@ def test_first_layer_overflow_on_replay_aborts_at_its_matmul(graphs_without_gc):
     data = stacked([synthetic_scored_group(cfg, rng, pid).data for pid in range(2)])
     nftcore.train_epoch(run, data, cfg, schedule)
     built, tapes = len(graphs_without_gc), dict(run.tapes)
-    run.policies.theta["w1"][...] = np.finfo(np.float64).max
+    run.theta["w1"][...] = np.finfo(np.float64).max
     with pytest.raises(nftcore.EpochAborted) as exc:
         nftcore.train_epoch(run, data, cfg, schedule)
     assert len(graphs_without_gc) == built and run.tapes == tapes
@@ -879,10 +876,9 @@ def test_epoch_mode_ema_ticks_once_per_epoch():
     # last step, toward the epoch's final theta.
     cfg = small_config(prompts_per_epoch=3, ema_interval=3)
     run, schedule, prompts = make_world(cfg, n_prompts=3)
-    policies = run.policies
     for _ in range(2):
-        want = tg.flatten(policies.theta_old)
+        want = tg.flatten(run.theta_old)
         longtune.train_window_epoch(run, prompts, cfg, schedule)
-        nftcore.ema_update(want, policies.theta, cfg.gamma)
-        assert np.array_equal(policies.theta_old.flat, want.flat)
+        nftcore.ema_update(want, run.theta, cfg.gamma)
+        assert np.array_equal(run.theta_old.flat, want.flat)
     assert run.optimizer.t == 6

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -157,6 +158,30 @@ def test_checkpoint_of_another_format_is_refused(tmp_path, fmt):
             manifest["format"] = fmt
     rewrite_manifest(path, edit)
     with pytest.raises(ValueError, match=f"checkpoint format {fmt!r} is not format 1"):
+        runio.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["seed", "epoch", "extra", "arrays", "arrays[0].name",
+                                 "arrays[0].shape", "arrays[0].offset", "arrays[0].count"])
+def test_checkpoint_with_an_incomplete_manifest_is_refused(tmp_path, key):
+    path = tmp_path / "ck.bin"
+    runio.save_checkpoint(path, {"w": np.ones((2, 2))}, seed=0, epoch=1)
+
+    def edit(manifest):
+        if key.startswith("arrays[0]."):
+            del manifest["arrays"][0][key.split(".")[1]]
+        else:
+            del manifest[key]
+    rewrite_manifest(path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint manifest lacks {key}:")):
+        runio.load_checkpoint(path)
+
+
+def test_checkpoint_manifest_that_is_a_list_is_refused(tmp_path):
+    path = tmp_path / "ck.bin"
+    blob = json.dumps([{"format": 1}]).encode("utf-8")
+    path.write_bytes(runio.CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(ValueError, match="manifest is a JSON list, not an object"):
         runio.load_checkpoint(path)
 
 

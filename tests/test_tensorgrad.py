@@ -369,11 +369,11 @@ def reference_backward(graph, loss):
                        for name, p in graph.params.items()})
 
 
-def one_group_inputs(policies, scored, cfg, t, eps):
+def one_group_inputs(run, scored, cfg, t, eps):
     """Every array one group's loss reads, at noise level t and noise eps: its
     epoch_loss_inputs alone, with theta_old's step_inputs."""
-    fixed = nftcore.epoch_loss_inputs(policies.theta_ref, scored, cfg, [t], eps[None])[0]
-    return nftcore.step_inputs(fixed, policies.theta_old, cfg)
+    fixed = nftcore.epoch_loss_inputs(run.theta_ref, scored, cfg, [t], eps[None])[0]
+    return nftcore.step_inputs(fixed, run.theta_old, cfg)
 
 
 def group_case(masked: bool, seed: int = 21):
@@ -381,9 +381,9 @@ def group_case(masked: bool, seed: int = 21):
     (theta, inputs, build). With masked=False the KL term is absent."""
     cfg = RunConfig(lambda_kl=0.05)
     rng = np.random.default_rng(seed)
-    policies = nftcore.PolicyTriple.from_base(generator_net())
-    policies.theta.flat += 0.01 * rng.standard_normal(policies.theta.flat.shape)
-    policies.theta_ref.flat -= 0.01 * rng.standard_normal(policies.theta.flat.shape)
+    run = nftcore.RunState.fresh(cfg, generator_net())
+    run.theta.flat += 0.01 * rng.standard_normal(run.theta.flat.shape)
+    run.theta_ref.flat -= 0.01 * rng.standard_normal(run.theta.flat.shape)
     g, width = cfg.group_size, cfg.clip_len * cfg.frame_dim
     data = nftcore.GroupData(
         prompts=[flowgen.make_prompt(0, rng, cfg.prompt_dim)],
@@ -393,8 +393,8 @@ def group_case(masked: bool, seed: int = 21):
     scored = nftcore.ScoredGroup(data=data, raw_scores=np.zeros((1, g, 3)),
                                  advantages=nftcore.compute_advantages(rng.standard_normal((1, g))),
                                  mask=mask[None], tau=np.ones(1))
-    inputs = one_group_inputs(policies, scored, cfg, 5.0 / 6.0, rng.standard_normal((g, width)))
-    return (policies.theta, inputs,
+    inputs = one_group_inputs(run, scored, cfg, 5.0 / 6.0, rng.standard_normal((g, width)))
+    return (run.theta, inputs,
             lambda graph, theta, arrays: nftcore.group_loss_graph(graph, theta, arrays, cfg))
 
 
@@ -692,17 +692,17 @@ def test_adamw_state_roundtrip():
 
     def grads():
         return tg.flatten({k: rng.standard_normal(v.shape)
-                           for k, v in run.policies.theta.items()})
+                           for k, v in run.theta.items()})
 
-    run.optimizer.step(run.policies.theta, grads())
+    run.optimizer.step(run.theta, grads())
     arrays, extra = run.to_arrays()
     twin = nftcore.RunState.from_arrays(arrays, {"seed": cfg.seed, "epoch": 0, "extra": extra},
                                         cfg)
     g = grads()
-    run.optimizer.step(run.policies.theta, g)
-    twin.optimizer.step(twin.policies.theta, g)
+    run.optimizer.step(run.theta, g)
+    twin.optimizer.step(twin.theta, g)
     assert twin.optimizer.t == run.optimizer.t == 2
-    assert np.array_equal(twin.policies.theta.flat, run.policies.theta.flat)
+    assert np.array_equal(twin.theta.flat, run.theta.flat)
     for moments, source in ((twin.optimizer.m, run.optimizer.m),
                             (twin.optimizer.v, run.optimizer.v)):
         assert isinstance(moments, tg.FlatParams)
