@@ -70,8 +70,8 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
     abort_path.unlink(missing_ok=True)
 
     if run is None:
-        base, _ = pretrain_from_config(cfg, corpus, schedule)
-        run = nftcore.RunState.fresh(cfg, base)
+        # The base and its loss list are dropped once fresh has copied the base.
+        run = nftcore.RunState.fresh(cfg, pretrain_from_config(cfg, corpus, schedule)[0])
         for path in (metrics_path, timings_path, ckpt_path):
             path.unlink(missing_ok=True)
         if echo:

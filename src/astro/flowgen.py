@@ -343,7 +343,8 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
     Returns (flat params, per-step losses); init, when given, is updated in
     place. steps=0 returns the initialization untouched. A non-finite loss
     aborts with PretrainDivergence. Every step runs the loss's tape, which
-    the first step records from regression_loss. The input rows, laid out
+    the first step records from regression_loss, and its backward into the
+    one gradient vector the call makes. The input rows, laid out
     as assemble_input's, and the schedule's time features are built once;
     each step draws its batch, levels and noise, in that order, and writes
     the rows' columns in place.
@@ -353,6 +354,7 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
     params = init if init is not None else init_net(
         rng, corpus.frame_dim, corpus.clip_len, prompt_dim, hidden)
     opt = tg.AdamW(lr=lr, weight_decay=0.0)
+    grads = params.empty_like()
     levels = np.array(schedule.values)
     feats = time_features(levels)
     width = corpus.clip_len * corpus.frame_dim
@@ -377,7 +379,7 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
         try:
             (loss,), finish = tg.loss_pass(tapes, (), params, {"x": x, "x0": x0},
                                            regression_loss)
-            opt.step(params, finish())
+            opt.step(params, finish(grads))
         except NonFiniteError as err:
             raise PretrainDivergence(step, losses[-1] if losses else math.nan) from err
         losses.append(loss)

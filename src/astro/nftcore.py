@@ -50,8 +50,10 @@ class RunState:
     run and last_reset_epoch the latest reference reset's. fresh() starts
     one from a pretrained base; to_arrays()/from_arrays() are its checkpoint
     round-trip, with array names slash-scoped by component. tapes (the
-    recorded loss tapes by structure key) and timings (the current epoch's
-    wall seconds per phase) are working state, never checkpointed."""
+    recorded loss tapes by structure key), grads (the vector in theta's
+    layout that each step's backward writes its gradients into, valid until
+    the next step's) and timings (the current epoch's wall seconds per phase)
+    are working state, never checkpointed."""
 
     theta: tg.FlatParams
     theta_old: tg.FlatParams
@@ -61,7 +63,11 @@ class RunState:
     epoch: int = 0
     last_reset_epoch: int = 0
     tapes: dict = field(default_factory=dict, repr=False)
+    grads: tg.FlatParams = field(init=False, repr=False)
     timings: runio.PhaseTimes = field(default_factory=runio.PhaseTimes, repr=False)
+
+    def __post_init__(self):
+        self.grads = self.theta.empty_like()
 
     @classmethod
     def fresh(cls, cfg: RunConfig, base: dict[str, np.ndarray]) -> "RunState":
@@ -130,6 +136,7 @@ class RunState:
                                  f"{len(pids)} prompts and {judges} judges imply {want}")
         run = cls.fresh(cfg, {})
         run.theta, run.theta_old, run.theta_ref, run.optimizer.m, run.optimizer.v = buffers
+        run.grads = run.theta.empty_like()
         run.optimizer.t = opt_t
         run.epoch, run.last_reset_epoch = int(meta["epoch"]), int(extra["last_reset_epoch"])
         run.normalizer = rewardlab.RewardNormalizer(pids, **norm)
@@ -393,7 +400,7 @@ def optimize_group(run: RunState, fixed: dict[str, np.ndarray], cfg: RunConfig) 
         run.tapes, (cfg.beta, cfg.lambda_kl), run.theta, step_inputs(fixed, run.theta_old, cfg),
         lambda graph, theta, inputs: group_loss_graph(graph, theta, inputs, cfg))
     since = lap("loss_forward", since)
-    grads = finish()
+    grads = finish(run.grads)
     since = lap("backward", since)
     info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0}
     info["grad_norm"] = tg.clip_global_norm(grads, cfg.max_grad_norm)

@@ -150,6 +150,18 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], seed: int, epoch: int,
         raise
 
 
+def _is_size(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+# Each field of a checkpoint manifest's array entry: (its check, what it must be).
+ENTRY_FIELDS = {"name": (lambda v: isinstance(v, str), "a string"),
+                "shape": (lambda v: isinstance(v, list) and all(map(_is_size, v)),
+                          "a list of non-negative integers"),
+                "offset": (_is_size, "a non-negative integer"),
+                "count": (_is_size, "a non-negative integer")}
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Returns (arrays as float64 at float32 precision, manifest metadata)."""
     with open(path, "rb") as fh:
@@ -167,11 +179,19 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if manifest.get("format") != 1:
             raise ValueError(f"checkpoint format {manifest.get('format')!r} is not "
                              f"format 1, the only one this version reads: {path}")
+        entries = manifest.get("arrays", [])
+        if not isinstance(entries, list):
+            raise ValueError(f"checkpoint manifest arrays is a JSON {type(entries).__name__}, "
+                             f"not a list: {path}")
         missing = [k for k in ("seed", "epoch", "extra", "arrays") if k not in manifest]
-        missing += [f"arrays[{i}].{k}" for i, entry in enumerate(manifest.get("arrays", []))
-                    for k in ("name", "shape", "offset", "count") if k not in entry]
+        missing += [f"arrays[{i}].{k}" for i, entry in enumerate(entries)
+                    for k in ENTRY_FIELDS if not isinstance(entry, dict) or k not in entry]
         if missing:
             raise ValueError(f"checkpoint manifest lacks {', '.join(missing)}: {path}")
+        wrong = [f"arrays[{i}].{k} is {entry[k]!r}, not {what}" for i, entry in enumerate(entries)
+                 for k, (ok, what) in ENTRY_FIELDS.items() if not ok(entry[k])]
+        if wrong:
+            raise ValueError(f"checkpoint manifest {'; '.join(wrong)}: {path}")
         payload = fh.read()
     arrays = {}
     for entry in manifest["arrays"]:

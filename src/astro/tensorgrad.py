@@ -17,6 +17,8 @@ step, the first included. A replay checks the leaves' shapes once and the
 finiteness only of the results a proof names (only tanh saturates, see
 PRIMITIVES); if one is not finite, it scans the results already computed in
 order, so its NonFiniteError names the primitive a fresh build's would.
+A Tape's backward writes the gradients into a FlatParams its caller owns
+and passes in; they are valid until the owner's next pass writes over them.
 """
 
 from __future__ import annotations
@@ -221,8 +223,17 @@ def _mul_adjoint(g, out, args, needs, kw):
 
 
 def _matmul_adjoint(g, out, args, needs, kw):
+    # kw is {"out": view} when b is a parameter whose first gradient goes to that view.
     a, b = args
-    return (g @ b.T if needs[0] else None, a.T @ g if needs[1] else None)
+    return (g @ b.T if needs[0] else None, np.matmul(a.T, g, **kw) if needs[1] else None)
+
+
+def _tanh_adjoint(g, out, args, needs, kw):
+    # g * (1.0 - out * out), each op into one temporary.
+    d = out * out
+    np.subtract(1.0, d, out=d)
+    d *= g
+    return (d,)
 
 
 def _mean_adjoint(g, out, args, needs, kw):
@@ -239,7 +250,7 @@ PRIMITIVES = {
     "scalar_mul": (lambda a, scalar: a * scalar,
                    lambda g, out, args, needs, kw: (g * kw["scalar"],), False),
     "matmul": (np.matmul, _matmul_adjoint, False),
-    "tanh": (np.tanh, lambda g, out, args, needs, kw: (g * (1.0 - out * out),), True),
+    "tanh": (np.tanh, _tanh_adjoint, True),
     "sum": (lambda a: np.asarray(a.sum()),
             lambda g, out, args, needs, kw: (np.full(args[0].shape, g),), False),
     # ndarray.mean's own sum and division, without its Python-level wrapper.
@@ -304,7 +315,8 @@ def backward(graph: GradGraph, loss: Node) -> FlatParams:
     if loss.shape != ():
         raise GraphError(f"loss must be scalar-shaped, got {loss.shape}")
     leaves, results = _slot_nodes(graph, [loss])
-    return Tape(graph, [loss]).backward([node.value for node in (*leaves, *results)])
+    tape = Tape(graph, [loss])
+    return tape.backward([node.value for node in (*leaves, *results)], _layout(tape.shapes))
 
 
 def _slot_nodes(graph: GradGraph, outputs) -> tuple[list[Node], list[Node]]:
@@ -350,7 +362,8 @@ class Tape:
             (watched if PRIMITIVES[op][2] or node.size == 0 else read).update(operands)
         self.checks = [s in watched or s not in read for s in range(len(leaves), len(slot))]
         # The steps the loss's gradient reaches, in reverse, with which
-        # operands need a gradient and whether it adds to one already written.
+        # operands need a gradient, whether it adds to one already written and,
+        # for a matmul whose b is a parameter written first, that parameter.
         reached, self.plan = {self.outputs[0]}, []
         for out in range(self.outputs[0], len(leaves) - 1, -1):
             op, fn, operands, kw = self.steps[out - len(leaves)]
@@ -360,7 +373,9 @@ class Tape:
                     adds.append(s in reached)
                     reached.add(s)
                 needs = [s < len(self.params) or s >= len(leaves) for s in operands]
-                self.plan.append((out, PRIMITIVES[op][1], operands, kw, needs, adds))
+                into = op == "matmul" and operands[1] < len(self.params) and not adds[1]
+                self.plan.append((out, PRIMITIVES[op][1], operands, kw, needs, adds,
+                                  self.params[operands[1]] if into else None))
         self.untouched = [name for i, name in enumerate(self.params) if i not in reached]
 
     def forward(self, params: dict[str, np.ndarray], inputs: dict[str, np.ndarray]) -> list:
@@ -385,14 +400,20 @@ class Tape:
                     _checked(op, value)  # raises, at the latest at the result that failed
         return values
 
-    def backward(self, values: list) -> FlatParams:
-        """The loss's gradients from every slot's value, as FlatParams in
-        sorted-name order. values is emptied: no activation outlives the step."""
-        out = _layout(self.shapes)
+    def backward(self, values: list, out: FlatParams) -> FlatParams:
+        """The loss's gradients from every slot's value, written into out, a
+        FlatParams in the parameters' layout, and returned: each parameter's
+        view gets its first write and accumulations, or zeros if the loss
+        does not reach it. out is the caller's; its gradients are valid until
+        the caller's next pass into it. values is emptied: no activation
+        outlives the step."""
+        if {name: part.shape for name, part in out.items()} != self.shapes:
+            raise ShapeError(f"gradient layout differs from the parameters' {self.shapes}")
         grads = [None] * len(values)
         grads[self.outputs[0]] = np.ones(())
-        for slot, adjoint, operands, kw, needs, adds in self.plan:
-            adjoints = adjoint(grads[slot], values[slot], [values[s] for s in operands], needs, kw)
+        for slot, adjoint, operands, kw, needs, adds, into in self.plan:
+            adjoints = adjoint(grads[slot], values[slot], [values[s] for s in operands], needs,
+                               {"out": out[into]} if into else kw)
             grads[slot] = None
             for s, add, pg in zip(operands, adds, adjoints):
                 if pg is None:
@@ -401,7 +422,7 @@ class Tape:
                     grads[s] = grads[s] + pg if add else pg
                 elif add:
                     out[self.params[s]] += pg
-                else:
+                elif pg is not out[self.params[s]]:
                     out[self.params[s]][...] = pg
         for name in self.untouched:
             out[name][...] = 0.0
@@ -418,8 +439,10 @@ def loss_pass(tapes: dict, frozen, params: dict[str, np.ndarray],
     key: frozen, the scalars build puts in the graph, and each input's name
     and shape. A new key is built on Nodes once, only to record its tape,
     and the graph is dropped. Every pass, the first included, runs the
-    tape's forward; finish() runs its backward and returns the gradients. A
-    tape is kept once its first forward has succeeded.
+    tape's forward; finish(out) runs its backward into out, a FlatParams in
+    params' layout that the caller owns, and returns it: the gradients are
+    valid until the caller's next pass into out. A tape is kept once its
+    first forward has succeeded.
     """
     key = (frozen, tuple((name, value.shape) for name, value in inputs.items()))
     tape = tapes.get(key)
@@ -429,7 +452,7 @@ def loss_pass(tapes: dict, frozen, params: dict[str, np.ndarray],
         del graph
     slots = tape.forward(params, inputs)
     tapes[key] = tape
-    return [float(slots[s]) for s in tape.outputs], lambda: tape.backward(slots)
+    return [float(slots[s]) for s in tape.outputs], lambda out: tape.backward(slots, out)
 
 
 def global_norm(grads: FlatParams) -> float:
@@ -477,6 +500,10 @@ class FlatParams(dict):
     """
 
     __slots__ = ("flat", "_scratch")
+
+    def empty_like(self) -> "FlatParams":
+        """An uninitialized FlatParams in this one's layout, such as a gradient vector."""
+        return _layout({name: part.shape for name, part in self.items()})
 
     def scratch(self) -> np.ndarray:
         """A vector shaped like flat for in-place updates; made once, then reused."""

@@ -1,9 +1,10 @@
-"""tools/bench_phases.py's pair_summary, which every perf claim's summary uses.
+"""tools/bench_phases.py's pair_summary, which every perf claim's summary
+uses, and its pretraining split.
 
-It is checked on synthetic pairs: which side a pair's win goes to, in the
-direction BENCHMARK.json gives each metric, and the change of the medians.
-tools/ is put on sys.path and the module is loaded with no bytecode written
-next to it.
+pair_summary is checked on synthetic pairs: which side a pair's win goes
+to, in the direction BENCHMARK.json gives each metric, and the change of the
+medians. tools/ is put on sys.path and the module is loaded with no
+bytecode written next to it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from astro import tensorgrad as tg
+from test_cli import tiny_config
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # One value per pair and side, the same for every metric: pair 0 is a tie,
@@ -25,10 +29,14 @@ AFTER = [1.0, 1.0, 5.0, 6.0]
 
 
 @pytest.fixture
-def summary(monkeypatch):
+def bench_phases(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    bench_phases = importlib.import_module("bench_phases")
+    return importlib.import_module("bench_phases")
+
+
+@pytest.fixture
+def summary(bench_phases):
     gated = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     names = [m["name"] for m in gated] + list(bench_phases.WALL_METRICS)
     pairs = [{"before": dict.fromkeys(names, b), "after": dict.fromkeys(names, a)}
@@ -52,3 +60,14 @@ def test_clips_per_ref_is_higher_is_better(summary):
 def test_median_change_pct_matches_the_medians(summary):
     for s in summary.values():
         assert s["median_change_pct"] == pytest.approx(100.0 * (3.0 / 2.5 - 1.0))
+
+
+def test_pretrain_split_times_each_part_of_a_tiny_pretraining(bench_phases, monkeypatch):
+    # Every part is timed on every step, through the wrapped loss pass, its
+    # finish and AdamW.step, which are put back afterwards.
+    monkeypatch.setattr(bench_phases, "SPLIT_STEPS", 5)
+    loss_pass, step = tg.loss_pass, tg.AdamW.step
+    split = bench_phases.pretrain_split(tiny_config(pretrain_steps=3))
+    assert list(split) == list(bench_phases.SPLIT_PARTS)
+    assert all(ms > 0.0 for ms in split.values())
+    assert (tg.loss_pass, tg.AdamW.step) == (loss_pass, step)

@@ -91,7 +91,7 @@ def test_lean_backward_leaves_run_bytes_unchanged(tmp_path, monkeypatch, mode):
         graph = tg.GradGraph()
         outputs = build(graph, params, inputs)
         return ([float(node.value) for node in outputs],
-                lambda: reference_backward(graph, outputs[0]))
+                lambda out: reference_backward(graph, outputs[0]))
 
     monkeypatch.setattr(tg, "loss_pass", node_pass)
     assert cli.run_training(cfg, tmp_path / "whole_tape")["status"] == "ok"

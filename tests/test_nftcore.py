@@ -444,6 +444,29 @@ def test_optimize_group_frees_its_graph_without_gc(graphs_without_gc):
     assert len(graphs_without_gc) == 1 and len(run.tapes) == 1
 
 
+def test_loss_steps_make_no_gradient_vector(monkeypatch):
+    # Pretraining makes its gradient vector once per call and a run once at
+    # set-up, so only the first step makes any (AdamW's moments): 5 steps make
+    # as many as 1, and a second optimize_group makes none.
+    layouts, layout = [], tg._layout
+    monkeypatch.setattr(tg, "_layout", lambda shapes: layouts.append(1) or layout(shapes))
+    corpus = flowgen.make_corpus(seed=0)
+    made = []
+    for steps in (1, 5):
+        layouts.clear()
+        flowgen.pretrain_base(corpus, steps, arng.substream(0, arng.PRETRAIN_STREAM), hidden=16)
+        made.append(len(layouts))
+    assert made[0] == made[1] > 0
+    cfg = small_config()
+    run, schedule, _ = make_world(cfg)
+    scored = synthetic_scored_group(cfg, np.random.default_rng(14))
+    nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
+    fixed = prepared_inputs(run, scored, cfg, schedule)
+    layouts.clear()
+    nftcore.optimize_group(run, fixed, cfg)
+    assert layouts == []
+
+
 def test_pretrain_step_frees_its_graph_without_gc(graphs_without_gc, monkeypatch):
     # Only the first step builds a graph, and it is freed; the tape the
     # later steps replay keeps no activation alive.

@@ -177,6 +177,30 @@ def test_checkpoint_with_an_incomplete_manifest_is_refused(tmp_path, key):
         runio.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("arrays, message", [
+    ([1], "lacks arrays[0].name, arrays[0].shape, arrays[0].offset, arrays[0].count:"),
+    ({"w": {}}, "arrays is a JSON dict, not a list"),
+    ([{"name": 3}], "arrays[0].name is 3, not a string"),
+    ([{"shape": "x"}], "arrays[0].shape is 'x', not a list of non-negative integers"),
+    ([{"shape": [-1, 4]}], "arrays[0].shape is [-1, 4], not a list of non-negative"),
+    ([{"shape": [True, 4]}], "arrays[0].shape is [True, 4], not a list of non-negative"),
+    ([{"offset": "0"}], "arrays[0].offset is '0', not a non-negative integer"),
+    ([{"count": 4.0}], "arrays[0].count is 4.0, not a non-negative integer"),
+])
+def test_checkpoint_with_a_wrongly_typed_manifest_entry_is_refused(tmp_path, arrays, message):
+    path = tmp_path / "ck.bin"
+    runio.save_checkpoint(path, {"w": np.ones((2, 2))}, seed=0, epoch=1)
+
+    def edit(manifest):
+        if isinstance(arrays, list) and isinstance(arrays[0], dict):
+            manifest["arrays"][0].update(arrays[0])
+        else:
+            manifest["arrays"] = arrays
+    rewrite_manifest(path, edit)
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint manifest {message}")):
+        runio.load_checkpoint(path)
+
+
 def test_checkpoint_manifest_that_is_a_list_is_refused(tmp_path):
     path = tmp_path / "ck.bin"
     blob = json.dumps([{"format": 1}]).encode("utf-8")

@@ -475,7 +475,7 @@ def test_replay_raises_where_a_fresh_build_does(case):
     # build of the same arrays does. Each leaf in turn gets one NaN, +inf or -inf.
     params, inputs, build = CASES[case]()
     tapes = {}
-    tg.loss_pass(tapes, (), params, inputs, build)[1]()
+    tg.loss_pass(tapes, (), params, inputs, build)[1](tg.flatten(params))
     for name, bad in itertools.product([*params, *inputs], (np.nan, np.inf, -np.inf)):
         arrays = {k: np.array(v) for k, v in {**params, **inputs}.items()}
         arrays[name].flat[arrays[name].size // 2] = bad
@@ -528,21 +528,46 @@ def test_only_saturating_primitives_make_nonfinite_operands_finite():
 def test_replayed_tape_is_bit_identical_to_a_fresh_build(case):
     # Recorded on one parameter and input set, replayed on a second: the
     # loss, the watched values and the gradients are those of a fresh Node
-    # build on the second set with the whole-tape walk.
+    # build on the second set with the whole-tape walk. Both passes write
+    # into one caller-owned vector, all NaN before each, and return it: every
+    # value is written, by a first write or an accumulation.
     tapes = {}
-    values, finish = tg.loss_pass(tapes, (), *CASES[case](0))
-    finish()
+    params, inputs, build = CASES[case](0)
+    out = tg.flatten(params)
+    out.flat[...] = np.nan
+    values, finish = tg.loss_pass(tapes, (), params, inputs, build)
+    assert finish(out) is out
+    assert np.array_equal(out.flat, reference_backward(*build_case(case, 0)[:2]).flat)
     assert len(tapes) == 1
     params, inputs, build = CASES[case](1)
     replayed, finish = tg.loss_pass(tapes, (), params, inputs, build)
-    grads = finish()
+    out.flat[...] = np.nan
+    assert finish(out) is out
     assert len(tapes) == 1  # replayed, not recorded again
     graph, loss, outputs = build_case(case, 1)
     expected = reference_backward(graph, loss)
     assert replayed == [float(node.value) for node in outputs] != values
-    assert list(grads) == list(expected)
-    assert np.array_equal(grads.flat, expected.flat)
-    assert np.any(grads.flat != 0.0)
+    assert list(out) == list(expected)
+    assert np.array_equal(out.flat, expected.flat)
+    assert np.any(out.flat != 0.0)
+
+
+def test_backward_fills_an_untouched_parameter_with_zeros():
+    # c is registered but never read: its view of the caller's vector, NaN
+    # before the pass, is filled with zeros. A vector in another layout is refused.
+    def build(graph, params, inputs):
+        graph.parameter("c", params["c"])
+        return ((graph.input("x", inputs["x"]) @ graph.parameter("w", params["w"])).sum(),)
+
+    params = {"c": np.ones(3), "w": np.ones((2, 2))}
+    out = tg.flatten(params)
+    out.flat[...] = np.nan
+    assert tg.loss_pass({}, (), params, {"x": np.ones((3, 2))}, build)[1](out) is out
+    assert np.array_equal(out.flat, [0.0, 0.0, 0.0, 3.0, 3.0, 3.0, 3.0])
+    for other in ({"w": np.zeros((2, 2))}, {"c": np.zeros(3), "w": np.zeros((1, 4))}):
+        finish = tg.loss_pass({}, (), params, {"x": np.ones((3, 2))}, build)[1]
+        with pytest.raises(tg.ShapeError, match="gradient layout"):
+            finish(tg.flatten(other))
 
 
 def test_recording_refuses_an_undeclared_constant():
@@ -569,7 +594,8 @@ def test_overflow_raises_at_the_primitive_that_made_it_on_replay():
     params, x = overflowing_generator()
     inputs = {"x": x, "x0": np.zeros((3, params["b3"].shape[1]))}
     tapes = {}
-    tg.loss_pass(tapes, (), generator_net(), inputs, flowgen.regression_loss)[1]()
+    net = generator_net()
+    tg.loss_pass(tapes, (), net, inputs, flowgen.regression_loss)[1](net.empty_like())
     assert len(tapes) == 1
     with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
         tg.loss_pass(tapes, (), params, inputs, flowgen.regression_loss)
@@ -587,7 +613,8 @@ def test_a_failing_replay_evaluates_each_step_once(monkeypatch):
     params, x = overflowing_generator()
     inputs = {"x": x, "x0": np.zeros((3, params["b3"].shape[1]))}
     tapes = {}
-    tg.loss_pass(tapes, (), generator_net(), inputs, flowgen.regression_loss)[1]()
+    net = generator_net()
+    tg.loss_pass(tapes, (), net, inputs, flowgen.regression_loss)[1](net.empty_like())
     (tape,) = tapes.values()
     calls.clear()
     with pytest.raises(tg.NonFiniteError, match="primitive 'matmul'"):
@@ -624,7 +651,7 @@ def test_no_adjoint_is_formed_for_a_detached_operand(monkeypatch):
     node_calls = [(op, needs) for op, needs, _ in calls]
     tape = tg.Tape(graph, [loss])
     calls.clear()
-    tape.backward(tape.forward(*CASES["group_masked"]()[:2]))
+    tape.backward(tape.forward(*CASES["group_masked"]()[:2]), tg._layout(tape.shapes))
     assert [(op, needs) for op, needs, _ in calls] == node_calls
 
 

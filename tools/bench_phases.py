@@ -17,15 +17,17 @@ seconds of `import astro, astro.cli` (import_s), and the process's
 ru_maxrss in MB after that import and after the training run. With
 --pairs N, each workload also gets N alternating pairs of
 `benchmarks/run.py --seconds S`, one process per side, and the summary of
-every end-to-end metric BENCHMARK.json bounds, and of the wall-time
+every end-to-end metric BENCHMARK.json bounds, of the wall-time
 epoch_ms_p50 and run_s that the pair run records in its
-.bench_out/<workload>-seed<n>-trace0/result.json: each side's median and
-quartiles and the pairs the change wins. The JSON holds these per
-workload, seed and OPENBLAS_NUM_THREADS, with every run's values and numpy,
-BLAS and thread settings, and a tier-1 run per side with pytest's five
-slowest tests and the side's src/ line count (as `wc -l` counts them). An
-existing --out file is updated, so a second call can add a held-out seed
-or another thread setting.
+.bench_out/<workload>-seed<n>-trace0/result.json, and of ref_ms, the ms
+of the benchmark's reference pass (epoch_ms_p50 / epoch_ref_p50), in which
+a move of the *_ref metrics that the yardstick itself made shows: each
+side's median and quartiles and the pairs the change wins. The JSON holds
+these per workload, seed and OPENBLAS_NUM_THREADS, with every run's values
+and numpy, BLAS and thread settings, and a tier-1 run per side with
+pytest's five slowest tests and the side's src/ line count (as `wc -l`
+counts them). An existing --out file is updated, so a second call can add
+a held-out seed or another thread setting.
 
 Phases come from the run's timings.jsonl. A checkout whose timers predate a
 phase reads 0 for it: before the epoch's inputs were prepared in one pass
@@ -64,8 +66,9 @@ SPLIT_STEPS = 400
 # What a child run reports beside its phases, in its JSON line.
 CHILD_COSTS = ("import_s", "maxrss_import_mb", "maxrss_run_mb", "pretrain_step_ms")
 # Wall-time end-to-end metrics summarized beside the gated ones: benchmarks/run.py
-# bounds only their reference-unit forms, which move when the reference pass does.
-WALL_METRICS = ("epoch_ms_p50", "run_s")
+# bounds only their reference-unit forms, which move when the reference pass,
+# ref_ms, does.
+WALL_METRICS = ("epoch_ms_p50", "run_s", "ref_ms")
 
 
 def load_benchmark():
@@ -139,9 +142,9 @@ def pretrain_split(cfg) -> dict:
         values, finish = loss_pass(*args, **kwargs)
         parts["loss_forward"].append(time.perf_counter() - start)
 
-        def timed_finish():
+        def timed_finish(*out):  # out: the caller's gradient vector, where finish takes one
             start = time.perf_counter()
-            grads = finish()
+            grads = finish(*out)
             parts["backward"].append(time.perf_counter() - start)
             return grads
         return values, timed_finish
@@ -253,8 +256,10 @@ def main(argv=None) -> int:
                         raise RuntimeError(f"{side} {name} benchmark run failed: {line}")
                     saved = json.loads((sides[side] / ".bench_out" / f"{name}-seed{seed}-trace0"
                                         / "result.json").read_text(encoding="utf-8"))
+                    wall = saved["end_to_end"]
+                    wall["ref_ms"] = wall["epoch_ms_p50"] / wall["epoch_ref_p50"]
                     pair[side] = {k: v["value"] for k, v in line["metrics"].items()}
-                    pair[side].update({k: saved["end_to_end"][k] for k in WALL_METRICS})
+                    pair[side].update({k: wall[k] for k in WALL_METRICS})
             if pair:
                 pairs.append(pair)
         if args.repeats:
