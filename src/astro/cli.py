@@ -32,7 +32,7 @@ def resolve_out_dir(cfg: RunConfig, out_arg: str | None) -> Path:
 
 def build_world(cfg: RunConfig):
     """Schedule, pretraining corpus, and the prompt pool for one run."""
-    schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
+    schedule = flowgen.make_schedule(cfg.raw_timesteps)
     corpus = flowgen.make_corpus(
         cfg.seed, n_prompts=max(16, cfg.prompts_per_epoch),
         horizon=max(cfg.total_clips, 8), sink=cfg.sink_size,
@@ -44,8 +44,7 @@ def build_world(cfg: RunConfig):
 def pretrain_from_config(cfg: RunConfig, corpus, schedule):
     stream = rngmod.substream(cfg.seed, rngmod.PRETRAIN_STREAM)
     return flowgen.pretrain_base(
-        corpus, cfg.pretrain_steps, stream, schedule=schedule, hidden=cfg.hidden,
-        lr=cfg.pretrain_lr, batch_size=cfg.pretrain_batch)
+        corpus, cfg.pretrain_steps, stream, schedule=schedule, hidden=cfg.hidden)
 
 
 def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,

@@ -42,9 +42,7 @@ class RunConfig:
     lambda_kl: float = 1e-4
     tau_kl: float = 0.05
     k_max: int = 20
-    gamma: float = 0.9
     ema_interval: int = 1
-    a_max: float = 5.0
 
     # rewards
     rho0: float = 0.2
@@ -55,20 +53,13 @@ class RunConfig:
     noise_mode: str = "schedule"
     fixed_t: float = 0.7
     raw_timesteps: tuple = (1000.0, 750.0, 500.0, 250.0)
-    shift: float = 5.0
 
     # optimizer
     lr: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 1e-4
     max_grad_norm: float = 1.0
 
     # base-model pretraining
     pretrain_steps: int = 5000
-    pretrain_lr: float = 3e-3
-    pretrain_batch: int = 16
 
     def __post_init__(self):
         self.validate()
@@ -113,9 +104,7 @@ class RunConfig:
         require(self.lambda_kl >= 0, "lambda_kl must be nonnegative")
         require(self.tau_kl > 0, "tau_kl must be positive")
         require(self.k_max >= 1, "k_max must be at least 1")
-        require(0.0 < self.gamma < 1.0, "gamma must lie in (0, 1)")
         require(self.ema_interval >= 1, "ema_interval must be positive")
-        require(self.a_max > 0, "a_max must be positive")
         require(0.0 < self.rho0 <= 1.0, "rho0 must lie in (0, 1]")
         require(len(self.reward_weights) == 3, "reward_weights needs one weight per model")
         require(all(w >= 0 for w in self.reward_weights), "reward_weights must be nonnegative")
@@ -128,16 +117,9 @@ class RunConfig:
         require(all(t > 0 for t in self.raw_timesteps), "raw_timesteps must be positive")
         require(all(a > b for a, b in zip(self.raw_timesteps, self.raw_timesteps[1:])),
                 "raw_timesteps must strictly decrease")
-        require(self.shift > 0, "shift must be positive")
         require(self.lr > 0, "lr must be positive")
-        require(0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1,
-                "adam betas must lie in [0, 1)")
-        require(self.adam_eps > 0, "adam_eps must be positive")
-        require(self.weight_decay >= 0, "weight_decay must be nonnegative")
         require(self.max_grad_norm > 0, "max_grad_norm must be positive")
         require(self.pretrain_steps >= 0, "pretrain_steps must be nonnegative")
-        require(self.pretrain_lr > 0, "pretrain_lr must be positive")
-        require(self.pretrain_batch >= 1, "pretrain_batch must be positive")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

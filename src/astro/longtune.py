@@ -39,15 +39,15 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
                    epoch: int) -> streamctx.ContextBatch:
     """Generate every prompt's stream up to the shared window start, under the behavior policy.
 
-    Each prefix clip is decoded for all prompts in one batched call and
-    pushed for all of them in one ContextBatch.push; prompt p draws only from
-    its own PREFIX_STREAM key, once, for the whole (start_clip,
-    len(schedule), clip width) budget, and clip k reads its slice k. Returns
-    the prompts' contexts as one batch, row p for prompt p. The batch is
-    detached: it holds plain array copies and no graph. It keeps only what
-    a summary reads, the sink and the newest frame, so the cost of carrying
-    history is constant in start_clip. At start_clip 0 the contexts are
-    empty and no stream is opened.
+    streamctx.decode_clips decodes all prompts' prefixes together, and the
+    last clip is pushed here; prompt p draws only from its own PREFIX_STREAM
+    key, once, for the whole (start_clip, len(schedule), clip width) budget,
+    and clip k reads its slice k. Returns the prompts' contexts as one
+    batch, row p for prompt p. The batch is detached: it holds plain array
+    copies and no graph. It keeps only what a summary reads, the sink and
+    the newest frame, so the cost of carrying history is constant in
+    start_clip. At start_clip 0 the contexts are empty and no stream is
+    opened.
     """
     ctx = streamctx.ContextBatch.empty(len(prompts), cfg.sink_size, cfg.frame_dim)
     if start_clip == 0:
@@ -56,10 +56,8 @@ def rollout_prefix(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Promp
     noise = rngmod.normal_blocks(keys, (start_clip, len(schedule), cfg.clip_len * cfg.frame_dim))
     vecs = np.stack([p.vec for p in prompts])
     with nftcore.abort_on_nonfinite(epoch, prompts, 1):
-        for k in range(start_clip):
-            ctx = ctx.push(flowgen.sample_clips(theta_old, ctx.summary(), vecs, schedule,
-                                                noise[:, k]))
-    return ctx
+        clips, _, ctx = streamctx.decode_clips(theta_old, ctx, vecs, schedule, noise)
+    return ctx.push(clips[:, -1])
 
 
 def window_rollout(theta_old: dict[str, np.ndarray], prompts: list[flowgen.Prompt],

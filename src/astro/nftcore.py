@@ -40,6 +40,10 @@ from .config import RunConfig
 
 # Checkpoint name prefixes of a run's five flat buffers, in file order.
 BUFFER_PREFIXES = ("theta/", "theta_old/", "theta_ref/", "opt/m/", "opt/v/")
+# The checkpoint's extra entries that RunState.from_arrays reads, and their checks.
+EXTRA_FIELDS = {"opt_t": runio.SIZE, "last_reset_epoch": runio.SIZE, "norm_pids": runio.SIZES}
+EMA_GAMMA = 0.9  # theta_old's EMA rate: theta_old <- gamma * theta_old + (1 - gamma) * theta
+A_MAX = 5.0  # the advantage magnitude at which a soft label saturates at 0 or 1
 
 
 @dataclass
@@ -72,10 +76,8 @@ class RunState:
     @classmethod
     def fresh(cls, cfg: RunConfig, base: dict[str, np.ndarray]) -> "RunState":
         """Epoch 0: every policy a copy of base, no moments, no reward statistics."""
-        optimizer = tg.AdamW(lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                             eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
         return cls(theta=tg.flatten(base), theta_old=tg.flatten(base),
-                   theta_ref=tg.flatten(base), optimizer=optimizer,
+                   theta_ref=tg.flatten(base), optimizer=tg.AdamW(lr=cfg.lr),
                    normalizer=rewardlab.RewardNormalizer())
 
     def to_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
@@ -103,18 +105,21 @@ class RunState:
         optimizer's first step (opt_t 0). So is a reward normalizer that is
         not one row per prompt and one column per judge, or whose prompts are
         not in ascending order. So is one that lacks a norm/ array or an extra
-        entry this method reads. Entries it does not read (older checkpoints
-        carry a risk buffer and a rho; steps repeats opt_t) are ignored."""
-        if int(meta["seed"]) != cfg.seed:
+        entry this method reads, or whose entry fails its EXTRA_FIELDS check.
+        Entries it does not read (older checkpoints carry a risk buffer and a
+        rho; steps repeats opt_t) are ignored."""
+        if meta["seed"] != cfg.seed:
             raise ValueError(f"checkpoint was written with seed {meta['seed']}; "
                              f"cannot resume it with seed {cfg.seed}")
         extra = meta["extra"]
         missing = [f"norm/{k}" for k in ("count", "mean", "m2") if f"norm/{k}" not in arrays]
-        missing += [f"extra.{k}" for k in ("opt_t", "last_reset_epoch", "norm_pids")
-                    if k not in extra]
+        missing += [f"extra.{k}" for k in EXTRA_FIELDS if k not in extra]
         if missing:
             raise ValueError(f"checkpoint lacks {', '.join(missing)}")
-        opt_t = int(extra["opt_t"])
+        wrong = runio.wrong_fields(extra, EXTRA_FIELDS, "extra.")
+        if wrong:
+            raise ValueError(f"checkpoint {'; '.join(wrong)}")
+        opt_t = extra["opt_t"]
         buffers = [tg.flatten({k[len(prefix):]: a for k, a in arrays.items()
                                if k.startswith(prefix)}) for prefix in BUFFER_PREFIXES]
         shapes = flowgen.net_shapes(cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
@@ -138,7 +143,7 @@ class RunState:
         run.theta, run.theta_old, run.theta_ref, run.optimizer.m, run.optimizer.v = buffers
         run.grads = run.theta.empty_like()
         run.optimizer.t = opt_t
-        run.epoch, run.last_reset_epoch = int(meta["epoch"]), int(extra["last_reset_epoch"])
+        run.epoch, run.last_reset_epoch = meta["epoch"], extra["last_reset_epoch"]
         run.normalizer = rewardlab.RewardNormalizer(pids, **norm)
         return run
 
@@ -332,7 +337,7 @@ def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored: ScoredGroup,
                                data.summaries.reshape(len(x0), -1),
                                np.repeat(np.stack([p.vec for p in data.prompts]), rows, axis=0))
     v_ref = flowgen.mlp_forward(theta_ref, x)
-    labels = normalize_advantage(scored.advantages, cfg.a_max)
+    labels = normalize_advantage(scored.advantages, A_MAX)
     w = np.repeat(np.repeat(labels, n_clips, axis=1).reshape(-1, 1), width, axis=1)
     masked = np.repeat(scored.mask, n_clips, axis=1)
     m = np.repeat(masked.reshape(-1, 1), width, axis=1).astype(np.float64)
@@ -408,7 +413,7 @@ def optimize_group(run: RunState, fixed: dict[str, np.ndarray], cfg: RunConfig) 
     run.optimizer.step(run.theta, grads)
     since = lap("adamw", since)
     if run.optimizer.t % cfg.ema_interval == 0:
-        ema_update(run.theta_old, run.theta, cfg.gamma)
+        ema_update(run.theta_old, run.theta, EMA_GAMMA)
     lap("ema", since)
     return info
 

@@ -150,16 +150,20 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], seed: int, epoch: int,
         raise
 
 
-def _is_size(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-# Each field of a checkpoint manifest's array entry: (its check, what it must be).
+# Field checks, each (the check, what the field must be), and the checked
+# fields of a checkpoint manifest and of each of its array entries.
+SIZE = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+SIZES = (lambda v: isinstance(v, list) and all(map(SIZE[0], v)), "a list of non-negative integers")
+MANIFEST_FIELDS = {"seed": SIZE, "epoch": SIZE,
+                   "extra": (lambda v: isinstance(v, dict), "an object")}
 ENTRY_FIELDS = {"name": (lambda v: isinstance(v, str), "a string"),
-                "shape": (lambda v: isinstance(v, list) and all(map(_is_size, v)),
-                          "a list of non-negative integers"),
-                "offset": (_is_size, "a non-negative integer"),
-                "count": (_is_size, "a non-negative integer")}
+                "shape": SIZES, "offset": SIZE, "count": SIZE}
+
+
+def wrong_fields(record: dict, checks: dict, at: str = "") -> list[str]:
+    """'<at><field> is <value>, not <what>' for each field that fails its check."""
+    return [f"{at}{k} is {record[k]!r}, not {what}" for k, (ok, what) in checks.items()
+            if not ok(record[k])]
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -188,8 +192,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                     for k in ENTRY_FIELDS if not isinstance(entry, dict) or k not in entry]
         if missing:
             raise ValueError(f"checkpoint manifest lacks {', '.join(missing)}: {path}")
-        wrong = [f"arrays[{i}].{k} is {entry[k]!r}, not {what}" for i, entry in enumerate(entries)
-                 for k, (ok, what) in ENTRY_FIELDS.items() if not ok(entry[k])]
+        wrong = wrong_fields(manifest, MANIFEST_FIELDS)
+        wrong += [w for i, entry in enumerate(entries)
+                  for w in wrong_fields(entry, ENTRY_FIELDS, f"arrays[{i}].")]
         if wrong:
             raise ValueError(f"checkpoint manifest {'; '.join(wrong)}: {path}")
         payload = fh.read()

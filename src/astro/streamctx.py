@@ -149,41 +149,43 @@ def group_base_key(seed: int, epoch: int, pid: int) -> tuple[int, ...]:
     return (seed, rngmod.CANDIDATE_STREAM, epoch, pid)
 
 
-def group_rollout(params_old: dict[str, np.ndarray], ctxs: ContextBatch | list[ContextWindow],
+def decode_clips(params: dict[str, np.ndarray], ctx: ContextBatch, vecs: np.ndarray,
+                 schedule: flowgen.TimestepSchedule, noise: np.ndarray):
+    """Decode noise.shape[1] clips in turn for every row of ctx, row r under
+    prompt vector vecs[r] and clip k from noise[r, k]: one batched
+    sample_clips call per clip, on the summaries of ctx pushed with the
+    clips before it (never with the last). Returns the clips (rows, n_clips,
+    clip_len, frame_dim), those summaries (rows, n_clips, 2 * frame_dim)
+    and the last pushed context."""
+    clips, summaries = [], []
+    for k in range(noise.shape[1]):
+        if k:
+            ctx = ctx.push(clips[-1])
+        summaries.append(ctx.summary())
+        clips.append(flowgen.sample_clips(params, summaries[-1], vecs, schedule, noise[:, k]))
+    return np.stack(clips, axis=1), np.stack(summaries, axis=1), ctx
+
+
+def group_rollout(params_old: dict[str, np.ndarray], ctxs: ContextBatch,
                   prompts: list[flowgen.Prompt], group_size: int,
                   schedule: flowgen.TimestepSchedule, base_keys: list[tuple[int, ...]],
                   n_clips: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode n_clips clips for each of group_size candidates per prompt.
 
-    ctxs holds prompt p's context in row p, as a ContextBatch or a list of
-    ContextWindows. It is repeated group_size times, prompt-major, so every
-    candidate of prompt p starts from p's context; the repeated batch is
-    pushed once per clip before decoding the next (never after the last),
-    each candidate extending its own row, and ctxs is left unchanged. Clip k
-    of every prompt's candidates is decoded together, one batched forward
-    per schedule step; candidate i of prompt p draws only from its own
-    substream keyed by base_keys[p] + (i,), so candidates are independent
-    of each other, of group_size and of the other prompts. Each stream is
-    drawn once, for its whole (n_clips, len(schedule), clip width) budget,
-    and clip k reads its slice k. Returns the clips, a (len(prompts),
-    group_size, n_clips, clip_len, frame_dim) stack, and the context
-    summaries that conditioned them, (len(prompts), group_size, n_clips,
-    2 * frame_dim).
+    ctxs holds prompt p's context in row p. decode_clips decodes from it
+    repeated group_size times, prompt-major, each candidate of prompt p
+    extending its own copy of p's row; ctxs is left unchanged. Candidate i
+    of prompt p draws only from its own substream keyed by base_keys[p] +
+    (i,), so candidates are independent of each other, of group_size and
+    of the other prompts. Each stream is drawn once, for its whole
+    (n_clips, len(schedule), clip width) budget. Returns decode_clips'
+    clips and summaries with their rows split into (len(prompts), group_size).
     """
     if group_size < 2:
         raise ValueError("group_size must be at least 2")
-    if not isinstance(ctxs, ContextBatch):
-        ctxs = ContextBatch.from_windows(ctxs)
     noise = rngmod.normal_blocks([key + (i,) for key in base_keys for i in range(group_size)],
                                  (n_clips, len(schedule), params_old["b3"].shape[1]))
     vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)
-    ctx = ctxs.repeat(group_size)
-    clips, summaries = [], []
-    for k in range(n_clips):
-        if k:
-            ctx = ctx.push(clips[-1])
-        summaries.append(ctx.summary())
-        clips.append(flowgen.sample_clips(params_old, summaries[-1], vecs, schedule, noise[:, k]))
+    clips, summaries, _ = decode_clips(params_old, ctxs.repeat(group_size), vecs, schedule, noise)
     shape = (len(prompts), group_size, n_clips)
-    return (np.stack(clips, axis=1).reshape(*shape, *clips[0].shape[1:]),
-            np.stack(summaries, axis=1).reshape(*shape, -1))
+    return clips.reshape(*shape, *clips.shape[2:]), summaries.reshape(*shape, -1)

@@ -191,12 +191,12 @@ def test_c05_bounded_context_and_rollout_purity():
     params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=16)
     schedule = flowgen.make_schedule((1000.0, 750.0, 500.0, 250.0), 5.0)
     prompt = flowgen.make_prompt(0, np.random.default_rng(7), 4)
-    before_frames = ctx.frames().copy()
-    before_summary = ctx.summary().copy()
-    streamctx.group_rollout(params, [ctx], [prompt], 4, schedule, [(0, 2, 0, 0)], 1)
-    pure = (np.array_equal(ctx.frames(), before_frames)
-            and np.array_equal(ctx.summary(), before_summary)
-            and ctx.frame_count() == 24)
+    # The rollout takes the batch, which holds the same context as ctx.
+    before = (batch.sink.copy(), batch.newest.copy(), batch.summary())
+    streamctx.group_rollout(params, batch, [prompt], 4, schedule, [(0, 2, 0, 0)], 1)
+    pure = (np.array_equal(batch.sink, before[0]) and np.array_equal(batch.newest, before[1])
+            and np.array_equal(batch.summary(), before[2])
+            and (batch.filled, batch.total_generated) == (3, 4000))
 
     ok = bound_ok and final_ok and pure and batch_ok
     report(5, "bounded context and rollout purity", ok,
@@ -314,7 +314,7 @@ def test_c08_detached_history_equals_truncated_graph():
     rng = np.random.default_rng(cfg.seed + 100)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
     run = nftcore.RunState.fresh(cfg, base)
-    schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
+    schedule = flowgen.make_schedule(cfg.raw_timesteps)
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
 
@@ -375,7 +375,7 @@ def test_c10_reference_reset_and_ema_semantics():
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
     run = nftcore.RunState.fresh(cfg, base)
     run.theta_ref = {k: v + 0.05 for k, v in run.theta_ref.items()}
-    schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
+    schedule = flowgen.make_schedule(cfg.raw_timesteps)
     prompt = flowgen.make_prompt(0, arng.substream(cfg.seed, arng.PROMPT_STREAM, 0),
                                  cfg.prompt_dim)
     start_clip, n_clips = longtune.epoch_window(cfg, 0)

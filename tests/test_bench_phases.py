@@ -71,3 +71,15 @@ def test_pretrain_split_times_each_part_of_a_tiny_pretraining(bench_phases, monk
     assert list(split) == list(bench_phases.SPLIT_PARTS)
     assert all(ms > 0.0 for ms in split.values())
     assert (tg.loss_pass, tg.AdamW.step) == (loss_pass, step)
+
+
+def test_src_line_counts_are_wc_l_per_module(bench_phases, tmp_path):
+    # Newlines per .py file under src/, nested packages included; a last
+    # line without a newline is not counted, as `wc -l` does not count it.
+    files = {"pkg/__init__.py": "", "pkg/a.py": "x = 1\ny = 2\n", "pkg/sub/b.py": "z = 3",
+             "pkg/notes.txt": "not python\n", "top.py": "\n\n\n"}
+    for name, text in files.items():
+        (tmp_path / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "src" / name).write_text(text, encoding="utf-8")
+    assert bench_phases.src_line_counts(tmp_path) == {
+        "pkg/__init__.py": 0, "pkg/a.py": 2, "pkg/sub/b.py": 0, "top.py": 3}

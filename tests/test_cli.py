@@ -19,6 +19,7 @@ from astro import cli, flowgen, longtune, nftcore, runio, streamctx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig, save_config
 from test_flowgen import per_step_noise
+from test_runio import rewrite_manifest
 from test_tensorgrad import reference_backward
 
 
@@ -406,7 +407,7 @@ def test_checkpoint_state_roundtrip(tmp_path):
     opt2.step(run2.theta, tg.flatten({k: np.full(v.shape, 1e-3) for k, v in run2.theta.items()}))
     assert opt2.t == optimizer.t + 1
     assert all(np.isfinite(run2.theta[k]).all() for k in run2.theta)
-    nftcore.ema_update(run2.theta_old, run2.theta, cfg.gamma)
+    nftcore.ema_update(run2.theta_old, run2.theta, nftcore.EMA_GAMMA)
     assert not np.array_equal(run2.theta_old.flat, run2.theta_ref.flat)
 
 
@@ -492,6 +493,38 @@ def test_resume_of_a_damaged_checkpoint_is_refused(tmp_path, damage, message):
     runio.save_checkpoint(damaged, arrays, seed=meta["seed"], epoch=meta["epoch"], extra=extra)
     with pytest.raises(ValueError, match=message):
         cli.run_training(tiny_config(epochs=2), tmp_path / "resumed", resume=str(damaged))
+    assert not (tmp_path / "resumed").exists()
+
+
+MISTYPED = [("seed", None), ("seed", [0]), ("seed", 0.9), ("seed", "0"), ("seed", False),
+            ("epoch", None), ("epoch", {}), ("epoch", 2.7), ("epoch", -3),
+            ("extra", None), ("extra", []), ("extra.opt_t", 0.5), ("extra.opt_t", -1),
+            ("extra.last_reset_epoch", 1.5), ("extra.last_reset_epoch", None),
+            ("extra.norm_pids", None), ("extra.norm_pids", [0.5, 1]),
+            ("extra.norm_pids", {"0": 1})]
+# What each field must be, where it is not a non-negative integer.
+MUST_BE = {"extra": "an object", "extra.norm_pids": "a list of non-negative integers"}
+
+
+@pytest.mark.parametrize("field, value", MISTYPED, ids=[f"{f}={v!r}" for f, v in MISTYPED])
+def test_resume_of_a_mistyped_checkpoint_manifest_is_refused(tmp_path, field, value):
+    # A wrongly typed field is refused by name, never cast: int() would
+    # resume seed 0.9 or "0" as seed 0 and epoch 2.7 at epoch 2, and epoch
+    # -3 would make the resume's log truncation drop every line.
+    cfg = tiny_config(epochs=2)
+    base = flowgen.init_net(np.random.default_rng(0), cfg.frame_dim, cfg.clip_len,
+                            cfg.prompt_dim, cfg.hidden)
+    arrays, extra = nftcore.RunState.fresh(cfg, base).to_arrays()
+    path = tmp_path / "checkpoint.bin"
+    runio.save_checkpoint(path, arrays, seed=cfg.seed, epoch=1, extra=extra)
+
+    def edit(manifest):
+        owner = manifest["extra"] if field.startswith("extra.") else manifest
+        owner[field.split(".")[-1]] = value
+    rewrite_manifest(path, edit)
+    must_be = MUST_BE.get(field, "a non-negative integer")
+    with pytest.raises(ValueError, match=re.escape(f"{field} is {value!r}, not {must_be}")):
+        cli.run_training(cfg, tmp_path / "resumed", resume=str(path))
     assert not (tmp_path / "resumed").exists()
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,30 @@ def test_unknown_keys_rejected():
         RunConfig.from_dict({"ema_mode": "epoch", "ema_interval": 8})
 
 
+# Fields that no config ever set to anything but its default, now defaults
+# of the code that reads them, with those defaults.
+DELETED_FIELDS = {"gamma": 0.9, "a_max": 5.0, "shift": 5.0, "adam_beta1": 0.9,
+                  "adam_beta2": 0.999, "adam_eps": 1e-8, "weight_decay": 1e-4,
+                  "pretrain_lr": 3e-3, "pretrain_batch": 16}
+
+
+@pytest.mark.parametrize("name", sorted(DELETED_FIELDS))
+def test_deleted_field_is_an_unknown_key(name):
+    with pytest.raises(ValueError, match=rf"unknown config keys: \['{name}'\]$"):
+        RunConfig.from_dict({name: DELETED_FIELDS[name]})
+
+
+def test_config_file_naming_the_deleted_fields_is_refused(tmp_path):
+    # A config.json as save_config wrote it while RunConfig had 35 fields.
+    old = {**RunConfig().to_dict(), **DELETED_FIELDS}
+    assert len(old) == 35
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    message = f"unknown config keys: {sorted(DELETED_FIELDS)}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        load_config(path)
+
+
 def test_config_file_null_tuple_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"raw_timesteps": null}')
@@ -74,6 +99,9 @@ def test_tuple_coercion():
     ("beta", 0.0),
     ("lambda_kl", -1e-4),
     ("tau_kl", 0.0),
+    # gamma, a_max, shift, adam_beta1, adam_eps, weight_decay and
+    # pretrain_batch are fields no more (test_deleted_field_is_an_unknown_key);
+    # their cases stay, so that the generated ids of later cases stay put.
     ("gamma", 1.0),
     # ema_mode="epoch" was ema_interval = prompts_per_epoch under another
     # name; a config that still names it fails as any unknown key does.

@@ -28,7 +28,7 @@ def make_world(cfg, n_prompts=2):
     rng = np.random.default_rng(cfg.seed + 100)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
     run = nftcore.RunState.fresh(cfg, base)
-    schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
+    schedule = flowgen.make_schedule(cfg.raw_timesteps)
     prompts = [flowgen.make_prompt(i, arng.substream(cfg.seed, arng.PROMPT_STREAM, i),
                                    cfg.prompt_dim)
                for i in range(n_prompts)]
@@ -197,7 +197,7 @@ def test_group_rollout_matches_per_prompt_window_reference():
     prefix, ref_rows, ref_ctx = per_prompt_window_rollout(
         run.theta_old, prompts[0], (0, w), cfg, schedule, 2)
     clips, summaries = streamctx.group_rollout(
-        run.theta_old, [prefix], prompts, g, schedule,
+        run.theta_old, streamctx.ContextBatch.from_windows([prefix]), prompts, g, schedule,
         [streamctx.group_base_key(cfg.seed, 2, prompts[0].pid)], w)
     assert clips.shape == (1, g, w, cfg.clip_len, cfg.frame_dim)
     assert np.array_equal(clips.reshape(g * w, -1), ref_rows)

@@ -33,7 +33,7 @@ def make_world(cfg, n_prompts=2):
     rng = np.random.default_rng(cfg.seed + 100)
     base = flowgen.init_net(rng, cfg.frame_dim, cfg.clip_len, cfg.prompt_dim, cfg.hidden)
     run = nftcore.RunState.fresh(cfg, base)
-    schedule = flowgen.make_schedule(cfg.raw_timesteps, cfg.shift)
+    schedule = flowgen.make_schedule(cfg.raw_timesteps)
     prompts = [flowgen.make_prompt(i, arng.substream(cfg.seed, arng.PROMPT_STREAM, i),
                                    cfg.prompt_dim)
                for i in range(n_prompts)]
@@ -540,8 +540,8 @@ def test_optimize_group_clipped_step_is_bit_exact_against_per_name_reference():
     scaled = {k: g * (cfg.max_grad_norm / norm) for k, g in grads.items()}
     theta_ref = {k: v.copy() for k, v in run.theta.items()}
     m_ref, v_ref = {}, {}
-    reference_adamw_step(theta_ref, scaled, m_ref, v_ref, 1, cfg.lr, cfg.adam_beta1,
-                         cfg.adam_beta2, cfg.adam_eps, cfg.weight_decay)
+    reference_adamw_step(theta_ref, scaled, m_ref, v_ref, 1, cfg.lr, opt.beta1, opt.beta2,
+                         opt.eps, opt.weight_decay)
 
     info = nftcore.optimize_group(run, prepared_inputs(run, scored, cfg, schedule), cfg)
     assert info["grad_norm"] == norm
@@ -635,7 +635,7 @@ def per_group_preparation(run, data, cfg, schedule):
                                    prompt.vec)
         v_old = flowgen.mlp_forward(run.theta_old, x)
         width = x0_rows.shape[1]
-        labels = np.repeat(nftcore.normalize_advantage(adv, cfg.a_max)[row_candidate, None],
+        labels = np.repeat(nftcore.normalize_advantage(adv, nftcore.A_MAX)[row_candidate, None],
                            width, axis=1)
         inputs = {"x": x, "x0": x0_rows, "old_plus": (1.0 - cfg.beta) * v_old,
                   "old_minus": (1.0 + cfg.beta) * v_old, "w": labels, "w_neg": 1.0 - labels}
@@ -902,6 +902,6 @@ def test_epoch_mode_ema_ticks_once_per_epoch():
     for _ in range(2):
         want = tg.flatten(run.theta_old)
         longtune.train_window_epoch(run, prompts, cfg, schedule)
-        nftcore.ema_update(want, run.theta, cfg.gamma)
+        nftcore.ema_update(want, run.theta, nftcore.EMA_GAMMA)
         assert np.array_equal(run.theta_old.flat, want.flat)
     assert run.optimizer.t == 6

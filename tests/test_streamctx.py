@@ -140,18 +140,16 @@ def test_group_rollout_leaves_context_bit_unchanged(n_clips):
     ctx = streamctx.empty_context(frame_dim=8)
     for _ in range(2):
         ctx = streamctx.push_clip(ctx, rng.standard_normal((4, 8)))
-    before_sink = [f.copy() for f in ctx.sink]
-    before_roll = [f.copy() for f in ctx.rolling]
+    batch = streamctx.ContextBatch.from_windows([ctx])
+    before_sink, before_newest = batch.sink.copy(), batch.newest.copy()
 
     (clips,), _ = streamctx.group_rollout(
-        params, [ctx], [prompt], group_size=4, schedule=sched,
+        params, batch, [prompt], group_size=4, schedule=sched,
         base_keys=[streamctx.group_base_key(0, 0, 0)], n_clips=n_clips)
     assert clips.shape == (4, n_clips, 4, 8)
-    assert ctx.total_generated == 8
-    for f_before, f_after in zip(before_sink, ctx.sink):
-        assert np.array_equal(f_before, f_after)
-    for f_before, f_after in zip(before_roll, ctx.rolling):
-        assert np.array_equal(f_before, f_after)
+    assert (batch.filled, batch.total_generated) == (3, 8)
+    assert np.array_equal(batch.sink, before_sink)
+    assert np.array_equal(batch.newest, before_newest)
 
 
 def test_group_rollout_candidates_distinct_and_reproducible():
@@ -159,17 +157,17 @@ def test_group_rollout_candidates_distinct_and_reproducible():
     params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=32)
     sched = flowgen.make_schedule()
     prompt = flowgen.make_prompt(1, arng.substream(0, arng.PROMPT_STREAM, 1))
-    ctx = streamctx.empty_context(frame_dim=8)
+    ctx = streamctx.ContextBatch.from_windows([streamctx.empty_context(frame_dim=8)])
 
     key = streamctx.group_base_key(7, 3, 1)
-    (a,), _ = streamctx.group_rollout(params, [ctx], [prompt], 4, sched, [key], 1)
-    (b,), _ = streamctx.group_rollout(params, [ctx], [prompt], 4, sched, [key], 1)
+    (a,), _ = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key], 1)
+    (b,), _ = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key], 1)
     for ca, cb in zip(a, b):
         assert np.array_equal(ca, cb)
     assert np.any(a[0] != a[1])
 
     (other_epoch,), _ = streamctx.group_rollout(
-        params, [ctx], [prompt], 4, sched, [streamctx.group_base_key(7, 4, 1)], 1)
+        params, ctx, [prompt], 4, sched, [streamctx.group_base_key(7, 4, 1)], 1)
     assert np.any(a[0] != other_epoch[0])
 
 
@@ -178,10 +176,11 @@ def test_group_rollout_candidate_independent_of_group_size():
     params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=32)
     sched = flowgen.make_schedule()
     prompt = flowgen.make_prompt(2, arng.substream(0, arng.PROMPT_STREAM, 2))
-    ctx = streamctx.push_clip(streamctx.empty_context(frame_dim=8), rng.standard_normal((4, 8)))
+    ctx = streamctx.ContextBatch.from_windows([streamctx.push_clip(
+        streamctx.empty_context(frame_dim=8), rng.standard_normal((4, 8)))])
     key = streamctx.group_base_key(1, 5, 2)
-    (four,), _ = streamctx.group_rollout(params, [ctx], [prompt], 4, sched, [key], 1)
-    (eight,), _ = streamctx.group_rollout(params, [ctx], [prompt], 8, sched, [key], 1)
+    (four,), _ = streamctx.group_rollout(params, ctx, [prompt], 4, sched, [key], 1)
+    (eight,), _ = streamctx.group_rollout(params, ctx, [prompt], 8, sched, [key], 1)
     assert np.max(np.abs(four - eight[:4])) <= 1e-12
 
 
@@ -200,7 +199,8 @@ def test_group_rollout_candidate_clip_is_batch_invariant(n_clips):
     first = {}
     for g in (2, 3, 8, 24):
         for p_count in (1, 8):
-            clips, _ = streamctx.group_rollout(params, ctxs[:p_count], prompts[:p_count], g,
+            ctx = streamctx.ContextBatch.from_windows(ctxs[:p_count])
+            clips, _ = streamctx.group_rollout(params, ctx, prompts[:p_count], g,
                                                sched, keys[:p_count], n_clips)
             first[g, p_count] = clips[0, :2]
     ref = first[2, 1]
@@ -215,7 +215,7 @@ def test_group_rollout_rejects_singleton_group():
     prompt = flowgen.make_prompt(0, arng.substream(0, arng.PROMPT_STREAM, 0))
     with pytest.raises(ValueError):
         streamctx.group_rollout(
-            params, [streamctx.empty_context(frame_dim=8)], [prompt], 1,
+            params, streamctx.ContextBatch.empty(1, 3, 8), [prompt], 1,
             flowgen.make_schedule(), [streamctx.group_base_key(0, 0, 0)], 1)
 
 

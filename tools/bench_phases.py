@@ -25,9 +25,9 @@ a move of the *_ref metrics that the yardstick itself made shows: each
 side's median and quartiles and the pairs the change wins. The JSON holds
 these per workload, seed and OPENBLAS_NUM_THREADS, with every run's values
 and numpy, BLAS and thread settings, and a tier-1 run per side with
-pytest's five slowest tests and the side's src/ line count (as `wc -l`
-counts them). An existing --out file is updated, so a second call can add
-a held-out seed or another thread setting.
+pytest's five slowest tests and the side's src/ line counts, in total and
+per module (as `wc -l` counts them). An existing --out file is updated, so
+a second call can add a held-out seed or another thread setting.
 
 Phases come from the run's timings.jsonl. A checkout whose timers predate a
 phase reads 0 for it: before the epoch's inputs were prepared in one pass
@@ -166,8 +166,17 @@ def pretrain_split(cfg) -> dict:
     return {part: 1e3 * statistics.median(times) for part, times in parts.items()}
 
 
+def src_line_counts(checkout: Path) -> dict[str, int]:
+    """Newlines (what `wc -l` counts) of each .py file under checkout/src,
+    by its path relative to src/."""
+    src = checkout / "src"
+    return {path.relative_to(src).as_posix(): path.read_bytes().count(b"\n")
+            for path in sorted(src.rglob("*.py"))}
+
+
 def tier1(checkout: Path) -> dict:
-    """One tier-1 run: pytest's summary line, its five slowest tests and the lines in src/."""
+    """One tier-1 run: pytest's summary line, its five slowest tests and the
+    lines in src/, in total and per module."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
                            "--durations=5", "--continue-on-collection-errors"],
@@ -175,8 +184,9 @@ def tier1(checkout: Path) -> dict:
     lines = proc.stdout.splitlines()
     slowest = [line.strip() for line in lines if re.match(r"\s*[\d.]+s (call|setup)", line)]
     summary = next((line.strip("= ") for line in reversed(lines) if " in " in line), "")
-    src_lines = sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
-    return {"summary": summary, "durations_top5": slowest[:5], "src_lines": src_lines,
+    by_module = src_line_counts(checkout)
+    return {"summary": summary, "durations_top5": slowest[:5],
+            "src_lines": sum(by_module.values()), "src_lines_by_module": by_module,
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
