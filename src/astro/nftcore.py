@@ -87,10 +87,7 @@ class RunState:
         arrays = {prefix + k: v for prefix, params in zip(BUFFER_PREFIXES, buffers)
                   for k, v in params.items()}
         arrays.update({"norm/count": norm.count, "norm/mean": norm.mean, "norm/m2": norm.m2})
-        # "steps" repeats opt_t, which from_arrays reads instead; it stays so
-        # that checkpoint bytes do not change.
-        extra = {"opt_t": opt.t, "steps": opt.t,
-                 "last_reset_epoch": self.last_reset_epoch,
+        extra = {"opt_t": opt.t, "last_reset_epoch": self.last_reset_epoch,
                  "norm_pids": norm.pids.tolist()}
         return arrays, extra
 
@@ -105,9 +102,11 @@ class RunState:
         optimizer's first step (opt_t 0). So is a reward normalizer that is
         not one row per prompt and one column per judge, or whose prompts are
         not in ascending order. So is one that lacks a norm/ array or an extra
-        entry this method reads, or whose entry fails its EXTRA_FIELDS check.
-        Entries it does not read (older checkpoints carry a risk buffer and a
-        rho; steps repeats opt_t) are ignored."""
+        entry this method reads, or whose entry fails its EXTRA_FIELDS check,
+        or whose last_reset_epoch is past its epoch: the staleness reset would
+        then not fire until the run got there. Entries it does not read (older
+        checkpoints carry a risk buffer, a rho and a steps, a copy of opt_t)
+        are ignored."""
         if meta["seed"] != cfg.seed:
             raise ValueError(f"checkpoint was written with seed {meta['seed']}; "
                              f"cannot resume it with seed {cfg.seed}")
@@ -119,6 +118,9 @@ class RunState:
         wrong = runio.wrong_fields(extra, EXTRA_FIELDS, "extra.")
         if wrong:
             raise ValueError(f"checkpoint {'; '.join(wrong)}")
+        if extra["last_reset_epoch"] > meta["epoch"]:
+            raise ValueError(f"checkpoint extra.last_reset_epoch {extra['last_reset_epoch']} "
+                             f"is past its epoch {meta['epoch']}")
         opt_t = extra["opt_t"]
         buffers = [tg.flatten({k[len(prefix):]: a for k, a in arrays.items()
                                if k.startswith(prefix)}) for prefix in BUFFER_PREFIXES]
@@ -497,7 +499,6 @@ def train_epoch(run: RunState, data: GroupData, cfg: RunConfig,
         kl_loss=kl_epoch,
         mask_fraction=float(scored.mask.mean()),
         tau=float(scored.tau.mean()),
-        rho=cfg.rho0,
         grad_norm=float(np.mean([i["grad_norm"] for i in infos])),
         reset=reset,
     )

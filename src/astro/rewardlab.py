@@ -31,7 +31,8 @@ def frame_quality(frame: np.ndarray) -> float:
 
 
 # Each judge scores one clip, (n_frames, frame_dim), or every clip of a
-# stack, (..., n_frames, frame_dim), at once: one score per clip.
+# stack, (..., n_frames, frame_dim), at once: one score per clip, the same
+# bits wherever the clip sits, as every reduction runs along its own axes.
 
 
 def visual_quality(frames: np.ndarray):
@@ -61,23 +62,23 @@ def motion_quality(frames: np.ndarray):
 
 
 def text_alignment(frames: np.ndarray, prompt_vec: np.ndarray):
-    """Cosine between the mean frame (restricted to prompt width) and the prompt."""
+    """Cosine between the mean frame (restricted to prompt width) and the
+    prompt, or a stack of prompts broadcast against the clips' leading axes."""
     prompt_vec = np.asarray(prompt_vec, dtype=np.float64)
-    mean_frame = np.asarray(frames, dtype=np.float64).mean(axis=-2)[..., : len(prompt_vec)]
-    denom = np.linalg.norm(mean_frame, axis=-1) * np.linalg.norm(prompt_vec)
+    mean_frame = np.asarray(frames, dtype=np.float64).mean(axis=-2)[..., : prompt_vec.shape[-1]]
+    denom = np.linalg.norm(mean_frame, axis=-1) * np.linalg.norm(prompt_vec, axis=-1)
     degenerate = denom < 1e-12
-    cos = (mean_frame @ prompt_vec) / np.where(degenerate, 1.0, denom)
+    cos = np.sum(mean_frame * prompt_vec, axis=-1) / np.where(degenerate, 1.0, denom)
     return np.where(degenerate, 0.0, cos)[()]
 
 
 def eval_rewards(clips: np.ndarray, prompts: list[flowgen.Prompt]) -> np.ndarray:
     """Raw (P, group_size, N_MODELS) scores, column order VQ, MQ, TA, of a
-    (P, group_size, n_frames, frame_dim) stack of P groups' clips. Text
-    alignment judges one group at a time: on the whole stack its projection
-    onto the prompts would be reduced in another order."""
-    frames = np.asarray(clips, dtype=np.float64)
-    align = [text_alignment(group, prompt.vec) for group, prompt in zip(frames, prompts)]
-    return np.stack([visual_quality(frames), motion_quality(frames), np.stack(align)], axis=-1)
+    (P, group_size, n_frames, frame_dim) stack of P groups' clips, group p
+    judged against prompts[p]."""
+    frames, vecs = np.asarray(clips, dtype=np.float64), np.stack([p.vec for p in prompts])
+    return np.stack([visual_quality(frames), motion_quality(frames),
+                     text_alignment(frames, vecs[:, None])], axis=-1)
 
 
 @dataclass

@@ -36,7 +36,6 @@ class MetricsRecord:
     kl_loss: float
     mask_fraction: float
     tau: float
-    rho: float
     grad_norm: float
     reset: bool
     window_start: int = 0

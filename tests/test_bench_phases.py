@@ -1,5 +1,5 @@
 """tools/bench_phases.py's pair_summary, which every perf claim's summary
-uses, and its pretraining split.
+uses, its pretraining split and the output digests of a child run.
 
 pair_summary is checked on synthetic pairs: which side a pair's win goes
 to, in the direction BENCHMARK.json gives each metric, and the change of the
@@ -9,13 +9,17 @@ bytecode written next to it.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import importlib
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+from astro import cli
 from astro import tensorgrad as tg
 from test_cli import tiny_config
 
@@ -71,6 +75,21 @@ def test_pretrain_split_times_each_part_of_a_tiny_pretraining(bench_phases, monk
     assert list(split) == list(bench_phases.SPLIT_PARTS)
     assert all(ms > 0.0 for ms in split.values())
     assert (tg.loss_pass, tg.AdamW.step) == (loss_pass, step)
+
+
+def test_child_reports_the_digests_of_its_run_outputs(bench_phases, monkeypatch, tmp_path):
+    # A child run of a tiny workload reports the sha256 of the metrics.jsonl
+    # and checkpoint.bin that a plain run of the same config writes.
+    cfg = tiny_config(pretrain_steps=3)
+    workload = {"config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "seed"}}
+    monkeypatch.setattr(bench_phases, "load_benchmark", lambda: types.SimpleNamespace(
+        WORKLOADS={"tiny": workload}, TUNING={}))
+    monkeypatch.setattr(bench_phases, "SPLIT_STEPS", 5)
+    monkeypatch.setattr(cli, "pretrain_from_config", cli.pretrain_from_config)  # child wraps it
+    report = bench_phases.child(str(ROOT / "src"), "tiny", cfg.seed)
+    assert cli.run_training(cfg, tmp_path)["status"] == "ok"
+    assert report["sha256"] == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                                for name in ("metrics.jsonl", "checkpoint.bin")}
 
 
 def test_src_line_counts_are_wc_l_per_module(bench_phases, tmp_path):

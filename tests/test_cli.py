@@ -356,8 +356,8 @@ def test_export_metrics_command(tmp_path, capsys):
     for e in range(3):
         runio.log_metrics(log, runio.MetricsRecord(
             epoch=e, reward_vq=0.0, reward_mq=0.0, reward_ta=0.0, composite=0.1,
-            policy_loss=0.2, kl_loss=0.0, mask_fraction=0.0, tau=0.0, rho=0.2,
-            grad_norm=0.1, reset=False))
+            policy_loss=0.2, kl_loss=0.0, mask_fraction=0.0, tau=0.0, grad_norm=0.1,
+            reset=False))
     out = tmp_path / "plot.csv"
     rc = cli.main(["export-metrics", "--log", str(log), "--out", str(out)])
     assert rc == 0
@@ -392,7 +392,7 @@ def test_checkpoint_state_roundtrip(tmp_path):
     opt2 = run2.optimizer
 
     assert run2.epoch == 5 and run2.last_reset_epoch == 2
-    assert opt2.t == optimizer.t and extra["steps"] == optimizer.t
+    assert opt2.t == optimizer.t
     for k in run.theta:
         assert np.allclose(run2.theta[k], run.theta[k], atol=1e-6)
     assert run2.normalizer.pids.tolist() == [0] and run2.normalizer.count.tolist() == [8.0]
@@ -458,6 +458,10 @@ def unordered_normalizer_pids(arrays, extra):
     return arrays, dict(extra, norm_pids=extra["norm_pids"][::-1])
 
 
+def reset_past_epoch(arrays, extra):
+    return arrays, dict(extra, last_reset_epoch=99)
+
+
 def lacking(entry):
     """Damage that drops one entry: a norm/ array, or extra.<key> of the extra dict."""
     def damage(arrays, extra):
@@ -476,15 +480,18 @@ READ_ENTRIES = ("norm/count", "norm/mean", "norm/m2", "extra.opt_t", "extra.last
     (two_judge_normalizer, r"norm/mean has shape \(2, 2\);.*imply \(2, 3\)"),
     (short_normalizer_row, r"norm/mean has shape \(1, 3\);.*imply \(2, 3\)"),
     (unordered_normalizer_pids, r"norm_pids \[1, 0\] are not ascending"),
+    (reset_past_epoch, r"extra.last_reset_epoch 99 is past its epoch 1$"),
     *[(lacking(entry), f"checkpoint lacks {re.escape(entry)}$") for entry in READ_ENTRIES],
 ], ids=["no_moments", "short_reference", "two_judge_normalizer", "short_normalizer",
-        "unordered_normalizer", *[f"lacks_{entry}" for entry in READ_ENTRIES]])
+        "unordered_normalizer", "reset_past_epoch", *[f"lacks_{entry}" for entry in READ_ENTRIES]])
 def test_resume_of_a_damaged_checkpoint_is_refused(tmp_path, damage, message):
     # Every buffer of the checkpoint is checked, not only theta: moments
     # missing after optimizer steps would be silently re-zeroed, and a
     # reference or a reward normalizer of the wrong shape, or with its
-    # prompts out of order, would fail mid-epoch or misfile statistics. An
-    # entry missing altogether is named, not a bare KeyError.
+    # prompts out of order, would fail mid-epoch or misfile statistics; a
+    # last reset past the checkpoint's epoch would hold off the staleness
+    # reset until the run got there. An entry missing altogether is named,
+    # not a bare KeyError.
     assert cli.run_training(tiny_config(epochs=1), tmp_path / "first")["status"] == "ok"
     arrays, meta = runio.load_checkpoint(tmp_path / "first" / "checkpoint.bin")
     assert meta["extra"]["opt_t"] == 2
@@ -566,15 +573,15 @@ def test_run_without_a_sink_completes(tmp_path, mode):
 
 def test_resume_ignores_risk_entries_of_older_checkpoints(tmp_path):
     # Older checkpoints also carry a "risk/buffer" array, the last batches
-    # of rank disagreements, and a "rho" extra. Resuming one trains exactly
-    # as resuming the same state without them.
+    # of rank disagreements, and "rho" and "steps" (a copy of opt_t) extras.
+    # Resuming one trains exactly as resuming the same state without them.
     first = tmp_path / "first"
     assert cli.run_training(tiny_config(), first)["status"] == "ok"
     arrays, meta = runio.load_checkpoint(first / "checkpoint.bin")
     arrays["risk/buffer"] = np.random.default_rng(0).standard_normal((4, 4))
     older = tmp_path / "older.bin"
     runio.save_checkpoint(older, arrays, seed=meta["seed"], epoch=meta["epoch"],
-                          extra=dict(meta["extra"], rho=0.2))
+                          extra=dict(meta["extra"], rho=0.2, steps=meta["extra"]["opt_t"]))
     for name, ckpt in (("plain", first / "checkpoint.bin"), ("older", older)):
         (tmp_path / name).mkdir()
         (tmp_path / name / "metrics.jsonl").write_bytes((first / "metrics.jsonl").read_bytes())
@@ -592,22 +599,22 @@ PINNED_TUNING = dict(seed=0, prompts_per_epoch=8, lr=3e-3, noise_mode="fixed",
                      fixed_t=5.0 / 6.0, group_size=8, pretrain_steps=200)
 PINNED_RUNS = {
     "short": (dict(mode="short", epochs=6),
-              "d2e4596d4e83f936c4a14abb18c8308bc1539ecbe46e84e3b54842f7f124c1c2",
-              "0beaa29aba6e79f2594ac368e5e7f93421a0fa0b2bd4a007b0bc7f128ba04e0f"),
+              "07683a007f866a850e6904d1c06e2765aebea5e703faba09edcbcce2b0e6f657",
+              "1cf15e6ba8b15f37b0a3d587fb102a56d858f74179a7eb48204f53926fbdccec"),
     "long": (dict(mode="long", total_clips=8, window_clips=2, epochs=6),
-             "aa398daa791095ce98e2ca4d49d974f13f5bb03b75c5c2120f065db8854acd9a",
-             "d35337fa9d9a1ad28fb898d0b33fa1a68adddd60050ff9e6d75dd30eadd34d9e"),
+             "0cf7c3311253002739435c0d274b887ddb988ee3e6be76c452f63bef6619b4fd",
+             "7be1d0a452dd08474c29f8c334fd36afd6437ac960cf98e5e0957847ef1d2877"),
     "clip": (dict(mode="short", max_grad_norm=1e-3, epochs=4),
-             "30bfada3ada77dab70a4c0d2a93d8628a8fdba2c2325a8130058c02b6b728002",
-             "2aa3b14df79a0c0e27a455d8133be843a4338307ce0ac07af73a531cfe3256c4"),
+             "c961b5ef004ad1d34d22c0c1febd93c271cd30e65ad7383ac0cb62767fb10a9f",
+             "9cdf4a2c6a1f296ef7453ef6b5754ac8056e097b0b55f5425c062f4434881e43"),
     # one EMA tick per epoch: ema_interval = prompts_per_epoch
     "ema_epoch": (dict(mode="short", ema_interval=8, epochs=4),
-                  "6c755bc345f4fd15498413c333ea4ba1cdabaeeb7728956d9200991d10361083",
-                  "803360cead2ac5d187ebb41d648cbea8a3f594b92f5b720c0984db44930f687c"),
+                  "0dbe972aabe23a6d86b713712808b0de7db31272a6c39e072c170a9ed07c2038",
+                  "d7ff6979a0823e954ddd1ae5af7eebb1d16ca0ca50fd53da43aade14ff841801"),
     # the default noise levels, drawn per prompt from the schedule
     "schedule_noise": (dict(mode="short", noise_mode="schedule", epochs=4),
-                       "c36240a587ea09d0097fc3f05d2452fa798eb02c70510cd197c13a4c3d9a135f",
-                       "c2c8eb02443217eb11f23c4fc5cd78e9459d969f7cc742195c169ba178c0181f"),
+                       "c54060e4d973cac51d2d4cf9ff088e6417176748f384d5ecddf1c3964153eb02",
+                       "2794af280fa07a15b61ba9e50fd8a30b9eb7585f2ec7844e605faf86712f8c08"),
 }
 # sha256 of the pretrained base's flat vector under PINNED_TUNING: the bits
 # every pinned run starts from.

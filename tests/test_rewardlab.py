@@ -85,6 +85,37 @@ def test_stacked_judges_match_per_frame_reference():
             assert abs(rewardlab.visual_quality(clip) - row[rewardlab.VQ]) <= row_tol[0]
 
 
+def test_every_judge_scores_a_clip_the_same_wherever_it_sits():
+    # A clip's scores are the same bits whether it is judged alone, in its
+    # group, or in a (P, G) stack of groups, by each judge and by
+    # eval_rewards: its ranks, and so its mask, cannot depend on the batch.
+    rng = np.random.default_rng(28)
+    for n_frames in (1, 2, 3, 4, 7, 8, 19):
+        frame_dim = int(rng.choice([2, 8, 16]))
+        prompt_dim = int(rng.integers(2, frame_dim + 1))
+        n_prompts, g = (int(n) for n in rng.integers(2, 9, size=2))
+        stack = (rng.standard_normal((n_prompts, g, n_frames, frame_dim))
+                 * rng.uniform(0.1, 10.0, size=(n_prompts, g, 1, 1)))
+        prompts = [flowgen.make_prompt(p, arng.substream(0, arng.PROMPT_STREAM, p), prompt_dim)
+                   for p in range(n_prompts)]
+        vecs = np.stack([prompt.vec for prompt in prompts])
+
+        def judged(clips, vec):
+            return np.stack([rewardlab.visual_quality(clips), rewardlab.motion_quality(clips),
+                             rewardlab.text_alignment(clips, vec)], axis=-1)
+        pairs, ev = list(zip(stack, prompts)), rewardlab.eval_rewards
+        alone = np.stack([[judged(clip, prompt.vec) for clip in group] for group, prompt in pairs])
+
+        def same(where, scores):
+            assert np.array_equal(alone, np.asarray(scores)), (n_frames, where)
+        same("group", [judged(group, prompt.vec) for group, prompt in pairs])
+        same("alone, eval_rewards", [[ev([[clip]], [prompt])[0, 0] for clip in group]
+                                     for group, prompt in pairs])
+        same("group, eval_rewards", [ev([group], [prompt])[0] for group, prompt in pairs])
+        same("stack", judged(stack, vecs[:, None]))
+        same("stack, eval_rewards", ev(stack, prompts))
+
+
 def test_motion_quality_constant_speed_is_zero():
     # per-frame coordinate means advancing linearly have zero second difference
     clip = np.outer(np.arange(5.0), np.ones(4))

@@ -16,7 +16,7 @@ def sample_record(epoch=0, **over):
     base = dict(
         epoch=epoch, reward_vq=-0.5, reward_mq=-0.01, reward_ta=0.9,
         composite=0.13, policy_loss=0.25, kl_loss=0.001, mask_fraction=0.125,
-        tau=2.5, rho=0.2, grad_norm=0.7, reset=False)
+        tau=2.5, grad_norm=0.7, reset=False)
     base.update(over)
     return runio.MetricsRecord(**base)
 
@@ -24,7 +24,7 @@ def sample_record(epoch=0, **over):
 def test_record_json_key_order():
     assert list(sample_record().to_json_dict()) == [
         "epoch", "reward_vq", "reward_mq", "reward_ta", "composite", "policy_loss",
-        "kl_loss", "mask_fraction", "tau", "rho", "grad_norm", "reset", "window_start"]
+        "kl_loss", "mask_fraction", "tau", "grad_norm", "reset", "window_start"]
 
 
 def test_log_metrics_line_bytes(tmp_path):
@@ -32,7 +32,7 @@ def test_log_metrics_line_bytes(tmp_path):
     runio.log_metrics(path, sample_record())
     assert path.read_bytes() == (
         b'{"epoch":0,"reward_vq":-0.5,"reward_mq":-0.01,"reward_ta":0.9,"composite":0.13,'
-        b'"policy_loss":0.25,"kl_loss":0.001,"mask_fraction":0.125,"tau":2.5,"rho":0.2,'
+        b'"policy_loss":0.25,"kl_loss":0.001,"mask_fraction":0.125,"tau":2.5,'
         b'"grad_norm":0.7,"reset":false,"window_start":0}\n')
 
 

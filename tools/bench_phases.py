@@ -13,8 +13,10 @@ the phase's wall ms per epoch, the ms of one pretraining step (its
 pretraining's wall time over its steps), and that step split into batch,
 loss forward, backward and AdamW (each part's median over the steps of a
 separate, timer-wrapped pretraining pass; see pretrain_split), the wall
-seconds of `import astro, astro.cli` (import_s), and the process's
-ru_maxrss in MB after that import and after the training run. With
+seconds of `import astro, astro.cli` (import_s), the process's
+ru_maxrss in MB after that import and after the training run, and the
+sha256 of the run's metrics.jsonl and checkpoint.bin; each side lists the
+digests its runs made, one per file when they agree. With
 --pairs N, each workload also gets N alternating pairs of
 `benchmarks/run.py --seconds S`, one process per side, and the summary of
 every end-to-end metric BENCHMARK.json bounds, of the wall-time
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -65,6 +68,8 @@ SPLIT_PARTS = ("batch", "loss_forward", "backward", "adamw")
 SPLIT_STEPS = 400
 # What a child run reports beside its phases, in its JSON line.
 CHILD_COSTS = ("import_s", "maxrss_import_mb", "maxrss_run_mb", "pretrain_step_ms")
+# The run outputs whose sha256 a child run reports: which bytes each side made.
+DIGESTED = ("metrics.jsonl", "checkpoint.bin")
 # Wall-time end-to-end metrics summarized beside the gated ones: benchmarks/run.py
 # bounds only their reference-unit forms, which move when the reference pass,
 # ref_ms, does.
@@ -86,7 +91,8 @@ def maxrss_mb() -> float:
 
 def child(src: str, workload: str, seed: int) -> dict:
     """One training run of a workload on the astro in src: its import cost,
-    peak memory, and phase and pretraining medians."""
+    peak memory, phase and pretraining medians, and the sha256 of each
+    DIGESTED output."""
     sys.path.insert(0, src)
     start = time.perf_counter()
     import astro
@@ -114,11 +120,13 @@ def child(src: str, workload: str, seed: int) -> dict:
         maxrss_run_mb = maxrss_mb()
         timings = Path(out) / "timings.jsonl"
         rows = [json.loads(line) for line in timings.read_text().splitlines()]
+        sha256 = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+                  for name in DIGESTED}
     phases = {p: 1e3 * statistics.median(row.get(p, 0.0) for row in rows) for p in PHASES}
     return {"phases_ms": phases, "import_s": import_s, "maxrss_import_mb": maxrss_import_mb,
             "maxrss_run_mb": maxrss_run_mb,
             "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps,
-            "pretrain_split_ms": pretrain_split(cfg)}
+            "pretrain_split_ms": pretrain_split(cfg), "sha256": sha256}
 
 
 def pretrain_split(cfg) -> dict:
@@ -281,6 +289,8 @@ def main(argv=None) -> int:
                 entry[side]["pretrain_split_ms"] = {
                     part: statistics.median(r["pretrain_split_ms"][part] for r in side_runs)
                     for part in SPLIT_PARTS}
+                entry[side]["sha256"] = {name: sorted({r["sha256"][name] for r in side_runs})
+                                         for name in DIGESTED}
                 entry[side + "_runs"] = side_runs
         if args.pairs:
             entry["benchmark_seconds"] = args.seconds
