@@ -52,8 +52,9 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
     """Full training run rooted at out_dir. Returns a status summary.
 
     Every run removes an earlier abort.json. A fresh run also removes a
-    previous run's logs and checkpoint, so identical seeds produce identical
-    files; resuming drops the logs' lines from the checkpoint's epoch on,
+    previous run's logs and checkpoint before it pretrains, so identical seeds
+    produce identical files and an interrupted run leaves none of them beside
+    its config; resuming drops the logs' lines from the checkpoint's epoch on,
     then appends and continues the epoch numbering from there.
     Each epoch's wall seconds per phase go to timings.jsonl, never to the
     metrics log.
@@ -69,10 +70,10 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
     abort_path.unlink(missing_ok=True)
 
     if run is None:
-        # The base and its loss list are dropped once fresh has copied the base.
-        run = nftcore.RunState.fresh(cfg, pretrain_from_config(cfg, corpus, schedule)[0])
         for path in (metrics_path, timings_path, ckpt_path):
             path.unlink(missing_ok=True)
+        # The base and its loss list are dropped once fresh has copied the base.
+        run = nftcore.RunState.fresh(cfg, pretrain_from_config(cfg, corpus, schedule)[0])
         if echo:
             echo(f"pretrained base for {cfg.pretrain_steps} steps")
     else:
@@ -123,7 +124,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_verify_theory(args) -> int:
-    summary = theoryx.verify_theory(trials=args.trials, seed=args.seed)
+    try:
+        summary = theoryx.verify_theory(trials=args.trials, seed=args.seed)
+    except ValueError as err:
+        print(f"verify-theory: {err}", file=sys.stderr)
+        return 2
     ov = summary["optimal_velocity"]
     print(f"optimal_velocity: {'PASS' if ov['passed'] else 'FAIL'} "
           f"(closed vs numeric {ov['max_closed_vs_numeric']:.2e}, "

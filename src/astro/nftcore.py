@@ -210,7 +210,8 @@ def batch_policy_loss(v_plus, v_minus, x0_rows, w, w_neg):
 
 def selective_kl_loss(v_theta, v_ref, m, scale):
     """Mean over masked candidates of the element-mean squared prediction gap:
-    m is the row mask across the width and scale is 1 / (n_masked * width)."""
+    m is the row mask across the width and scale is 1 / (n_masked * width),
+    or 1 when no row is masked, so that an empty mask gives 0."""
     return ((v_theta - v_ref).square() * m).sum() * scale
 
 
@@ -327,8 +328,9 @@ def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored: ScoredGroup,
                       cfg: RunConfig, ts, eps: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Each group's loss inputs that no optimizer step changes, built in one
     pass over all groups' rows: the network input x at noise level ts[p] and
-    noise eps[p], the clean rows x0, the label weights w and 1 - w and, only
-    with a masked row, v_ref, the mask weights m and 1 / (n_masked * width)."""
+    noise eps[p], the clean rows x0, the label weights w and 1 - w, theta_ref's
+    prediction v_ref, the mask weights m and their scale kl_scale,
+    1 / (n_masked * width), or 1 with no row masked (m is then all zeros)."""
     data = scored.data
     n_prompts, g, n_clips = data.clips.shape[:3]
     rows = g * n_clips
@@ -342,16 +344,11 @@ def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored: ScoredGroup,
     labels = normalize_advantage(scored.advantages, A_MAX)
     w = np.repeat(np.repeat(labels, n_clips, axis=1).reshape(-1, 1), width, axis=1)
     masked = np.repeat(scored.mask, n_clips, axis=1)
-    m = np.repeat(masked.reshape(-1, 1), width, axis=1).astype(np.float64)
-    w_neg = 1.0 - w
-    inputs = []
-    for p in range(n_prompts):
-        part = slice(p * rows, (p + 1) * rows)
-        inputs.append({"x": x[part], "x0": x0[part], "w": w[part], "w_neg": w_neg[part]})
-        if masked[p].any():
-            inputs[-1].update(v_ref=v_ref[part], m=m[part],
-                              kl_scale=np.asarray(1.0 / float(masked[p].sum() * width)))
-    return inputs
+    arrays = {"x": x, "x0": x0, "w": w, "w_neg": 1.0 - w, "v_ref": v_ref,
+              "m": np.repeat(masked.reshape(-1, 1), width, axis=1).astype(np.float64)}
+    kl_scale = 1.0 / np.maximum(masked.sum(axis=1) * width, 1)
+    return [{**{name: a[p * rows:(p + 1) * rows] for name, a in arrays.items()},
+             "kl_scale": np.asarray(kl_scale[p])} for p in range(n_prompts)]
 
 
 def step_inputs(fixed: dict[str, np.ndarray], theta_old: dict[str, np.ndarray],
@@ -365,15 +362,13 @@ def group_loss_graph(graph: tg.GradGraph, theta: tg.FlatParams, inputs: dict[str
                      cfg: RunConfig):
     """One group's loss on graph over theta and step_inputs' arrays, each a
     declared input; the branches are implicit_policies' with their
-    behavior terms as inputs. Returns (loss, policy term, KL term), or with
-    no row masked (policy term, policy term): the KL term is then 0."""
+    behavior terms as inputs. Returns (loss, policy term, KL term); with no
+    row masked, the KL term is 0 and the loss the policy term."""
     c = {name: graph.input(name, value) for name, value in inputs.items() if name != "x"}
     v_theta = flowgen.mlp_forward(theta, inputs["x"], graph)
     v_plus = c["old_plus"] + cfg.beta * v_theta
     v_minus = c["old_minus"] - cfg.beta * v_theta
     pol = batch_policy_loss(v_plus, v_minus, c["x0"], c["w"], c["w_neg"])
-    if "m" not in c:
-        return pol, pol
     kl = selective_kl_loss(v_theta, c["v_ref"], c["m"], c["kl_scale"])
     return total_loss(pol, kl, cfg.lambda_kl), pol, kl
 
@@ -389,7 +384,7 @@ def build_group_loss(run: RunState, scored: ScoredGroup, cfg: RunConfig,
     graph = tg.GradGraph()
     outputs = group_loss_graph(graph, run.theta, step_inputs(fixed, run.theta_old, cfg), cfg)
     values = [float(node.value) for node in outputs]
-    info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0,
+    info = {"policy_loss": values[1], "kl_loss": values[2],
             "masked": int(scored.mask.sum()) * scored.data.clips.shape[2],
             "graph_nodes": len(graph)}
     return graph, outputs[0], info
@@ -409,7 +404,7 @@ def optimize_group(run: RunState, fixed: dict[str, np.ndarray], cfg: RunConfig) 
     since = lap("loss_forward", since)
     grads = finish(run.grads)
     since = lap("backward", since)
-    info = {"policy_loss": values[1], "kl_loss": values[2] if len(values) > 2 else 0.0}
+    info = {"policy_loss": values[1], "kl_loss": values[2]}
     info["grad_norm"] = tg.clip_global_norm(grads, cfg.max_grad_norm)
     since = lap("clip", since)
     run.optimizer.step(run.theta, grads)

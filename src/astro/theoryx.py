@@ -235,7 +235,10 @@ def reward_lower_bound_check(inst: BoundInstance) -> tuple[float, float, bool]:
 
 
 def verify_theory(trials: int = 100, seed: int = 0) -> dict:
-    """Run every check family; returns per-family pass/fail with diagnostics."""
+    """Run every check family; returns per-family pass/fail with diagnostics.
+    Fewer than one trial would check no guidance instance, so it is refused."""
+    if trials < 1:
+        raise ValueError(f"verify_theory needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     betas = (0.1, 0.5, 1.0, 2.0)
 

@@ -326,6 +326,23 @@ def test_fresh_run_leaves_nothing_of_the_previous_run(tmp_path):
     assert [r["epoch"] for r in runio.read_metrics(out_dir / "metrics.jsonl")] == [2]
 
 
+def test_interrupted_fresh_run_leaves_nothing_of_the_previous_run(tmp_path, monkeypatch):
+    # A fresh run removes the previous run's logs and checkpoint before it
+    # pretrains, so one interrupted there leaves only its own config, and no
+    # earlier checkpoint beside it to be resumed by mistake.
+    out_dir = tmp_path / "run"
+    assert cli.run_training(tiny_config(), out_dir)["status"] == "ok"
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "pretrain_from_config", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.run_training(tiny_config(lr=2e-3), out_dir)
+    assert sorted(path.name for path in out_dir.iterdir()) == ["config.json"]
+    assert json.loads((out_dir / "config.json").read_text())["lr"] == 2e-3
+
+
 def test_zero_epochs_writes_checkpoint_only(tmp_path):
     cfg_path = write_config(tmp_path, tiny_config(epochs=0))
     out_dir = tmp_path / "run"
@@ -349,6 +366,14 @@ def test_verify_theory_command(capsys):
     assert "optimal_velocity: PASS" in out
     assert "pinsker: PASS" in out
     assert "reward_lower_bound: PASS" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_theory_command_refuses_fewer_than_one_trial(capsys, trials):
+    # A check family that ran no instance reports no pass.
+    assert cli.main(["verify-theory", "--trials", trials]) != 0
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and f"got {trials}" in err
 
 
 def test_export_metrics_command(tmp_path, capsys):

@@ -224,21 +224,24 @@ def test_selective_kl_only_masked_rows_count():
 
 
 def test_selective_kl_empty_mask_is_plain_zero():
-    # No masked row: the group's loss has no KL term or input at all, and
-    # its KL value is plain 0.0.
+    # No masked row: the group's loss reads the inputs a masked group's
+    # reads, with m all zeros and scale 1, and its KL value is plain 0.0, so
+    # the loss is its policy term bit for bit.
     cfg = small_config(lambda_kl=0.05)
     rng = np.random.default_rng(7)
     run = make_world(cfg)[0]
     scored = synthetic_scored_group(cfg, rng)
     scored.mask[:] = False
     eps = rng.standard_normal(scored.data.clips.shape[1:])
-    inputs = one_group_inputs(run, scored, cfg, 0.8, eps)
-    assert sorted(inputs) == ["old_minus", "old_plus", "w", "w_neg", "x", "x0"]
+    empty = one_group_inputs(run, scored, cfg, 0.8, eps)
+    assert not empty["m"].any() and empty["kl_scale"] == 1.0
     graph, loss, info = nftcore.build_group_loss(run, scored, cfg, 0.8, eps)
     assert info["kl_loss"] == 0.0 and info["masked"] == 0
-    assert float(loss.value) == info["policy_loss"]
+    assert np.asarray(loss.value).tobytes() == np.float64(info["policy_loss"]).tobytes()
     scored.mask[0, 1] = True
     inputs = one_group_inputs(run, scored, cfg, 0.8, eps)
+    assert sorted(empty) == sorted(inputs) == ["kl_scale", "m", "old_minus", "old_plus",
+                                               "v_ref", "w", "w_neg", "x", "x0"]
     m, scale = kl_weights(scored.mask[0], inputs["x0"].shape[1])
     assert np.array_equal(inputs["m"], m) and inputs["kl_scale"] == scale
     assert np.array_equal(inputs["w_neg"], 1.0 - inputs["w"])
@@ -640,10 +643,9 @@ def per_group_preparation(run, data, cfg, schedule):
         inputs = {"x": x, "x0": x0_rows, "old_plus": (1.0 - cfg.beta) * v_old,
                   "old_minus": (1.0 + cfg.beta) * v_old, "w": labels, "w_neg": 1.0 - labels}
         rows_masked = mask[row_candidate]
-        if rows_masked.any():
-            inputs.update(v_ref=flowgen.mlp_forward(run.theta_ref, x),
-                          m=np.repeat(rows_masked[:, None], width, axis=1).astype(np.float64),
-                          kl_scale=np.asarray(1.0 / float(rows_masked.sum() * width)))
+        inputs.update(v_ref=flowgen.mlp_forward(run.theta_ref, x),
+                      m=np.repeat(rows_masked[:, None], width, axis=1).astype(np.float64),
+                      kl_scale=np.asarray(1.0 / float(max(rows_masked.sum() * width, 1))))
         out.append((raw, adv, mask, tau, inputs))
     return out
 
@@ -673,6 +675,21 @@ def test_prepared_epoch_matches_per_group_reference_bit_for_bit(source):
         for name, value in inputs.items():
             assert np.array_equal(step[name], value), name
     assert run.optimizer.t == 0 and len(run.tapes) == 0
+
+
+def test_masked_and_unmasked_groups_share_one_tape():
+    # A group with no masked row reads the same inputs, of the same shapes,
+    # as a masked one, so an epoch of both records one loss tape.
+    cfg = small_config(group_size=6, window_clips=2, total_clips=2, lambda_kl=0.05, rho0=0.5)
+    run, schedule, prompts = make_world(cfg, n_prompts=3)
+    rng = np.random.default_rng(19)
+    run.theta_old.flat += 0.05 * rng.standard_normal(run.theta.flat.shape)
+    run.theta_ref.flat -= 0.05 * rng.standard_normal(run.theta.flat.shape)
+    data = window_groups(cfg, prompts, rng)
+    mask = nftcore.score_groups(data, cfg, rewardlab.RewardNormalizer()).mask
+    assert mask.any(axis=1).tolist() == [True, False, True]
+    nftcore.train_epoch(run, data, cfg, schedule)
+    assert run.optimizer.t == 3 and len(run.tapes) == 1
 
 
 @pytest.mark.parametrize("mode", ["short", "long"])

@@ -378,7 +378,8 @@ def one_group_inputs(run, scored, cfg, t, eps):
 
 def group_case(masked: bool, seed: int = 21):
     """build_group_loss's pieces at generator scale on a synthetic G=8 group:
-    (theta, inputs, build). With masked=False the KL term is absent."""
+    (theta, inputs, build). With masked=False no row is masked and the KL
+    term is 0."""
     cfg = RunConfig(lambda_kl=0.05)
     rng = np.random.default_rng(seed)
     run = nftcore.RunState.fresh(cfg, generator_net())
@@ -443,10 +444,9 @@ def build_case(case: str, seed: int | None = None):
     return graph, outputs[0], outputs
 
 
-def group_loss(masked: bool):
-    graph, loss, outputs = build_case("group_masked" if masked else "group_unmasked")
-    assert len(outputs) == (3 if masked else 2)
-    assert len(graph) == (34 if masked else 27)
+def group_loss():
+    graph, loss, outputs = build_case("group_masked")
+    assert len(outputs) == 3 and len(graph) == 34
     return graph, loss
 
 
@@ -631,7 +631,7 @@ def test_no_adjoint_is_formed_for_a_detached_operand(monkeypatch):
             calls.append((op, list(needs), result))
             return result
         monkeypatch.setitem(tg.PRIMITIVES, op, (forward, recorded, saturates))
-    graph, loss = group_loss(True)
+    graph, loss = group_loss()
     tg.backward(graph, loss)
     walked = [node for node in reversed(graph.nodes) if node.op != "param"]
     assert [op for op, _, _ in calls] == [node.op for node in walked]

@@ -189,6 +189,12 @@ def test_verify_theory_passes():
     assert report["reward_lower_bound"]["passed"]
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_theory_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match=f"got {trials}$"):
+        theoryx.verify_theory(trials=trials)
+
+
 def test_verify_theory_deterministic():
     a = theoryx.verify_theory(trials=5, seed=3)
     b = theoryx.verify_theory(trials=5, seed=3)
