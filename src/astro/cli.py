@@ -109,17 +109,22 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    data = cfg.to_dict()
-    if args.mode:
-        data["mode"] = args.mode
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.paper_scale:
-        data["group_size"] = PAPER_SCALE_GROUP
-    cfg = RunConfig.from_dict(data)
-    out_dir = resolve_out_dir(cfg, args.out)
-    summary = run_training(cfg, out_dir, resume=args.resume, echo=print)
+    """Exit 0 on success, 3 on an aborted epoch, and 2, with one line on
+    stderr, on a config, checkpoint or file that run_training cannot use."""
+    try:
+        data = load_config(args.config).to_dict()
+        if args.mode:
+            data["mode"] = args.mode
+        if args.seed is not None:
+            data["seed"] = args.seed
+        if args.paper_scale:
+            data["group_size"] = PAPER_SCALE_GROUP
+        cfg = RunConfig.from_dict(data)
+        summary = run_training(cfg, resolve_out_dir(cfg, args.out), resume=args.resume,
+                               echo=print)
+    except (ValueError, OSError) as err:
+        print(f"train: {err}", file=sys.stderr)
+        return 2
     return 0 if summary["status"] == "ok" else 3
 
 

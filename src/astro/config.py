@@ -1,7 +1,8 @@
-"""Run configuration: one flat record, strict validation, JSON in and out.
+"""Run configuration: one flat, frozen record, strict validation, JSON in and out.
 
-Unknown keys in a config file are rejected rather than ignored; a typo in a
-hyperparameter name should fail loudly, not silently train the default.
+validate is the one place a hyperparameter's range is checked. Unknown keys
+are rejected rather than ignored; a typo in a hyperparameter name should
+fail loudly, not silently train the default.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ ADVANTAGE_SOURCES = ("composite", "primary")
 NOISE_MODES = ("schedule", "fixed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     mode: str = "short"
@@ -63,8 +64,8 @@ class RunConfig:
 
     def __post_init__(self):
         self.validate()
-        self.reward_weights = tuple(float(w) for w in self.reward_weights)
-        self.raw_timesteps = tuple(float(t) for t in self.raw_timesteps)
+        object.__setattr__(self, "reward_weights", tuple(float(w) for w in self.reward_weights))
+        object.__setattr__(self, "raw_timesteps", tuple(float(t) for t in self.raw_timesteps))
 
     def validate(self) -> None:
         def require(cond: bool, msg: str):

@@ -21,7 +21,7 @@ from . import tensorgrad as tg
 from .tensorgrad import NonFiniteError
 
 RAW_TIMESTEPS = (1000.0, 750.0, 500.0, 250.0)
-DEFAULT_SHIFT = 5.0
+SHIFT = 5.0  # the horizon-shift warp of every schedule (shift_timestep)
 ANGULAR_STEP = 2.0 * math.pi / 16.0
 RADIUS = 1.0
 TIME_FEATURES = 4
@@ -49,9 +49,7 @@ class Prompt:
 
 
 def make_prompt(pid: int, rng: np.random.Generator, prompt_dim: int = 4) -> Prompt:
-    """Unit-norm embedding whose first two coordinates carry the phase at fixed scale."""
-    if prompt_dim < 2:
-        raise ValueError("prompt_dim must be at least 2")
+    """Unit-norm embedding, prompt_dim >= 2, whose first two coordinates carry the phase."""
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     head = np.array([math.cos(phase), math.sin(phase)])
     if prompt_dim == 2:
@@ -130,12 +128,11 @@ class TimestepSchedule:
         return len(self.values)
 
 
-def make_schedule(raw_steps=RAW_TIMESTEPS, shift: float = DEFAULT_SHIFT) -> TimestepSchedule:
+def make_schedule(raw_steps=RAW_TIMESTEPS) -> TimestepSchedule:
+    """Each raw step over the first, warped by shift_timestep at SHIFT."""
     raw = [float(r) for r in raw_steps]
-    if any(r <= 0 for r in raw):
-        raise ValueError("raw steps must be positive")
     top = raw[0]
-    return TimestepSchedule(values=tuple(shift_timestep(r / top, shift) for r in raw))
+    return TimestepSchedule(values=tuple(shift_timestep(r / top, SHIFT) for r in raw))
 
 
 def forward_path(x0: np.ndarray, eps: np.ndarray, t) -> np.ndarray:
@@ -395,14 +392,14 @@ def regression_loss(graph: tg.GradGraph, params: dict[str, np.ndarray],
 
 
 def evaluate_base(params: dict[str, np.ndarray], corpus: TrajectoryCorpus,
-                  rng: np.random.Generator, n_samples: int = 256,
-                  schedule: TimestepSchedule | None = None) -> float:
-    """Held-out per-element MSE of clean-clip prediction, averaged over noise levels."""
-    schedule = schedule or make_schedule()
+                  rng: np.random.Generator, n_samples: int = 256) -> float:
+    """Held-out per-element MSE of clean-clip prediction, averaged over the
+    default schedule's noise levels."""
+    levels = make_schedule().values
     x0, ctx, pv = corpus.sample_batch(rng, n_samples)
     total = 0.0
-    for t in schedule.values:
+    for t in levels:
         eps = rng.standard_normal(x0.shape)
         pred = predict_clean_batch(params, forward_path(x0, eps, t), t, ctx, pv)
         total += float(np.mean((pred - x0) ** 2))
-    return total / len(schedule.values)
+    return total / len(levels)

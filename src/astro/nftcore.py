@@ -156,16 +156,13 @@ class RunState:
 def compute_advantages(rewards: np.ndarray) -> np.ndarray:
     """Group-centered rewards along the last axis; each group sums to zero."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.ndim < 1 or rewards.shape[-1] < 2:
-        raise ValueError("need groups of at least two rewards")
     return rewards - rewards.mean(axis=-1, keepdims=True)
 
 
-def normalize_advantage(adv, a_max: float):
-    """Map advantages into soft labels in [0, 1]; zero advantage lands on 0.5."""
-    if a_max <= 0:
-        raise ValueError("a_max must be positive")
-    return np.clip(np.asarray(adv, dtype=np.float64) / a_max, -1.0, 1.0) / 2.0 + 0.5
+def normalize_advantage(adv):
+    """Map advantages into soft labels in [0, 1], saturating at +/-A_MAX;
+    zero advantage lands on 0.5."""
+    return np.clip(np.asarray(adv, dtype=np.float64) / A_MAX, -1.0, 1.0) / 2.0 + 0.5
 
 
 # --- implicit policies and losses ---
@@ -216,8 +213,6 @@ def selective_kl_loss(v_theta, v_ref, m, scale):
 
 
 def total_loss(policy, kl, lambda_kl: float):
-    if lambda_kl < 0:
-        raise ValueError("lambda_kl must be nonnegative")
     return policy + lambda_kl * kl
 
 
@@ -325,7 +320,7 @@ def draw_noise(cfg: RunConfig, schedule: flowgen.TimestepSchedule, epoch: int,
 
 
 def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored: ScoredGroup,
-                      cfg: RunConfig, ts, eps: np.ndarray) -> list[dict[str, np.ndarray]]:
+                      ts, eps: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Each group's loss inputs that no optimizer step changes, built in one
     pass over all groups' rows: the network input x at noise level ts[p] and
     noise eps[p], the clean rows x0, the label weights w and 1 - w, theta_ref's
@@ -341,7 +336,7 @@ def epoch_loss_inputs(theta_ref: dict[str, np.ndarray], scored: ScoredGroup,
                                data.summaries.reshape(len(x0), -1),
                                np.repeat(np.stack([p.vec for p in data.prompts]), rows, axis=0))
     v_ref = flowgen.mlp_forward(theta_ref, x)
-    labels = normalize_advantage(scored.advantages, A_MAX)
+    labels = normalize_advantage(scored.advantages)
     w = np.repeat(np.repeat(labels, n_clips, axis=1).reshape(-1, 1), width, axis=1)
     masked = np.repeat(scored.mask, n_clips, axis=1)
     arrays = {"x": x, "x0": x0, "w": w, "w_neg": 1.0 - w, "v_ref": v_ref,
@@ -380,7 +375,7 @@ def build_group_loss(run: RunState, scored: ScoredGroup, cfg: RunConfig,
     Only theta lives on the graph; everything else enters as a declared
     input, built for this one-prompt group as prepare_epoch builds it for all.
     """
-    fixed = epoch_loss_inputs(run.theta_ref, scored, cfg, [t], eps[None])[0]
+    fixed = epoch_loss_inputs(run.theta_ref, scored, [t], eps[None])[0]
     graph = tg.GradGraph()
     outputs = group_loss_graph(graph, run.theta, step_inputs(fixed, run.theta_old, cfg), cfg)
     values = [float(node.value) for node in outputs]
@@ -452,7 +447,7 @@ def prepare_epoch(run: RunState, data: GroupData, cfg: RunConfig,
     since = run.timings.lap("judges", since)
     ts, eps = draw_noise(cfg, schedule, epoch, data)
     with abort_on_nonfinite(epoch, data.prompts, math.prod(data.clips.shape[1:3])):
-        inputs = epoch_loss_inputs(run.theta_ref, scored, cfg, ts, eps)
+        inputs = epoch_loss_inputs(run.theta_ref, scored, ts, eps)
     run.timings.lap("loss_inputs", since)
     return scored, inputs
 

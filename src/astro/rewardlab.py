@@ -131,13 +131,10 @@ class RewardNormalizer:
 
 
 def aggregate_composite(standardized: np.ndarray, weights) -> np.ndarray:
-    """Convex combination of standardized judge scores; rows in, scalars out."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (N_MODELS,):
-        raise ValueError(f"need exactly {N_MODELS} weights")
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    return np.atleast_2d(standardized) @ weights
+    """Convex combination of standardized judge scores by a config's
+    reward_weights (one per judge, nonnegative, summing to 1); rows in,
+    scalars out."""
+    return np.atleast_2d(standardized) @ np.asarray(weights, dtype=np.float64)
 
 
 def rank_samples(scores: np.ndarray) -> np.ndarray:
@@ -154,8 +151,6 @@ def rank_disagreement(primary_ranks: np.ndarray, aux_ranks: list[np.ndarray]) ->
     Positive means the primary judge likes the candidate less than the
     others do; large positive values flag unreliable reward estimates.
     """
-    if len(aux_ranks) == 0:
-        raise ValueError("need at least one auxiliary ranking")
     aux = np.stack([np.asarray(r, dtype=np.float64) for r in aux_ranks])
     return np.asarray(primary_ranks, dtype=np.float64) - aux.mean(axis=0)
 
@@ -163,12 +158,10 @@ def rank_disagreement(primary_ranks: np.ndarray, aux_ranks: list[np.ndarray]) ->
 def uncertainty_mask(delta: np.ndarray, rho: float) -> tuple[float, np.ndarray]:
     """Threshold tau at the 100*(1-rho) percentile of nonnegative disagreements.
 
-    Returns (tau, mask) with mask[i] = delta[i] > tau. A group's rank
-    disagreements sum to 0, so one of them is always nonnegative; a delta
-    with none raises ValueError.
+    Returns (tau, mask) with mask[i] = delta[i] > tau, rho being a config's
+    rho0, in (0, 1]. A group's rank disagreements sum to 0, so one of them
+    is always nonnegative; a delta with none raises ValueError.
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must lie in (0, 1]")
     delta = np.asarray(delta, dtype=np.float64)
     nonneg = sorted(delta[delta >= 0.0].tolist())
     if not nonneg:

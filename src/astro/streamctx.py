@@ -181,8 +181,6 @@ def group_rollout(params_old: dict[str, np.ndarray], ctxs: ContextBatch,
     (n_clips, len(schedule), clip width) budget. Returns decode_clips'
     clips and summaries with their rows split into (len(prompts), group_size).
     """
-    if group_size < 2:
-        raise ValueError("group_size must be at least 2")
     noise = rngmod.normal_blocks([key + (i,) for key in base_keys for i in range(group_size)],
                                  (n_clips, len(schedule), params_old["b3"].shape[1]))
     vecs = np.repeat(np.stack([p.vec for p in prompts]), group_size, axis=0)

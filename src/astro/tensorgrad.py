@@ -469,9 +469,7 @@ def global_norm(grads: FlatParams) -> float:
 
 def clip_global_norm(grads: FlatParams, max_norm: float) -> float:
     """Scale grads in place by max_norm/norm when their joint L2 norm exceeds
-    max_norm; below it they are left untouched. Returns the pre-clip norm."""
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
+    max_norm (> 0); below it they are left untouched. Returns the pre-clip norm."""
     norm = global_norm(grads)
     if norm > max_norm:
         grads.flat *= max_norm / norm

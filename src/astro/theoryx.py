@@ -41,11 +41,11 @@ class GuidanceInstance:
             raise ValueError("beta must be positive")
 
 
-def make_guidance_instance(rng: np.random.Generator, beta: float, dim: int = 6,
-                           n_samples: int = 32,
+def make_guidance_instance(rng: np.random.Generator, beta: float,
                            alpha_range: tuple[float, float] = (0.05, 0.9)) -> GuidanceInstance:
-    """Random soft labeling of a random sample set; the mixture identity is
-    then an algebraic consequence, not an imposed constraint."""
+    """Random soft labeling of 32 random samples in 6 dimensions; the mixture
+    identity is then an algebraic consequence, not an imposed constraint."""
+    n_samples, dim = 32, 6
     lo, hi = alpha_range
     target = rng.uniform(lo + 1e-3, hi - 1e-3)
     centered = rng.uniform(0.0, 1.0, size=n_samples)
@@ -83,8 +83,8 @@ def guidance_objective(u: np.ndarray, inst: GuidanceInstance) -> float:
     return float(np.dot(pull, pull) + inst.beta * np.dot(push, push))
 
 
-def optimal_velocity_numeric(inst: GuidanceInstance, bracket: float = 50.0) -> np.ndarray:
-    """Independent minimizer: bounded scalar search along the shift direction.
+def optimal_velocity_numeric(inst: GuidanceInstance) -> np.ndarray:
+    """Independent minimizer: bounded scalar search, over [-50, 50], along the shift direction.
 
     The objective is a quadratic whose minimizer lies on the line
     v_old + c*(v_plus - v_old); the search recovers c without using the
@@ -98,7 +98,7 @@ def optimal_velocity_numeric(inst: GuidanceInstance, bracket: float = 50.0) -> n
     def along(c: float) -> float:
         return guidance_objective(c * delta_plus, inst)
 
-    res = optimize.minimize_scalar(along, bounds=(-bracket, bracket), method="bounded",
+    res = optimize.minimize_scalar(along, bounds=(-50.0, 50.0), method="bounded",
                                    options={"xatol": 1e-12})
     return inst.v_old + float(res.x) * delta_plus
 
@@ -130,9 +130,9 @@ def validate_dist(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def random_dist(rng: np.random.Generator, n: int, floor: float = 1e-4) -> np.ndarray:
-    """Dirichlet draw with a small mass floor so supports fully overlap."""
-    p = rng.dirichlet(np.ones(n)) + floor
+def random_dist(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Dirichlet draw with a mass floor of 1e-4 so supports fully overlap."""
+    p = rng.dirichlet(np.ones(n)) + 1e-4
     return p / p.sum()
 
 
@@ -176,8 +176,9 @@ class BoundInstance:
     eps_risk: float
 
 
-def make_bound_instance(rng: np.random.Generator, n: int, r_max: float = 1.0,
-                        eps_safe: float = 0.05, eps_risk: float = 0.5) -> BoundInstance:
+def make_bound_instance(rng: np.random.Generator, n: int) -> BoundInstance:
+    """A random instance on n outcomes with r_max 1, eps_safe 0.05 and eps_risk 0.5."""
+    r_max, eps_safe, eps_risk = 1.0, 0.05, 0.5
     pi_theta = random_dist(rng, n)
     pi_ref = random_dist(rng, n)
     risky = np.zeros(n, dtype=bool)

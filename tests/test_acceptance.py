@@ -149,10 +149,9 @@ def test_c04_normalization_invariants():
         rewards = rng.normal(0.0, 3.0, size=n)
         adv = nftcore.compute_advantages(rewards)
         worst_sum = max(worst_sum, abs(float(adv.sum())))
-        lab = nftcore.normalize_advantage(adv, 5.0)
+        lab = nftcore.normalize_advantage(adv)
         labels_ok = labels_ok and bool(np.all((lab >= 0.0) & (lab <= 1.0)))
-    flat = nftcore.normalize_advantage(
-        nftcore.compute_advantages(np.full(8, 2.72)), 5.0)
+    flat = nftcore.normalize_advantage(nftcore.compute_advantages(np.full(8, 2.72)))
     flat_ok = bool(np.all(flat == 0.5))
 
     worst_mid = 0.0
@@ -189,7 +188,7 @@ def test_c05_bounded_context_and_rollout_purity():
     final_ok = ctx.frame_count() == 24
 
     params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=16)
-    schedule = flowgen.make_schedule((1000.0, 750.0, 500.0, 250.0), 5.0)
+    schedule = flowgen.make_schedule((1000.0, 750.0, 500.0, 250.0))
     prompt = flowgen.make_prompt(0, np.random.default_rng(7), 4)
     # The rollout takes the batch, which holds the same context as ctx.
     before = (batch.sink.copy(), batch.newest.copy(), batch.summary())

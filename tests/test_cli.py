@@ -436,31 +436,64 @@ def test_checkpoint_state_roundtrip(tmp_path):
     assert not np.array_equal(run2.theta_old.flat, run2.theta_ref.flat)
 
 
-def test_resume_under_another_seed_is_refused(tmp_path):
+def test_resume_under_another_seed_is_refused(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_config(seed=0))
     out_dir = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     config_before = (out_dir / "config.json").read_bytes()
-    with pytest.raises(ValueError, match="seed 0.*seed 5"):
-        cli.main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "5",
-                  "--resume", str(out_dir / "checkpoint.bin")])
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "5",
+                     "--resume", str(out_dir / "checkpoint.bin")]) == 2
+    assert re.fullmatch(r"train: checkpoint was written with seed 0.*seed 5.*\n",
+                        capsys.readouterr().err)
     # Nothing of the first run was overwritten.
     assert (out_dir / "config.json").read_bytes() == config_before
     _, meta = runio.load_checkpoint(out_dir / "checkpoint.bin")
     assert meta["seed"] == 0
 
 
-def test_resume_under_another_network_shape_is_refused(tmp_path):
+def test_resume_under_another_network_shape_is_refused(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_config(hidden=16))
     out_dir = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
     before = {p: p.read_bytes() for p in out_dir.iterdir()}
     wider_path = write_config(tmp_path, tiny_config(hidden=32, epochs=4), name="wider.json")
-    with pytest.raises(ValueError, match=r"'w1' has shape \(24, 16\).*\(24, 32\)"):
-        cli.main(["train", "--config", str(wider_path), "--out", str(out_dir),
-                  "--resume", str(out_dir / "checkpoint.bin")])
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(wider_path), "--out", str(out_dir),
+                     "--resume", str(out_dir / "checkpoint.bin")]) == 2
+    assert re.fullmatch(r"train: checkpoint .*'w1' has shape \(24, 16\).*\(24, 32\).*\n",
+                        capsys.readouterr().err)
     # Nothing under out_dir was written.
     assert {p: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+TINY_CONFIG = json.dumps(tiny_config().to_dict())
+
+
+@pytest.mark.parametrize("config_text,extra,message", [
+    pytest.param(None, [], "No such file", id="missing-config"),
+    pytest.param('{"seed": 0,', [], "Expecting", id="config-not-json"),
+    pytest.param('{"lrr": 1}', [], "unknown config keys: ['lrr']", id="unknown-key"),
+    pytest.param('{"group_size": 1}', [], "group_size must be at least 2", id="invalid-value"),
+    pytest.param(TINY_CONFIG, ["--seed", "-1"], "seed must be nonnegative", id="negative-seed"),
+    pytest.param(TINY_CONFIG, ["--resume", "{tmp}/absent.bin"], "No such file",
+                 id="missing-checkpoint"),
+    pytest.param(TINY_CONFIG, ["--resume", "{tmp}/config.json"], "not a checkpoint file",
+                 id="refused-checkpoint"),
+])
+def test_train_refuses_unusable_input_in_one_line(tmp_path, capsys, config_text, extra,
+                                                  message):
+    # The refusal is a return, not an exception out of main: one stderr line,
+    # exit 2, and no output directory.
+    cfg_path, out_dir = tmp_path / "config.json", tmp_path / "run"
+    if config_text is not None:
+        cfg_path.write_text(config_text, encoding="utf-8")
+    argv = ["train", "--config", str(cfg_path), "--out", str(out_dir)]
+    assert cli.main(argv + [arg.format(tmp=tmp_path) for arg in extra]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("train: ") and err.count("\n") == 1 and message in err, err
+    assert "Traceback" not in err and out == ""
+    assert not out_dir.exists()
 
 
 def drop_moments(arrays, extra):

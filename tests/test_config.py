@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -17,6 +18,18 @@ def test_defaults_are_valid():
     assert cfg.group_size == 8
     assert cfg.sink_size == 3
     assert sum(cfg.reward_weights) == pytest.approx(1.0)
+
+
+def test_config_is_frozen_and_every_copy_is_validated():
+    # validate is the one range check: a valid config cannot be made invalid
+    # in place, and a changed copy is validated as a new one is.
+    cfg = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.rho0 = 0.0
+    assert cfg.rho0 == 0.2
+    with pytest.raises(ValueError, match="invalid config: rho0"):
+        dataclasses.replace(cfg, rho0=0.0)
+    assert dataclasses.replace(cfg, rho0=0.5).rho0 == 0.5
 
 
 def test_dict_roundtrip():
@@ -157,6 +170,9 @@ def test_tuple_coercion():
     ("reward_weights", {0.5: "a", 0.25: "b", 0.125: "c"}),
     ("sink_size", -1),
     ("window_clips", 0),
+    # Lower bounds no function downstream of the config checks again.
+    ("prompt_dim", 1),
+    ("raw_timesteps", (1000.0, 0.0)),
 ])
 def test_validation_rejects(field, value):
     with pytest.raises(ValueError, match="invalid config"):

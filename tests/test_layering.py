@@ -1,10 +1,13 @@
 """Module layering: the astro modules import each other without a cycle,
-every config field is read by the program, and training loads no scipy.
+every config field and function parameter is read by the program, and
+training loads no scipy.
 
 The epoch engine (nftcore) takes already rolled-out groups, which longtune
 decodes and passes in, so nftcore must never import longtune; a cycle
 anywhere would also make the import order of the package matter. A config
-field that no module reads is a knob that changes nothing a run writes.
+field that no module reads is a knob that changes nothing a run writes, and
+a parameter its function never reads is an argument every caller passes for
+nothing.
 Importing scipy.optimize more than doubles a training process's peak memory
 and loads a second OpenBLAS runtime, so only verify-theory's minimizer may.
 """
@@ -21,6 +24,7 @@ import textwrap
 from pathlib import Path
 
 import astro
+from astro import tensorgrad as tg
 from astro.config import RunConfig
 
 SRC = Path(astro.__file__).parent
@@ -74,6 +78,28 @@ def test_every_config_field_is_read_outside_config():
                     and node.value.id == "cfg")
     unread = [f.name for f in dataclasses.fields(RunConfig) if f.name not in read]
     assert not unread, f"RunConfig fields no module reads as cfg.<field>: {unread}"
+
+
+def test_every_function_parameter_is_read_by_its_body():
+    # The adjoint rules share one signature, (g, out, args, needs, kw), which
+    # the tape calls them with; each reads only what its rule needs.
+    adjoints = {("tensorgrad", rule.__code__.co_firstlineno)
+                for _, rule, _ in tg.PRIMITIVES.values()}
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)) \
+                    or (path.stem, node.lineno) in adjoints:
+                continue
+            args = node.args
+            declared = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                        args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name.id for stmt in body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+            unread += [f"{path.stem}.{getattr(node, 'name', '<lambda>')}({name})"
+                       for name in declared if name not in read]
+    assert not unread, f"parameters their function never reads: {unread}"
 
 
 # Run in a fresh interpreter: this one has long since imported scipy through

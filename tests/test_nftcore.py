@@ -43,7 +43,7 @@ def make_world(cfg, n_prompts=2):
 def prepared_inputs(run, scored, cfg, schedule):
     """scored's epoch_loss_inputs at run's epoch, drawn as prepare_epoch draws them."""
     return nftcore.epoch_loss_inputs(
-        run.theta_ref, scored, cfg,
+        run.theta_ref, scored,
         *nftcore.draw_noise(cfg, schedule, run.epoch, scored.data))[0]
 
 
@@ -70,25 +70,16 @@ def test_advantages_center_to_zero():
         assert abs(float(adv.sum())) <= 1e-12 * max(1.0, float(np.abs(r).sum()))
 
 
-def test_advantages_validation():
-    with pytest.raises(ValueError):
-        nftcore.compute_advantages(np.array([1.0]))
-    with pytest.raises(ValueError):
-        nftcore.compute_advantages(np.ones((2, 1)))  # two groups of one
-    with pytest.raises(ValueError):
-        nftcore.compute_advantages(np.float64(1.0))
-
-
 def test_soft_label_mapping_hand_values():
     adv = np.array([0.0, 2.5, -2.5, 5.0, -5.0, 50.0, -50.0])
-    r = nftcore.normalize_advantage(adv, 5.0)
+    r = nftcore.normalize_advantage(adv)
     assert np.allclose(r, [0.5, 0.75, 0.25, 1.0, 0.0, 1.0, 0.0])
     assert np.all((r >= 0.0) & (r <= 1.0))
 
 
 def test_all_equal_rewards_give_half_labels():
     adv = nftcore.compute_advantages(np.full(6, 3.7))
-    r = nftcore.normalize_advantage(adv, 5.0)
+    r = nftcore.normalize_advantage(adv)
     assert np.allclose(r, 0.5)
 
 
@@ -249,8 +240,6 @@ def test_selective_kl_empty_mask_is_plain_zero():
 
 def test_total_loss_combination():
     assert nftcore.total_loss(2.0, 3.0, 1e-4) == pytest.approx(2.0003)
-    with pytest.raises(ValueError):
-        nftcore.total_loss(1.0, 1.0, -0.1)
 
 
 # --- EMA and reference resets ---
@@ -638,7 +627,7 @@ def per_group_preparation(run, data, cfg, schedule):
                                    prompt.vec)
         v_old = flowgen.mlp_forward(run.theta_old, x)
         width = x0_rows.shape[1]
-        labels = np.repeat(nftcore.normalize_advantage(adv, nftcore.A_MAX)[row_candidate, None],
+        labels = np.repeat(nftcore.normalize_advantage(adv)[row_candidate, None],
                            width, axis=1)
         inputs = {"x": x, "x0": x0_rows, "old_plus": (1.0 - cfg.beta) * v_old,
                   "old_minus": (1.0 + cfg.beta) * v_old, "w": labels, "w_neg": 1.0 - labels}

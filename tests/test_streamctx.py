@@ -209,16 +209,6 @@ def test_group_rollout_candidate_clip_is_batch_invariant(n_clips):
                                           f"({numeric_environment()})")
 
 
-def test_group_rollout_rejects_singleton_group():
-    rng = np.random.default_rng(4)
-    params = flowgen.init_net(rng, frame_dim=8, clip_len=4, prompt_dim=4, hidden=32)
-    prompt = flowgen.make_prompt(0, arng.substream(0, arng.PROMPT_STREAM, 0))
-    with pytest.raises(ValueError):
-        streamctx.group_rollout(
-            params, streamctx.ContextBatch.empty(1, 3, 8), [prompt], 1,
-            flowgen.make_schedule(), [streamctx.group_base_key(0, 0, 0)], 1)
-
-
 def test_candidate_key_layout():
     assert streamctx.group_base_key(5, 2, 9) == (5, arng.CANDIDATE_STREAM, 2, 9)
 

@@ -372,7 +372,7 @@ def reference_backward(graph, loss):
 def one_group_inputs(run, scored, cfg, t, eps):
     """Every array one group's loss reads, at noise level t and noise eps: its
     epoch_loss_inputs alone, with theta_old's step_inputs."""
-    fixed = nftcore.epoch_loss_inputs(run.theta_ref, scored, cfg, [t], eps[None])[0]
+    fixed = nftcore.epoch_loss_inputs(run.theta_ref, scored, [t], eps[None])[0]
     return nftcore.step_inputs(fixed, run.theta_old, cfg)
 
 
@@ -748,8 +748,6 @@ def test_clip_global_norm():
     before = flat.copy()
     assert tg.clip_global_norm(grads, 10.0) == tg.global_norm(grads)
     assert grads.flat is flat and np.array_equal(flat, before)
-    with pytest.raises(ValueError):
-        tg.clip_global_norm(grads, 0.0)
 
 
 # --- flat parameters and the flat AdamW step ---
