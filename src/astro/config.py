@@ -138,8 +138,12 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    """The RunConfig in a JSON file; a ValueError names a file that is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: {err}") from err
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     return RunConfig.from_dict(data)

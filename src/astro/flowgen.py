@@ -102,9 +102,7 @@ def trajectory_context_summary(phase: float, clip_index: int, sink: int,
 
 
 def shift_timestep(t: float, shift: float) -> float:
-    """Map a normalized timestep through the horizon-shift warp s*t / (1 + (s-1)*t)."""
-    if shift <= 0:
-        raise ValueError("shift must be positive")
+    """Map a normalized timestep through the horizon-shift warp s*t / (1 + (s-1)*t), s > 0."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"normalized timestep outside [0, 1]: {t}")
     return shift * t / (1.0 + (shift - 1.0) * t)
@@ -158,6 +156,15 @@ def net_input_dim(frame_dim: int, clip_len: int, prompt_dim: int) -> int:
     return clip_len * frame_dim + TIME_FEATURES + 2 * frame_dim + prompt_dim
 
 
+def input_rows(n: int, frame_dim: int, clip_len: int, prompt_dim: int):
+    """The predictor's n uninitialized input rows x, (n, net_input_dim), and
+    views of its column blocks in order: noised clip, time features,
+    context summary and prompt. Returns (x, clip, times, ctx, prompt)."""
+    x = np.empty((n, net_input_dim(frame_dim, clip_len, prompt_dim)))
+    return (x, *np.split(x, np.cumsum([clip_len * frame_dim, TIME_FEATURES, 2 * frame_dim]),
+                         axis=1))
+
+
 def net_shapes(frame_dim: int, clip_len: int, prompt_dim: int,
                hidden: int) -> dict[str, tuple[int, int]]:
     """Each parameter's shape by name, in layer order: w1, b1, w2, b2, w3, b3."""
@@ -184,28 +191,19 @@ def time_features(t) -> np.ndarray:
     return np.stack([t, 1.0 - t, np.sin(math.pi * t), np.cos(math.pi * t)], axis=1)
 
 
-def _rows(x, batch: int, width: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (batch, x.shape[0]))
-    if x.shape != (batch, width):
-        raise ValueError(f"{name} shape {x.shape}, expected ({batch}, {width})")
-    return np.ascontiguousarray(x)
-
-
 def assemble_input(xt_flat: np.ndarray, t, ctx_summary, prompt_vec) -> np.ndarray:
-    """Stack [noised clip | time features | context summary | prompt] rows."""
+    """input_rows holding the noised clips xt_flat, (batch, clip_len*frame_dim),
+    at levels t, and the context summaries and prompts. t, ctx_summary and
+    prompt_vec are each one for all rows or one per row; another row count
+    raises ValueError."""
     xt_flat = np.asarray(xt_flat, dtype=np.float64)
     if xt_flat.ndim != 2:
         raise ValueError("xt_flat must be (batch, clip_len*frame_dim)")
-    batch = xt_flat.shape[0]
-    t = np.asarray(t, dtype=np.float64)
-    tf = time_features(np.broadcast_to(t, (batch,)) if t.ndim == 0 else t)
-    ctx = np.asarray(ctx_summary, dtype=np.float64)
-    ctx = _rows(ctx, batch, ctx.shape[-1], "ctx_summary")
-    pv = np.asarray(prompt_vec, dtype=np.float64)
-    pv = _rows(pv, batch, pv.shape[-1], "prompt_vec")
-    return np.concatenate([xt_flat, tf, ctx, pv], axis=1)
+    frame_dim = np.shape(ctx_summary)[-1] // 2
+    x, clip, times, ctx, pv = input_rows(len(xt_flat), frame_dim, xt_flat.shape[1] // frame_dim,
+                                         np.shape(prompt_vec)[-1])
+    clip[...], times[...], ctx[...], pv[...] = xt_flat, time_features(t), ctx_summary, prompt_vec
+    return x
 
 
 def predict_clean_batch(params: dict[str, np.ndarray], xt_flat: np.ndarray, t,
@@ -214,21 +212,24 @@ def predict_clean_batch(params: dict[str, np.ndarray], xt_flat: np.ndarray, t,
     return mlp_forward(params, assemble_input(xt_flat, t, ctx_summary, prompt_vec))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mlp_forward(params: dict[str, np.ndarray], x: np.ndarray,
                 graph: tg.GradGraph | None = None):
-    """The predictor on assembled input rows (see assemble_input).
+    """The predictor on input rows laid out as input_rows'.
 
     With a graph, the result is a trainable Node and x is the graph's
-    declared input "x"; without one, a NonFiniteError carries the first
-    row whose prediction is not finite.
+    declared input "x"; without one, x is not written, and a NonFiniteError
+    carries the first row whose prediction is not finite.
     """
-    p, tanh = params, np.tanh
+    p, add, tanh = params, lambda a, b: np.add(a, b, out=a), lambda a: np.tanh(a, out=a)
     if graph is not None:
-        p, x, tanh = graph.parameters(params), graph.input("x", x), tg.Node.tanh
-    h1 = tanh(x @ p["w1"] + p["b1"])
-    h2 = tanh(h1 @ p["w2"] + p["b2"])
-    out = h2 @ p["w3"] + p["b3"]
-    if graph is not None:
+        p, x = graph.parameters(params), graph.input("x", x)
+        add, tanh = tg.Node.__add__, tg.Node.tanh
+    h1 = tanh(add(x @ p["w1"], p["b1"]))
+    h2 = tanh(add(h1 @ p["w2"], p["b2"]))
+    out = add(h2 @ p["w3"], p["b3"])
+    # As in tensorgrad._checked: a finite sum proves every element finite.
+    if graph is not None or np.isfinite(np.add.reduce(out, axis=None)):
         return out
     finite = np.isfinite(out).all(axis=1)
     if not finite.all():
@@ -246,10 +247,10 @@ def sample_clips(params: dict[str, np.ndarray], ctx_rows, prompt_vec,
     row i starts from noise[i, 0] and renoises with noise[i, k+1] after
     step k, and is conditioned on ctx_rows[i], so a row's clip does not
     depend on which other rows share the batch. The callers draw each row's
-    block once per epoch (rng.normal_blocks). The input rows, laid out as
-    assemble_input's, and the schedule's time features are built once; each
-    later step writes its features and renoised clip, (1-t)*pred + t*noise,
-    in place and runs one (N, d_in) forward. Returns the final clean
+    block once per epoch (rng.normal_blocks). The input rows (input_rows)
+    and the schedule's time features are built once; each later step
+    writes its features and renoised clip, (1-t)*pred + t*noise, in place
+    and runs one (N, d_in) forward. Returns the final clean
     predictions, (N, clip_len, frame_dim). A NonFiniteError carries the
     first row whose prediction is not finite.
     """
@@ -263,9 +264,8 @@ def sample_clips(params: dict[str, np.ndarray], ctx_rows, prompt_vec,
         raise ValueError(f"ctx_rows shape {ctx_rows.shape}, expected ({n}, 2*frame_dim)")
     frame_dim = ctx_rows.shape[1] // 2
     feats = time_features(np.array(schedule.values))
-    x = np.concatenate([noise[:, 0], np.broadcast_to(feats[0], (n, TIME_FEATURES)), ctx_rows,
-                        _rows(prompt_vec, n, np.shape(prompt_vec)[-1], "prompt_vec")], axis=1)
-    clip, times = x[:, :width], x[:, width:width + TIME_FEATURES]
+    x, clip, times, ctx, pv = input_rows(n, frame_dim, width // frame_dim, np.shape(prompt_vec)[-1])
+    clip[...], times[...], ctx[...], pv[...] = noise[:, 0], feats[0], ctx_rows, prompt_vec
     pred = mlp_forward(params, x)
     for k, t in enumerate(schedule.values[1:], 1):
         np.multiply(pred, 1.0 - t, out=clip)
@@ -341,10 +341,9 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
     place. steps=0 returns the initialization untouched. A non-finite loss
     aborts with PretrainDivergence. Every step runs the loss's tape, which
     the first step records from regression_loss, and its backward into the
-    one gradient vector the call makes. The input rows, laid out
-    as assemble_input's, and the schedule's time features are built once;
-    each step draws its batch, levels and noise, in that order, and writes
-    the rows' columns in place.
+    one gradient vector the call makes. The input rows (input_rows) and the
+    schedule's time features are built once; each step draws its batch,
+    levels and noise, in that order, and writes the rows' columns in place.
     """
     schedule = schedule or make_schedule()
     prompt_dim = corpus.prompts[0].vec.shape[0]
@@ -354,11 +353,8 @@ def pretrain_base(corpus: TrajectoryCorpus, steps: int, rng: np.random.Generator
     grads = params.empty_like()
     levels = np.array(schedule.values)
     feats = time_features(levels)
-    width = corpus.clip_len * corpus.frame_dim
-    x = np.empty((batch_size, net_input_dim(corpus.frame_dim, corpus.clip_len, prompt_dim)))
-    clip, times, ctx, pv = np.split(x, np.cumsum([width, TIME_FEATURES, 2 * corpus.frame_dim]),
-                                    axis=1)
-    eps = np.empty((batch_size, width))
+    x, clip, times, ctx, pv = input_rows(batch_size, corpus.frame_dim, corpus.clip_len, prompt_dim)
+    eps = np.empty((batch_size, corpus.clip_len * corpus.frame_dim))
     losses: list[float] = []
     tapes: dict = {}
     for step in range(steps):

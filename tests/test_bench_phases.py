@@ -1,5 +1,5 @@
 """tools/bench_phases.py's pair_summary, which every perf claim's summary
-uses, its pretraining split and the output digests of a child run.
+uses, its pretraining split and the costs and output digests of a child run.
 
 pair_summary is checked on synthetic pairs: which side a pair's win goes
 to, in the direction BENCHMARK.json gives each metric, and the change of the
@@ -78,8 +78,9 @@ def test_pretrain_split_times_each_part_of_a_tiny_pretraining(bench_phases, monk
 
 
 def test_child_reports_the_digests_of_its_run_outputs(bench_phases, monkeypatch, tmp_path):
-    # A child run of a tiny workload reports the sha256 of the metrics.jsonl
-    # and checkpoint.bin that a plain run of the same config writes.
+    # A child run of a tiny workload reports every CHILD_COSTS entry, and the
+    # sha256 of the metrics.jsonl and checkpoint.bin that a plain run of the
+    # same config writes.
     cfg = tiny_config(pretrain_steps=3)
     workload = {"config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "seed"}}
     monkeypatch.setattr(bench_phases, "load_benchmark", lambda: types.SimpleNamespace(
@@ -87,6 +88,8 @@ def test_child_reports_the_digests_of_its_run_outputs(bench_phases, monkeypatch,
     monkeypatch.setattr(bench_phases, "SPLIT_STEPS", 5)
     monkeypatch.setattr(cli, "pretrain_from_config", cli.pretrain_from_config)  # child wraps it
     report = bench_phases.child(str(ROOT / "src"), "tiny", cfg.seed)
+    assert "minflt_per_epoch" in bench_phases.CHILD_COSTS
+    assert all(report[cost] >= 0.0 for cost in bench_phases.CHILD_COSTS)
     assert cli.run_training(cfg, tmp_path)["status"] == "ok"
     assert report["sha256"] == {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                                 for name in ("metrics.jsonl", "checkpoint.bin")}

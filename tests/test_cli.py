@@ -496,6 +496,15 @@ def test_train_refuses_unusable_input_in_one_line(tmp_path, capsys, config_text,
     assert not out_dir.exists()
 
 
+def test_train_names_the_config_file_that_is_not_json(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"seed": 0,', encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as decoder:
+        json.loads('{"seed": 0,')
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"train: {cfg_path}: {decoder.value}\n"
+
+
 def drop_moments(arrays, extra):
     return {k: a for k, a in arrays.items() if not k.startswith(("opt/m/", "opt/v/"))}, extra
 

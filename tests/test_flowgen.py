@@ -170,6 +170,67 @@ def test_predict_clean_graph_path_matches_numpy_path():
     assert np.array_equal(plain, node.value)
 
 
+def test_input_rows_views_tile_the_columns_in_order():
+    # Noised clip, time features, context summary and prompt: views of x that
+    # sit side by side from its first column to its last.
+    frame_dim, clip_len, prompt_dim = 3, 5, 2
+    x, *blocks = flowgen.input_rows(7, frame_dim, clip_len, prompt_dim)
+    assert x.shape == (7, flowgen.net_input_dim(frame_dim, clip_len, prompt_dim))
+    x[...] = np.arange(x.size).reshape(x.shape)
+    start = 0
+    for block, width in zip(blocks, [clip_len * frame_dim, flowgen.TIME_FEATURES,
+                                     2 * frame_dim, prompt_dim], strict=True):
+        assert np.shares_memory(block, x)
+        assert np.array_equal(block, x[:, start:start + width])
+        start += width
+    assert start == x.shape[1]
+
+
+@pytest.mark.parametrize("name", ["ctx_summary", "prompt_vec"])
+@pytest.mark.parametrize("rows", [2, 4])
+def test_conditioning_with_the_wrong_row_count_is_refused(name, rows):
+    # Three rows take one vector for all or one per row, and nothing else.
+    rng = np.random.default_rng(rows)
+    params, ctx, sched = sampler_world(rows, rows=3)
+    cond = {"ctx_summary": ctx, "prompt_vec": rng.standard_normal((3, 4))}
+    cond[name] = cond[name][:1].repeat(rows, axis=0)
+    with pytest.raises(ValueError):
+        flowgen.assemble_input(rng.standard_normal((3, 32)), 0.5, cond["ctx_summary"],
+                               cond["prompt_vec"])
+    with pytest.raises(ValueError):
+        flowgen.sample_clips(params, cond["ctx_summary"], cond["prompt_vec"], sched,
+                             rng.standard_normal((3, len(sched), 32)))
+
+
+def test_mlp_forward_leaves_its_input_rows_as_they_are():
+    params, ctx, _ = sampler_world(8, rows=6)
+    x = flowgen.assemble_input(np.ones((6, 32)), 0.5, ctx, np.ones(4) / 2.0)
+    before = x.copy()
+    out = flowgen.mlp_forward(params, x)
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("row", [0, 2, 5])
+def test_mlp_forward_names_the_first_non_finite_row(row):
+    params, ctx, _ = sampler_world(9, rows=6)
+    x = flowgen.assemble_input(np.ones((6, 32)), 0.5, ctx, np.ones(4) / 2.0)
+    x[row, 0] = x[-1, 1] = np.nan
+    with pytest.raises(flowgen.NonFiniteError) as info:
+        flowgen.mlp_forward(params, x)
+    assert info.value.row == row
+
+
+def test_mlp_forward_passes_finite_rows_whose_sum_overflows():
+    # Two entries of 1e308 per row: the output's sum is inf, every entry finite.
+    params, ctx, _ = sampler_world(10, rows=3)
+    params["w3"][...] = 0.0
+    params["b3"][0, :2] = 1e308
+    out = flowgen.mlp_forward(params, flowgen.assemble_input(np.ones((3, 32)), 0.5, ctx,
+                                                             np.ones(4) / 2.0))
+    assert np.array_equal(out[:, :2], np.full((3, 2), 1e308))
+
+
 def test_counting_stream():
     counter = CountingStream(arng.substream(0, 1))
     assert counter.draws == []

@@ -14,10 +14,11 @@ pretraining's wall time over its steps), and that step split into batch,
 loss forward, backward and AdamW (each part's median over the steps of a
 separate, timer-wrapped pretraining pass; see pretrain_split), the wall
 seconds of `import astro, astro.cli` (import_s), the process's
-ru_maxrss in MB after that import and after the training run, and the
-sha256 of the run's metrics.jsonl and checkpoint.bin; each side lists the
-digests its runs made, one per file when they agree. With
---pairs N, each workload also gets N alternating pairs of
+ru_maxrss in MB after that import and after the training run, the minor
+page faults (ru_minflt) the training run took, pretraining included, per
+epoch (minflt_per_epoch), and the sha256 of the run's metrics.jsonl and
+checkpoint.bin; each side lists the digests its runs made, one per file
+when they agree. With --pairs N, each workload also gets N alternating pairs of
 `benchmarks/run.py --seconds S`, one process per side, and the summary of
 every end-to-end metric BENCHMARK.json bounds, of the wall-time
 epoch_ms_p50 and run_s that the pair run records in its
@@ -67,7 +68,8 @@ PHASES = ("prefix", "rollout", "judges", "loss_inputs", "loss_forward", "backwar
 SPLIT_PARTS = ("batch", "loss_forward", "backward", "adamw")
 SPLIT_STEPS = 400
 # What a child run reports beside its phases, in its JSON line.
-CHILD_COSTS = ("import_s", "maxrss_import_mb", "maxrss_run_mb", "pretrain_step_ms")
+CHILD_COSTS = ("import_s", "maxrss_import_mb", "maxrss_run_mb", "pretrain_step_ms",
+               "minflt_per_epoch")
 # The run outputs whose sha256 a child run reports: which bytes each side made.
 DIGESTED = ("metrics.jsonl", "checkpoint.bin")
 # Wall-time end-to-end metrics summarized beside the gated ones: benchmarks/run.py
@@ -91,8 +93,8 @@ def maxrss_mb() -> float:
 
 def child(src: str, workload: str, seed: int) -> dict:
     """One training run of a workload on the astro in src: its import cost,
-    peak memory, phase and pretraining medians, and the sha256 of each
-    DIGESTED output."""
+    peak memory, minor page faults per epoch, phase and pretraining medians,
+    and the sha256 of each DIGESTED output."""
     sys.path.insert(0, src)
     start = time.perf_counter()
     import astro
@@ -115,8 +117,10 @@ def child(src: str, workload: str, seed: int) -> dict:
             pretrain_s.append(time.perf_counter() - start)
     cli.pretrain_from_config = timed_pretrain
     with tempfile.TemporaryDirectory() as out:
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         if cli.run_training(cfg, Path(out))["status"] != "ok":
             raise RuntimeError(f"{workload} run failed")
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
         maxrss_run_mb = maxrss_mb()
         timings = Path(out) / "timings.jsonl"
         rows = [json.loads(line) for line in timings.read_text().splitlines()]
@@ -126,6 +130,7 @@ def child(src: str, workload: str, seed: int) -> dict:
     return {"phases_ms": phases, "import_s": import_s, "maxrss_import_mb": maxrss_import_mb,
             "maxrss_run_mb": maxrss_run_mb,
             "pretrain_step_ms": 1e3 * pretrain_s[0] / cfg.pretrain_steps,
+            "minflt_per_epoch": minflt / cfg.epochs,
             "pretrain_split_ms": pretrain_split(cfg), "sha256": sha256}
 
 
@@ -249,7 +254,7 @@ def main(argv=None) -> int:
     result = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {
         "script": "tools/bench_phases.py", "workloads": {}}
     result["unit"] = ("wall ms per epoch (phases); ms per step (pretrain_step_ms); s (import_s); "
-                      "MB (maxrss_*_mb)")
+                      "MB (maxrss_*_mb); minor page faults per epoch (minflt_per_epoch)")
     for name in args.workloads or bench.WORKLOADS:
         seed = bench.WORKLOADS[name]["seed"] if args.seed is None else args.seed
         threads = os.environ.get("OPENBLAS_NUM_THREADS", "default")
