@@ -109,42 +109,27 @@ def run_training(cfg: RunConfig, out_dir: Path, resume: str | None = None,
 
 
 def _cmd_train(args) -> int:
-    """Exit 0 on success, 3 on an aborted epoch, and 2, with one line on
-    stderr, on a config, checkpoint or file that run_training cannot use."""
-    try:
-        data = load_config(args.config).to_dict()
-        if args.mode:
-            data["mode"] = args.mode
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.paper_scale:
-            data["group_size"] = PAPER_SCALE_GROUP
-        cfg = RunConfig.from_dict(data)
-        summary = run_training(cfg, resolve_out_dir(cfg, args.out), resume=args.resume,
-                               echo=print)
-    except (ValueError, OSError) as err:
-        print(f"train: {err}", file=sys.stderr)
-        return 2
+    """Exit 0 on success and 3 on an aborted epoch."""
+    data = load_config(args.config).to_dict()
+    if args.mode:
+        data["mode"] = args.mode
+    if args.seed is not None:
+        data["seed"] = args.seed
+    if args.paper_scale:
+        data["group_size"] = PAPER_SCALE_GROUP
+    cfg = RunConfig.from_dict(data)
+    summary = run_training(cfg, resolve_out_dir(cfg, args.out), resume=args.resume, echo=print)
     return 0 if summary["status"] == "ok" else 3
 
 
 def _cmd_verify_theory(args) -> int:
-    try:
-        summary = theoryx.verify_theory(trials=args.trials, seed=args.seed)
-    except ValueError as err:
-        print(f"verify-theory: {err}", file=sys.stderr)
-        return 2
-    ov = summary["optimal_velocity"]
-    print(f"optimal_velocity: {'PASS' if ov['passed'] else 'FAIL'} "
-          f"(closed vs numeric {ov['max_closed_vs_numeric']:.2e}, "
-          f"mixture residual {ov['max_mixture_residual']:.2e}, "
-          f"signs {'ok' if ov['sign_predicate'] else 'BAD'}, {ov['trials']} instances)")
-    pk = summary["pinsker"]
-    print(f"pinsker: {'PASS' if pk['passed'] else 'FAIL'} ({pk['trials']} pairs)")
-    lb = summary["reward_lower_bound"]
-    print(f"reward_lower_bound: {'PASS' if lb['passed'] else 'FAIL'} "
-          f"({lb['trials']} instances, min margin {lb['min_margin']:.4f})")
-    return 0 if summary["all_passed"] else 1
+    """One line per check family, with every field of its report."""
+    report = theoryx.verify_theory(trials=args.trials, seed=args.seed)
+    for name in theoryx.FAMILIES:
+        fields = ", ".join(f"{k} {v:.3g}" if isinstance(v, float) else f"{k} {v}"
+                           for k, v in report[name].items() if k != "passed")
+        print(f"{name}: {'PASS' if report[name]['passed'] else 'FAIL'} ({fields})")
+    return 0 if report["all_passed"] else 1
 
 
 def _cmd_export_metrics(args) -> int:
@@ -181,8 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; input it cannot use (a ValueError or OSError) ends
+    it with exit 2 and one '<command>: <reason>' line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"{args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -138,14 +138,14 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """The RunConfig in a JSON file; a ValueError names a file that is not JSON."""
+    """The RunConfig in a JSON file; a ValueError names a file that is not a JSON object."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: {err}") from err
     if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"{path}: config file must hold a JSON object")
     return RunConfig.from_dict(data)
 
 

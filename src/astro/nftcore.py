@@ -141,13 +141,12 @@ class RunState:
             if got.shape != want:
                 raise ValueError(f"checkpoint norm/{name} has shape {got.shape}; "
                                  f"{len(pids)} prompts and {judges} judges imply {want}")
-        run = cls.fresh(cfg, {})
-        run.theta, run.theta_old, run.theta_ref, run.optimizer.m, run.optimizer.v = buffers
-        run.grads = run.theta.empty_like()
-        run.optimizer.t = opt_t
-        run.epoch, run.last_reset_epoch = meta["epoch"], extra["last_reset_epoch"]
-        run.normalizer = rewardlab.RewardNormalizer(pids, **norm)
-        return run
+        optimizer = tg.AdamW(lr=cfg.lr)
+        theta, theta_old, theta_ref, optimizer.m, optimizer.v = buffers
+        optimizer.t = opt_t
+        return cls(theta=theta, theta_old=theta_old, theta_ref=theta_ref, optimizer=optimizer,
+                   normalizer=rewardlab.RewardNormalizer(pids, **norm), epoch=meta["epoch"],
+                   last_reset_epoch=extra["last_reset_epoch"])
 
 
 # --- advantage shaping ---
@@ -275,8 +274,8 @@ class ScoredGroup:
     tau: np.ndarray
 
 
-def score_groups(data: GroupData, cfg: RunConfig,
-                 normalizer: rewardlab.RewardNormalizer) -> ScoredGroup:
+def score_group(data: GroupData, cfg: RunConfig,
+                normalizer: rewardlab.RewardNormalizer) -> ScoredGroup:
     """Judge, standardize, center into advantages, and mark rank disagreement.
     Judges, the normalizer, centering and ranks run once on the (P, G)
     stack; each group is masked (at risk ratio cfg.rho0) per prompt."""
@@ -294,11 +293,6 @@ def score_groups(data: GroupData, cfg: RunConfig,
         ranks[rewardlab.VQ], [r for m, r in enumerate(ranks) if m != rewardlab.VQ])
     tau, mask = zip(*[rewardlab.uncertainty_mask(d, cfg.rho0) for d in delta])
     return ScoredGroup(data, raw, advantages, np.array(mask), np.array(tau))
-
-
-def score_group(data: GroupData, cfg: RunConfig,
-                normalizer: rewardlab.RewardNormalizer) -> ScoredGroup:
-    return score_groups(data, cfg, normalizer)
 
 
 # --- optimization ---
@@ -439,11 +433,11 @@ def prepare_epoch(run: RunState, data: GroupData, cfg: RunConfig,
                   schedule: flowgen.TimestepSchedule
                   ) -> tuple[ScoredGroup, list[dict[str, np.ndarray]]]:
     """The part of an epoch that no optimizer step changes, for all groups at
-    once: (score_groups, each group's epoch_loss_inputs at theta_ref, which
+    once: (score_group, each group's epoch_loss_inputs at theta_ref, which
     moves only at epoch end), timed as the judges and loss_inputs phases.
     A non-finite theta_ref row aborts the epoch, naming the row's prompt."""
     epoch, since = run.epoch, time.perf_counter()
-    scored = score_groups(data, cfg, run.normalizer)
+    scored = score_group(data, cfg, run.normalizer)
     since = run.timings.lap("judges", since)
     ts, eps = draw_noise(cfg, schedule, epoch, data)
     with abort_on_nonfinite(epoch, data.prompts, math.prod(data.clips.shape[1:3])):

@@ -95,13 +95,21 @@ def read_metrics(path) -> list[dict]:
 
 
 def export_plot_data(log_path, out_path) -> int:
-    """Flatten a metrics log to CSV for plotting. Returns the row count."""
-    records = read_metrics(log_path) if Path(log_path).exists() else []
+    """Flatten a metrics log to CSV for plotting. Returns the row count. A
+    missing log gives a header-only CSV; a line that is not JSON, or a record
+    that lacks a PLOT_COLUMNS field, is refused before out_path is opened."""
+    try:
+        records = read_metrics(log_path) if Path(log_path).exists() else []
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{log_path}: line {err.doc!r} is not JSON ({err.msg})") from err
+    for number, rec in enumerate(records, 1):
+        missing = [col for col in PLOT_COLUMNS if not isinstance(rec, dict) or col not in rec]
+        if missing:
+            raise ValueError(f"{log_path}: record {number} lacks {', '.join(missing)}")
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PLOT_COLUMNS)
-        for rec in records:
-            writer.writerow([rec[col] for col in PLOT_COLUMNS])
+        writer.writerows([rec[col] for col in PLOT_COLUMNS] for rec in records)
     return len(records)
 
 

@@ -232,57 +232,54 @@ def reward_lower_bound_check(inst: BoundInstance) -> tuple[float, float, bool]:
     return lhs, rhs, lhs >= rhs - 1e-12
 
 
-# --- suite driver ---
+# --- suite driver: each check family maps (rng, trials) to its report ---
+
+
+def check_optimal_velocity(rng: np.random.Generator, trials: int) -> dict:
+    """Closed form vs numeric minimizer, mixture identity and shift sign, cycling beta."""
+    betas = (0.1, 0.5, 1.0, 2.0)
+    max_gap, max_residual, signs_ok = 0.0, 0.0, True
+    for k in range(trials):
+        inst = make_guidance_instance(rng, beta=betas[k % len(betas)])
+        gap = np.max(np.abs(optimal_velocity_closed_form(inst) - optimal_velocity_numeric(inst)))
+        max_gap = max(max_gap, float(gap))
+        max_residual = max(max_residual, mixture_identity_check(
+            inst.v_old, inst.alpha, inst.v_plus, inst.v_minus))
+        signs_ok = signs_ok and shift_sign_agrees(inst)
+    return {"passed": max_gap <= 1e-6 and max_residual <= 1e-12 and signs_ok,
+            "trials": trials, "max_closed_vs_numeric": max_gap,
+            "max_mixture_residual": max_residual, "sign_predicate": signs_ok}
+
+
+def check_pinsker(rng: np.random.Generator, trials: int) -> dict:
+    """Pinsker's inequality on max(10 * trials, 1000) random pairs of distributions."""
+    pairs, ok = max(trials * 10, 1000), True
+    for _ in range(pairs):
+        n = int(rng.integers(2, 17))
+        ok = kl_tv_pinsker(random_dist(rng, n), random_dist(rng, n))[2] and ok
+    return {"passed": ok, "trials": pairs}
+
+
+def check_reward_lower_bound(rng: np.random.Generator, trials: int) -> dict:
+    """The reward lower bound on max(5 * trials, 500) random discrete instances."""
+    instances, ok, min_margin = max(trials * 5, 500), True, math.inf
+    for _ in range(instances):
+        inst = make_bound_instance(rng, int(rng.integers(2, 17)))
+        lhs, rhs, holds = reward_lower_bound_check(inst)
+        ok, min_margin = ok and holds, min(min_margin, lhs - rhs)
+    return {"passed": ok, "trials": instances, "min_margin": min_margin}
+
+
+# Every check family by its report key, in the order verify_theory runs them.
+FAMILIES = {"optimal_velocity": check_optimal_velocity, "pinsker": check_pinsker,
+            "reward_lower_bound": check_reward_lower_bound}
 
 
 def verify_theory(trials: int = 100, seed: int = 0) -> dict:
-    """Run every check family; returns per-family pass/fail with diagnostics.
+    """Each FAMILIES report, run in order on one random stream, and all_passed.
     Fewer than one trial would check no guidance instance, so it is refused."""
     if trials < 1:
         raise ValueError(f"verify_theory needs trials >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    betas = (0.1, 0.5, 1.0, 2.0)
-
-    max_gap = 0.0
-    max_residual = 0.0
-    signs_ok = True
-    for k in range(trials):
-        inst = make_guidance_instance(rng, beta=betas[k % len(betas)])
-        gap = float(np.max(np.abs(optimal_velocity_closed_form(inst)
-                                  - optimal_velocity_numeric(inst))))
-        residual = mixture_identity_check(inst.v_old, inst.alpha, inst.v_plus, inst.v_minus)
-        max_gap = max(max_gap, gap)
-        max_residual = max(max_residual, residual)
-        signs_ok = signs_ok and shift_sign_agrees(inst)
-    optimal_velocity = {
-        "passed": max_gap <= 1e-6 and max_residual <= 1e-12 and signs_ok,
-        "trials": trials,
-        "max_closed_vs_numeric": max_gap,
-        "max_mixture_residual": max_residual,
-        "sign_predicate": signs_ok,
-    }
-
-    pinsker_trials = max(trials * 10, 1000)
-    pinsker_ok = True
-    for _ in range(pinsker_trials):
-        n = int(rng.integers(2, 17))
-        _, _, holds = kl_tv_pinsker(random_dist(rng, n), random_dist(rng, n))
-        pinsker_ok = pinsker_ok and holds
-    pinsker = {"passed": pinsker_ok, "trials": pinsker_trials}
-
-    bound_trials = max(trials * 5, 500)
-    bound_ok = True
-    min_margin = math.inf
-    for _ in range(bound_trials):
-        n = int(rng.integers(2, 17))
-        lhs, rhs, holds = reward_lower_bound_check(make_bound_instance(rng, n))
-        bound_ok = bound_ok and holds
-        min_margin = min(min_margin, lhs - rhs)
-    lower_bound = {"passed": bound_ok, "trials": bound_trials, "min_margin": min_margin}
-
-    return {
-        "optimal_velocity": optimal_velocity,
-        "pinsker": pinsker,
-        "reward_lower_bound": lower_bound,
-        "all_passed": optimal_velocity["passed"] and pinsker_ok and bound_ok,
-    }
+    report = {name: check(rng, trials) for name, check in FAMILIES.items()}
+    return {**report, "all_passed": all(r["passed"] for r in report.values())}

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import astro
-from astro import cli, flowgen, longtune, nftcore, runio, streamctx, rng as arng
+from astro import cli, flowgen, longtune, nftcore, runio, streamctx, theoryx, rng as arng
 from astro import tensorgrad as tg
 from astro.config import RunConfig, save_config
 from test_flowgen import per_step_noise
@@ -360,12 +360,17 @@ def test_zero_epochs_writes_checkpoint_only(tmp_path):
 
 
 def test_verify_theory_command(capsys):
-    rc = cli.main(["verify-theory", "--trials", "5"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "optimal_velocity: PASS" in out
-    assert "pinsker: PASS" in out
-    assert "reward_lower_bound: PASS" in out
+    # One line per FAMILIES entry, built from its family's report alone: a
+    # family added to FAMILIES gets its line with no edit to the command.
+    assert cli.main(["verify-theory", "--trials", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = theoryx.verify_theory(trials=5)
+    assert len(lines) == len(theoryx.FAMILIES) == len(report) - 1
+    for line, name in zip(lines, theoryx.FAMILIES):
+        fields = [k for k in report[name] if k != "passed"]
+        assert line.startswith(f"{name}: PASS (") and line.endswith(")"), line
+        assert [part.split(" ")[0] for part in line[line.index("(") + 1:-1].split(", ")] == fields
+        assert f"trials {report[name]['trials']}" in line
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -388,6 +393,30 @@ def test_export_metrics_command(tmp_path, capsys):
     assert rc == 0
     assert "wrote 3 rows" in capsys.readouterr().out
     assert len(out.read_text().strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("edit,out_name,message", [
+    pytest.param(lambda text: text + "not json\n", "plot.csv",
+                 "metrics.jsonl: line 'not json' is not JSON", id="line-not-json"),
+    pytest.param(lambda text: text.replace('"composite":0.1,', "", 1), "plot.csv",
+                 "metrics.jsonl: record 1 lacks composite", id="missing-field"),
+    pytest.param(lambda text: text, "absent/plot.csv", "No such file", id="out-in-missing-dir"),
+])
+def test_export_metrics_refuses_unusable_input_in_one_line(tmp_path, capsys, edit, out_name,
+                                                           message):
+    # One stderr line, exit 2, and no CSV, not even a header-only one.
+    log, out = tmp_path / "metrics.jsonl", tmp_path / out_name
+    for e in range(3):
+        runio.log_metrics(log, runio.MetricsRecord(
+            epoch=e, reward_vq=0.0, reward_mq=0.0, reward_ta=0.0, composite=0.1,
+            policy_loss=0.2, kl_loss=0.0, mask_fraction=0.0, tau=0.0, grad_norm=0.1,
+            reset=False))
+    log.write_text(edit(log.read_text(encoding="utf-8")), encoding="utf-8")
+    assert cli.main(["export-metrics", "--log", str(log), "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.startswith("export-metrics: ") and err.count("\n") == 1 and message in err, err
+    assert "Traceback" not in err and out_text == ""
+    assert not out.exists()
 
 
 def test_parser_requires_subcommand():
@@ -473,6 +502,8 @@ TINY_CONFIG = json.dumps(tiny_config().to_dict())
 @pytest.mark.parametrize("config_text,extra,message", [
     pytest.param(None, [], "No such file", id="missing-config"),
     pytest.param('{"seed": 0,', [], "Expecting", id="config-not-json"),
+    pytest.param("[1]", [], "config.json: config file must hold a JSON object",
+                 id="config-not-object"),
     pytest.param('{"lrr": 1}', [], "unknown config keys: ['lrr']", id="unknown-key"),
     pytest.param('{"group_size": 1}', [], "group_size must be at least 2", id="invalid-value"),
     pytest.param(TINY_CONFIG, ["--seed", "-1"], "seed must be nonnegative", id="negative-seed"),
@@ -690,6 +721,19 @@ PINNED_BASE = "e03bdca5fb049fea67f75113190d979b6a5805d518b54e10b58c68b04121fcb5"
 # correction of the first moment becomes exactly 1.0, at zero weight decay.
 PINNED_BASE_400 = "62a572209a8b6da156e79342b4f5912bc7075b2b86a1067baafe2f42cabf7162"
 
+# verify_theory(trials=20, seed=0), exactly: the families run in FAMILIES
+# order on one stream, so a change to a family's draws or their order shows.
+PINNED_THEORY = {
+    "optimal_velocity": {"passed": True, "trials": 20,
+                         "max_closed_vs_numeric": 2.0818574919534427e-09,
+                         "max_mixture_residual": 1.679728361529715e-16,
+                         "sign_predicate": True},
+    "pinsker": {"passed": True, "trials": 1000},
+    "reward_lower_bound": {"passed": True, "trials": 500,
+                           "min_margin": 0.027387519273836952},
+    "all_passed": True,
+}
+
 
 def numeric_environment() -> str:
     """numpy version, BLAS vendor and thread setting: what a digest depends on."""
@@ -717,6 +761,14 @@ def test_pretrained_base_matches_pinned_digest():
 
 def test_pretrained_base_400_matches_pinned_digest():
     assert_pretrained_base_digest(400, PINNED_BASE_400)
+
+
+def test_theory_report_matches_pinned_report():
+    import scipy
+
+    got = theoryx.verify_theory(trials=20, seed=0)
+    assert got == PINNED_THEORY, (f"theory report {got}, pinned {PINNED_THEORY} "
+                                  f"({numeric_environment()}, scipy {scipy.__version__})")
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))

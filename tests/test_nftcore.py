@@ -675,7 +675,7 @@ def test_masked_and_unmasked_groups_share_one_tape():
     run.theta_old.flat += 0.05 * rng.standard_normal(run.theta.flat.shape)
     run.theta_ref.flat -= 0.05 * rng.standard_normal(run.theta.flat.shape)
     data = window_groups(cfg, prompts, rng)
-    mask = nftcore.score_groups(data, cfg, rewardlab.RewardNormalizer()).mask
+    mask = nftcore.score_group(data, cfg, rewardlab.RewardNormalizer()).mask
     assert mask.any(axis=1).tolist() == [True, False, True]
     nftcore.train_epoch(run, data, cfg, schedule)
     assert run.optimizer.t == 3 and len(run.tapes) == 1
